@@ -52,7 +52,7 @@ void timeIngest(const IngestRun& run, std::size_t records, std::size_t bytes,
     const auto start = clock::now();
     transport::Reassembler reassembler;
     for (const auto& wire : run.wires) {
-        (void)reassembler.receiveFrame(wire);
+        (void)reassembler.ingest(wire);
     }
     const auto elapsed =
         std::chrono::duration<double>(clock::now() - start).count();

@@ -68,7 +68,7 @@ int main() {
         transport::Channel* ackBack = unit.ackChannel.get();
         unit.dataChannel->setReceiver(
             [&server, ackBack](const std::string& bytes) {
-                if (const auto ack = server.receiveFrame(bytes)) {
+                if (const auto ack = server.ingestFrame(bytes).ack) {
                     ackBack->send(transport::encodeAck(*ack));
                 }
             });

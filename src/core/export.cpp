@@ -7,6 +7,7 @@
 #include <string_view>
 
 #include "analysis/tables.hpp"
+#include "obs/trace.hpp"  // appendJsonEscaped
 
 namespace symfail::core {
 namespace {
@@ -195,28 +196,11 @@ std::vector<std::string> exportForumCsv(const forum::ForumStudyResult& result,
 
 namespace {
 
-/// Minimal JSON building: escaped strings, arrays and objects assembled
+/// Minimal JSON building: quoted strings, arrays and objects assembled
 /// by hand (the output schema is fixed, a JSON library would be overkill).
-std::string jsonEscape(std::string_view s) {
+std::string jsonString(std::string_view s) {
     std::string out = "\"";
-    for (const char c : s) {
-        switch (c) {
-            case '"': out += "\\\""; break;
-            case '\\': out += "\\\\"; break;
-            case '\n': out += "\\n"; break;
-            case '\t': out += "\\t"; break;
-            case '\r': out += "\\r"; break;
-            default:
-                if (static_cast<unsigned char>(c) < 0x20) {
-                    char buf[8];
-                    std::snprintf(buf, sizeof buf, "\\u%04x",
-                                  static_cast<unsigned>(c));
-                    out += buf;
-                } else {
-                    out += c;
-                }
-        }
-    }
+    obs::appendJsonEscaped(out, s);
     out += '"';
     return out;
 }
@@ -234,17 +218,17 @@ std::string crashFamiliesJsonObject(const FieldStudyResults& results) {
     for (std::size_t i = 0; i < results.crashFamilies.rows.size(); ++i) {
         const auto& row = results.crashFamilies.rows[i];
         if (i != 0) json += ", ";
-        json += "{\"id\": " + jsonEscape(row.familyId) +
-                ", \"panic\": " + jsonEscape(symbos::toString(row.panic)) +
+        json += "{\"id\": " + jsonString(row.familyId) +
+                ", \"panic\": " + jsonString(symbos::toString(row.panic)) +
                 ", \"dumps\": " + std::to_string(row.dumps) +
                 ", \"share_percent\": " + jsonNum(row.sharePct) +
                 ", \"mtbf_hours\": " + jsonNum(row.mtbfHours) +
                 ", \"phones\": " + std::to_string(row.phones) +
                 ", \"distinct_signatures\": " + std::to_string(row.distinctSignatures) +
-                ", \"top_app\": " + jsonEscape(row.topApp) + ", \"frames\": [";
+                ", \"top_app\": " + jsonString(row.topApp) + ", \"frames\": [";
         for (std::size_t f = 0; f < row.frames.size(); ++f) {
             if (f != 0) json += ", ";
-            json += jsonEscape(row.frames[f]);
+            json += jsonString(row.frames[f]);
         }
         json += "]}";
     }
@@ -272,7 +256,7 @@ std::string fieldResultsToJson(const FieldStudyResults& results) {
     for (std::size_t i = 0; i < results.table2.size(); ++i) {
         const auto& row = results.table2[i];
         if (i != 0) json += ", ";
-        json += "{\"panic\": " + jsonEscape(symbos::toString(row.panic)) +
+        json += "{\"panic\": " + jsonString(symbos::toString(row.panic)) +
                 ", \"count\": " + std::to_string(row.count) +
                 ", \"percent\": " + jsonNum(row.percent) +
                 ", \"paper_percent\": " + jsonNum(row.paperPercent) + "}";
@@ -285,7 +269,7 @@ std::string fieldResultsToJson(const FieldStudyResults& results) {
     for (const auto& [len, count] : results.fig3BurstLengths.entries()) {
         if (!first) json += ", ";
         first = false;
-        json += jsonEscape(std::to_string(len)) + ": " + std::to_string(count);
+        json += jsonString(std::to_string(len)) + ": " + std::to_string(count);
     }
     json += "},\n";
 
@@ -296,7 +280,7 @@ std::string fieldResultsToJson(const FieldStudyResults& results) {
     for (std::size_t i = 0; i < coal.byCategory.size(); ++i) {
         const auto& row = coal.byCategory[i];
         if (i != 0) json += ", ";
-        json += "{\"category\": " + jsonEscape(symbos::toString(row.category)) +
+        json += "{\"category\": " + jsonString(symbos::toString(row.category)) +
                 ", \"total\": " + std::to_string(row.total) +
                 ", \"to_freeze\": " + std::to_string(row.toFreeze) +
                 ", \"to_self_shutdown\": " + std::to_string(row.toSelfShutdown) + "}";
@@ -315,7 +299,7 @@ std::string fieldResultsToJson(const FieldStudyResults& results) {
     for (const auto& [n, count] : results.fig6AppCounts.entries()) {
         if (!first) json += ", ";
         first = false;
-        json += jsonEscape(std::to_string(n)) + ": " + std::to_string(count);
+        json += jsonString(std::to_string(n)) + ": " + std::to_string(count);
     }
     json += "},\n";
 
@@ -329,9 +313,9 @@ std::string fieldResultsToJson(const FieldStudyResults& results) {
                               : row.relation == analysis::PanicRelation::SelfShutdown
                                   ? "self-shutdown"
                                   : "none";
-        json += "{\"category\": " + jsonEscape(symbos::toString(row.category)) +
-                ", \"outcome\": " + jsonEscape(outcome) +
-                ", \"app\": " + jsonEscape(row.app) +
+        json += "{\"category\": " + jsonString(symbos::toString(row.category)) +
+                ", \"outcome\": " + jsonString(outcome) +
+                ", \"app\": " + jsonString(row.app) +
                 ", \"percent\": " + jsonNum(row.percentOfAllPanics) + "}";
     }
     json += "],\n";

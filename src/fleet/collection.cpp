@@ -1,41 +1,6 @@
 #include "fleet/collection.hpp"
 
-#include <set>
-
-#include "logger/records.hpp"
-
 namespace symfail::fleet {
-namespace {
-
-std::size_t recordCount(std::string_view content) {
-    return logger::parseLogFile(content).size();
-}
-
-}  // namespace
-
-void CollectionServer::receive(const std::string& phoneName,
-                               const std::string& logFileContent) {
-    ++uploads_;
-    const std::size_t records = recordCount(logFileContent);
-    const auto it = latest_.find(phoneName);
-    if (it != latest_.end() && records < it->second.records) {
-        // A truncated late upload: keeping it would lose data that already
-        // made it to the server.
-        ++truncatedUploadsIgnored_;
-        if (observer_ != nullptr) {
-            observer_->onWholeFile(phoneName, logFileContent, false);
-        }
-        return;
-    }
-    latest_[phoneName] = StoredLog{logFileContent, records};
-    if (observer_ != nullptr) {
-        observer_->onWholeFile(phoneName, logFileContent, true);
-    }
-}
-
-std::optional<transport::Ack> CollectionServer::receiveFrame(std::string_view bytes) {
-    return ingestFrame(bytes).ack;
-}
 
 transport::IngestResult CollectionServer::ingestFrame(std::string_view bytes) {
     auto result = reassembler_.ingest(bytes);
@@ -45,67 +10,15 @@ transport::IngestResult CollectionServer::ingestFrame(std::string_view bytes) {
     return result;
 }
 
-std::size_t CollectionServer::phoneCount() const {
-    std::set<std::string> phones;
-    for (const auto& [name, log] : latest_) phones.insert(name);
-    for (const auto& name : reassembler_.phones()) phones.insert(name);
-    return phones.size();
-}
-
-bool CollectionServer::has(const std::string& phoneName) const {
-    return latest_.contains(phoneName) || reassembler_.has(phoneName);
-}
-
-std::optional<CollectionServer::BestCopy> CollectionServer::bestCopy(
-    const std::string& phoneName) const {
-    const auto it = latest_.find(phoneName);
-    const bool haveWhole = it != latest_.end();
-    const bool haveChunks = reassembler_.has(phoneName);
-    if (!haveWhole && !haveChunks) return std::nullopt;
-    if (!haveChunks) return BestCopy{it->second.content, 1.0};
-
-    std::string reassembled = reassembler_.reconstruct(phoneName);
-    const double chunkCoverage = reassembler_.coverage(phoneName);
-    if (!haveWhole) return BestCopy{std::move(reassembled), chunkCoverage};
-
-    // Both paths delivered: whichever copy carries more records wins; a
-    // tie goes to the whole-file copy (it cannot have internal gaps).
-    if (recordCount(reassembled) > it->second.records) {
-        return BestCopy{std::move(reassembled), chunkCoverage};
-    }
-    return BestCopy{it->second.content, 1.0};
-}
-
-double CollectionServer::coverage(const std::string& phoneName) const {
-    const auto best = bestCopy(phoneName);
-    return best ? best->coverage : 0.0;
-}
-
 std::vector<analysis::PhoneLog> CollectionServer::collectedLogs() const {
-    std::set<std::string> phones;
-    for (const auto& [name, log] : latest_) phones.insert(name);
-    for (const auto& name : reassembler_.phones()) phones.insert(name);
-
+    const auto names = reassembler_.phones();
     std::vector<analysis::PhoneLog> logs;
-    logs.reserve(phones.size());
-    for (const auto& name : phones) {
-        auto best = bestCopy(name);
-        if (!best) continue;
-        logs.push_back(
-            analysis::PhoneLog{name, std::move(best->content), best->coverage});
+    logs.reserve(names.size());
+    for (const auto& name : names) {
+        logs.push_back(analysis::PhoneLog{name, reassembler_.reconstruct(name),
+                                          reassembler_.coverage(name)});
     }
     return logs;
-}
-
-std::size_t CollectionServer::approxMemoryBytes() const {
-    constexpr std::size_t mapNode = 3 * sizeof(void*);
-    std::size_t total = sizeof *this;
-    for (const auto& [phone, log] : latest_) {
-        total += phone.size() + log.content.size() + sizeof(std::string) +
-                 sizeof(StoredLog) + mapNode;
-    }
-    total += reassembler_.approxMemoryBytes();
-    return total;
 }
 
 }  // namespace symfail::fleet

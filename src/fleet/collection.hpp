@@ -1,87 +1,63 @@
 // Log collection server.
 //
 // The paper's companion tool paper describes an automated infrastructure
-// that transfers Log Files off the phones.  This server is its model, with
-// two ingestion paths:
+// that transfers Log Files off the phones.  This server is its model.  Each
+// phone's transport::UploadAgent ships CRC-framed segments of its Log File
+// over the unreliable transport channels, and the server files them in a
+// transport::Reassembler (duplicate suppression, out-of-order merge,
+// gap-safe reconstruction).
 //
-//   * whole-file uploads (`receive`) — the legacy in-process handoff: the
-//     logger's upload sink pushes each phone's current Log File content.
-//     The server keeps the copy with the most parseable records, so a
-//     truncated late upload can never erase data that already arrived
-//     (such replacements are counted as anomalies instead);
-//   * chunked uploads (`receiveFrame`) — CRC-framed segments arriving over
-//     the unreliable transport channels, reconciled by a
-//     transport::Reassembler (duplicate suppression, out-of-order merge,
-//     gap-safe reconstruction).
-//
-// `collectedLogs` reconciles both paths per phone — whichever copy carries
-// more records wins — so analysis can run on uploaded data even for phones
-// that died before campaign end, and on partial data for phones whose
-// segments were permanently lost.
+// `collectedLogs` reconstructs every phone's copy from the chunk maps, so
+// analysis can run on uploaded data even for phones that died before
+// campaign end, and on partial data for phones whose segments were
+// permanently lost.
 #pragma once
 
 #include <cstdint>
-#include <map>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "analysis/dataset.hpp"
-#include "transport/frame.hpp"
 #include "transport/reassembly.hpp"
 
 namespace symfail::fleet {
 
 /// Streaming tap on the server's ingest path.  Implementations (the
-/// fleet-health monitor) observe every accepted upload as it arrives, in
+/// fleet-health monitor) observe every accepted frame as it arrives, in
 /// simulated time, without perturbing storage or acking.
 class IngestObserver {
 public:
     virtual ~IngestObserver() = default;
-    /// A whole-file upload arrived.  `stored` is false when the server
-    /// refused it as a truncated late upload.
-    virtual void onWholeFile(const std::string& phoneName, std::string_view content,
-                             bool stored) = 0;
     /// A chunked frame decoded cleanly and was filed (duplicates included;
     /// see transport::IngestResult::duplicate).
     virtual void onFrameAccepted(const transport::IngestResult& frame) = 0;
 };
 
-/// Reconciling collection store.
+/// Collection store: one reassembled copy per phone.
 class CollectionServer {
 public:
-    /// Receives a whole-file upload.  Keeps the copy with the most
-    /// parseable records: a shorter/truncated late upload is ignored (and
-    /// counted) rather than allowed to replace better data.
-    void receive(const std::string& phoneName, const std::string& logFileContent);
-
-    /// Receives one chunked-transport frame; returns the ack to ship back
-    /// to the phone (nullopt when the frame was rejected as damaged).
-    std::optional<transport::Ack> receiveFrame(std::string_view bytes);
-
-    /// Like `receiveFrame` but returns the full reassembly outcome (the
-    /// provenance wiring needs the stored extent and the duplicate flag;
-    /// the ack to ship back is `result.ack`).
+    /// Receives one chunked-transport frame and returns the full
+    /// reassembly outcome.  The ack to ship back to the phone is
+    /// `result.ack` (nullopt when the frame was rejected as damaged); the
+    /// provenance wiring also reads the stored extent and the duplicate
+    /// flag.
     transport::IngestResult ingestFrame(std::string_view bytes);
 
-    /// Phones known through either ingestion path.
-    [[nodiscard]] std::size_t phoneCount() const;
-    [[nodiscard]] std::uint64_t uploadsReceived() const { return uploads_; }
-    /// Whole-file uploads ignored because they carried fewer records than
-    /// the copy already held (the truncated-late-upload anomaly).
-    [[nodiscard]] std::uint64_t truncatedUploadsIgnored() const {
-        return truncatedUploadsIgnored_;
+    /// Phones heard from.
+    [[nodiscard]] std::size_t phoneCount() const { return reassembler_.phones().size(); }
+    [[nodiscard]] bool has(const std::string& phoneName) const {
+        return reassembler_.has(phoneName);
     }
-    [[nodiscard]] bool has(const std::string& phoneName) const;
 
-    /// Segment coverage for the copy `collectedLogs` would pick for this
-    /// phone: 1.0 for whole-file copies, the reassembler's segment
-    /// coverage otherwise, 0.0 for a phone never heard from.
-    [[nodiscard]] double coverage(const std::string& phoneName) const;
+    /// The phone's segment coverage; 0.0 for a phone never heard from.
+    [[nodiscard]] double coverage(const std::string& phoneName) const {
+        return reassembler_.coverage(phoneName);
+    }
 
-    /// Snapshot usable by the analysis pipeline (per-phone best copy, with
-    /// coverage attached for the dataset's coverage-loss accounting).
+    /// Snapshot usable by the analysis pipeline: every phone's
+    /// reconstructed Log File in name order, with segment coverage
+    /// attached for the dataset's coverage-loss accounting.
     [[nodiscard]] std::vector<analysis::PhoneLog> collectedLogs() const;
 
     [[nodiscard]] const transport::Reassembler& reassembler() const {
@@ -93,28 +69,15 @@ public:
     /// stores or acks.
     void setIngestObserver(IngestObserver* observer) { observer_ = observer; }
 
-    /// Approximate heap footprint of the server: stored whole-file copies
-    /// plus the reassembler's chunk maps; deterministic for identical
-    /// upload sequences.
-    [[nodiscard]] std::size_t approxMemoryBytes() const;
+    /// Approximate heap footprint of the server (the reassembler's chunk
+    /// maps); deterministic for identical upload sequences.
+    [[nodiscard]] std::size_t approxMemoryBytes() const {
+        return sizeof *this + reassembler_.approxMemoryBytes();
+    }
 
 private:
-    struct StoredLog {
-        std::string content;
-        std::size_t records{0};
-    };
-    /// Best copy for one phone across both paths; nullopt when unknown.
-    struct BestCopy {
-        std::string content;
-        double coverage{1.0};
-    };
-    [[nodiscard]] std::optional<BestCopy> bestCopy(const std::string& phoneName) const;
-
-    std::map<std::string, StoredLog> latest_;
     transport::Reassembler reassembler_;
     IngestObserver* observer_{nullptr};
-    std::uint64_t uploads_{0};
-    std::uint64_t truncatedUploadsIgnored_{0};
 };
 
 }  // namespace symfail::fleet

@@ -183,34 +183,27 @@ FleetResult runCampaign(const FleetConfig& config) {
                 config.transport.policy, transportRng.nextU64());
             dataChannel->setTraceTrack(device->traceTrack());
             ackChannel->setTraceTrack(device->traceTrack());
-            transport::Channel* ackPtr = ackChannel.get();
             if (provenance != nullptr) {
-                // Server-edge reconciliation: stamp what the reassembler
-                // stored (or count the rejected/duplicate copy) before the
-                // ack ships back.
                 uploadAgent->setProvenance(provenance);
                 dataChannel->setProvenance(provenance);
-                sim::Simulator* simPtr = &simulator;
-                dataChannel->setReceiver([&server, ackPtr, provenance,
-                                          simPtr](const std::string& bytes) {
-                    const auto ingest = server.ingestFrame(bytes);
+            }
+            // Server edge: file the frame, stamp what the reassembler stored
+            // (or count the rejected copy) for provenance, then ship the ack.
+            transport::Channel* ackPtr = ackChannel.get();
+            dataChannel->setReceiver([&server, &simulator, ackPtr,
+                                      provenance](const std::string& bytes) {
+                const auto ingest = server.ingestFrame(bytes);
+                if (provenance != nullptr) {
                     if (ingest.ack) {
                         provenance->segmentReconciled(
                             ingest.phone, ingest.seq, ingest.payload.size(),
-                            ingest.duplicate, simPtr->now());
-                        ackPtr->send(transport::encodeAck(*ingest.ack));
+                            ingest.duplicate, simulator.now());
                     } else {
-                        provenance->frameRejected(simPtr->now());
+                        provenance->frameRejected(simulator.now());
                     }
-                });
-            } else {
-                dataChannel->setReceiver(
-                    [&server, ackPtr](const std::string& bytes) {
-                        if (const auto ack = server.receiveFrame(bytes)) {
-                            ackPtr->send(transport::encodeAck(*ack));
-                        }
-                    });
-            }
+                }
+                if (ingest.ack) ackPtr->send(transport::encodeAck(*ingest.ack));
+            });
         }
 
         // Lineage starts at the flash write: the adapter stamps every Log
@@ -379,7 +372,6 @@ FleetResult runCampaign(const FleetConfig& config) {
         report.segmentsStored = reassembly.segmentsStored;
 
         result.collectedLogs = server.collectedLogs();
-        result.truncatedUploadsIgnored = server.truncatedUploadsIgnored();
         std::map<std::string, std::size_t> deliveredByPhone;
         for (const auto& log : result.collectedLogs) {
             const auto records = logger::parseLogFile(log.logFileContent).size();

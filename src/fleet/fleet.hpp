@@ -137,9 +137,6 @@ struct FleetResult {
     std::vector<analysis::PhoneLog> collectedLogs;
     /// Transport-layer accounting for the campaign.
     transport::TransportReport transport;
-    /// Whole-file uploads the server refused because they carried fewer
-    /// records than the copy it already held.
-    std::uint64_t truncatedUploadsIgnored{0};
 
     // Fleet-level ground totals (from the injectors).
     std::uint64_t panicsInjected{0};

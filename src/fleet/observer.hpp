@@ -64,8 +64,9 @@ public:
     /// reports nothing.
     [[nodiscard]] virtual std::uint64_t approxMemoryBytes() const { return 0; }
 
-    void onWholeFile(const std::string& /*phoneName*/, std::string_view /*content*/,
-                     bool /*stored*/) override {}
+    /// No caller in src/; kept only for perfbench's StartProbe override.
+    virtual void onWholeFile(const std::string& /*phoneName*/,
+                             std::string_view /*content*/, bool /*stored*/) {}
     void onFrameAccepted(const transport::IngestResult& /*frame*/) override {}
 };
 

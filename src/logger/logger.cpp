@@ -46,11 +46,6 @@ const std::string& FailureLogger::logFileContent() const {
     return device_->flash().content(kLogFile);
 }
 
-void FailureLogger::setUploadSink(UploadSink sink, sim::Duration uploadPeriod) {
-    uploadSink_ = std::move(sink);
-    uploadPeriod_ = uploadPeriod;
-}
-
 void FailureLogger::setEnabled(bool enabled) {
     if (enabled == enabled_) return;
     enabled_ = enabled;
@@ -224,11 +219,6 @@ void FailureLogger::onBoot() {
                            device_->systemAgent().batteryPercent(),
                            device_->systemAgent().charging()));
     });
-    if (uploadSink_ && !uploadPeriod_.isZero()) {
-        startPeriodicAo("upload-agent", uploadPeriod_, [this](ExecContext&) {
-            uploadSink_(device_->name(), logFileContent());
-        });
-    }
 }
 
 void FailureLogger::restartDaemon() {

@@ -72,13 +72,6 @@ public:
     /// infrastructure uploads).
     [[nodiscard]] const std::string& logFileContent() const;
 
-    /// Optional upload sink: when set, the Log File content is pushed to
-    /// it once per `uploadPeriod` (models the automated transfer
-    /// infrastructure of the paper's companion tool paper).
-    using UploadSink = std::function<void(const std::string& phoneName,
-                                          const std::string& logFileContent)>;
-    void setUploadSink(UploadSink sink, sim::Duration uploadPeriod);
-
     /// Pid of the running daemon process (0 when not running).
     [[nodiscard]] symbos::ProcessId daemonPid() const { return daemonPid_; }
 
@@ -147,9 +140,6 @@ private:
     std::vector<std::unique_ptr<symbos::FunctionAo>> aos_;
     std::vector<std::unique_ptr<symbos::RTimer>> timers_;
     sim::TimePoint lastActivityCopied_{};
-
-    UploadSink uploadSink_;
-    sim::Duration uploadPeriod_{};
 
     std::uint64_t heartbeats_{0};
     std::uint64_t panicsLogged_{0};

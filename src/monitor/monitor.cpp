@@ -185,9 +185,7 @@ void FleetMonitor::stampProvenance(const std::string& phoneName,
     // Watermark: bytes released into the line buffer minus the partial
     // line it still holds — everything below it was consumed as complete
     // records.
-    const std::uint64_t released = stream.mode == PathMode::Chunked
-                                       ? stream.tap.bytesReleased()
-                                       : stream.wholeConsumed;
+    const std::uint64_t released = stream.tap.bytesReleased();
     const std::uint64_t pending = stream.lines.pendingBytes();
     provenance_->monitorConsumed(phoneName, released - pending,
                                  simulator_->now());
@@ -209,32 +207,9 @@ void FleetMonitor::onFrameAccepted(const transport::IngestResult& frame) {
     const auto [it, inserted] = streams_.try_emplace(frame.phone);
     PhoneStream& stream = it->second;
     if (inserted) stream.tap = SegmentTap{config_.settleTimeout};
-    if (stream.mode == PathMode::Whole) return;  // first ingest path wins
-    stream.mode = PathMode::Chunked;
     const std::string released =
         stream.tap.push(frame.seq, frame.segCount, frame.payload, now);
     feedStream(frame.phone, stream, released);
-}
-
-void FleetMonitor::onWholeFile(const std::string& phoneName,
-                               std::string_view content, bool stored) {
-    if (!stored || simulator_ == nullptr) return;
-    const auto now = simulator_->now();
-    Presence& presence = registerPhone(phoneName, now);
-    presence.heard = true;
-    presence.lastIngestAt = now;
-    lastEventAt_ = std::max(lastEventAt_, now);
-
-    PhoneStream& stream = streams_[phoneName];
-    if (stream.mode == PathMode::Chunked) return;  // first ingest path wins
-    stream.mode = PathMode::Whole;
-    // Whole-file uploads are snapshots of an append-only file; only the
-    // growth past what we already consumed is new.
-    if (content.size() <= stream.wholeConsumed) return;
-    const std::string_view growth = content.substr(stream.wholeConsumed);
-    stream.wholeConsumed = content.size();
-    consumeLines(phoneName, stream.lines.feed(growth));
-    stampProvenance(phoneName, stream);
 }
 
 void FleetMonitor::onCampaignEnd(sim::TimePoint at) {
@@ -242,9 +217,7 @@ void FleetMonitor::onCampaignEnd(sim::TimePoint at) {
     // The stream is closed: every held segment copy is final, so drain the
     // taps unconditionally (true gaps still hold their tails back).
     for (auto& [name, stream] : streams_) {
-        if (stream.mode == PathMode::Chunked) {
-            feedStream(name, stream, stream.tap.flush());
-        }
+        feedStream(name, stream, stream.tap.flush());
     }
     health_.finalize();
     finalized_ = true;
@@ -382,9 +355,7 @@ void FleetMonitor::tick(sim::TimePoint now) {
     // Live mode: settle-timeout releases first, so this tick sees them.
     if (!finalized_ && simulator_ != nullptr) {
         for (auto& [name, stream] : streams_) {
-            if (stream.mode == PathMode::Chunked) {
-                feedStream(name, stream, stream.tap.poll(now));
-            }
+            feedStream(name, stream, stream.tap.poll(now));
         }
     }
     health_.trimTo(now);

@@ -101,8 +101,6 @@ public:
     void onPhoneEnrolled(const std::string& phoneName, sim::TimePoint enrollAt,
                          fleet::OutageProbe outageProbe) override;
     void onCampaignEnd(sim::TimePoint at) override;
-    void onWholeFile(const std::string& phoneName, std::string_view content,
-                     bool stored) override;
     void onFrameAccepted(const transport::IngestResult& frame) override;
     void onProvenanceAttached(obs::ProvenanceTracker* tracker) override;
     /// Approximate monitor-held bytes (stream buffers, presence table,
@@ -131,12 +129,9 @@ public:
     void publishMetrics(obs::MetricsRegistry& registry) const;
 
 private:
-    enum class PathMode : std::uint8_t { None, Chunked, Whole };
     struct PhoneStream {
         SegmentTap tap;
         LineBuffer lines;
-        PathMode mode{PathMode::None};
-        std::size_t wholeConsumed{0};
     };
     struct Presence {
         sim::TimePoint enrollAt;

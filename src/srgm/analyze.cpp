@@ -10,6 +10,7 @@
 
 #include "analysis/tables.hpp"
 #include "obs/metrics.hpp"
+#include "obs/trace.hpp"  // appendJsonEscaped
 
 namespace symfail::srgm {
 namespace {
@@ -51,26 +52,9 @@ GroupReport analyzeGroup(std::string name, const EventData& data,
     return group;
 }
 
-std::string jsonEscape(std::string_view s) {
+std::string jsonString(std::string_view s) {
     std::string out = "\"";
-    for (const char c : s) {
-        switch (c) {
-            case '"': out += "\\\""; break;
-            case '\\': out += "\\\\"; break;
-            case '\n': out += "\\n"; break;
-            case '\t': out += "\\t"; break;
-            case '\r': out += "\\r"; break;
-            default:
-                if (static_cast<unsigned char>(c) < 0x20) {
-                    char buf[8];
-                    std::snprintf(buf, sizeof buf, "\\u%04x",
-                                  static_cast<unsigned>(c));
-                    out += buf;
-                } else {
-                    out += c;
-                }
-        }
-    }
+    obs::appendJsonEscaped(out, s);
     out += '"';
     return out;
 }
@@ -84,7 +68,7 @@ std::string jsonNum(double value) {
 
 std::string fitJson(const FitResult& fit, bool best) {
     std::string json = "{\"model\": ";
-    json += jsonEscape(modelName(fit.kind));
+    json += jsonString(modelName(fit.kind));
     json += ", \"a\": " + jsonNum(fit.params.a);
     json += ", \"b\": " + jsonNum(fit.params.b);
     json += ", \"c\": " + jsonNum(fit.params.c);
@@ -106,7 +90,7 @@ std::string holdoutJson(const HoldoutResult& h) {
     json += ", \"split\": " + jsonNum(h.splitFraction);
     json += ", \"prefix_events\": " + std::to_string(h.prefixEvents);
     json += ", \"tail_events\": " + std::to_string(h.tailEvents);
-    json += ", \"best_model\": " + jsonEscape(modelName(h.bestKind));
+    json += ", \"best_model\": " + jsonString(modelName(h.bestKind));
     json += ", \"predicted_tail_count\": " + jsonNum(h.predictedTailCount);
     json += ", \"actual_tail_count\": " + jsonNum(h.actualTailCount);
     json += ", \"count_rel_error\": " + jsonNum(h.countRelError);
@@ -120,14 +104,14 @@ std::string holdoutJson(const HoldoutResult& h) {
 }
 
 std::string groupJson(const GroupReport& g) {
-    std::string json = "{\"name\": " + jsonEscape(g.name);
+    std::string json = "{\"name\": " + jsonString(g.name);
     json += ", \"events\": " + std::to_string(g.events);
     json += ", \"observed_hours\": " + jsonNum(g.observedHours);
     json += ", \"mtbf_hours\": " + jsonNum(g.mtbfHours);
     json += ", \"laplace_trend\": " + jsonNum(g.laplace);
     json += ", \"best_model\": ";
     json += g.bestIndex < g.fits.size()
-                ? jsonEscape(modelName(g.fits[g.bestIndex].kind))
+                ? jsonString(modelName(g.fits[g.bestIndex].kind))
                 : "null";
     json += ", \"fits\": [";
     for (std::size_t i = 0; i < g.fits.size(); ++i) {

@@ -38,10 +38,6 @@ IngestResult Reassembler::ingest(std::string_view bytes) {
     return result;
 }
 
-std::optional<Ack> Reassembler::receiveFrame(std::string_view bytes) {
-    return ingest(bytes).ack;
-}
-
 std::vector<std::string> Reassembler::phones() const {
     std::vector<std::string> names;
     names.reserve(assemblies_.size());

@@ -52,9 +52,6 @@ public:
     /// retransmit usually means the original ack was lost.
     [[nodiscard]] IngestResult ingest(std::string_view bytes);
 
-    /// Legacy wrapper around `ingest` returning only the ack.
-    std::optional<Ack> receiveFrame(std::string_view bytes);
-
     [[nodiscard]] std::vector<std::string> phones() const;
     [[nodiscard]] bool has(const std::string& phone) const {
         return assemblies_.contains(phone);

@@ -2,7 +2,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -85,129 +84,6 @@ TEST(FleetCampaign, VersionPoolAssigned) {
     EXPECT_EQ(result.phoneNames.size(), 6u);
 }
 
-TEST(CollectionServer, KeepsLatestCopy) {
-    CollectionServer server;
-    server.receive("a", "v1");
-    server.receive("a", "v2");
-    server.receive("b", "w1");
-    EXPECT_EQ(server.phoneCount(), 2u);
-    EXPECT_EQ(server.uploadsReceived(), 3u);
-    EXPECT_TRUE(server.has("a"));
-    EXPECT_FALSE(server.has("c"));
-    const auto logs = server.collectedLogs();
-    ASSERT_EQ(logs.size(), 2u);
-    EXPECT_EQ(logs[0].phoneName, "a");
-    EXPECT_EQ(logs[0].logFileContent, "v2");
-}
-
-TEST(CollectionServer, UploadPathDeliversParseableLogs) {
-    // Wire a real logger's upload agent to the collection server and check
-    // the uploaded content analyzes cleanly.
-    sim::Simulator simulator;
-    phone::PhoneDevice::Config config;
-    config.name = "uploader";
-    config.seed = 44;
-    phone::PhoneDevice device{simulator, config};
-    logger::FailureLogger loggerApp{device};
-    CollectionServer server;
-    loggerApp.setUploadSink(
-        [&server](const std::string& name, const std::string& content) {
-            server.receive(name, content);
-        },
-        sim::Duration::hours(12));
-    device.powerOn();
-    simulator.runUntil(sim::TimePoint::origin() + sim::Duration::days(3));
-
-    ASSERT_TRUE(server.has("uploader"));
-    const auto dataset = analysis::LogDataset::build(server.collectedLogs());
-    EXPECT_GE(dataset.bootCount(), 1u);
-    EXPECT_EQ(dataset.malformedLines(), 0u);
-}
-
-TEST(CollectionServer, TruncatedLateUploadCannotEraseRecords) {
-    // The old server blindly kept the latest upload; a phone re-uploading
-    // after log rotation (or a torn transfer) could replace five boots
-    // with one.  The reconciling server keeps the copy with the most
-    // records and counts the anomaly.
-    CollectionServer server;
-    const std::string full = logWithBoots(5);
-    const std::string truncated = logWithBoots(1);
-    server.receive("a", full);
-    server.receive("a", truncated);
-    EXPECT_EQ(server.truncatedUploadsIgnored(), 1u);
-    const auto logs = server.collectedLogs();
-    ASSERT_EQ(logs.size(), 1u);
-    EXPECT_EQ(logs[0].logFileContent, full);
-}
-
-TEST(CollectionServer, EmptyUploadIsHarmless) {
-    CollectionServer server;
-    server.receive("a", "");
-    EXPECT_TRUE(server.has("a"));
-    EXPECT_EQ(server.phoneCount(), 1u);
-    ASSERT_EQ(server.collectedLogs().size(), 1u);
-    EXPECT_TRUE(server.collectedLogs()[0].logFileContent.empty());
-
-    // Real data then arrives and wins; a later empty upload cannot erase it.
-    const std::string full = logWithBoots(3);
-    server.receive("a", full);
-    EXPECT_EQ(server.collectedLogs()[0].logFileContent, full);
-    server.receive("a", "");
-    EXPECT_EQ(server.collectedLogs()[0].logFileContent, full);
-    EXPECT_EQ(server.truncatedUploadsIgnored(), 1u);
-}
-
-TEST(CollectionServer, ReUploadIsIdempotent) {
-    CollectionServer server;
-    const std::string full = logWithBoots(4);
-    server.receive("a", full);
-    const auto before = server.collectedLogs();
-    server.receive("a", full);
-    server.receive("a", full);
-    EXPECT_EQ(server.phoneCount(), 1u);
-    EXPECT_EQ(server.uploadsReceived(), 3u);
-    EXPECT_EQ(server.truncatedUploadsIgnored(), 0u);
-    const auto after = server.collectedLogs();
-    ASSERT_EQ(after.size(), before.size());
-    EXPECT_EQ(after[0].logFileContent, before[0].logFileContent);
-    EXPECT_DOUBLE_EQ(after[0].coverage, 1.0);
-}
-
-TEST(CollectionServer, PhoneDeathMidCampaignLeavesPartialLogOnServer) {
-    // The phone uploads for two days of a ten-day campaign, then drops off
-    // the network for good (lost, bricked, study drop-out): nothing it
-    // sends reaches the server again.  Everything uploaded before the
-    // death must survive and stay analyzable.
-    sim::Simulator simulator;
-    CollectionServer server;
-    phone::PhoneDevice::Config config;
-    config.name = "doomed";
-    config.seed = 91;
-    phone::PhoneDevice device{simulator, config};
-    logger::FailureLogger loggerApp{device};
-    bool reachable = true;
-    loggerApp.setUploadSink(
-        [&server, &reachable](const std::string& name, const std::string& content) {
-            if (reachable) server.receive(name, content);
-        },
-        sim::Duration::hours(6));
-    simulator.scheduleAt(sim::TimePoint::origin() + sim::Duration::days(2),
-                         [&reachable]() { reachable = false; });
-    device.powerOn();
-    simulator.runUntil(sim::TimePoint::origin() + sim::Duration::days(10));
-
-    ASSERT_TRUE(server.has("doomed"));
-    const auto logs = server.collectedLogs();
-    ASSERT_EQ(logs.size(), 1u);
-    // The server's copy is a strict partial log: real content, but less
-    // than the phone accumulated over the remaining eight days.
-    EXPECT_FALSE(logs[0].logFileContent.empty());
-    EXPECT_LT(logs[0].logFileContent.size(), loggerApp.logFileContent().size());
-    const auto dataset = analysis::LogDataset::build(logs);
-    EXPECT_GE(dataset.bootCount(), 1u);
-    EXPECT_EQ(dataset.malformedLines(), 0u);
-}
-
 TEST(CollectionServer, InterleavedChunkUploadsFrom25Phones) {
     // 25 phones' segments arrive interleaved (round-robin, each phone's
     // frames in reverse order) — per-phone chunk maps must never mix.
@@ -229,13 +105,15 @@ TEST(CollectionServer, InterleavedChunkUploadsFrom25Phones) {
             const auto& list = frames[static_cast<std::size_t>(i)];
             if (round >= list.size()) continue;
             const auto& frame = list[list.size() - 1 - round];  // reverse order
-            const auto ack = server.receiveFrame(transport::encodeFrame(frame));
+            const auto ack = server.ingestFrame(transport::encodeFrame(frame)).ack;
             ASSERT_TRUE(ack.has_value());
             EXPECT_EQ(ack->phone, frame.phone);
         }
     }
 
     EXPECT_EQ(server.phoneCount(), 25u);
+    EXPECT_TRUE(server.has("phone-0"));
+    EXPECT_FALSE(server.has("phone-25"));
     const auto logs = server.collectedLogs();
     ASSERT_EQ(logs.size(), 25u);
     for (int i = 0; i < phoneCountTotal; ++i) {

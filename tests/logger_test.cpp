@@ -374,23 +374,6 @@ TEST_F(LoggerFixture, PowerRowsWritten) {
     EXPECT_EQ(lines[0].rfind("POWER|", 0), 0u);
 }
 
-TEST_F(LoggerFixture, UploadSinkReceivesLogFile) {
-    int uploads = 0;
-    std::string lastContent;
-    logger_->setUploadSink(
-        [&](const std::string& name, const std::string& content) {
-            EXPECT_EQ(name, "logger-test");
-            lastContent = content;
-            ++uploads;
-        },
-        sim::Duration::hours(6));
-    device_->powerOn();
-    runFor(sim::Duration::days(1));
-    EXPECT_GE(uploads, 3);
-    // The Log File opens with the device metadata record.
-    EXPECT_EQ(lastContent.rfind("META|", 0), 0u);
-}
-
 TEST_F(LoggerFixture, DisabledLoggerWritesNothingAtBoot) {
     LoggerConfig config;
     config.startEnabled = false;

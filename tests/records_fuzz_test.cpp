@@ -194,12 +194,12 @@ TEST_P(ChunkFramingFuzz, DamagedFramesNeverCrashOrCorrupt) {
                 continue;
             } else if (fate == 3) {
                 // Delivered twice.
-                (void)reassembler.receiveFrame(wire);
+                (void)reassembler.ingest(wire);
             }
-            (void)reassembler.receiveFrame(wire);
+            (void)reassembler.ingest(wire);
             // Random garbage interleaved with real frames.
             if (rng.bernoulli(0.1)) {
-                (void)reassembler.receiveFrame(randomBytes(
+                (void)reassembler.ingest(randomBytes(
                     rng, static_cast<std::size_t>(rng.uniformInt(0, 200))));
             }
         }

@@ -212,8 +212,8 @@ TEST(Reassembler, MergesOutOfOrderAndSuppressesDuplicates) {
     // Deliver in reverse order, each twice.
     for (auto it = frames.rbegin(); it != frames.rend(); ++it) {
         const std::string wire = encodeFrame(*it);
-        const auto ack1 = reassembler.receiveFrame(wire);
-        const auto ack2 = reassembler.receiveFrame(wire);
+        const auto ack1 = reassembler.ingest(wire).ack;
+        const auto ack2 = reassembler.ingest(wire).ack;
         ASSERT_TRUE(ack1.has_value());
         // Duplicates are re-acked (heals lost acks), not dropped silently.
         ASSERT_TRUE(ack2.has_value());
@@ -236,15 +236,15 @@ TEST(Reassembler, GrowingTailSegmentExtendsInPlace) {
     ASSERT_EQ(framesLate.size(), 1u);
 
     Reassembler reassembler;
-    const auto ackEarly = reassembler.receiveFrame(encodeFrame(framesEarly[0]));
-    const auto ackLate = reassembler.receiveFrame(encodeFrame(framesLate[0]));
+    const auto ackEarly = reassembler.ingest(encodeFrame(framesEarly[0])).ack;
+    const auto ackLate = reassembler.ingest(encodeFrame(framesLate[0])).ack;
     ASSERT_TRUE(ackEarly && ackLate);
     EXPECT_GT(ackLate->payloadBytes, ackEarly->payloadBytes);
     EXPECT_EQ(reassembler.reconstruct("p"), late);
     EXPECT_EQ(reassembler.stats().segmentsExtended, 1u);
 
     // A stale shorter replay cannot shrink the stored copy.
-    const auto ackStale = reassembler.receiveFrame(encodeFrame(framesEarly[0]));
+    const auto ackStale = reassembler.ingest(encodeFrame(framesEarly[0])).ack;
     ASSERT_TRUE(ackStale.has_value());
     EXPECT_EQ(ackStale->payloadBytes, ackLate->payloadBytes);
     EXPECT_EQ(reassembler.reconstruct("p"), late);
@@ -258,7 +258,7 @@ TEST(Reassembler, GapsNeverFuseRecordsAcrossLostSegments) {
     Reassembler reassembler;
     for (const auto& frame : frames) {
         if (frame.seq == 2) continue;  // permanently lost
-        reassembler.receiveFrame(encodeFrame(frame));
+        (void)reassembler.ingest(encodeFrame(frame));
     }
     EXPECT_FALSE(reassembler.complete("p"));
     EXPECT_LT(reassembler.coverage("p"), 1.0);
@@ -287,8 +287,8 @@ TEST(Reassembler, GapsNeverFuseRecordsAcrossLostSegments) {
 
 TEST(Reassembler, RejectsDamagedFramesAndStaysConsistent) {
     Reassembler reassembler;
-    EXPECT_FALSE(reassembler.receiveFrame("totally not a frame").has_value());
-    EXPECT_FALSE(reassembler.receiveFrame("").has_value());
+    EXPECT_FALSE(reassembler.ingest("totally not a frame").ack.has_value());
+    EXPECT_FALSE(reassembler.ingest("").ack.has_value());
     EXPECT_EQ(reassembler.stats().framesRejected, 2u);
     EXPECT_EQ(reassembler.phones().size(), 0u);
     EXPECT_DOUBLE_EQ(reassembler.coverage("ghost"), 0.0);
@@ -321,12 +321,20 @@ struct AgentHarness {
         agent = std::make_unique<UploadAgent>(*device, *loggerApp, *dataChannel,
                                               *ackChannel, policy, seed + 2);
         dataChannel->setReceiver([this](const std::string& bytes) {
-            if (const auto ack = server.receiveFrame(bytes)) {
+            if (const auto ack = server.ingest(bytes).ack) {
                 ackChannel->send(encodeAck(*ack));
             }
         });
     }
 };
+
+/// The server's copy of the harness phone's Log File, parsed by the
+/// analysis pipeline.
+analysis::LogDataset deliveredDataset(const AgentHarness& harness) {
+    return analysis::LogDataset::build(std::vector<analysis::PhoneLog>{
+        {"uplink", harness.server.reconstruct("uplink"),
+         harness.server.coverage("uplink")}});
+}
 
 UploadPolicy fastPolicy() {
     UploadPolicy policy;
@@ -356,6 +364,36 @@ TEST(UploadAgent, DeliversCompleteLogOverLossyChannel) {
     EXPECT_GT(harness.agent->stats().acksReceived, 0u);
     // A 15% lossy channel forces retransmissions eventually.
     EXPECT_GT(harness.agent->stats().rounds, 10u);
+    // What arrived parses cleanly.
+    const auto dataset = deliveredDataset(harness);
+    EXPECT_GE(dataset.bootCount(), 1u);
+    EXPECT_EQ(dataset.malformedLines(), 0u);
+}
+
+TEST(UploadAgent, PhoneDeathMidCampaignLeavesPartialLogOnServer) {
+    // The phone uploads for two days of a ten-day run, then drops off the
+    // network for good (lost, bricked, study drop-out): nothing it sends
+    // reaches the server again.  Everything delivered before the death
+    // must survive and stay analyzable.
+    ChannelConfig doomed = ChannelConfig::gprs();
+    doomed.outages.push_back(
+        OutageWindow{sim::TimePoint::origin() + sim::Duration::days(2),
+                     sim::TimePoint::origin() + sim::Duration::days(11)});
+    AgentHarness harness{doomed, fastPolicy()};
+    harness.device->powerOn();
+    harness.simulator.runUntil(sim::TimePoint::origin() + sim::Duration::days(10));
+
+    ASSERT_TRUE(harness.server.has("uplink"));
+    // A strict partial log: real content and a prefix of the phone's log,
+    // but less than it accumulated over the remaining eight days.
+    const std::string delivered = harness.server.reconstruct("uplink");
+    const std::string& truth = harness.loggerApp->logFileContent();
+    EXPECT_FALSE(delivered.empty());
+    EXPECT_LT(delivered.size(), truth.size());
+    EXPECT_TRUE(truth.starts_with(delivered));
+    const auto dataset = deliveredDataset(harness);
+    EXPECT_GE(dataset.bootCount(), 1u);
+    EXPECT_EQ(dataset.malformedLines(), 0u);
 }
 
 TEST(UploadAgent, RetriesDisabledDegradesGracefully) {
@@ -373,11 +411,7 @@ TEST(UploadAgent, RetriesDisabledDegradesGracefully) {
     // arrives; the reconstruction parses cleanly regardless of what is
     // missing.
     if (harness.server.has("uplink")) {
-        const auto logs = std::vector<analysis::PhoneLog>{
-            {"uplink", harness.server.reconstruct("uplink"),
-             harness.server.coverage("uplink")}};
-        const auto dataset = analysis::LogDataset::build(logs);
-        EXPECT_GE(dataset.bootCount(), 0u);
+        EXPECT_GE(deliveredDataset(harness).bootCount(), 0u);
     }
 }
 

@@ -22,10 +22,10 @@ Direction is inferred from the metric name:
 Anything else is informational only (including the host capacity columns
 peak_rss_mb / heap_allocs / heap_alloc_mb every bench now emits).
 
-Special case: `provenance_overhead_pct` and the osfault bench's
-`idle_overhead_pct` also carry an absolute acceptance bar of 5 points —
-the provenance tracker and the idle fault-plane hooks must stay cheap no
-matter what the baseline machine measured.
+Special case: the overheads in OVERHEAD_CAPS_PCT (provenance, idle
+fault planes, monitor, srgm, accounting) also carry an absolute
+acceptance bar of 5 points, the bar each bench prints: they must stay
+cheap no matter what the baseline machine measured.
 
 Baselines are machine-specific by nature; regenerate with
     ./build/bench/bench_transport_ingest --json ... (etc.)
@@ -40,6 +40,7 @@ import sys
 OVERHEAD_CAPS_PCT = {
     "provenance_overhead_pct": 5.0,
     "idle_overhead_pct": 5.0,
+    "monitor_overhead_pct": 5.0,
     "srgm_overhead_pct": 5.0,
     "accounting_overhead_pct": 5.0,
 }
