@@ -15,7 +15,12 @@ namespace {
 
 class LogIoFixture : public ::testing::Test {
 protected:
-    LogIoFixture() : dir_{std::filesystem::temp_directory_path() / "symfail-logio"} {
+    // One directory per test: ctest runs this fixture's tests as parallel
+    // processes, so a shared one let a test delete another's files.
+    LogIoFixture()
+        : dir_{std::filesystem::temp_directory_path() /
+               (std::string{"symfail-logio-"} +
+                ::testing::UnitTest::GetInstance()->current_test_info()->name())} {
         std::filesystem::remove_all(dir_);
     }
     ~LogIoFixture() override { std::filesystem::remove_all(dir_); }

@@ -21,7 +21,12 @@ std::size_t lineCount(const std::string& text) {
 
 class ExportFixture : public ::testing::Test {
 protected:
-    ExportFixture() : dir_{std::filesystem::temp_directory_path() / "symfail-export"} {
+    // One directory per test: ctest runs this fixture's tests as parallel
+    // processes, so a shared one let a test delete another's files.
+    ExportFixture()
+        : dir_{std::filesystem::temp_directory_path() /
+               (std::string{"symfail-export-"} +
+                ::testing::UnitTest::GetInstance()->current_test_info()->name())} {
         std::filesystem::remove_all(dir_);
     }
     ~ExportFixture() override { std::filesystem::remove_all(dir_); }
