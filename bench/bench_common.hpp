@@ -1,12 +1,16 @@
-// Shared helpers for the reproduction benches: every bench regenerates its
-// table/figure from a fresh, deterministic full-scale campaign (25 phones,
-// 14 months) unless it sweeps a parameter.
+// Shared helpers for the benches: the counting allocator and JSON reporter,
+// the reduced campaign that parameter sweeps re-run, and the timing rule of
+// the cost benches (the benches that price an instrument's overhead).
 #pragma once
 
+#include <algorithm>
+#include <array>
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <new>
 #include <stdexcept>
 #include <string>
@@ -16,6 +20,7 @@
 
 #include "core/render.hpp"
 #include "core/study.hpp"
+#include "logger/records.hpp"
 #include "obs/accountant.hpp"  // readPeakRssBytes
 #include "obs/trace.hpp"       // appendJsonEscaped
 
@@ -59,7 +64,7 @@ SYMFAIL_BENCH_NOINLINE void operator delete[](void* p, std::size_t) noexcept {
 
 namespace symfail::bench {
 
-/// Machine-readable bench results.  Every bench_* binary accepts
+/// Machine-readable bench results.  A bench that builds a reporter accepts
 /// `--json FILE`: the human-readable report still goes to stdout, and the
 /// named scalar results land in FILE as one JSON document
 /// ({"bench": "...", "metrics": {"name": value, ...}}), so CI can diff or
@@ -125,13 +130,6 @@ private:
     std::vector<std::pair<std::string, double>> metrics_;
 };
 
-/// Runs the default paper-scale campaign and pipeline.
-inline core::FieldStudyResults runDefaultFieldStudy() {
-    core::StudyConfig config;
-    const core::FailureStudy study{config};
-    return study.runFieldStudy();
-}
-
 /// A reduced campaign for parameter sweeps that re-run the simulation
 /// (rates scaled up so short campaigns still see enough events).
 inline fleet::FleetConfig sweepFleetConfig(std::uint64_t seed) {
@@ -144,6 +142,57 @@ inline fleet::FleetConfig sweepFleetConfig(std::uint64_t seed) {
     config.selfShutdownsPerHour *= 6.0;
     config.panicsPerHour *= 6.0;
     return config;
+}
+
+using Clock = std::chrono::steady_clock;
+
+/// Wall-clock seconds elapsed since `start`.
+inline double secondsSince(Clock::time_point start) {
+    return std::chrono::duration<double>(Clock::now() - start).count();
+}
+
+/// The cost benches' timing rule.  Times one warm-up call of
+/// `runVariant(0)` (touches code and allocator once), then `runs` rounds
+/// that time `runVariant(v)` for every variant v in [0, N) in turn, and
+/// returns each variant's fastest run: best-of-N keeps scheduler noise out
+/// of an overhead comparison.
+template <std::size_t N, typename RunVariant>
+std::array<double, N> bestOf(int runs, RunVariant&& runVariant) {
+    const auto timeOnce = [&](std::size_t variant) {
+        const auto start = Clock::now();
+        runVariant(variant);
+        return secondsSince(start);
+    };
+    (void)timeOnce(0);
+    std::array<double, N> best;
+    best.fill(std::numeric_limits<double>::infinity());
+    for (int round = 0; round < runs; ++round) {
+        for (std::size_t v = 0; v < N; ++v) best[v] = std::min(best[v], timeOnce(v));
+    }
+    return best;
+}
+
+/// How much longer `with` took than `base`, in percent (0 if base is 0).
+inline double overheadPct(double base, double with) {
+    return base > 0.0 ? (with - base) / base * 100.0 : 0.0;
+}
+
+/// A Log File of one META line and `records` boot records, one second
+/// apart: the input of the ingest-throughput sections.
+inline std::string syntheticLog(std::size_t records) {
+    std::string content;
+    content += logger::serialize(
+                   logger::MetaRecord{sim::TimePoint::fromMicros(0), "8.0"}) +
+               "\n";
+    for (std::size_t i = 0; i < records; ++i) {
+        logger::BootRecord boot;
+        boot.time = sim::TimePoint::fromMicros(static_cast<std::int64_t>(i + 1) *
+                                               1'000'000);
+        boot.prior = logger::PriorShutdown::Reboot;
+        boot.lastBeatAt = boot.time - sim::Duration::seconds(30);
+        content += logger::serialize(boot) + "\n";
+    }
+    return content;
 }
 
 }  // namespace symfail::bench

@@ -8,8 +8,6 @@
 //      cycles every catalog mechanism with per-occurrence noise)
 //   2. What does dump capture cost a live campaign end to end?
 //      (captureDumps off vs. on wall time over repeated runs)
-#include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -24,7 +22,6 @@
 namespace {
 
 using namespace symfail;
-using clock_type = std::chrono::steady_clock;
 
 /// A synthetic dump corpus: every catalog mechanism in rotation, with
 /// per-occurrence noise (address, handle digits, timestamps) so the
@@ -53,30 +50,26 @@ std::vector<crash::CrashDump> syntheticDumps(std::size_t count) {
     return dumps;
 }
 
-double seconds(clock_type::time_point start) {
-    return std::chrono::duration<double>(clock_type::now() - start).count();
-}
-
 void extractorThroughput(bench::JsonReporter& json) {
     constexpr std::size_t kDumps = 100'000;
     const auto dumps = syntheticDumps(kDumps);
 
     // Signature extraction alone: normalize frames, build the key, hash.
-    auto sigStart = clock_type::now();
+    auto sigStart = bench::Clock::now();
     std::uint64_t hashSink = 0;
     for (const auto& dump : dumps) {
         hashSink ^= crash::signatureHash(crash::signatureOf(dump));
     }
-    const double sigElapsed = seconds(sigStart);
+    const double sigElapsed = bench::secondsSince(sigStart);
 
     // Full clustering: extraction plus family lookup/merge bookkeeping.
-    auto clusterStart = clock_type::now();
+    auto clusterStart = bench::Clock::now();
     crash::CrashClusterer clusterer;
     for (std::size_t i = 0; i < dumps.size(); ++i) {
         clusterer.add("phone-" + std::to_string(i % 25), dumps[i]);
     }
     const auto families = clusterer.families();
-    const double clusterElapsed = seconds(clusterStart);
+    const double clusterElapsed = bench::secondsSince(clusterStart);
 
     const double sigRate =
         sigElapsed > 0.0 ? static_cast<double>(kDumps) / sigElapsed : 0.0;
@@ -97,21 +90,12 @@ void extractorThroughput(bench::JsonReporter& json) {
 
 void campaignOverhead(bench::JsonReporter& json) {
     constexpr int kRuns = 3;
-    const auto timeOnce = [](bool withDumps) {
+    const auto [off, on] = bench::bestOf<2>(kRuns, [](std::size_t withDumps) {
         auto config = bench::sweepFleetConfig(2026);
-        config.loggerConfig.captureDumps = withDumps;
-        const auto start = clock_type::now();
+        config.loggerConfig.captureDumps = withDumps != 0;
         (void)fleet::runCampaign(config);
-        return seconds(start);
-    };
-    (void)timeOnce(false);  // warm-up: touch code and allocator once
-    double off = 1e9;
-    double on = 1e9;
-    for (int run = 0; run < kRuns; ++run) {
-        off = std::min(off, timeOnce(false));
-        on = std::min(on, timeOnce(true));
-    }
-    const double overheadPct = off > 0.0 ? (on - off) / off * 100.0 : 0.0;
+    });
+    const double overheadPct = bench::overheadPct(off, on);
 
     std::printf("-- Campaign overhead (8 phones, 60 days, best of %d)\n", kRuns);
     std::printf("%12s  %10s\n", "dumps", "seconds");

@@ -7,8 +7,6 @@
 //      over a large synthetic Log File, vs. a direct batch parse+feed)
 //   2. What does attaching the monitor cost a live campaign end to end?
 //      (monitor-off vs. monitor-on wall time over repeated runs)
-#include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -24,44 +22,23 @@
 namespace {
 
 using namespace symfail;
-using clock_type = std::chrono::steady_clock;
-
-std::string syntheticLog(std::size_t records) {
-    std::string content;
-    content += logger::serialize(
-                   logger::MetaRecord{sim::TimePoint::fromMicros(0), "8.0"}) +
-               "\n";
-    for (std::size_t i = 0; i < records; ++i) {
-        logger::BootRecord boot;
-        boot.time = sim::TimePoint::fromMicros(static_cast<std::int64_t>(i + 1) *
-                                               1'000'000);
-        boot.prior = logger::PriorShutdown::Reboot;
-        boot.lastBeatAt = boot.time - sim::Duration::seconds(30);
-        content += logger::serialize(boot) + "\n";
-    }
-    return content;
-}
-
-double seconds(clock_type::time_point start) {
-    return std::chrono::duration<double>(clock_type::now() - start).count();
-}
 
 void streamThroughput(bench::JsonReporter& json) {
     constexpr std::size_t kRecords = 100'000;
-    const std::string content = syntheticLog(kRecords);
+    const std::string content = bench::syntheticLog(kRecords);
     const auto frames = transport::chunkLogContent("bench", content, 2048);
 
     // Batch reference: parse the whole file once and feed the engine.
-    auto batchStart = clock_type::now();
+    auto batchStart = bench::Clock::now();
     monitor::HealthEngine batchEngine;
     for (const auto& entry : logger::parseLogFile(content)) {
         batchEngine.onRecord("bench", entry);
     }
     batchEngine.finalize();
-    const double batchElapsed = seconds(batchStart);
+    const double batchElapsed = bench::secondsSince(batchStart);
 
     // Streaming path: every frame through tap + line buffer + parse.
-    auto streamStart = clock_type::now();
+    auto streamStart = bench::Clock::now();
     monitor::SegmentTap tap;
     monitor::LineBuffer lines;
     monitor::HealthEngine streamEngine;
@@ -81,7 +58,7 @@ void streamThroughput(bench::JsonReporter& json) {
         ++streamed;
     }
     streamEngine.finalize();
-    const double streamElapsed = seconds(streamStart);
+    const double streamElapsed = bench::secondsSince(streamStart);
 
     const double batchRate =
         batchElapsed > 0.0 ? static_cast<double>(kRecords) / batchElapsed : 0.0;
@@ -101,22 +78,13 @@ void streamThroughput(bench::JsonReporter& json) {
 
 void campaignOverhead(bench::JsonReporter& json) {
     constexpr int kRuns = 3;
-    const auto timeOnce = [](bool withMonitor) {
+    const auto [off, on] = bench::bestOf<2>(kRuns, [](std::size_t withMonitor) {
         auto config = bench::sweepFleetConfig(2025);
         monitor::FleetMonitor fleetMonitor;
-        if (withMonitor) config.obs.monitor = &fleetMonitor;
-        const auto start = clock_type::now();
+        if (withMonitor != 0) config.obs.monitor = &fleetMonitor;
         (void)fleet::runCampaign(config);
-        return seconds(start);
-    };
-    (void)timeOnce(false);  // warm-up: touch code and allocator once
-    double off = 1e9;
-    double on = 1e9;
-    for (int run = 0; run < kRuns; ++run) {
-        off = std::min(off, timeOnce(false));
-        on = std::min(on, timeOnce(true));
-    }
-    const double overheadPct = off > 0.0 ? (on - off) / off * 100.0 : 0.0;
+    });
+    const double overheadPct = bench::overheadPct(off, on);
 
     std::printf("-- Campaign overhead (8 phones, 60 days, best of %d)\n", kRuns);
     std::printf("%12s  %10s\n", "monitor", "seconds");

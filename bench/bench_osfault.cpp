@@ -8,8 +8,6 @@
 //      (planes-absent vs. attachIdle wall time over repeated runs)
 //   2. What does a realistically faulted campaign cost, for context?
 //      (all four planes at calibrated rates)
-#include <algorithm>
-#include <chrono>
 #include <cstdio>
 
 #include "bench_common.hpp"
@@ -18,15 +16,10 @@
 namespace {
 
 using namespace symfail;
-using clock_type = std::chrono::steady_clock;
-
-double seconds(clock_type::time_point start) {
-    return std::chrono::duration<double>(clock_type::now() - start).count();
-}
 
 enum class Planes { Absent, Idle, Active };
 
-double timeOnce(Planes planes) {
+void runCampaignWith(Planes planes) {
     auto config = bench::sweepFleetConfig(2026);
     switch (planes) {
         case Planes::Absent: break;
@@ -39,9 +32,7 @@ double timeOnce(Planes planes) {
             config.osfault.radio.faultsPerKHour = 10.0;
             break;
     }
-    const auto start = clock_type::now();
     (void)fleet::runCampaign(config);
-    return seconds(start);
 }
 
 }  // namespace
@@ -51,18 +42,10 @@ int main(int argc, char** argv) {
     std::printf("=== F1: fault-plane attach cost ===\n\n");
 
     constexpr int kRuns = 3;
-    (void)timeOnce(Planes::Absent);  // warm-up: touch code and allocator once
-    double absent = 1e9;
-    double idle = 1e9;
-    double active = 1e9;
-    for (int run = 0; run < kRuns; ++run) {
-        absent = std::min(absent, timeOnce(Planes::Absent));
-        idle = std::min(idle, timeOnce(Planes::Idle));
-        active = std::min(active, timeOnce(Planes::Active));
-    }
-    const double idlePct = absent > 0.0 ? (idle - absent) / absent * 100.0 : 0.0;
-    const double activePct =
-        absent > 0.0 ? (active - absent) / absent * 100.0 : 0.0;
+    const auto [absent, idle, active] = bench::bestOf<3>(
+        kRuns, [](std::size_t planes) { runCampaignWith(static_cast<Planes>(planes)); });
+    const double idlePct = bench::overheadPct(absent, idle);
+    const double activePct = bench::overheadPct(absent, active);
 
     std::printf("-- Campaign wall time (8 phones, 60 days, best of %d)\n", kRuns);
     std::printf("%12s  %10s\n", "planes", "seconds");

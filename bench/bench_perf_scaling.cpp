@@ -8,8 +8,6 @@
 //      (accounting-off vs. accounting-on wall time over repeated runs)
 //   2. How does throughput and footprint scale with fleet size?
 //      (phone-hours/sec and bytes/phone at a small and a mid-size fleet)
-#include <algorithm>
-#include <chrono>
 #include <cstdio>
 
 #include "bench_common.hpp"
@@ -20,22 +18,15 @@
 namespace {
 
 using namespace symfail;
-using clock_type = std::chrono::steady_clock;
 
-double seconds(clock_type::time_point start) {
-    return std::chrono::duration<double>(clock_type::now() - start).count();
-}
-
-double timeOnce(bool accounting) {
+void runCampaignWith(bool accounting) {
     auto config = bench::sweepFleetConfig(2026);
     obs::ResourceAccountant accountant;
     if (accounting) {
         config.obs.accountant = &accountant;
         config.obs.accountingInterval = sim::Duration::hours(6);
     }
-    const auto start = clock_type::now();
     (void)fleet::runCampaign(config);
-    return seconds(start);
 }
 
 }  // namespace
@@ -45,14 +36,9 @@ int main(int argc, char** argv) {
     std::printf("=== P1: capacity-accounting cost and scaling ===\n\n");
 
     constexpr int kRuns = 3;
-    (void)timeOnce(false);  // warm-up: touch code and allocator once
-    double off = 1e9;
-    double on = 1e9;
-    for (int run = 0; run < kRuns; ++run) {
-        off = std::min(off, timeOnce(false));
-        on = std::min(on, timeOnce(true));
-    }
-    const double overheadPct = off > 0.0 ? (on - off) / off * 100.0 : 0.0;
+    const auto [off, on] = bench::bestOf<2>(
+        kRuns, [](std::size_t accounting) { runCampaignWith(accounting != 0); });
+    const double overheadPct = bench::overheadPct(off, on);
 
     std::printf("-- Campaign wall time (8 phones, 60 days, best of %d)\n", kRuns);
     std::printf("%12s  %10s\n", "accounting", "seconds");

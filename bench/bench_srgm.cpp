@@ -7,7 +7,6 @@
 //      Musa-Okumoto O(n)-per-eval likelihood are the expensive members)
 //   2. What does the full fleet + per-phone + per-version analysis cost
 //      relative to the paper-scale campaign that produced the data?
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <utility>
@@ -21,11 +20,6 @@
 namespace {
 
 using namespace symfail;
-using clock_type = std::chrono::steady_clock;
-
-double seconds(clock_type::time_point start) {
-    return std::chrono::duration<double>(clock_type::now() - start).count();
-}
 
 /// ~10k-event ground-truth sequence for one model, sampled by thinning.
 srgm::EventData sampleSequence(srgm::ModelKind kind) {
@@ -66,14 +60,14 @@ void fitThroughput(bench::JsonReporter& json) {
     for (const srgm::ModelKind kind : srgm::kAllModels) {
         const srgm::EventData data = sampleSequence(kind);
         (void)srgm::fitModel(kind, data);  // warm-up
-        const auto start = clock_type::now();
+        const auto start = bench::Clock::now();
         int reps = 0;
         double elapsed = 0.0;
         do {
             const srgm::FitResult fit = srgm::fitModel(kind, data);
             if (!fit.converged) std::printf("  (fit did not converge)\n");
             ++reps;
-            elapsed = seconds(start);
+            elapsed = bench::secondsSince(start);
         } while (elapsed < 0.25);
         const double fitsPerSec = static_cast<double>(reps) / elapsed;
         std::printf("%18s  %8zu  %10.3f  %12.1f\n",
@@ -89,16 +83,16 @@ void fitThroughput(bench::JsonReporter& json) {
 }
 
 void campaignOverhead(bench::JsonReporter& json) {
-    const auto studyStart = clock_type::now();
-    const auto results = bench::runDefaultFieldStudy();
-    const double studyElapsed = seconds(studyStart);
+    const auto studyStart = bench::Clock::now();
+    const auto results = core::FailureStudy{core::StudyConfig{}}.runFieldStudy();
+    const double studyElapsed = bench::secondsSince(studyStart);
 
     // The full analysis the CLI runs: fleet + per-phone + per-version
     // fits, each with the holdout benchmark.
-    const auto analyzeStart = clock_type::now();
+    const auto analyzeStart = bench::Clock::now();
     const srgm::SrgmReport report =
         srgm::analyzeSrgm(results.dataset, results.classification);
-    const double analyzeElapsed = seconds(analyzeStart);
+    const double analyzeElapsed = bench::secondsSince(analyzeStart);
     const double overheadPct =
         studyElapsed > 0.0 ? analyzeElapsed / studyElapsed * 100.0 : 0.0;
 

@@ -7,15 +7,13 @@
 //   2. What does unreliability cost end to end?  (a reduced campaign per
 //      channel loss rate: delivery ratio, retransmit overhead, bytes on
 //      the wire per record delivered)
-#include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_common.hpp"
 #include "fleet/fleet.hpp"
-#include "logger/records.hpp"
 #include "simkernel/rng.hpp"
 #include "transport/frame.hpp"
 #include "transport/reassembly.hpp"
@@ -23,22 +21,6 @@
 namespace {
 
 using namespace symfail;
-
-std::string syntheticLog(std::size_t records) {
-    std::string content;
-    content += logger::serialize(
-                   logger::MetaRecord{sim::TimePoint::fromMicros(0), "8.0"}) +
-               "\n";
-    for (std::size_t i = 0; i < records; ++i) {
-        logger::BootRecord boot;
-        boot.time = sim::TimePoint::fromMicros(static_cast<std::int64_t>(i + 1) *
-                                               1'000'000);
-        boot.prior = logger::PriorShutdown::Reboot;
-        boot.lastBeatAt = boot.time - sim::Duration::seconds(30);
-        content += logger::serialize(boot) + "\n";
-    }
-    return content;
-}
 
 struct IngestRun {
     const char* label;
@@ -48,14 +30,12 @@ struct IngestRun {
 
 void timeIngest(const IngestRun& run, std::size_t records, std::size_t bytes,
                 bench::JsonReporter& json) {
-    using clock = std::chrono::steady_clock;
-    const auto start = clock::now();
+    const auto start = bench::Clock::now();
     transport::Reassembler reassembler;
     for (const auto& wire : run.wires) {
         (void)reassembler.ingest(wire);
     }
-    const auto elapsed =
-        std::chrono::duration<double>(clock::now() - start).count();
+    const double elapsed = bench::secondsSince(start);
     const double recordsPerSec =
         elapsed > 0.0 ? static_cast<double>(records) / elapsed : 0.0;
     const double mbPerSec =
@@ -69,7 +49,7 @@ void timeIngest(const IngestRun& run, std::size_t records, std::size_t bytes,
 
 void ingestThroughput(bench::JsonReporter& json) {
     constexpr std::size_t kRecords = 100'000;
-    const std::string content = syntheticLog(kRecords);
+    const std::string content = bench::syntheticLog(kRecords);
     const auto frames = transport::chunkLogContent("bench", content, 2048);
     std::vector<std::string> inOrder;
     inOrder.reserve(frames.size());
@@ -131,32 +111,19 @@ void campaignOverhead(bench::JsonReporter& json) {
 
 // Provenance instrumentation cost: the same campaign with and without
 // the lineage tracker attached.  The acceptance bar is < 5% wall-clock
-// overhead; the best-of-N comparison keeps scheduler noise out of it.
+// overhead.
 void provenanceOverhead(bench::JsonReporter& json) {
-    using clock = std::chrono::steady_clock;
     constexpr int kRepeats = 3;
-    const auto runOnce = [](bool withTracker) {
+    const auto runOnce = [](std::size_t withTracker) {
         auto config = bench::sweepFleetConfig(2024);
         config.transport.dataChannel.lossProb = 0.05;
         config.transport.ackChannel.lossProb = 0.05;
         obs::ProvenanceTracker tracker;
-        if (withTracker) config.obs.provenance = &tracker;
-        const auto start = clock::now();
-        const auto result = fleet::runCampaign(config);
-        const double elapsed =
-            std::chrono::duration<double>(clock::now() - start).count();
-        (void)result;
-        return elapsed;
+        if (withTracker != 0) config.obs.provenance = &tracker;
+        (void)fleet::runCampaign(config);
     };
-
-    double plain = 1e300;
-    double traced = 1e300;
-    for (int i = 0; i < kRepeats; ++i) {
-        plain = std::min(plain, runOnce(false));
-        traced = std::min(traced, runOnce(true));
-    }
-    const double overheadPct =
-        plain > 0.0 ? 100.0 * (traced - plain) / plain : 0.0;
+    const auto [plain, traced] = bench::bestOf<2>(kRepeats, runOnce);
+    const double overheadPct = bench::overheadPct(plain, traced);
     std::printf("\n-- Provenance tracker overhead (best of %d)\n", kRepeats);
     std::printf("    plain  %8.3f s\n    traced %8.3f s\n    overhead %+.2f%%\n",
                 plain, traced, overheadPct);

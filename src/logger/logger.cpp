@@ -264,7 +264,6 @@ void FailureLogger::teardownDaemon() {
     timers_.clear();
     aos_.clear();
     daemonPid_ = 0;
-    lastActivityCopied_ = sim::TimePoint::origin();
 }
 
 }  // namespace symfail::logger

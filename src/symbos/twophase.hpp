@@ -24,12 +24,13 @@ namespace symfail::symbos {
 template <typename T, typename... Args>
 [[nodiscard]] std::unique_ptr<T> newL(ExecContext& ctx, Args&&... args) {
     auto object = std::make_unique<T>(std::forward<Args>(args)...);  // phase one
-    // Hand ownership to the cleanup stack for the duration of phase two:
-    // a leave runs the op (destroying the half-built object); success pops
-    // it without running (CleanupStack::pop), exactly like Pop() after
-    // NewLC.
-    T* raw = object.release();
+    // Hand ownership to the cleanup stack for phase two once pushL returns
+    // (until then `object` frees it, as Symbian's PushL does on failure): a
+    // leave runs the op (destroying the half-built object); success pops it
+    // without running (CleanupStack::pop), exactly like Pop() after NewLC.
+    T* raw = object.get();
     ctx.cleanupStack().pushL(ctx, [raw]() { delete raw; });
+    (void)object.release();
     raw->constructL(ctx);  // phase two: may leave
     ctx.cleanupStack().pop(ctx);
     return std::unique_ptr<T>{raw};

@@ -131,8 +131,10 @@ protected:
     }
 
     sim::Simulator simulator_;
-    std::unique_ptr<phone::PhoneDevice> device_;
+    // Declared before the device so it is destroyed after it: the device's
+    // teardown runs the logger's kernel termination hook.
     std::unique_ptr<FailureLogger> logger_;
+    std::unique_ptr<phone::PhoneDevice> device_;
 };
 
 TEST_F(LoggerFixture, HeartbeatWritesAlivePeriodically) {
@@ -364,6 +366,20 @@ TEST_F(LoggerFixture, ActivityRowsCopiedFromDbLog) {
     EXPECT_NE(lines[0].find("voice-call"), std::string::npos);
     EXPECT_NE(lines[0].find("start"), std::string::npos);
     EXPECT_NE(lines[1].find("end"), std::string::npos);
+}
+
+TEST_F(LoggerFixture, ActivityRowsNotRecopiedAfterReboot) {
+    // The DB log survives reboots, so the log engine's copy cursor must
+    // too: a restarted daemon copies only rows it has not copied yet.
+    device_->powerOn();
+    device_->activityBegin(symbos::ActivityKind::VoiceCall, false);
+    runFor(sim::Duration::minutes(2));
+    device_->activityEnd(symbos::ActivityKind::VoiceCall, false);
+    runFor(sim::Duration::minutes(10));
+    device_->requestShutdown(phone::ShutdownKind::UserOff);
+    device_->powerOn();
+    runFor(sim::Duration::minutes(10));
+    EXPECT_EQ(device_->flash().lines(kActivityFile).size(), 2u);
 }
 
 TEST_F(LoggerFixture, PowerRowsWritten) {

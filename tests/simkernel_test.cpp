@@ -2,6 +2,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <iterator>
+#include <map>
+#include <utility>
+#include <vector>
 
 #include "simkernel/event_queue.hpp"
 #include "simkernel/histogram.hpp"
@@ -255,6 +260,86 @@ TEST(EventQueue, CancelUnknownId) {
     EventQueue queue;
     EXPECT_FALSE(queue.cancel(EventId{999}));
     EXPECT_FALSE(queue.cancel(EventId{}));
+}
+
+TEST(EventQueue, MatchesReferenceModel) {
+    // Seeded random schedule/cancel/pop sequences against a std::map keyed
+    // on (time, seq).  Times come from a narrow range so same-time ties are
+    // common; cancel ids are drawn from pending, fired, already-cancelled,
+    // null and never-issued ids.
+    for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+        SCOPED_TRACE(seed);
+        Rng rng{seed};
+        EventQueue queue;
+        std::map<std::pair<std::int64_t, std::uint64_t>, int> model;  // -> tag
+        std::uint64_t issued = 0;  // ids run 1..issued
+        std::int64_t now = 0;
+        int firedTag = -1;
+        const auto popAndCheck = [&]() {
+            const auto [key, tag] = *model.begin();
+            model.erase(model.begin());
+            EventQueue::Fired fired = queue.pop();
+            ASSERT_EQ(fired.at, TimePoint::fromMicros(key.first));
+            ASSERT_EQ(fired.id, EventId{key.second});
+            fired.action();
+            ASSERT_EQ(firedTag, tag);
+            now = key.first;
+        };
+        for (int step = 0; step < 2'000; ++step) {
+            const auto op = rng.uniformInt(0, 9);
+            if (op < 4) {
+                const std::int64_t at = now + rng.uniformInt(0, 3);
+                const int tag = step;
+                const EventId id = queue.schedule(TimePoint::fromMicros(at),
+                                                  [&firedTag, tag]() { firedTag = tag; });
+                ASSERT_EQ(id.value, issued + 1);  // ids are issued in sequence
+                issued = id.value;
+                model.emplace(std::pair{at, id.value}, tag);
+            } else if (op < 7) {
+                EventId id;
+                switch (rng.uniformInt(0, 4)) {
+                    case 0:  // pending, when there is one
+                        if (!model.empty()) {
+                            const auto k = rng.uniformInt(
+                                0, static_cast<std::int64_t>(model.size()) - 1);
+                            id.value = std::next(model.begin(), k)->first.second;
+                        }
+                        break;
+                    case 1:
+                    case 2:  // any issued id: pending, fired or cancelled
+                        if (issued > 0) {
+                            id.value = static_cast<std::uint64_t>(
+                                rng.uniformInt(1, static_cast<std::int64_t>(issued)));
+                        }
+                        break;
+                    case 3: break;  // the null id
+                    default:        // never issued (yet)
+                        id.value = issued + 1 +
+                                   static_cast<std::uint64_t>(rng.uniformInt(0, 100));
+                        break;
+                }
+                auto pending = model.begin();
+                while (pending != model.end() && pending->first.second != id.value) {
+                    ++pending;
+                }
+                const bool expected = pending != model.end();
+                ASSERT_EQ(queue.cancel(id), expected) << "id " << id.value;
+                if (expected) model.erase(pending);
+            } else if (!model.empty()) {
+                ASSERT_NO_FATAL_FAILURE(popAndCheck());
+            }
+            ASSERT_EQ(queue.size(), model.size());
+            ASSERT_EQ(queue.empty(), model.empty());
+            const auto next = queue.nextTime();
+            ASSERT_EQ(next.has_value(), !model.empty());
+            if (next) {
+                ASSERT_EQ(*next, TimePoint::fromMicros(model.begin()->first.first));
+            }
+        }
+        while (!model.empty()) ASSERT_NO_FATAL_FAILURE(popAndCheck());
+        EXPECT_TRUE(queue.empty());
+        EXPECT_FALSE(queue.nextTime().has_value());
+    }
 }
 
 TEST(Simulator, AdvancesClock) {
