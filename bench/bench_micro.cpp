@@ -1,12 +1,16 @@
 // M1: google-benchmark microbenchmarks of the substrates: event queue,
-// active-object dispatch, log serialization/parsing, and the coalescence
-// algorithm's scaling.
+// active-object dispatch, one logger heartbeat tick, log
+// serialization/parsing, and the coalescence algorithm's scaling.
 #include <benchmark/benchmark.h>
+
+#include <memory>
 
 #include "analysis/coalescence.hpp"
 #include "analysis/dataset.hpp"
+#include "logger/logger.hpp"
 #include "logger/records.hpp"
 #include "obs/trace.hpp"
+#include "phone/device.hpp"
 #include "simkernel/event_queue.hpp"
 #include "simkernel/rng.hpp"
 #include "simkernel/simulator.hpp"
@@ -34,6 +38,31 @@ void BM_EventQueueScheduleAndPop(benchmark::State& state) {
     state.SetItemsProcessed(static_cast<std::int64_t>(n) * state.iterations());
 }
 BENCHMARK(BM_EventQueueScheduleAndPop)->Range(1'024, 262'144);
+
+// The queue at a steady depth, driven the way a campaign drives it: each
+// step is one periodic tick.  It pops the earliest timer expiry, schedules
+// the AO completion at that same instant and pops it, then schedules the
+// timer's re-arm 60 s on.  Two events per step.
+void BM_EventQueueHold(benchmark::State& state) {
+    const auto depth = static_cast<std::size_t>(state.range(0));
+    const auto period = sim::Duration::seconds(60);
+    sim::Rng rng{1};
+    sim::EventQueue queue;
+    for (std::size_t i = 0; i < depth; ++i) {
+        queue.schedule(sim::TimePoint::fromMicros(static_cast<std::int64_t>(
+                           rng.nextU64() % static_cast<std::uint64_t>(
+                                               period.totalMicros()))),
+                       []() {});
+    }
+    for (auto _ : state) {
+        const auto expiry = queue.pop();
+        queue.schedule(expiry.at, []() {});
+        benchmark::DoNotOptimize(queue.pop());
+        queue.schedule(expiry.at + period, []() {});
+    }
+    state.SetItemsProcessed(2 * state.iterations());
+}
+BENCHMARK(BM_EventQueueHold)->Arg(1'024)->Arg(32'768);
 
 void BM_SimulatorPeriodicTicks(benchmark::State& state) {
     for (auto _ : state) {
@@ -83,6 +112,44 @@ void BM_ActiveObjectDispatch(benchmark::State& state) {
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_ActiveObjectDispatch);
+
+// One heartbeat period of a booted phone running the failure logger: the
+// RTimer expiry, the AO completion, the heartbeat RunL (its scratch heap
+// cell and the beats-file write) and the re-arm.  The logger's other AOs
+// are parked past the run and the user stays idle, so an iteration is one
+// tick plus, every 30th, the device's battery tick.
+void BM_LoggerHeartbeatTick(benchmark::State& state) {
+    sim::Simulator simulator;
+    phone::PhoneDevice::Config config;
+    config.name = "bench";
+    config.profile.callsPerDay = 0.0;
+    config.profile.smsPerDay = 0.0;
+    config.profile.cameraPerDay = 0.0;
+    config.profile.bluetoothPerDay = 0.0;
+    config.profile.webPerDay = 0.0;
+    config.profile.appSessionsPerDay = 0.0;
+    config.profile.nightOffProb = 0.0;
+    config.profile.daytimeOffPerDay = 0.0;
+    config.profile.quickCyclesPerDay = 0.0;
+    config.profile.loggerTogglesPerMonth = 0.0;
+    logger::LoggerConfig loggerConfig;
+    const auto parked = sim::Duration::days(100'000);
+    loggerConfig.runappPeriod = parked;
+    loggerConfig.activityPeriod = parked;
+    loggerConfig.powerPeriod = parked;
+    // Declared first so it outlives the device, whose teardown runs the
+    // logger's kernel hooks.
+    std::unique_ptr<logger::FailureLogger> failureLogger;
+    auto device = std::make_unique<phone::PhoneDevice>(simulator, config);
+    failureLogger = std::make_unique<logger::FailureLogger>(*device, loggerConfig);
+    device->powerOn();
+    for (auto _ : state) {
+        simulator.runUntil(simulator.now() + loggerConfig.heartbeatPeriod);
+    }
+    benchmark::DoNotOptimize(failureLogger->heartbeatsWritten());
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_LoggerHeartbeatTick);
 
 void BM_PanicRecordSerialize(benchmark::State& state) {
     logger::PanicRecord record;

@@ -205,6 +205,11 @@ symbos::ProcessId PhoneDevice::startAppSession(std::string_view app,
     session.closeEvent = simulator_->scheduleAfter(duration, "phone.app",
                                                    [this, appName, epoch]() {
         if (epoch != bootEpoch_) return;
+        // This event is firing, so it is no longer pending: forget it, or
+        // closeAppSession would scan the whole queue trying to cancel it.
+        if (const auto it = sessions_.find(appName); it != sessions_.end()) {
+            it->second.closeEvent = {};
+        }
         closeAppSession(appName);
     });
     sessions_.emplace(appName, session);

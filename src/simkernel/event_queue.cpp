@@ -2,65 +2,102 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstddef>
 
 namespace symfail::sim {
 
-bool EventQueue::heapLess(const Entry& a, const Entry& b) {
-    if (a.at != b.at) return a.at > b.at;
-    return a.seq > b.seq;
-}
-
 EventId EventQueue::schedule(TimePoint at, Action action, const char* category) {
     const std::uint64_t seq = nextSeq_++;
-    heap_.push_back(Entry{at, seq, std::move(action), category});
-    std::push_heap(heap_.begin(), heap_.end(), &heapLess);
+    std::uint32_t slot = 0;
+    if (free_.empty()) {
+        slot = static_cast<std::uint32_t>(slots_.size());
+        slots_.push_back(Slot{std::move(action), category, false});
+    } else {
+        slot = free_.back();
+        free_.pop_back();
+        slots_[slot] = Slot{std::move(action), category, false};
+    }
+    const Key key{at, seq, slot};
+    if (at == lastPopAt_ && (laneEmpty() || lane_.back().at == at)) {
+        lane_.push_back(key);
+    } else {
+        heap_.push_back(key);
+        std::push_heap(heap_.begin(), heap_.end(), Later{});
+    }
     ++live_;
     return EventId{seq};
 }
 
 bool EventQueue::cancel(EventId id) {
     if (!id.valid() || id.value >= nextSeq_) return false;
-    if (cancelled_.contains(id.value)) return false;
-    // Only pending entries may be cancelled; a fired entry's seq is no
-    // longer in the heap, so probe for it.
-    const bool pending = std::any_of(heap_.begin(), heap_.end(), [&](const Entry& e) {
-        return e.seq == id.value;
-    });
-    if (!pending) return false;
-    cancelled_.insert(id.value);
+    const auto hasSeq = [&](const Key& k) { return k.seq == id.value; };
+    const auto laneFront = lane_.begin() + static_cast<std::ptrdiff_t>(laneHead_);
+    auto it = std::find_if(laneFront, lane_.end(), hasSeq);
+    if (it == lane_.end()) {
+        it = std::find_if(heap_.begin(), heap_.end(), hasSeq);
+        if (it == heap_.end()) return false;  // fired, or cancelled and discarded
+    }
+    Slot& slot = slots_[it->slot];
+    if (slot.cancelled) return false;
+    slot.cancelled = true;
     assert(live_ > 0);
     --live_;
+    // Free the closure now; its destructor runs after the bookkeeping.
+    Action dead;
+    dead.swap(slot.action);
     return true;
 }
 
+EventQueue::Key EventQueue::popLane() const {
+    const Key key = lane_[laneHead_++];
+    if (laneEmpty()) {
+        lane_.clear();
+        laneHead_ = 0;
+    }
+    return key;
+}
+
+EventQueue::Key EventQueue::popHeap() const {
+    std::pop_heap(heap_.begin(), heap_.end(), Later{});
+    const Key key = heap_.back();
+    heap_.pop_back();
+    return key;
+}
+
 void EventQueue::dropCancelledHead() const {
-    while (!heap_.empty() && cancelled_.contains(heap_.front().seq)) {
-        cancelled_.erase(heap_.front().seq);
-        std::pop_heap(heap_.begin(), heap_.end(), &heapLess);
-        heap_.pop_back();
+    while (!laneEmpty() && slots_[lane_[laneHead_].slot].cancelled) {
+        free_.push_back(popLane().slot);
+    }
+    while (!heap_.empty() && slots_[heap_.front().slot].cancelled) {
+        free_.push_back(popHeap().slot);
     }
 }
 
 std::optional<TimePoint> EventQueue::nextTime() const {
     dropCancelledHead();
+    if (laneFirst()) return lane_[laneHead_].at;
     if (heap_.empty()) return std::nullopt;
     return heap_.front().at;
 }
 
 EventQueue::Fired EventQueue::pop() {
     dropCancelledHead();
-    assert(!heap_.empty());
-    std::pop_heap(heap_.begin(), heap_.end(), &heapLess);
-    Entry e = std::move(heap_.back());
-    heap_.pop_back();
     assert(live_ > 0);
+    const Key key = laneFirst() ? popLane() : popHeap();
+    Slot& slot = slots_[key.slot];
+    Fired fired{key.at, EventId{key.seq}, std::move(slot.action), slot.category};
+    free_.push_back(key.slot);
+    lastPopAt_ = key.at;
     --live_;
-    return Fired{e.at, EventId{e.seq}, std::move(e.action), e.category};
+    return fired;
 }
 
 void EventQueue::clear() {
     heap_.clear();
-    cancelled_.clear();
+    lane_.clear();
+    laneHead_ = 0;
+    slots_.clear();
+    free_.clear();
     live_ = 0;
 }
 

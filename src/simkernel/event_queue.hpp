@@ -1,15 +1,29 @@
 // Pending-event set for the discrete-event simulator.
 //
-// A binary heap keyed on (time, sequence number) so that events scheduled
-// for the same instant fire in scheduling order — a requirement for
-// deterministic replay.  Cancellation is lazy: cancelled entries stay in
-// the heap and are skipped at pop time.
+// Events fire in (time, sequence number) order, so events scheduled for
+// the same instant fire in scheduling order — a requirement for
+// deterministic replay.  Two containers hold the pending keys:
+//
+//   * the same-instant lane, a FIFO of events scheduled for the instant of
+//     the last pop (zero-delay completions, the bulk of a campaign), as
+//     long as the lane holds no other instant;
+//   * a binary heap for everything else.
+//
+// pop() takes the lane's front when it precedes the heap's top in
+// (time, seq), else the heap's top.  This is exact, not an approximation:
+// the lane is sorted because its entries share one instant and arrive in
+// seq order, and any heap entry for that instant was scheduled at an
+// earlier instant, so its seq is smaller and it still fires first.
+//
+// Keys are {time, seq, slot}; the action and category live in a slot pool
+// recycled through a free list.  Cancellation marks the slot and frees
+// its action at once; the key stays where it is and is discarded when it
+// reaches the front of the lane or the heap.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <optional>
-#include <unordered_set>
 #include <vector>
 
 #include "simkernel/time.hpp"
@@ -34,21 +48,23 @@ public:
     EventId schedule(TimePoint at, Action action, const char* category = nullptr);
 
     /// Cancels a pending event.  Returns false if the event already fired,
-    /// was already cancelled, or the id is unknown.
+    /// was already cancelled, or the id is unknown.  Finding the event is
+    /// a linear scan of the pending keys.
     bool cancel(EventId id);
 
     [[nodiscard]] bool empty() const { return live_ == 0; }
     [[nodiscard]] std::size_t size() const { return live_; }
 
-    /// Approximate heap footprint of the pending-event set: the heap
-    /// vector's capacity plus a per-node estimate for the lazy-cancel set.
-    /// Derived from container sizes only (no allocator introspection), so
+    /// Approximate heap footprint of the pending-event set: the capacities
+    /// of the heap, the lane, the slot pool and the free list.  Derived
+    /// from container sizes only (no allocator introspection), so
     /// identical schedules yield identical values within one binary.
     /// Closures that spill past std::function's inline buffer are not
     /// counted.
     [[nodiscard]] std::size_t approxBytes() const {
-        return heap_.capacity() * sizeof(Entry) +
-               cancelled_.size() * (sizeof(std::uint64_t) + 2 * sizeof(void*));
+        return (heap_.capacity() + lane_.capacity()) * sizeof(Key) +
+               slots_.capacity() * sizeof(Slot) +
+               free_.capacity() * sizeof(std::uint32_t);
     }
 
     /// Time of the earliest pending event, if any.
@@ -68,24 +84,47 @@ public:
     void clear();
 
 private:
-    struct Entry {
+    struct Key {
         TimePoint at;
         std::uint64_t seq{0};
+        std::uint32_t slot{0};
+    };
+    struct Slot {
         Action action;
         const char* category{nullptr};
+        bool cancelled{false};
     };
-    // Min-heap ordering: the *later* entry compares less so that
+    // Min-heap ordering: the *later* key compares less so that
     // std::push_heap/pop_heap (max-heap primitives) keep the earliest
     // event at the front.
-    static bool heapLess(const Entry& a, const Entry& b);
+    struct Later {
+        bool operator()(const Key& a, const Key& b) const {
+            return a.at != b.at ? a.at > b.at : a.seq > b.seq;
+        }
+    };
 
-    /// Garbage-collects cancelled entries at the heap front.  Logically
-    /// const (the pending-event set is unchanged), hence the mutable
-    /// containers.
+    [[nodiscard]] bool laneEmpty() const { return laneHead_ == lane_.size(); }
+    /// True when the earliest pending key is the lane's front.
+    [[nodiscard]] bool laneFirst() const {
+        return !laneEmpty() &&
+               (heap_.empty() || Later{}(heap_.front(), lane_[laneHead_]));
+    }
+    /// Removes and returns the lane's front key.
+    Key popLane() const;
+    /// Removes and returns the heap's top key.
+    Key popHeap() const;
+
+    /// Discards cancelled keys at the front of the lane and the heap.
+    /// Logically const (the pending-event set is unchanged), hence the
+    /// mutable containers.
     void dropCancelledHead() const;
 
-    mutable std::vector<Entry> heap_;
-    mutable std::unordered_set<std::uint64_t> cancelled_;
+    mutable std::vector<Key> heap_;
+    mutable std::vector<Key> lane_;
+    mutable std::size_t laneHead_{0};
+    mutable std::vector<Slot> slots_;
+    mutable std::vector<std::uint32_t> free_;
+    TimePoint lastPopAt_{};
     std::uint64_t nextSeq_{1};
     std::size_t live_{0};
 };

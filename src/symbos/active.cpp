@@ -55,15 +55,19 @@ void ActiveScheduler::complete(ActiveObject& ao, int code) {
 }
 
 void ActiveScheduler::complete(ActiveObject& ao, int code, CompleteOpts opts) {
+    ao.status_ = code;
+    ao.runCost_ = opts.runCost;
+    // Two pointers fit std::function's inline buffer: no allocation.
     ao.pendingDispatch_ = kernel_->simulator().scheduleAfter(
-        opts.delay, "symbos.ao", [this, ao = &ao, code, runCost = opts.runCost]() {
-            dispatch(ao, code, runCost);
-        });
+        opts.delay, "symbos.ao", [this, ao = &ao]() { dispatch(ao); });
 }
 
-void ActiveScheduler::dispatch(ActiveObject* ao, int code, sim::Duration runCost) {
+void ActiveScheduler::dispatch(ActiveObject* ao) {
     ao->pendingDispatch_ = {};
-    // Emitted before RunL: the AO (and its name) may not survive dispatch.
+    // The status, the cost and the trace span are all taken before RunL:
+    // the AO (and its name) may not survive dispatch.
+    const int code = ao->status_;
+    const sim::Duration runCost = ao->runCost_;
     if (auto* trace = kernel_->simulator().traceSink()) {
         const obs::TraceArg args[] = {{"code", code}};
         trace->span(kernel_->traceTrack(), "symbos.ao", ao->name(),

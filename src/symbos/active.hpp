@@ -70,6 +70,10 @@ private:
     Priority priority_;
     bool active_{false};
     sim::EventId pendingDispatch_{};
+    // The latest completion (Symbian's iStatus) and its runL() cost; the
+    // dispatch reads them, so a second completion overwrites the first.
+    int status_{0};
+    sim::Duration runCost_{};
 };
 
 /// Per-process active scheduler (Symbian's CActiveScheduler).
@@ -92,7 +96,10 @@ public:
     /// Completes an asynchronous request on `ao` with `code`.  Dispatch
     /// happens as a simulator event; if the AO is not active at dispatch
     /// time the scheduler panics the process with a stray signal
-    /// (E32USER-CBase 46).
+    /// (E32USER-CBase 46).  As with User::RequestComplete, the code is
+    /// stored on the AO and read at dispatch: completing twice before the
+    /// dispatch runs runL() once, with the second code, and the second
+    /// dispatch is a stray signal.
     void complete(ActiveObject& ao, int code);
     void complete(ActiveObject& ao, int code, CompleteOpts opts);
 
@@ -111,7 +118,7 @@ private:
     friend class ActiveObject;
     void add(ActiveObject* ao);
     void remove(ActiveObject* ao);
-    void dispatch(ActiveObject* ao, int code, sim::Duration runCost);
+    void dispatch(ActiveObject* ao);
 
     Kernel* kernel_;
     ProcessId pid_;

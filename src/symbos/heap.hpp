@@ -10,7 +10,7 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <unordered_map>
+#include <vector>
 
 namespace symfail::symbos {
 
@@ -31,7 +31,7 @@ public:
     /// the heap silently; the counter lets tests detect them).
     void free(HeapCell cell);
 
-    [[nodiscard]] bool live(HeapCell cell) const { return cells_.contains(cell); }
+    [[nodiscard]] bool live(HeapCell cell) const;
     [[nodiscard]] std::size_t liveCount() const { return cells_.size(); }
     [[nodiscard]] std::size_t bytesInUse() const { return bytesInUse_; }
     [[nodiscard]] std::uint64_t doubleFrees() const { return doubleFrees_; }
@@ -45,7 +45,15 @@ public:
     void setCapacity(std::size_t bytes) { capacity_ = bytes; }
 
 private:
-    std::unordered_map<HeapCell, std::size_t> cells_;
+    struct Cell {
+        HeapCell id{0};
+        std::size_t size{0};
+    };
+    /// The live cell with `id`, or end().
+    [[nodiscard]] std::vector<Cell>::const_iterator find(HeapCell id) const;
+
+    // Live cells sorted by id: ids only grow, so an allocation appends.
+    std::vector<Cell> cells_;
     HeapCell next_{1};
     std::size_t bytesInUse_{0};
     std::size_t capacity_{SIZE_MAX};

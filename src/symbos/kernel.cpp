@@ -175,27 +175,11 @@ void Kernel::terminate(Process& p, TerminationReason reason) {
     }
 }
 
-Kernel::RunOutcome Kernel::runInProcess(ProcessId pid,
-                                        const std::function<void(ExecContext&)>& body) {
-    if (suspended_) return RunOutcome::NoSuchProcess;
-    const auto it = processes_.find(pid);
-    if (it == processes_.end() || !it->second->alive) {
-        return RunOutcome::NoSuchProcess;
-    }
-    ExecContext ctx{*this, pid};
-    try {
-        body(ctx);
-        return RunOutcome::Completed;
-    } catch (const PanicSignal& p) {
-        deliverPanic(pid, p.id, p.diagnostic);
-        return RunOutcome::Panicked;
-    } catch (const LeaveError& l) {
-        // An untrapped leave escaping a thread function: no trap handler was
-        // installed, which Symbian reports as E32USER-CBase 69.
-        deliverPanic(pid, kCBaseNoTrapHandler,
-                     "untrapped leave with code " + std::to_string(l.code));
-        return RunOutcome::Panicked;
-    }
+void Kernel::deliverUntrappedLeave(ProcessId pid, int code) {
+    // An untrapped leave escaping a thread function: no trap handler was
+    // installed, which Symbian reports as E32USER-CBase 69.
+    deliverPanic(pid, kCBaseNoTrapHandler,
+                 "untrapped leave with code " + std::to_string(code));
 }
 
 void Kernel::raisePanic(ProcessId pid, PanicId id, std::string diagnostic) {

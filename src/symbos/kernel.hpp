@@ -209,9 +209,12 @@ public:
 
     enum class RunOutcome : std::uint8_t { Completed, Panicked, NoSuchProcess };
 
-    /// Runs `body` in the context of `pid`.  Panics and untrapped leaves
-    /// are caught here, recorded, and resolved per the recovery policy.
-    RunOutcome runInProcess(ProcessId pid, const std::function<void(ExecContext&)>& body);
+    /// Runs `body`, any callable taking `ExecContext&`, in the context of
+    /// `pid`.  Panics and untrapped leaves are caught here, recorded, and
+    /// resolved per the recovery policy.  The body is called in place,
+    /// never wrapped in a std::function, so the call allocates nothing.
+    template <typename Body>
+    RunOutcome runInProcess(ProcessId pid, Body&& body);
 
     /// Raises a panic in `pid` from outside any `runInProcess` body (used
     /// by kernel-side services such as the ViewSrv watchdog).
@@ -262,6 +265,8 @@ private:
     [[nodiscard]] const Process& processRef(ProcessId pid) const;
     void terminate(Process& p, TerminationReason reason);
     void deliverPanic(ProcessId pid, const PanicId& id, std::string diagnostic);
+    /// A leave escaped a `runInProcess` body with no trap installed.
+    void deliverUntrappedLeave(ProcessId pid, int code);
 
     friend class ExecContext;
 
@@ -277,5 +282,21 @@ private:
     std::vector<PanicEvent> panicLog_;
     bool suspended_{false};
 };
+
+template <typename Body>
+Kernel::RunOutcome Kernel::runInProcess(ProcessId pid, Body&& body) {
+    if (suspended_ || !alive(pid)) return RunOutcome::NoSuchProcess;
+    ExecContext ctx{*this, pid};
+    try {
+        body(ctx);
+        return RunOutcome::Completed;
+    } catch (const PanicSignal& p) {
+        deliverPanic(pid, p.id, p.diagnostic);
+        return RunOutcome::Panicked;
+    } catch (const LeaveError& l) {
+        deliverUntrappedLeave(pid, l.code);
+        return RunOutcome::Panicked;
+    }
+}
 
 }  // namespace symfail::symbos

@@ -1,6 +1,7 @@
 #include "symbos/sysservers.hpp"
 
 #include <algorithm>
+#include <cassert>
 
 namespace symfail::symbos {
 
@@ -32,16 +33,16 @@ void DbLogServer::record(const ActivityEvent& event) {
     if (event.kind != ActivityKind::VoiceCall && event.kind != ActivityKind::TextMessage) {
         return;
     }
+    assert(events_.empty() || events_.back().time <= event.time);
     events_.push_back(event);
     while (events_.size() > capacity_) events_.pop_front();
 }
 
 std::vector<ActivityEvent> DbLogServer::eventsSince(sim::TimePoint since) const {
-    std::vector<ActivityEvent> out;
-    for (const auto& e : events_) {
-        if (e.time >= since) out.push_back(e);
-    }
-    return out;
+    const auto first = std::partition_point(
+        events_.begin(), events_.end(),
+        [&](const ActivityEvent& e) { return e.time < since; });
+    return {first, events_.end()};
 }
 
 void SystemAgentServer::setBattery(int percent, bool charging) {

@@ -61,11 +61,15 @@ class DbLogServer {
 public:
     /// Records an activity row; rows for kinds the real database does not
     /// register (Bluetooth, Camera, WebBrowsing) are ignored, mirroring
-    /// the logger's limited visibility.
+    /// the logger's limited visibility.  Precondition: rows arrive in
+    /// time order (no row earlier than the last one recorded).  Devices
+    /// stamp rows with the simulator clock, which never runs backwards,
+    /// so this holds even under an osfault clock plane.
     void record(const ActivityEvent& event);
 
     [[nodiscard]] const std::deque<ActivityEvent>& events() const { return events_; }
-    /// Rows at or after `since`, for incremental collection.
+    /// Rows at or after `since`, for incremental collection.  A binary
+    /// search, by record()'s time-order precondition.
     [[nodiscard]] std::vector<ActivityEvent> eventsSince(sim::TimePoint since) const;
     /// Bounds memory like the phone's rolling log database.
     void setCapacity(std::size_t maxRows) { capacity_ = maxRows; }

@@ -342,6 +342,24 @@ TEST(EventQueue, MatchesReferenceModel) {
     }
 }
 
+TEST(EventQueueLane, PastScheduleKeepsTimeOrder) {
+    // Only a bare queue accepts a time before the last pop (the simulator
+    // clamps).  Such an event must fire in time order, even when it lands
+    // on the last-popped instant while the same-instant lane still holds
+    // a later one.
+    EventQueue queue;
+    std::vector<int> fired;
+    const auto tag = [&fired](int t) { return [&fired, t]() { fired.push_back(t); }; };
+    queue.schedule(TimePoint::fromMicros(10), tag(0));
+    queue.pop().action();
+    queue.schedule(TimePoint::fromMicros(10), tag(1));
+    queue.schedule(TimePoint::fromMicros(5), tag(2));
+    queue.pop().action();
+    queue.schedule(TimePoint::fromMicros(5), tag(3));
+    while (!queue.empty()) queue.pop().action();
+    EXPECT_EQ(fired, (std::vector<int>{0, 2, 3, 1}));
+}
+
 TEST(Simulator, AdvancesClock) {
     Simulator simulator;
     TimePoint seen{};

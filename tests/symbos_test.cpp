@@ -431,6 +431,24 @@ TEST_F(KernelFixture, StraySignalPanics46) {
     EXPECT_FALSE(kernel_.alive(pid_));
 }
 
+TEST_F(KernelFixture, DoubleCompletionRunsOnceThenPanics46) {
+    // Like User::RequestComplete writing iStatus, a second completion
+    // before dispatch overwrites the first: RunL runs once and reads the
+    // second code, and the second dispatch finds the AO inactive.
+    auto& scheduler = kernel_.schedulerOf(pid_);
+    std::vector<int> statuses;
+    FunctionAo ao{scheduler, "twice",
+                  [&](ExecContext&, int status) { statuses.push_back(status); }};
+    ao.setActive();
+    scheduler.complete(ao, KErrNone);
+    scheduler.complete(ao, KErrCancel);
+    simulator_.runAll();
+    EXPECT_EQ(statuses, std::vector<int>{KErrCancel});
+    ASSERT_EQ(kernel_.panicLog().size(), 1u);
+    EXPECT_EQ(kernel_.panicLog().back().id, kCBaseStraySignal);
+    EXPECT_FALSE(kernel_.alive(pid_));
+}
+
 TEST_F(KernelFixture, RunLLeaveDefaultErrorPanics47) {
     auto& scheduler = kernel_.schedulerOf(pid_);
     FunctionAo ao{scheduler, "leaver",
@@ -734,12 +752,50 @@ TEST(SysServers, DbLogOnlyRegistersCallsAndMessages) {
 }
 
 TEST(SysServers, DbLogEventsSince) {
+    const auto at = [](std::int64_t us) { return sim::TimePoint::fromMicros(us); };
     DbLogServer dbLog;
+    // Every answer must equal a scan of the rows still held.
+    const auto expectMatchesScan = [&]() {
+        for (std::int64_t since = -1; since <= 701; ++since) {
+            std::vector<ActivityEvent> scan;
+            for (const auto& e : dbLog.events()) {
+                if (e.time >= at(since)) scan.push_back(e);
+            }
+            const auto rows = dbLog.eventsSince(at(since));
+            ASSERT_EQ(rows.size(), scan.size()) << "since " << since;
+            for (std::size_t i = 0; i < rows.size(); ++i) {
+                EXPECT_EQ(rows[i].time, scan[i].time);
+                EXPECT_EQ(rows[i].incoming, scan[i].incoming);
+            }
+        }
+    };
     for (int i = 0; i < 5; ++i) {
-        dbLog.record(ActivityEvent{sim::TimePoint::fromMicros(i * 100),
-                                   ActivityKind::VoiceCall, false, true});
+        dbLog.record(ActivityEvent{at(i * 100), ActivityKind::VoiceCall, false, true});
     }
-    EXPECT_EQ(dbLog.eventsSince(sim::TimePoint::fromMicros(200)).size(), 3u);
+    EXPECT_EQ(dbLog.eventsSince(at(200)).size(), 3u);
+    EXPECT_EQ(dbLog.eventsSince(at(-1)).size(), 5u);  // before the first row
+    EXPECT_TRUE(dbLog.eventsSince(at(401)).empty());  // after the last row
+
+    // Several rows in one microsecond: `since` at that microsecond returns
+    // all of them, in recording order.
+    for (int i = 0; i < 3; ++i) {
+        dbLog.record(ActivityEvent{at(500), ActivityKind::TextMessage, i == 1, true});
+    }
+    const auto same = dbLog.eventsSince(at(500));
+    ASSERT_EQ(same.size(), 3u);
+    EXPECT_FALSE(same[0].incoming);
+    EXPECT_TRUE(same[1].incoming);
+    EXPECT_FALSE(same[2].incoming);
+    expectMatchesScan();
+
+    // Past its capacity the log has evicted its oldest rows: 500, 500, 500
+    // and 600 remain.
+    dbLog.setCapacity(4);
+    dbLog.record(ActivityEvent{at(600), ActivityKind::VoiceCall, false, false});
+    ASSERT_EQ(dbLog.events().size(), 4u);
+    EXPECT_EQ(dbLog.eventsSince(at(0)).size(), 4u);
+    EXPECT_EQ(dbLog.eventsSince(at(501)).size(), 1u);
+    expectMatchesScan();
 }
 
 TEST(SysServers, DbLogCapacityRolls) {
