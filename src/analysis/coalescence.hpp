@@ -79,9 +79,6 @@ struct ActivityCorrelationRow {
     std::size_t voiceCall{0};
     std::size_t message{0};
     std::size_t unspecified{0};
-    [[nodiscard]] std::size_t total() const {
-        return voiceCall + message + unspecified;
-    }
 };
 struct ActivityCorrelation {
     std::vector<ActivityCorrelationRow> rows;

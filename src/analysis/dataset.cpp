@@ -75,19 +75,6 @@ std::string LogDataset::versionOf(const std::string& phoneName) const {
     return it == versions_.end() ? "unknown" : it->second;
 }
 
-double LogDataset::coverageOf(const std::string& phoneName) const {
-    const auto it = coverageLoss_.find(phoneName);
-    return it == coverageLoss_.end() ? 1.0 : it->second;
-}
-
-double LogDataset::minCoverage() const {
-    double lowest = 1.0;
-    for (const auto& [phone, coverage] : coverageLoss_) {
-        if (coverage < lowest) lowest = coverage;
-    }
-    return lowest;
-}
-
 sim::Duration LogDataset::totalObservedTime() const {
     sim::Duration total{};
     for (const auto& span : spans_) total += span.span();

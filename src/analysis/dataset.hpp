@@ -95,19 +95,12 @@ public:
         return dumps_;
     }
     [[nodiscard]] const std::vector<PhoneSpan>& spans() const { return spans_; }
-    /// Symbian version per phone (from META records); "unknown" if absent.
-    [[nodiscard]] const std::map<std::string, std::string>& versions() const {
-        return versions_;
-    }
     [[nodiscard]] std::string versionOf(const std::string& phoneName) const;
     /// Collection coverage per phone (fraction of the Log File delivered);
     /// phones absent from the map were collected in full.
     [[nodiscard]] const std::map<std::string, double>& coverageLoss() const {
         return coverageLoss_;
     }
-    [[nodiscard]] double coverageOf(const std::string& phoneName) const;
-    /// Smallest per-phone coverage in the dataset (1.0 when lossless).
-    [[nodiscard]] double minCoverage() const;
     [[nodiscard]] std::size_t malformedLines() const { return malformed_; }
     [[nodiscard]] std::size_t bootCount() const { return boots_; }
     /// Boots following a MAOFF marker (no failure inference possible).

@@ -50,8 +50,6 @@ public:
     [[nodiscard]] static sim::Histogram rebootDurationHistogram(
         const LogDataset& dataset, double maxSeconds, std::size_t bins);
 
-    [[nodiscard]] double threshold() const { return threshold_; }
-
 private:
     double threshold_;
 };

@@ -9,11 +9,7 @@ TextTable::TextTable(std::vector<std::string> header) : header_{std::move(header
 
 void TextTable::addRow(std::vector<std::string> cells) {
     cells.resize(header_.size());
-    rows_.push_back(Row{std::move(cells), false});
-}
-
-void TextTable::addRule() {
-    rows_.push_back(Row{{}, true});
+    rows_.push_back(std::move(cells));
 }
 
 std::string TextTable::num(double value, int precision) {
@@ -28,9 +24,8 @@ std::string TextTable::render() const {
         widths[i] = header_[i].size();
     }
     for (const auto& row : rows_) {
-        if (row.rule) continue;
-        for (std::size_t i = 0; i < row.cells.size(); ++i) {
-            widths[i] = std::max(widths[i], row.cells[i].size());
+        for (std::size_t i = 0; i < row.size(); ++i) {
+            widths[i] = std::max(widths[i], row[i].size());
         }
     }
 
@@ -57,14 +52,7 @@ std::string TextTable::render() const {
     totalWidth += 2 * (header_.size() - 1);
     out.append(totalWidth, '-');
     out += '\n';
-    for (const auto& row : rows_) {
-        if (row.rule) {
-            out.append(totalWidth, '-');
-            out += '\n';
-        } else {
-            out += renderRow(row.cells);
-        }
-    }
+    for (const auto& row : rows_) out += renderRow(row);
     return out;
 }
 
@@ -89,10 +77,9 @@ std::string TextTable::renderCsv() const {
     }
     out += '\n';
     for (const auto& row : rows_) {
-        if (row.rule) continue;
-        for (std::size_t i = 0; i < row.cells.size(); ++i) {
+        for (std::size_t i = 0; i < row.size(); ++i) {
             if (i != 0) out += ',';
-            out += escape(row.cells[i]);
+            out += escape(row[i]);
         }
         out += '\n';
     }

@@ -13,8 +13,6 @@ public:
     explicit TextTable(std::vector<std::string> header);
 
     void addRow(std::vector<std::string> cells);
-    /// Adds a horizontal rule before the next row.
-    void addRule();
 
     [[nodiscard]] std::string render() const;
     /// Comma-separated export (quotes cells containing commas).
@@ -24,12 +22,8 @@ public:
     [[nodiscard]] static std::string num(double value, int precision = 2);
 
 private:
-    struct Row {
-        std::vector<std::string> cells;
-        bool rule{false};
-    };
     std::vector<std::string> header_;
-    std::vector<Row> rows_;
+    std::vector<std::vector<std::string>> rows_;
 };
 
 }  // namespace symfail::analysis

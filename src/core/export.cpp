@@ -1,13 +1,11 @@
 #include "core/export.hpp"
 
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <stdexcept>
-#include <string_view>
 
 #include "analysis/tables.hpp"
-#include "obs/trace.hpp"  // appendJsonEscaped
+#include "obs/trace.hpp"  // jsonNum, jsonString
 
 namespace symfail::core {
 namespace {
@@ -166,50 +164,12 @@ std::vector<std::string> exportFieldCsv(const FieldStudyResults& results,
     return written;
 }
 
-std::vector<std::string> exportForumCsv(const forum::ForumStudyResult& result,
-                                        const std::string& directory) {
-    const std::filesystem::path dir{directory};
-    std::filesystem::create_directories(dir);
-    std::vector<std::string> written;
-
-    using namespace symfail::forum;
-    TextTable table{{"failure_type", "recovery", "measured_percent", "paper_percent"}};
-    for (const auto& cell : paperTable1()) {
-        table.addRow({std::string{toString(cell.type)},
-                      std::string{toString(cell.recovery)},
-                      TextTable::num(result.percent(cell.type, cell.recovery)),
-                      TextTable::num(cell.percent)});
-    }
-    writeFile(dir / "table1_forum.csv", table.renderCsv(), written);
-
-    TextTable summary{{"metric", "value"}};
-    summary.addRow({"classified_failures", std::to_string(result.classifiedFailures)});
-    summary.addRow({"corpus_size", std::to_string(result.corpusSize)});
-    summary.addRow({"smart_phone_share", TextTable::num(result.smartPhoneShare, 4)});
-    summary.addRow({"filter_precision", TextTable::num(result.filterPrecision, 4)});
-    summary.addRow({"filter_recall", TextTable::num(result.filterRecall, 4)});
-    summary.addRow({"type_accuracy", TextTable::num(result.typeAccuracy, 4)});
-    summary.addRow({"recovery_accuracy", TextTable::num(result.recoveryAccuracy, 4)});
-    writeFile(dir / "forum_summary.csv", summary.renderCsv(), written);
-    return written;
-}
-
 namespace {
 
-/// Minimal JSON building: quoted strings, arrays and objects assembled
-/// by hand (the output schema is fixed, a JSON library would be overkill).
-std::string jsonString(std::string_view s) {
-    std::string out = "\"";
-    obs::appendJsonEscaped(out, s);
-    out += '"';
-    return out;
-}
-
-std::string jsonNum(double value) {
-    char buf[64];
-    std::snprintf(buf, sizeof buf, "%.6g", value);
-    return buf;
-}
+// Minimal JSON building: quoted strings, arrays and objects assembled
+// by hand (the output schema is fixed, a JSON library would be overkill).
+using obs::jsonNum;
+using obs::jsonString;
 
 std::string crashFamiliesJsonObject(const FieldStudyResults& results) {
     std::string json = "{\"total_dumps\": " +

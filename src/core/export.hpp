@@ -16,10 +16,6 @@ namespace symfail::core {
 std::vector<std::string> exportFieldCsv(const FieldStudyResults& results,
                                         const std::string& directory);
 
-/// Writes the forum-study artifacts (Table 1 and summary statistics).
-std::vector<std::string> exportForumCsv(const forum::ForumStudyResult& result,
-                                        const std::string& directory);
-
 /// Serializes the complete field-study result bundle as a JSON document
 /// (tables, figures, headline and evaluation metrics) for programmatic
 /// consumption.

@@ -7,6 +7,7 @@
 #include <stdexcept>
 
 #include "analysis/dataset.hpp"
+#include "obs/trace.hpp"  // jsonNum
 
 namespace symfail::core {
 namespace {
@@ -17,11 +18,7 @@ double steadySeconds() {
         .count();
 }
 
-std::string jsonNum(double value) {
-    char buf[64];
-    std::snprintf(buf, sizeof buf, "%.6g", value);
-    return buf;
-}
+using obs::jsonNum;
 
 std::string u64(std::uint64_t value) {
     return std::to_string(static_cast<unsigned long long>(value));

@@ -69,7 +69,6 @@ public:
     /// logs (e.g. from a CollectionServer), without ground truth.
     [[nodiscard]] FieldStudyResults analyzeLogs(std::vector<analysis::PhoneLog> logs) const;
 
-    [[nodiscard]] const StudyConfig& config() const { return config_; }
 
 private:
     void runPipeline(FieldStudyResults& results) const;

@@ -248,8 +248,4 @@ std::optional<CrashDump> parseDumpFields(const std::vector<std::string_view>& f)
     return dump;
 }
 
-std::optional<CrashDump> parseDumpLine(std::string_view line) {
-    return parseDumpFields(split(line, '|'));
-}
-
 }  // namespace symfail::crash

@@ -78,7 +78,4 @@ struct CrashDump {
 [[nodiscard]] std::optional<CrashDump> parseDumpFields(
     const std::vector<std::string_view>& fields);
 
-/// Parses a whole DUMP line; nullopt on malformed input.
-[[nodiscard]] std::optional<CrashDump> parseDumpLine(std::string_view line);
-
 }  // namespace symfail::crash

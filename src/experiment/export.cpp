@@ -1,23 +1,20 @@
 #include "experiment/export.hpp"
 
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <stdexcept>
 
 #include "analysis/tables.hpp"
-#include "obs/trace.hpp"  // appendJsonEscaped
+#include "obs/trace.hpp"  // appendJsonEscaped, jsonNum
 
 namespace symfail::experiment {
 namespace {
 
-/// Shortest round-trippable rendering; stable across platforms for the
-/// doubles this pipeline produces (finite, no signed zeros of interest).
-std::string jsonNum(double value) {
-    char buf[48];
-    std::snprintf(buf, sizeof buf, "%.10g", value);
-    return std::string{buf};
-}
+using obs::jsonNum;
+
+/// Significant digits of every number written: stable across platforms
+/// for the doubles this pipeline produces.
+constexpr int kDigits = 10;
 
 void appendKey(std::string& out, std::string_view key) {
     out += '"';
@@ -34,13 +31,13 @@ void appendCellParams(std::string& out, const Cell& cell) {
     out += std::to_string(cell.days);
     out += ',';
     appendKey(out, "loss_pct");
-    out += jsonNum(cell.lossPct);
+    out += jsonNum(cell.lossPct, kDigits);
     out += ',';
     appendKey(out, "dup_pct");
-    out += jsonNum(cell.dupPct);
+    out += jsonNum(cell.dupPct, kDigits);
     out += ',';
     appendKey(out, "reorder_pct");
-    out += jsonNum(cell.reorderPct);
+    out += jsonNum(cell.reorderPct, kDigits);
     out += ',';
     appendKey(out, "outage_day");
     out += std::to_string(cell.outageDay);
@@ -49,10 +46,10 @@ void appendCellParams(std::string& out, const Cell& cell) {
     out += std::to_string(cell.outageDays);
     out += ',';
     appendKey(out, "heartbeat_seconds");
-    out += jsonNum(cell.heartbeatSeconds);
+    out += jsonNum(cell.heartbeatSeconds, kDigits);
     out += ',';
     appendKey(out, "self_shutdown_threshold_seconds");
-    out += jsonNum(cell.selfShutdownThresholdSeconds);
+    out += jsonNum(cell.selfShutdownThresholdSeconds, kDigits);
     out += '}';
 }
 
@@ -112,7 +109,7 @@ std::string sweepToJson(const Summary& summary) {
                 for (std::size_t m = 0; m < trial.metrics.size(); ++m) {
                     if (m != 0) out += ',';
                     appendKey(out, trial.metrics[m].first);
-                    out += jsonNum(trial.metrics[m].second);
+                    out += jsonNum(trial.metrics[m].second, kDigits);
                 }
                 out += '}';
             } else {
@@ -135,22 +132,23 @@ std::string sweepToJson(const Summary& summary) {
             out += std::to_string(stats.n);
             out += ',';
             appendKey(out, "mean");
-            out += jsonNum(stats.mean);
+            out += jsonNum(stats.mean, kDigits);
             out += ',';
             appendKey(out, "stddev");
-            out += jsonNum(stats.stddev);
+            out += jsonNum(stats.stddev, kDigits);
             out += ',';
             appendKey(out, "min");
-            out += jsonNum(stats.min);
+            out += jsonNum(stats.min, kDigits);
             out += ',';
             appendKey(out, "max");
-            out += jsonNum(stats.max);
+            out += jsonNum(stats.max, kDigits);
             out += ',';
             appendKey(out, "ci95");
-            out += '[' + jsonNum(stats.ciLow) + ',' + jsonNum(stats.ciHigh) + "],";
+            out += '[' + jsonNum(stats.ciLow, kDigits) + ',' +
+                   jsonNum(stats.ciHigh, kDigits) + "],";
             appendKey(out, "bootstrap95");
-            out += '[' + jsonNum(stats.bootstrapLow) + ',' +
-                   jsonNum(stats.bootstrapHigh) + ']';
+            out += '[' + jsonNum(stats.bootstrapLow, kDigits) + ',' +
+                   jsonNum(stats.bootstrapHigh, kDigits) + ']';
             out += '}';
         }
         out += "}}";
@@ -179,11 +177,12 @@ std::vector<std::string> exportSweepCsv(const Summary& summary,
             const std::string label = cell.cell.label();
             for (const auto& [name, stats] : cell.metrics) {
                 table.addRow({label, name, std::to_string(stats.n),
-                              jsonNum(stats.mean), jsonNum(stats.stddev),
-                              jsonNum(stats.min), jsonNum(stats.max),
-                              jsonNum(stats.ciLow), jsonNum(stats.ciHigh),
-                              jsonNum(stats.bootstrapLow),
-                              jsonNum(stats.bootstrapHigh)});
+                              jsonNum(stats.mean, kDigits),
+                              jsonNum(stats.stddev, kDigits), jsonNum(stats.min, kDigits),
+                              jsonNum(stats.max, kDigits), jsonNum(stats.ciLow, kDigits),
+                              jsonNum(stats.ciHigh, kDigits),
+                              jsonNum(stats.bootstrapLow, kDigits),
+                              jsonNum(stats.bootstrapHigh, kDigits)});
             }
         }
         writeFile(dir / "sweep_summary.csv", table.renderCsv(), written);
@@ -203,7 +202,7 @@ std::vector<std::string> exportSweepCsv(const Summary& summary,
                 }
                 for (const auto& [name, value] : trial.metrics) {
                     table.addRow({label, std::to_string(t), std::to_string(trial.seed),
-                                  "ok", name, jsonNum(value)});
+                                  "ok", name, jsonNum(value, kDigits)});
                 }
             }
         }

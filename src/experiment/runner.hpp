@@ -89,7 +89,6 @@ public:
     /// on invalid options (trials < 1, empty grid).
     [[nodiscard]] Summary run(const Grid& grid) const;
 
-    [[nodiscard]] const RunnerOptions& options() const { return options_; }
 
 private:
     RunnerOptions options_;

@@ -28,7 +28,6 @@ struct AsyncBag {
         timers.clear();
         aos.clear();
     }
-    [[nodiscard]] std::size_t size() const { return aos.size() + timers.size(); }
 };
 
 /// Runs the code path that raises `id` in `victim`.  Synchronous panics

@@ -44,7 +44,6 @@ public:
     FaultInjector& operator=(const FaultInjector&) = delete;
 
     [[nodiscard]] const Stats& stats() const { return stats_; }
-    [[nodiscard]] const FaultRates& rates() const { return rates_; }
 
 private:
     enum class OutcomeKind : std::uint8_t { None, Freeze, Shutdown };

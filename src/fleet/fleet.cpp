@@ -407,7 +407,8 @@ FleetResult runCampaign(const FleetConfig& config) {
 
     // Metric publication happens once, after the run: the hot paths keep
     // their plain struct counters and the registry stays a deterministic
-    // function of the campaign (never of the host).
+    // function of the campaign.  The one exception is an attached
+    // profiler, whose host-time profile joins the registry last.
     if (auto* registry = config.obs.metrics) {
         registry->counter("sim", "events_dispatched", "Simulator events fired")
             .inc(result.simulatorEvents);
@@ -496,6 +497,7 @@ FleetResult runCampaign(const FleetConfig& config) {
         }
         transport::publishTransportMetrics(report, *registry);
         if (provenance != nullptr) provenance->publishMetrics(*registry);
+        if (config.obs.profiler != nullptr) config.obs.profiler->publish(*registry);
     }
     return result;
 }

@@ -25,16 +25,6 @@ std::string_view toString(RecoveryAction r) {
     return "?";
 }
 
-std::string_view toString(Severity s) {
-    switch (s) {
-        case Severity::Low: return "low";
-        case Severity::Medium: return "medium";
-        case Severity::High: return "high";
-        case Severity::Unknown: return "unknown";
-    }
-    return "?";
-}
-
 Severity severityOf(RecoveryAction r) {
     switch (r) {
         case RecoveryAction::ServicePhone: return Severity::High;
@@ -45,17 +35,6 @@ Severity severityOf(RecoveryAction r) {
         case RecoveryAction::Unreported: return Severity::Unknown;
     }
     return Severity::Unknown;
-}
-
-std::string_view toString(ReportedActivity a) {
-    switch (a) {
-        case ReportedActivity::Unspecified: return "unspecified";
-        case ReportedActivity::VoiceCall: return "voice call";
-        case ReportedActivity::TextMessage: return "text message";
-        case ReportedActivity::Bluetooth: return "bluetooth";
-        case ReportedActivity::Images: return "images";
-    }
-    return "?";
 }
 
 std::span<const PaperTable1Cell> paperTable1() {

@@ -39,7 +39,6 @@ enum class Severity : std::uint8_t { Low, Medium, High, Unknown };
 
 [[nodiscard]] std::string_view toString(FailureType t);
 [[nodiscard]] std::string_view toString(RecoveryAction r);
-[[nodiscard]] std::string_view toString(Severity s);
 
 /// The paper's severity rule: service -> High; reboot/battery -> Medium;
 /// repeat/wait -> Low; unreported -> Unknown.
@@ -56,8 +55,6 @@ enum class ReportedActivity : std::uint8_t {
     Images,
 };
 inline constexpr std::size_t kReportedActivityCount = 5;
-
-[[nodiscard]] std::string_view toString(ReportedActivity a);
 
 /// Table 1 of the paper, reconstructed: percentage of the 533 failure
 /// reports for each (failure type, recovery action) pair.

@@ -114,7 +114,6 @@ void FailureLogger::onPanic(const symbos::PanicEvent& event) {
         crash::CrashDump dump = crash::makeDump(event, record.runningApps);
         dump.time = record.time;
         device_->flash().appendLine(kLogFile, crash::serialize(dump));
-        ++dumpsCaptured_;
     }
 }
 

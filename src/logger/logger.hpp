@@ -86,7 +86,6 @@ public:
     // Statistics (used by tests and the overhead ablation).
     [[nodiscard]] std::uint64_t heartbeatsWritten() const { return heartbeats_; }
     [[nodiscard]] std::uint64_t panicsLogged() const { return panicsLogged_; }
-    [[nodiscard]] std::uint64_t dumpsCaptured() const { return dumpsCaptured_; }
     [[nodiscard]] std::uint64_t bootsLogged() const { return bootsLogged_; }
     [[nodiscard]] std::uint64_t snapshotsWritten() const { return snapshots_; }
     /// Beats files found ending in a torn (newline-less) tail at boot.
@@ -143,7 +142,6 @@ private:
 
     std::uint64_t heartbeats_{0};
     std::uint64_t panicsLogged_{0};
-    std::uint64_t dumpsCaptured_{0};
     std::uint64_t bootsLogged_{0};
     std::uint64_t snapshots_{0};
     std::uint64_t tornBeatTails_{0};

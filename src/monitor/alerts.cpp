@@ -13,16 +13,6 @@ std::string_view toString(Severity severity) {
     return "?";
 }
 
-std::string_view toString(Comparison op) {
-    switch (op) {
-        case Comparison::GreaterThan: return ">";
-        case Comparison::GreaterOrEqual: return ">=";
-        case Comparison::LessThan: return "<";
-        case Comparison::LessOrEqual: return "<=";
-    }
-    return "?";
-}
-
 AlertEngine::AlertEngine(std::vector<AlertRule> rules) : rules_{std::move(rules)} {}
 
 bool AlertEngine::satisfies(Comparison op, double value, double threshold) {
@@ -88,29 +78,6 @@ std::vector<std::string> AlertEngine::activeLabels() const {
     }
     std::sort(labels.begin(), labels.end());
     return labels;
-}
-
-std::map<std::string, std::uint64_t> attributeAlerts(
-    const std::vector<AlertEvent>& log,
-    const std::vector<std::pair<std::string, sim::TimePoint>>& activations,
-    sim::Duration window) {
-    std::map<std::string, std::uint64_t> counts;
-    for (const AlertEvent& event : log) {
-        if (!event.firing) continue;
-        bool claimed = false;
-        // One count per label per alert, however many of that label's
-        // activations fall in the window.
-        std::map<std::string, bool> seen;
-        for (const auto& [label, at] : activations) {
-            if (at > event.time || event.time - at > window) continue;
-            if (seen[label]) continue;
-            seen[label] = true;
-            ++counts[label];
-            claimed = true;
-        }
-        if (!claimed) ++counts["unattributed"];
-    }
-    return counts;
 }
 
 }  // namespace symfail::monitor

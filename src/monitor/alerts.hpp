@@ -32,7 +32,6 @@ enum class Comparison : std::uint8_t {
     LessThan,
     LessOrEqual,
 };
-[[nodiscard]] std::string_view toString(Comparison op);
 
 /// One declarative rule.
 struct AlertRule {
@@ -47,17 +46,6 @@ struct AlertRule {
     /// satisfying `op` against this threshold (defaults to `threshold`).
     std::optional<double> clearThreshold;
 };
-
-/// Attribution of FIRING alert edges to labelled cause activations (e.g.
-/// the osfault planes' activation timestamps): an alert is attributed to
-/// a label when some activation with that label precedes it within
-/// `window`.  Multiple labels can claim the same alert; alerts no label
-/// claims are counted under "unattributed".  Purely diagnostic — built
-/// from the alert log after the run.
-[[nodiscard]] std::map<std::string, std::uint64_t> attributeAlerts(
-    const std::vector<struct AlertEvent>& log,
-    const std::vector<std::pair<std::string, sim::TimePoint>>& activations,
-    sim::Duration window);
 
 /// One transition in the alert log.
 struct AlertEvent {
@@ -83,7 +71,6 @@ public:
     void evaluate(sim::TimePoint now, const std::vector<std::string>& phones,
                   const MetricFn& metric);
 
-    [[nodiscard]] const std::vector<AlertRule>& rules() const { return rules_; }
     [[nodiscard]] const std::vector<AlertEvent>& log() const { return log_; }
     [[nodiscard]] std::uint64_t fired() const { return fired_; }
     [[nodiscard]] std::uint64_t cleared() const { return cleared_; }

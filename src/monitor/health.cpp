@@ -327,14 +327,6 @@ std::vector<PhoneHealthView> HealthEngine::phones(sim::TimePoint now) const {
     return views;
 }
 
-std::optional<PhoneHealthView> HealthEngine::phone(const std::string& name,
-                                                   sim::TimePoint now) const {
-    for (auto& view : phones(now)) {
-        if (view.name == name) return view;
-    }
-    return std::nullopt;
-}
-
 std::size_t HealthEngine::approxMemoryBytes() const {
     constexpr std::size_t mapNode = 3 * sizeof(void*);
     std::size_t total = sizeof *this;

@@ -153,9 +153,6 @@ public:
     [[nodiscard]] const HealthTotals& totals() const { return totals_; }
     [[nodiscard]] std::uint64_t malformedLines() const { return malformedLines_; }
     [[nodiscard]] std::vector<PhoneHealthView> phones(sim::TimePoint now) const;
-    [[nodiscard]] std::optional<PhoneHealthView> phone(const std::string& name,
-                                                       sim::TimePoint now) const;
-    [[nodiscard]] const HealthConfig& config() const { return config_; }
 
     /// Approximate heap footprint of the per-phone streaming state and
     /// fleet-wide windows; deterministic for identical record streams.

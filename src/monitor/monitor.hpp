@@ -117,7 +117,6 @@ public:
     [[nodiscard]] const std::vector<Snapshot>& snapshots() const { return snapshots_; }
     [[nodiscard]] std::uint64_t framesSeen() const { return framesSeen_; }
     [[nodiscard]] std::uint64_t recordsConsumed() const { return recordsConsumed_; }
-    [[nodiscard]] const MonitorConfig& config() const { return config_; }
 
     /// Snapshot stream as JSON lines (one object per tick).
     [[nodiscard]] std::string snapshotsJsonl() const;

@@ -1,12 +1,9 @@
 #include "obs/accountant.hpp"
 
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <string>
-
-#include "obs/metrics.hpp"
 
 namespace symfail::obs {
 
@@ -49,66 +46,6 @@ std::uint64_t ResourceAccountant::samplesTaken() const {
     return samples_;
 }
 
-std::string ResourceAccountant::renderReport() const {
-    const auto rows = accounts();
-    std::uint64_t total = 0;
-    std::uint64_t peakTotal = 0;
-    {
-        const std::lock_guard<std::mutex> lock(mutex_);
-        total = total_;
-        peakTotal = peakTotal_;
-    }
-    std::string out = "== Resource accounts (simulated-state bytes) ==\n";
-    char buf[160];
-    for (const Account& account : rows) {
-        std::snprintf(buf, sizeof buf,
-                      "  %-12s current %12llu B   peak %12llu B   samples %llu\n",
-                      account.subsystem.c_str(),
-                      static_cast<unsigned long long>(account.currentBytes),
-                      static_cast<unsigned long long>(account.peakBytes),
-                      static_cast<unsigned long long>(account.samples));
-        out += buf;
-    }
-    std::snprintf(buf, sizeof buf, "  %-12s current %12llu B   peak %12llu B\n",
-                  "TOTAL", static_cast<unsigned long long>(total),
-                  static_cast<unsigned long long>(peakTotal));
-    out += buf;
-    return out;
-}
-
-void ResourceAccountant::publish(MetricsRegistry& registry) const {
-    for (const Account& account : accounts()) {
-        registry
-            .gauge("account", "bytes", "subsystem", account.subsystem,
-                   "Current accounted bytes held by a subsystem")
-            .set(static_cast<double>(account.currentBytes));
-        registry
-            .gauge("account", "peak_bytes", "subsystem", account.subsystem,
-                   "Peak accounted bytes held by a subsystem")
-            .set(static_cast<double>(account.peakBytes));
-    }
-    registry
-        .gauge("account", "total_bytes",
-               "Current accounted bytes summed across subsystems")
-        .set(static_cast<double>(totalBytes()));
-    registry
-        .gauge("account", "peak_total_bytes",
-               "Peak accounted bytes summed across subsystems")
-        .set(static_cast<double>(peakTotalBytes()));
-    registry
-        .counter("account", "samples",
-                 "Accounting samples recorded across all subsystems")
-        .inc(samplesTaken());
-}
-
-void ResourceAccountant::reset() {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    accounts_.clear();
-    total_ = 0;
-    peakTotal_ = 0;
-    samples_ = 0;
-}
-
 namespace {
 
 /// Parses a "VmXXX:  1234 kB" line from /proc/self/status into bytes.
@@ -129,8 +66,6 @@ std::uint64_t readStatusKb(const char* key) {
 }
 
 }  // namespace
-
-std::uint64_t readRssBytes() { return readStatusKb("VmRSS:"); }
 
 std::uint64_t readPeakRssBytes() { return readStatusKb("VmHWM:"); }
 

@@ -29,8 +29,6 @@
 
 namespace symfail::obs {
 
-class MetricsRegistry;
-
 /// Per-subsystem byte-accounting ledger.
 class ResourceAccountant {
 public:
@@ -45,6 +43,7 @@ public:
         std::uint64_t currentBytes{0};  ///< Most recently recorded footprint.
         std::uint64_t peakBytes{0};     ///< Largest footprint ever recorded.
         std::uint64_t samples{0};       ///< Number of record() calls.
+        bool operator==(const Account&) const = default;
     };
 
     /// All accounts, ordered by subsystem name (deterministic).
@@ -55,17 +54,6 @@ public:
     [[nodiscard]] std::uint64_t peakTotalBytes() const;
     /// Total record() calls across all accounts.
     [[nodiscard]] std::uint64_t samplesTaken() const;
-
-    /// Human-readable ledger (per-subsystem current/peak, totals).
-    [[nodiscard]] std::string renderReport() const;
-
-    /// Publishes the ledger under the "account" namespace
-    /// (account.bytes{subsystem=...}, account.peak_bytes{...},
-    /// account.total_bytes, account.peak_total_bytes, account.samples).
-    void publish(MetricsRegistry& registry) const;
-
-    /// Drops every account and resets the peaks.
-    void reset();
 
 private:
     struct State {
@@ -81,13 +69,9 @@ private:
     std::uint64_t samples_{0};
 };
 
-/// Current resident-set size of this process in bytes (VmRSS), or 0 when
+/// Peak resident-set size of this process in bytes (VmHWM), or 0 when
 /// the platform does not expose /proc/self/status.  Host measurement —
 /// never feed it into anything that must be deterministic.
-[[nodiscard]] std::uint64_t readRssBytes();
-
-/// Peak resident-set size of this process in bytes (VmHWM), or 0 when
-/// unavailable.
 [[nodiscard]] std::uint64_t readPeakRssBytes();
 
 }  // namespace symfail::obs

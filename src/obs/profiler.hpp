@@ -39,7 +39,6 @@ public:
     /// Times only every `stride`-th dispatch (clamped to >= 1; 1 = time
     /// everything, the default).  Set before the run starts.
     void setSamplingStride(std::uint64_t stride);
-    [[nodiscard]] std::uint64_t samplingStride() const { return stride_; }
 
     /// Called by the simulator before dispatching an event: true when this
     /// dispatch should be bracketed with a host-clock measurement.

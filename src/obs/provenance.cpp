@@ -481,12 +481,6 @@ std::vector<std::string> ProvenanceTracker::phoneNames() const {
     return out;
 }
 
-const std::vector<RecordLineage>* ProvenanceTracker::records(
-    const std::string& phone) const {
-    const auto it = phones_.find(phone);
-    return it == phones_.end() ? nullptr : &it->second.live;
-}
-
 const RecordLineage* ProvenanceTracker::find(const std::string& phone,
                                              std::uint64_t id) const {
     const auto it = phones_.find(phone);
@@ -500,21 +494,19 @@ const RecordLineage* ProvenanceTracker::find(const std::string& phone,
     return nullptr;
 }
 
-std::vector<const RecordLineage*> ProvenanceTracker::undelivered() const {
+std::vector<const RecordLineage*> ProvenanceTracker::undelivered(
+    const std::string& phone) const {
     std::vector<const RecordLineage*> out;
-    for (const auto& [phone, state] : phones_) {
-        const std::size_t start = out.size();
-        for (const RecordLineage& rec : state.live) {
+    const auto it = phones_.find(phone);
+    if (it == phones_.end()) return out;
+    for (const auto* records : {&it->second.live, &it->second.retired}) {
+        for (const RecordLineage& rec : *records) {
             if (rec.outcome != RecordOutcome::Delivered) out.push_back(&rec);
         }
-        for (const RecordLineage& rec : state.retired) {
-            if (rec.outcome != RecordOutcome::Delivered) out.push_back(&rec);
-        }
-        std::sort(out.begin() + static_cast<std::ptrdiff_t>(start), out.end(),
-                  [](const RecordLineage* a, const RecordLineage* b) {
-                      return a->id < b->id;
-                  });
     }
+    std::sort(out.begin(), out.end(), [](const RecordLineage* a, const RecordLineage* b) {
+        return a->id < b->id;
+    });
     return out;
 }
 
@@ -732,18 +724,7 @@ std::string ProvenanceTracker::renderJson() const {
     out += "],\"undelivered\":[";
     first = true;
     for (const auto& [phone, state] : phones_) {
-        std::vector<const RecordLineage*> lost;
-        for (const RecordLineage& rec : state.live) {
-            if (rec.outcome != RecordOutcome::Delivered) lost.push_back(&rec);
-        }
-        for (const RecordLineage& rec : state.retired) {
-            if (rec.outcome != RecordOutcome::Delivered) lost.push_back(&rec);
-        }
-        std::sort(lost.begin(), lost.end(),
-                  [](const RecordLineage* a, const RecordLineage* b) {
-                      return a->id < b->id;
-                  });
-        for (const RecordLineage* rec : lost) {
+        for (const RecordLineage* rec : undelivered(phone)) {
             if (!first) out += ',';
             first = false;
             out += "{\"id\":\"";

@@ -186,15 +186,13 @@ public:
     // ----- queries (valid after finalize) ------------------------------
     [[nodiscard]] PipelineSummary summary() const;
     [[nodiscard]] std::vector<std::string> phoneNames() const;
-    /// All lineages for `phone` in creation order (torn-away records
-    /// included); nullptr for an unknown phone.
-    [[nodiscard]] const std::vector<RecordLineage>* records(
-        const std::string& phone) const;
     /// Lineage of record `phone#id`; nullptr when unknown.
     [[nodiscard]] const RecordLineage* find(const std::string& phone,
                                             std::uint64_t id) const;
-    /// Every record that did NOT resolve to Delivered.
-    [[nodiscard]] std::vector<const RecordLineage*> undelivered() const;
+    /// Every record of `phone` that did NOT resolve to Delivered, torn-away
+    /// records included, in id order; empty for an unknown phone.
+    [[nodiscard]] std::vector<const RecordLineage*> undelivered(
+        const std::string& phone) const;
 
     /// Publishes outcome counters and per-stage latency histograms under
     /// the "provenance" subsystem.

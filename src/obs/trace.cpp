@@ -1,5 +1,6 @@
 #include "obs/trace.hpp"
 
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <stdexcept>
@@ -46,6 +47,20 @@ void appendJsonEscaped(std::string& out, std::string_view s) {
                 }
         }
     }
+}
+
+std::string jsonString(std::string_view s) {
+    std::string out = "\"";
+    appendJsonEscaped(out, s);
+    out += '"';
+    return out;
+}
+
+std::string jsonNum(double value, int precision) {
+    if (!std::isfinite(value)) return "null";
+    char buf[64];
+    std::snprintf(buf, sizeof buf, "%.*g", precision, value);
+    return buf;
 }
 
 ChromeTraceWriter::ChromeTraceWriter(Options options) : options_{options} {

@@ -193,4 +193,11 @@ private:
 /// Appends `s` to `out` with JSON string escaping (quotes not included).
 void appendJsonEscaped(std::string& out, std::string_view s);
 
+/// `s` as an escaped, quoted JSON string.
+[[nodiscard]] std::string jsonString(std::string_view s);
+
+/// `value` printed as `%.<precision>g`; NaN and infinities, which JSON
+/// cannot represent, are written as null.
+[[nodiscard]] std::string jsonNum(double value, int precision = 6);
+
 }  // namespace symfail::obs

@@ -4,7 +4,7 @@ namespace symfail::osfault {
 
 ClockPlane::ClockPlane(sim::Simulator& simulator, phone::PhoneDevice& device,
                        ClockPlaneConfig config, std::uint64_t seed)
-    : FaultPlane{simulator, "clock", "osfault.clock",
+    : FaultPlane{simulator, "osfault.clock",
                  FaultSchedule{config.jumpsPerKHour, 1, {}, {}}, seed},
       config_{config},
       epoch_{simulator.now()} {

@@ -9,7 +9,7 @@ namespace symfail::osfault {
 
 FlashPlane::FlashPlane(sim::Simulator& simulator, phone::FlashStore& flash,
                        FlashPlaneConfig config, std::uint64_t seed)
-    : FaultPlane{simulator, "flash", "osfault.flash",
+    : FaultPlane{simulator, "osfault.flash",
                  FaultSchedule{config.faultsPerKHour, config.burst, {}, {}}, seed},
       flash_{&flash},
       config_{config} {

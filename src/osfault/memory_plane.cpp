@@ -7,7 +7,7 @@ namespace symfail::osfault {
 MemoryPlane::MemoryPlane(sim::Simulator& simulator, phone::PhoneDevice& device,
                          logger::FailureLogger& logger, MemoryPlaneConfig config,
                          std::uint64_t seed)
-    : FaultPlane{simulator, "memory", "osfault.memory",
+    : FaultPlane{simulator, "osfault.memory",
                  FaultSchedule{config.episodesPerKHour, 1, {}, {}}, seed},
       device_{&device},
       logger_{&logger},

@@ -3,19 +3,13 @@
 namespace symfail::osfault {
 namespace {
 
-/// Cap on recorded activation timestamps: enough for any calibrated
-/// campaign, bounded against runaway rates.
-constexpr std::size_t kMaxRecordedActivations = 4096;
-
 constexpr double kSecondsPerKHour = 1000.0 * 3600.0;
 
 }  // namespace
 
-FaultPlane::FaultPlane(sim::Simulator& simulator, const char* name,
-                       const char* category, FaultSchedule schedule,
-                       std::uint64_t seed)
+FaultPlane::FaultPlane(sim::Simulator& simulator, const char* category,
+                       FaultSchedule schedule, std::uint64_t seed)
     : simulator_{&simulator},
-      name_{name},
       category_{category},
       schedule_{schedule},
       rng_{seed} {
@@ -44,9 +38,6 @@ void FaultPlane::onArrival() {
     if (schedule_.inWindow(now)) {
         for (int i = 0; i < schedule_.burst; ++i) {
             ++activations_;
-            if (activationTimes_.size() < kMaxRecordedActivations) {
-                activationTimes_.push_back(now);
-            }
             activate(rng_);
         }
     }

@@ -16,9 +16,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
-#include <utility>
-#include <vector>
 
 #include "simkernel/rng.hpp"
 #include "simkernel/simulator.hpp"
@@ -51,10 +48,9 @@ struct FaultSchedule {
 /// process.  Derived planes implement `activate`.
 class FaultPlane {
 public:
-    /// `name` and `category` must be static strings ("flash",
-    /// "osfault.flash"): the category labels simulator events and the
-    /// queue keeps only the pointer.
-    FaultPlane(sim::Simulator& simulator, const char* name, const char* category,
+    /// `category` must be a static string ("osfault.flash"): it labels
+    /// simulator events and the queue keeps only the pointer.
+    FaultPlane(sim::Simulator& simulator, const char* category,
                FaultSchedule schedule, std::uint64_t seed);
     virtual ~FaultPlane();
     FaultPlane(const FaultPlane&) = delete;
@@ -63,13 +59,7 @@ public:
     /// Schedules the first arrival (no-op when the schedule is disabled).
     void start();
 
-    [[nodiscard]] const char* name() const { return name_; }
-    [[nodiscard]] const FaultSchedule& schedule() const { return schedule_; }
     [[nodiscard]] std::uint64_t activations() const { return activations_; }
-    /// Activation timestamps (bounded; used for plane-attributed alerts).
-    [[nodiscard]] const std::vector<sim::TimePoint>& activationTimes() const {
-        return activationTimes_;
-    }
 
 protected:
     virtual void activate(sim::Rng& rng) = 0;
@@ -82,13 +72,11 @@ private:
     void onArrival();
 
     sim::Simulator* simulator_;
-    const char* name_;
     const char* category_;
     FaultSchedule schedule_;
     sim::Rng rng_;
     sim::EventId pending_{};
     std::uint64_t activations_{0};
-    std::vector<sim::TimePoint> activationTimes_;
 };
 
 }  // namespace symfail::osfault

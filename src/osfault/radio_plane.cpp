@@ -9,7 +9,7 @@ RadioPlane::RadioPlane(sim::Simulator& simulator, phone::PhoneDevice& device,
                        transport::Channel* dataChannel,
                        transport::Channel* ackChannel, RadioPlaneConfig config,
                        std::uint64_t seed)
-    : FaultPlane{simulator, "radio", "osfault.radio",
+    : FaultPlane{simulator, "osfault.radio",
                  FaultSchedule{config.faultsPerKHour, 1, {}, {}}, seed},
       device_{&device},
       dataChannel_{dataChannel},
@@ -39,12 +39,12 @@ void RadioPlane::activate(sim::Rng& rng) {
             if (modem.state() != phone::RadioState::Registered) break;
             const sim::Duration hold =
                 rng.lognormalDuration(config_.linkDropMedian, config_.linkDropSigma);
-            modem.beginLinkDrop(now);
+            modem.beginLinkDrop();
             modem.setSignalBars(0);
             pushOutage(now, now + hold);
             simulator().scheduleAfter(hold, "osfault.radio.reattach", [this]() {
                 phone::RadioModem& m = device_->radio();
-                m.endLinkDrop(simulator().now());
+                m.endLinkDrop();
                 m.setSignalBars(4);
             });
             break;
@@ -53,10 +53,10 @@ void RadioPlane::activate(sim::Rng& rng) {
             if (modem.state() == phone::RadioState::Resetting) break;
             const sim::Duration hold = rng.lognormalDuration(
                 config_.modemResetMedian, config_.modemResetSigma);
-            modem.beginReset(now);
+            modem.beginReset();
             pushOutage(now, now + hold);
             simulator().scheduleAfter(hold, "osfault.radio.reset-done", [this]() {
-                device_->radio().endReset(simulator().now());
+                device_->radio().endReset();
             });
             break;
         }

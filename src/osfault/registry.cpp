@@ -55,27 +55,18 @@ CampaignPlaneStats PlaneRegistry::stats() const {
             total.flash.bitFlips += s.bitFlips;
             total.flash.tornWrites += s.tornWrites;
             total.flash.droppedWrites += s.droppedWrites;
-            for (const sim::TimePoint t : planes->flash->activationTimes()) {
-                total.activationTimes.emplace_back("flash", t);
-            }
         }
         if (planes->memory) {
             const MemoryPlaneStats s = planes->memory->stats();
             total.memory.episodes += s.episodes;
             total.memory.oomKills += s.oomKills;
             total.memory.restarts += s.restarts;
-            for (const sim::TimePoint t : planes->memory->activationTimes()) {
-                total.activationTimes.emplace_back("memory", t);
-            }
         }
         if (planes->clock) {
             const ClockPlaneStats s = planes->clock->stats();
             total.clock.jumps += s.jumps;
             total.clock.backwardJumps += s.backwardJumps;
             total.clock.monotonicityViolations += s.monotonicityViolations;
-            for (const sim::TimePoint t : planes->clock->activationTimes()) {
-                total.activationTimes.emplace_back("clock", t);
-            }
         }
         if (planes->radio) {
             const RadioPlaneStats s = planes->radio->stats();
@@ -83,9 +74,6 @@ CampaignPlaneStats PlaneRegistry::stats() const {
             total.radio.linkDrops += s.linkDrops;
             total.radio.modemResets += s.modemResets;
             total.radio.staleWindows += s.staleWindows;
-            for (const sim::TimePoint t : planes->radio->activationTimes()) {
-                total.activationTimes.emplace_back("radio", t);
-            }
         }
     }
     return total;

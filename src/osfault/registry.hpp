@@ -10,7 +10,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -55,9 +54,6 @@ struct CampaignPlaneStats {
     MemoryPlaneStats memory;
     ClockPlaneStats clock;
     RadioPlaneStats radio;
-    /// (plane name, activation time) pairs, bounded per plane per phone;
-    /// the raw material for plane-attributed alerts (monitor/alerts.hpp).
-    std::vector<std::pair<std::string, sim::TimePoint>> activationTimes;
 
     [[nodiscard]] bool any() const {
         return flash.activations != 0 || memory.episodes != 0 ||
@@ -69,8 +65,6 @@ class PlaneRegistry {
 public:
     explicit PlaneRegistry(PlaneConfig config) : config_{std::move(config)} {}
 
-    [[nodiscard]] const PlaneConfig& config() const { return config_; }
-
     /// Wires and starts this phone's planes.  `seed` is the phone's plane
     /// base seed; each plane derives its own substream from it, so
     /// enabling one plane never shifts another's stream.
@@ -78,10 +72,6 @@ public:
                         logger::FailureLogger& logger,
                         transport::Channel* dataChannel,
                         transport::Channel* ackChannel, std::uint64_t seed);
-
-    [[nodiscard]] const std::vector<std::unique_ptr<PhonePlanes>>& phones() const {
-        return phones_;
-    }
 
     /// Aggregates stats over every attached phone.
     [[nodiscard]] CampaignPlaneStats stats() const;

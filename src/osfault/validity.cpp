@@ -40,10 +40,6 @@ std::string firstViolation(const ValidityReport& report,
     return {};
 }
 
-bool withinBounds(const ValidityReport& report, const ValidityBounds& bounds) {
-    return firstViolation(report, bounds).empty();
-}
-
 std::string render(const ValidityReport& report) {
     const auto& e = report.evaluation;
     const auto& p = report.planes;

@@ -6,7 +6,7 @@
 // precision/recall scores together with the plane activity that produced
 // them, renders the result in a stable greppable format, and checks it
 // against declared bounds (the CI smoke job and the tier-1 calibration
-// test both assert `withinBounds`).
+// test both require `firstViolation` to be empty).
 #pragma once
 
 #include <string>
@@ -30,9 +30,6 @@ struct ValidityReport {
     analysis::EvaluationReport evaluation;
     CampaignPlaneStats planes;
 };
-
-[[nodiscard]] bool withinBounds(const ValidityReport& report,
-                                const ValidityBounds& bounds);
 
 /// Names the first bound the report violates, or "" when all hold.
 [[nodiscard]] std::string firstViolation(const ValidityReport& report,

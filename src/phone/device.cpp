@@ -187,7 +187,6 @@ void PhoneDevice::tearDown(bool graceful, ShutdownKind kind) {
         trace->span(traceTrack_, "phone", "powered-on", lastBootAt_,
                     simulator_->now() - lastBootAt_, args);
     }
-    accumulatedOnTime_ += simulator_->now() - lastBootAt_;
     state_ = PowerState::Off;
     ++bootEpoch_;
 }
@@ -293,12 +292,6 @@ void PhoneDevice::toggleLogger(bool enabled) {
     truth_.record(simulator_->now(),
                   enabled ? TruthKind::LoggerManualOn : TruthKind::LoggerManualOff);
     if (loggerToggle_) loggerToggle_(enabled);
-}
-
-sim::Duration PhoneDevice::totalOnTime() const {
-    auto total = accumulatedOnTime_;
-    if (state_ == PowerState::On) total += simulator_->now() - lastBootAt_;
-    return total;
 }
 
 void PhoneDevice::startBatteryChain() {

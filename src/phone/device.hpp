@@ -150,11 +150,8 @@ public:
     [[nodiscard]] symbos::SystemAgentServer& systemAgent() { return systemAgent_; }
     [[nodiscard]] FlashStore& flash() { return flash_; }
     [[nodiscard]] RadioModem& radio() { return radio_; }
-    [[nodiscard]] const RadioModem& radio() const { return radio_; }
     [[nodiscard]] GroundTruth& groundTruth() { return truth_; }
-    [[nodiscard]] const GroundTruth& groundTruth() const { return truth_; }
     [[nodiscard]] const UserProfile& profile() const { return config_.profile; }
-    [[nodiscard]] sim::Rng& rng() { return rng_; }
     /// Trace track carrying this phone's events (0 when no sink attached —
     /// which aliases the "sim" track, harmless since nothing is emitted).
     [[nodiscard]] std::uint32_t traceTrack() const { return traceTrack_; }
@@ -247,7 +244,6 @@ public:
 
     // -- Statistics ---------------------------------------------------------------
 
-    [[nodiscard]] sim::Duration totalOnTime() const;
     [[nodiscard]] std::uint64_t bootCount() const { return bootCount_; }
 
     /// Approximate heap footprint of the device's object graph (kernel,
@@ -282,7 +278,6 @@ private:
     std::uint64_t bootEpoch_{0};  ///< Increments each boot; stale events check it.
     std::uint64_t bootCount_{0};
     sim::TimePoint lastBootAt_{};
-    sim::Duration accumulatedOnTime_{};
 
     struct AppSession {
         symbos::ProcessId pid{0};

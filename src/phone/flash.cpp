@@ -83,22 +83,6 @@ const std::string& FlashStore::content(std::string_view file) const {
     return it->second;
 }
 
-std::vector<std::string> FlashStore::lines(std::string_view file) const {
-    std::vector<std::string> out;
-    const std::string& text = content(file);
-    std::size_t start = 0;
-    while (start < text.size()) {
-        const std::size_t nl = text.find('\n', start);
-        if (nl == std::string::npos) {
-            out.push_back(text.substr(start));
-            break;
-        }
-        out.push_back(text.substr(start, nl - start));
-        start = nl + 1;
-    }
-    return out;
-}
-
 std::string FlashStore::lastLine(std::string_view file) const {
     const std::string& text = content(file);
     if (text.empty()) return {};
@@ -147,23 +131,12 @@ bool FlashStore::corruptByte(std::string_view file, std::size_t offset,
     return true;
 }
 
-void FlashStore::remove(std::string_view file) {
-    const auto it = files_.find(file);
-    if (it != files_.end()) files_.erase(it);
-}
-
 void FlashStore::tearTail(std::string_view file, std::size_t bytes) {
     const auto it = files_.find(file);
     if (it == files_.end()) return;
     std::string& text = it->second;
     text.resize(text.size() >= bytes ? text.size() - bytes : 0);
     if (observer_ != nullptr) observer_->onTear(file, text.size());
-}
-
-std::size_t FlashStore::totalBytes() const {
-    std::size_t total = 0;
-    for (const auto& [name, content] : files_) total += content.size();
-    return total;
 }
 
 std::size_t FlashStore::approxMemoryBytes() const {

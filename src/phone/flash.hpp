@@ -11,7 +11,6 @@
 #include <map>
 #include <string>
 #include <string_view>
-#include <vector>
 
 namespace symfail::phone {
 
@@ -77,8 +76,6 @@ public:
 
     [[nodiscard]] bool exists(std::string_view file) const;
     [[nodiscard]] const std::string& content(std::string_view file) const;
-    /// Content split into lines (no trailing empty line).
-    [[nodiscard]] std::vector<std::string> lines(std::string_view file) const;
     /// Last line of the file, or empty if absent/empty.
     [[nodiscard]] std::string lastLine(std::string_view file) const;
     /// Last line plus torn-tail status.  `torn` is true when the file ends
@@ -90,7 +87,6 @@ public:
     /// tail; empty if the file holds no complete line.
     [[nodiscard]] std::string lastCompleteLine(std::string_view file) const;
 
-    void remove(std::string_view file);
     void clear() { files_.clear(); }
 
     /// Caps per-file size; when an append pushes a file past the limit,
@@ -109,7 +105,6 @@ public:
     bool corruptByte(std::string_view file, std::size_t offset, std::uint8_t mask);
 
     [[nodiscard]] std::size_t fileCount() const { return files_.size(); }
-    [[nodiscard]] std::size_t totalBytes() const;
     /// Approximate heap footprint of the store: file names and contents
     /// plus a per-file node estimate.  Derived from sizes only, so
     /// identical write sequences yield identical values (the resource

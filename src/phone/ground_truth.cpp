@@ -4,25 +4,6 @@
 
 namespace symfail::phone {
 
-std::string_view toString(TruthKind k) {
-    switch (k) {
-        case TruthKind::Boot: return "boot";
-        case TruthKind::Freeze: return "freeze";
-        case TruthKind::BatteryPull: return "battery-pull";
-        case TruthKind::SelfShutdown: return "self-shutdown";
-        case TruthKind::UserShutdown: return "user-shutdown";
-        case TruthKind::NightShutdown: return "night-shutdown";
-        case TruthKind::LowBatteryShutdown: return "low-battery-shutdown";
-        case TruthKind::LoggerManualOff: return "logger-manual-off";
-        case TruthKind::LoggerManualOn: return "logger-manual-on";
-        case TruthKind::PanicInjected: return "panic-injected";
-        case TruthKind::HangInjected: return "hang-injected";
-        case TruthKind::SpontaneousReboot: return "spontaneous-reboot";
-        case TruthKind::OutputFailureInjected: return "output-failure";
-    }
-    return "?";
-}
-
 void GroundTruth::record(sim::TimePoint time, TruthKind kind, std::string detail) {
     events_.push_back(TruthEvent{time, kind, std::move(detail)});
 }

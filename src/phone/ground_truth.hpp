@@ -34,8 +34,6 @@ enum class TruthKind : std::uint8_t {
     OutputFailureInjected,///< A value failure (wrong output, no crash).
 };
 
-[[nodiscard]] std::string_view toString(TruthKind k);
-
 /// One ground-truth event.
 struct TruthEvent {
     sim::TimePoint time;
@@ -48,7 +46,6 @@ class GroundTruth {
 public:
     void record(sim::TimePoint time, TruthKind kind, std::string detail = {});
 
-    [[nodiscard]] const std::vector<TruthEvent>& events() const { return events_; }
     [[nodiscard]] std::size_t countOf(TruthKind kind) const;
     /// Events of one kind, in time order.
     [[nodiscard]] std::vector<TruthEvent> eventsOf(TruthKind kind) const;

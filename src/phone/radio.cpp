@@ -2,39 +2,24 @@
 
 namespace symfail::phone {
 
-const char* toString(RadioState state) {
-    switch (state) {
-        case RadioState::Registered: return "registered";
-        case RadioState::NoService: return "no-service";
-        case RadioState::Resetting: return "resetting";
-    }
-    return "?";
-}
-
-void RadioModem::beginLinkDrop(sim::TimePoint at) {
+void RadioModem::beginLinkDrop() {
     if (state_ != RadioState::Registered) return;
     state_ = RadioState::NoService;
-    unregisteredSince_ = at;
     ++linkDrops_;
 }
 
-void RadioModem::endLinkDrop(sim::TimePoint at) {
-    if (state_ != RadioState::NoService) return;
-    state_ = RadioState::Registered;
-    timeUnregistered_ = timeUnregistered_ + (at - unregisteredSince_);
+void RadioModem::endLinkDrop() {
+    if (state_ == RadioState::NoService) state_ = RadioState::Registered;
 }
 
-void RadioModem::beginReset(sim::TimePoint at) {
+void RadioModem::beginReset() {
     if (state_ == RadioState::Resetting) return;
     state_ = RadioState::Resetting;
-    unregisteredSince_ = at;
     ++modemResets_;
 }
 
-void RadioModem::endReset(sim::TimePoint at) {
-    if (state_ != RadioState::Resetting) return;
-    state_ = RadioState::Registered;
-    timeUnregistered_ = timeUnregistered_ + (at - unregisteredSince_);
+void RadioModem::endReset() {
+    if (state_ == RadioState::Resetting) state_ = RadioState::Registered;
 }
 
 void RadioModem::beginStaleSignal() {

@@ -13,8 +13,6 @@
 
 #include <cstdint>
 
-#include "simkernel/time.hpp"
-
 namespace symfail::phone {
 
 /// Modem registration state.
@@ -23,8 +21,6 @@ enum class RadioState : std::uint8_t {
     NoService,   ///< Link dropped; no bearer.
     Resetting,   ///< Modem firmware restarting.
 };
-
-[[nodiscard]] const char* toString(RadioState state);
 
 /// The modem.  One per device; survives reboots (baseband processors run
 /// their own firmware independent of the application OS).
@@ -37,13 +33,13 @@ public:
     [[nodiscard]] bool signalStale() const { return signalStale_; }
 
     /// Link drop: registration lost until `endLinkDrop`.
-    void beginLinkDrop(sim::TimePoint at);
-    void endLinkDrop(sim::TimePoint at);
+    void beginLinkDrop();
+    void endLinkDrop();
 
     /// Modem reset: brief self-recovering outage; counted separately
     /// because it is a *modem* failure, not coverage.
-    void beginReset(sim::TimePoint at);
-    void endReset(sim::TimePoint at);
+    void beginReset();
+    void endReset();
 
     /// Stale-signal window: the reported bars freeze at their current
     /// value regardless of `setSignalBars` until the window ends.
@@ -57,7 +53,6 @@ public:
     [[nodiscard]] std::uint64_t linkDrops() const { return linkDrops_; }
     [[nodiscard]] std::uint64_t modemResets() const { return modemResets_; }
     [[nodiscard]] std::uint64_t staleWindows() const { return staleWindows_; }
-    [[nodiscard]] sim::Duration timeUnregistered() const { return timeUnregistered_; }
 
 private:
     RadioState state_{RadioState::Registered};
@@ -66,8 +61,6 @@ private:
     std::uint64_t linkDrops_{0};
     std::uint64_t modemResets_{0};
     std::uint64_t staleWindows_{0};
-    sim::TimePoint unregisteredSince_{};
-    sim::Duration timeUnregistered_{};
 };
 
 }  // namespace symfail::phone

@@ -105,7 +105,6 @@ void UserModel::scheduleNextCall() {
 
 void UserModel::fireCall() {
     const auto& profile = device_->profile();
-    ++calls_;
     const bool incoming = rng_.bernoulli(0.5);
     device_->activityBegin(symbos::ActivityKind::VoiceCall, incoming);
     const auto duration = rng_.lognormalDuration(profile.callMedian, profile.callSigma);
@@ -129,7 +128,6 @@ void UserModel::scheduleNextMessage() {
 
 void UserModel::fireMessage() {
     const auto& profile = device_->profile();
-    ++messages_;
     const bool incoming = rng_.bernoulli(0.45);
     device_->activityBegin(symbos::ActivityKind::TextMessage, incoming);
     const auto handling = rng_.lognormalDuration(profile.smsHandlingMedian, 0.5);
@@ -185,7 +183,6 @@ void UserModel::scheduleNextAppSession() {
 }
 
 void UserModel::fireAppSession() {
-    ++appSessions_;
     // Weighted pick over launchable catalog apps.
     std::vector<double> weights;
     std::vector<std::string_view> names;

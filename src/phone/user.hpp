@@ -39,11 +39,6 @@ public:
     /// The device froze: schedule noticing it and pulling the battery.
     void deviceFroze();
 
-    // Activity-model statistics (for calibration checks).
-    [[nodiscard]] std::uint64_t callsPlaced() const { return calls_; }
-    [[nodiscard]] std::uint64_t messagesHandled() const { return messages_; }
-    [[nodiscard]] std::uint64_t appSessionsOpened() const { return appSessions_; }
-
 private:
     /// Maps "`active` seconds of waking time after `from`" to a wall-clock
     /// instant, skipping the night window.
@@ -71,9 +66,6 @@ private:
 
     PhoneDevice* device_;
     sim::Rng rng_;
-    std::uint64_t calls_{0};
-    std::uint64_t messages_{0};
-    std::uint64_t appSessions_{0};
 };
 
 }  // namespace symfail::phone

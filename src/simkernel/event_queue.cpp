@@ -92,13 +92,4 @@ EventQueue::Fired EventQueue::pop() {
     return fired;
 }
 
-void EventQueue::clear() {
-    heap_.clear();
-    lane_.clear();
-    laneHead_ = 0;
-    slots_.clear();
-    free_.clear();
-    live_ = 0;
-}
-
 }  // namespace symfail::sim

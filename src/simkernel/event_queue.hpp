@@ -80,9 +80,6 @@ public:
     };
     Fired pop();
 
-    /// Drops every pending event.
-    void clear();
-
 private:
     struct Key {
         TimePoint at;

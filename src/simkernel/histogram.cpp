@@ -78,11 +78,6 @@ double Histogram::binHi(std::size_t i) const {
     return lo_ + static_cast<double>(i + 1) * binWidth_;
 }
 
-double Histogram::fraction(std::size_t i) const {
-    if (total_ == 0) return 0.0;
-    return static_cast<double>(counts_[i]) / static_cast<double>(total_);
-}
-
 double Histogram::modeMidpoint() const {
     const auto it = std::max_element(counts_.begin(), counts_.end());
     if (it == counts_.end() || *it == 0) return 0.0;

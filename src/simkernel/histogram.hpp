@@ -41,9 +41,6 @@ public:
     [[nodiscard]] std::uint64_t overflow() const { return overflow_; }
     [[nodiscard]] std::uint64_t total() const { return total_; }
 
-    /// Fraction of all samples (including under/overflow) in bin i.
-    [[nodiscard]] double fraction(std::size_t i) const;
-
     /// Midpoint of the fullest bin; 0 if empty.  Used to locate modes such
     /// as the ~80 s self-shutdown peak in Figure 2.
     [[nodiscard]] double modeMidpoint() const;

@@ -114,19 +114,6 @@ int Rng::geometric(double p) {
     return k < 1 ? 1 : k;
 }
 
-int Rng::poisson(double mean) {
-    assert(mean >= 0.0);
-    if (mean <= 0.0) return 0;
-    const double limit = std::exp(-mean);
-    int k = 0;
-    double prod = uniform01();
-    while (prod > limit) {
-        ++k;
-        prod *= uniform01();
-    }
-    return k;
-}
-
 double Rng::weibull(double shape, double scale) {
     assert(shape > 0.0 && scale > 0.0);
     double u = uniform01();

@@ -55,8 +55,6 @@ public:
     /// Geometric: number of Bernoulli(p) trials up to and including the
     /// first success; returns >= 1.  p must be in (0, 1].
     [[nodiscard]] int geometric(double p);
-    /// Poisson with small-to-moderate mean (Knuth's method).
-    [[nodiscard]] int poisson(double mean);
     /// Weibull with the given shape and scale (inverse-CDF method).
     [[nodiscard]] double weibull(double shape, double scale);
 

@@ -16,11 +16,6 @@ EventId Simulator::scheduleAt(TimePoint at, const char* category,
     return queue_.schedule(at, std::move(action), category);
 }
 
-EventId Simulator::scheduleAfter(Duration delay, EventQueue::Action action) {
-    if (delay.isNegative()) delay = Duration{};
-    return queue_.schedule(now_ + delay, std::move(action));
-}
-
 EventId Simulator::scheduleAfter(Duration delay, const char* category,
                                  EventQueue::Action action) {
     if (delay.isNegative()) delay = Duration{};

@@ -62,7 +62,6 @@ public:
 
     /// Schedules an action `delay` after the current time; negative delays
     /// clamp to zero.
-    EventId scheduleAfter(Duration delay, EventQueue::Action action);
     EventId scheduleAfter(Duration delay, const char* category,
                           EventQueue::Action action);
 
@@ -109,7 +108,6 @@ public:
     /// Attaches a campaign profiler (non-owning; nullptr detaches).  Each
     /// dispatched event is then bracketed with a host-clock measurement.
     void setProfiler(obs::CampaignProfiler* profiler) { profiler_ = profiler; }
-    [[nodiscard]] obs::CampaignProfiler* profiler() const { return profiler_; }
 
 private:
     /// Advances the clock to the fired event and runs it, with tracing and

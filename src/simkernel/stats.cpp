@@ -13,7 +13,6 @@ void RunningStats::add(double x) {
         max_ = std::max(max_, x);
     }
     ++n_;
-    sum_ += x;
     const double delta = x - mean_;
     mean_ += delta / static_cast<double>(n_);
     m2_ += delta * (x - mean_);
@@ -26,24 +25,6 @@ double RunningStats::variance() const {
 
 double RunningStats::stddev() const {
     return std::sqrt(variance());
-}
-
-void RunningStats::merge(const RunningStats& other) {
-    if (other.n_ == 0) return;
-    if (n_ == 0) {
-        *this = other;
-        return;
-    }
-    const auto na = static_cast<double>(n_);
-    const auto nb = static_cast<double>(other.n_);
-    const double delta = other.mean_ - mean_;
-    const double total = na + nb;
-    mean_ += delta * nb / total;
-    m2_ += other.m2_ + delta * delta * na * nb / total;
-    n_ += other.n_;
-    sum_ += other.sum_;
-    min_ = std::min(min_, other.min_);
-    max_ = std::max(max_, other.max_);
 }
 
 }  // namespace symfail::sim

@@ -10,23 +10,17 @@ class RunningStats {
 public:
     void add(double x);
 
-    [[nodiscard]] std::uint64_t count() const { return n_; }
     [[nodiscard]] double mean() const { return n_ == 0 ? 0.0 : mean_; }
     /// Sample variance (n-1 denominator); 0 for fewer than two samples.
     [[nodiscard]] double variance() const;
     [[nodiscard]] double stddev() const;
     [[nodiscard]] double min() const { return n_ == 0 ? 0.0 : min_; }
     [[nodiscard]] double max() const { return n_ == 0 ? 0.0 : max_; }
-    [[nodiscard]] double sum() const { return sum_; }
-
-    /// Merges another accumulator into this one (parallel Welford).
-    void merge(const RunningStats& other);
 
 private:
     std::uint64_t n_{0};
     double mean_{0.0};
     double m2_{0.0};
-    double sum_{0.0};
     double min_{0.0};
     double max_{0.0};
 };

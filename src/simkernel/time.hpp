@@ -31,22 +31,18 @@ public:
     [[nodiscard]] static Duration fromSecondsF(double s);
 
     [[nodiscard]] constexpr std::int64_t totalMicros() const { return us_; }
-    [[nodiscard]] constexpr std::int64_t totalMillis() const { return us_ / 1'000; }
     [[nodiscard]] constexpr std::int64_t totalSeconds() const { return us_ / 1'000'000; }
     [[nodiscard]] constexpr double asSecondsF() const { return static_cast<double>(us_) / 1e6; }
     [[nodiscard]] constexpr double asHoursF() const { return asSecondsF() / 3'600.0; }
     [[nodiscard]] constexpr double asDaysF() const { return asSecondsF() / 86'400.0; }
 
-    [[nodiscard]] constexpr bool isZero() const { return us_ == 0; }
     [[nodiscard]] constexpr bool isNegative() const { return us_ < 0; }
 
     constexpr auto operator<=>(const Duration&) const = default;
 
     constexpr Duration operator+(Duration o) const { return Duration{us_ + o.us_}; }
     constexpr Duration operator-(Duration o) const { return Duration{us_ - o.us_}; }
-    constexpr Duration operator-() const { return Duration{-us_}; }
     constexpr Duration& operator+=(Duration o) { us_ += o.us_; return *this; }
-    constexpr Duration& operator-=(Duration o) { us_ -= o.us_; return *this; }
     constexpr Duration operator*(std::int64_t k) const { return Duration{us_ * k}; }
     constexpr Duration operator/(std::int64_t k) const { return Duration{us_ / k}; }
     /// Ratio of two durations as a real number; the divisor must be nonzero.

@@ -1,7 +1,6 @@
 #include "srgm/analyze.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -10,7 +9,7 @@
 
 #include "analysis/tables.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"  // appendJsonEscaped
+#include "obs/trace.hpp"  // jsonNum, jsonString
 
 namespace symfail::srgm {
 namespace {
@@ -52,19 +51,8 @@ GroupReport analyzeGroup(std::string name, const EventData& data,
     return group;
 }
 
-std::string jsonString(std::string_view s) {
-    std::string out = "\"";
-    obs::appendJsonEscaped(out, s);
-    out += '"';
-    return out;
-}
-
-std::string jsonNum(double value) {
-    if (!std::isfinite(value)) return "null";
-    char buf[64];
-    std::snprintf(buf, sizeof buf, "%.6g", value);
-    return buf;
-}
+using obs::jsonNum;
+using obs::jsonString;
 
 std::string fitJson(const FitResult& fit, bool best) {
     std::string json = "{\"model\": ";

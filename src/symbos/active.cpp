@@ -4,8 +4,8 @@
 
 namespace symfail::symbos {
 
-ActiveObject::ActiveObject(ActiveScheduler& scheduler, std::string name, Priority priority)
-    : scheduler_{&scheduler}, name_{std::move(name)}, priority_{priority} {
+ActiveObject::ActiveObject(ActiveScheduler& scheduler, std::string name)
+    : scheduler_{&scheduler}, name_{std::move(name)} {
     scheduler_->add(this);
 }
 

@@ -2,8 +2,10 @@
 // multitasking.
 //
 // Within a thread, cooperative "active objects" (AOs) handle completed
-// asynchronous requests under a non-preemptive, priority-ordered, event-
-// driven scheduler.  The model reproduces the two classic failure modes:
+// asynchronous requests under a non-preemptive, event-driven scheduler.
+// Symbian orders ready AOs by priority; the model dispatches each
+// completion as its own simulator event, in time order, so it keeps no
+// priorities.  The model reproduces the two classic failure modes:
 //   * a completion signal arriving for an AO that is not active
 //       -> E32USER-CBase 46 (stray signal)
 //   * RunL() leaving with the default Error() handler installed
@@ -26,17 +28,7 @@ class ActiveScheduler;
 /// Base class for active objects (Symbian's CActive).
 class ActiveObject {
 public:
-    /// Standard CActive priorities; higher runs first among completed AOs.
-    enum class Priority : int {
-        Idle = -100,
-        Low = -20,
-        Standard = 0,
-        UserInput = 10,
-        High = 20,
-    };
-
-    ActiveObject(ActiveScheduler& scheduler, std::string name,
-                 Priority priority = Priority::Standard);
+    ActiveObject(ActiveScheduler& scheduler, std::string name);
     virtual ~ActiveObject();
     ActiveObject(const ActiveObject&) = delete;
     ActiveObject& operator=(const ActiveObject&) = delete;
@@ -50,7 +42,6 @@ public:
     void cancel();
 
     [[nodiscard]] const std::string& name() const { return name_; }
-    [[nodiscard]] Priority priority() const { return priority_; }
     [[nodiscard]] ActiveScheduler& scheduler() { return *scheduler_; }
     /// True once the owning scheduler has been destroyed (process teardown
     /// raced the AO's owner); the AO is inert from then on.
@@ -67,7 +58,6 @@ private:
     friend class ActiveScheduler;
     ActiveScheduler* scheduler_;
     std::string name_;
-    Priority priority_;
     bool active_{false};
     sim::EventId pendingDispatch_{};
     // The latest completion (Symbian's iStatus) and its runL() cost; the
@@ -111,7 +101,6 @@ public:
     void setErrorHandler(ErrorHandler handler) { errorHandler_ = std::move(handler); }
 
     [[nodiscard]] Kernel& kernel() { return *kernel_; }
-    [[nodiscard]] ProcessId pid() const { return pid_; }
     [[nodiscard]] std::size_t registeredCount() const { return objects_.size(); }
 
 private:

@@ -28,7 +28,6 @@ public:
     void destroyCheck(const ExecContext& ctx) const;
 
     [[nodiscard]] int accessCount() const { return accessCount_; }
-    [[nodiscard]] const std::string& name() const { return name_; }
 
 private:
     std::string name_;

@@ -26,7 +26,6 @@ public:
     explicit Descriptor(std::size_t maxLength) : max_{maxLength} {}
 
     [[nodiscard]] std::size_t length() const { return data_.size(); }
-    [[nodiscard]] std::size_t maxLength() const { return max_; }
     [[nodiscard]] std::string_view view() const { return data_; }
 
     /// Replaces the content (TDes::Copy); overflow panics USER 11.

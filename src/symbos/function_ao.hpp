@@ -18,9 +18,8 @@ public:
     using RunFn = std::function<void(ExecContext&, int status)>;
     using CancelFn = std::function<void()>;
 
-    FunctionAo(ActiveScheduler& scheduler, std::string name, RunFn run,
-               Priority priority = Priority::Standard)
-        : ActiveObject(scheduler, std::move(name), priority), run_{std::move(run)} {}
+    FunctionAo(ActiveScheduler& scheduler, std::string name, RunFn run)
+        : ActiveObject(scheduler, std::move(name)), run_{std::move(run)} {}
 
     void setCancelFn(CancelFn fn) { cancelFn_ = std::move(fn); }
 

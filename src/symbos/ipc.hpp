@@ -28,10 +28,6 @@ public:
     /// completion of a detached message — panics with USER 70.
     void complete(const ExecContext& ctx, int code);
 
-    /// Detaches the message from its request, leaving a null RMessagePtr;
-    /// used by fault injection to reproduce the USER 70 path.
-    void detach() { attached_ = false; }
-
     /// Builds a message that was never attached to a request — a null
     /// RMessagePtr.  Completing it panics USER 70.
     [[nodiscard]] static Message orphan(int op) {
@@ -67,8 +63,6 @@ public:
     /// error so the model stays synchronous).
     int sendReceive(int op, std::string payload = {});
 
-    [[nodiscard]] const std::string& name() const { return name_; }
-    [[nodiscard]] ProcessId host() const { return host_; }
     [[nodiscard]] std::uint64_t messagesServed() const { return served_; }
 
 private:

@@ -38,14 +38,6 @@ struct Kernel::Process {
 // ---------------------------------------------------------------------------
 // ExecContext
 
-std::string_view ExecContext::processName() const {
-    return kernel_->processName(pid_);
-}
-
-sim::TimePoint ExecContext::now() const {
-    return kernel_->simulator().now();
-}
-
 CleanupStack& ExecContext::cleanupStack() const {
     return kernel_->processRef(pid_).cleanup;
 }
@@ -151,15 +143,6 @@ ProcessKind Kernel::processKind(ProcessId pid) const {
     return processRef(pid).kind;
 }
 
-std::vector<std::string> Kernel::liveProcessNames() const {
-    std::vector<std::string> names;
-    names.reserve(processes_.size());
-    for (const auto& [pid, p] : processes_) {
-        if (p->alive) names.push_back(p->name);
-    }
-    return names;
-}
-
 void Kernel::shutdownAll() {
     for (auto& [pid, p] : processes_) {
         if (p->alive) terminate(*p, TerminationReason::DeviceShutdown);
@@ -180,11 +163,6 @@ void Kernel::deliverUntrappedLeave(ProcessId pid, int code) {
     // installed, which Symbian reports as E32USER-CBase 69.
     deliverPanic(pid, kCBaseNoTrapHandler,
                  "untrapped leave with code " + std::to_string(code));
-}
-
-void Kernel::raisePanic(ProcessId pid, PanicId id, std::string diagnostic) {
-    if (suspended_ || !alive(pid)) return;
-    deliverPanic(pid, id, std::move(diagnostic));
 }
 
 void Kernel::deliverPanic(ProcessId pid, const PanicId& id, std::string diagnostic) {

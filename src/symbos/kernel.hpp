@@ -99,10 +99,7 @@ struct LeaveError {
 /// Only valid during the `runInProcess` invocation that created it.
 class ExecContext {
 public:
-    [[nodiscard]] Kernel& kernel() const { return *kernel_; }
     [[nodiscard]] ProcessId pid() const { return pid_; }
-    [[nodiscard]] std::string_view processName() const;
-    [[nodiscard]] sim::TimePoint now() const;
 
     /// The calling process's cleanup stack.
     [[nodiscard]] CleanupStack& cleanupStack() const;
@@ -191,8 +188,6 @@ public:
     [[nodiscard]] bool alive(ProcessId pid) const;
     [[nodiscard]] std::string_view processName(ProcessId pid) const;
     [[nodiscard]] ProcessKind processKind(ProcessId pid) const;
-    /// Names of all live processes.
-    [[nodiscard]] std::vector<std::string> liveProcessNames() const;
 
     /// Tears down every process (device power-off).  Termination hooks run
     /// with reason DeviceShutdown.
@@ -215,10 +210,6 @@ public:
     /// never wrapped in a std::function, so the call allocates nothing.
     template <typename Body>
     RunOutcome runInProcess(ProcessId pid, Body&& body);
-
-    /// Raises a panic in `pid` from outside any `runInProcess` body (used
-    /// by kernel-side services such as the ViewSrv watchdog).
-    void raisePanic(ProcessId pid, PanicId id, std::string diagnostic);
 
     // -- Kernel services --------------------------------------------------
 
@@ -250,13 +241,12 @@ public:
     /// device layer implements them.
     void setActionHandler(ActionHook handler);
 
-    /// Every panic since construction or the last clear (ground truth).
+    /// Every panic since construction (ground truth).
     [[nodiscard]] const std::vector<PanicEvent>& panicLog() const { return panicLog_; }
 
     /// Approximate heap footprint of the kernel's process table and panic
     /// log; derived from container sizes, deterministic per campaign.
     [[nodiscard]] std::size_t approxMemoryBytes() const;
-    void clearPanicLog() { panicLog_.clear(); }
 
 private:
     struct Process;

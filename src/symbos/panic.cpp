@@ -1,7 +1,6 @@
 #include "symbos/panic.hpp"
 
 #include <array>
-#include <stdexcept>
 
 namespace symfail::symbos {
 
@@ -27,11 +26,6 @@ std::optional<PanicCategory> parsePanicCategory(std::string_view s) {
         if (toString(c) == s) return c;
     }
     return std::nullopt;
-}
-
-PanicCategory panicCategoryFromString(std::string_view s) {
-    if (const auto c = parsePanicCategory(s)) return *c;
-    throw std::invalid_argument("unknown panic category: " + std::string{s});
 }
 
 std::string toString(PanicId id) {

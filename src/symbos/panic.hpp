@@ -43,10 +43,6 @@ inline constexpr std::size_t kPanicCategoryCount = 10;
 /// input.  Log parsers use this form: a corrupted category string is a
 /// parse anomaly to count, never an exception to propagate.
 [[nodiscard]] std::optional<PanicCategory> parsePanicCategory(std::string_view s);
-/// Parses a category string; throws std::invalid_argument on unknown
-/// input.  For call sites where an unknown category is a programming
-/// error, not data damage.
-[[nodiscard]] PanicCategory panicCategoryFromString(std::string_view s);
 
 /// A (category, type) pair fully identifying a panic.
 struct PanicId {

@@ -87,16 +87,16 @@ public:
     void setBattery(int percent, bool charging);
     [[nodiscard]] int batteryPercent() const { return percent_; }
     [[nodiscard]] bool charging() const { return charging_; }
-    [[nodiscard]] bool batteryLow() const { return percent_ <= lowThreshold_; }
+    [[nodiscard]] bool batteryLow() const { return percent_ <= kLowBatteryPercent; }
 
     /// Invoked when the battery level crosses the low threshold downwards.
     void addLowBatteryHook(LowBatteryHook hook) { hooks_.push_back(std::move(hook)); }
-    void setLowThreshold(int percent) { lowThreshold_ = percent; }
 
 private:
+    static constexpr int kLowBatteryPercent = 3;
+
     int percent_{100};
     bool charging_{false};
-    int lowThreshold_{3};
     std::vector<LowBatteryHook> hooks_;
 };
 

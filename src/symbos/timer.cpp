@@ -5,21 +5,12 @@
 namespace symfail::symbos {
 
 void RTimer::after(const ExecContext& ctx, sim::Duration delay) {
-    arm(ctx, ctx.now() + delay);
-}
-
-void RTimer::at(const ExecContext& ctx, sim::TimePoint when) {
-    arm(ctx, when);
-}
-
-void RTimer::arm(const ExecContext& ctx, sim::TimePoint when) {
     if (outstanding_) {
         ctx.panic(kCBaseTimerOutstanding,
                   "timer event requested while one is already outstanding");
     }
     outstanding_ = true;
     client_->setActive();
-    const sim::Duration delay = when - simulator_->now();
     pending_ = simulator_->scheduleAfter(delay, "symbos.timer", [this]() {
         outstanding_ = false;
         pending_ = {};

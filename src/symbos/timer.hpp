@@ -24,10 +24,6 @@ public:
     /// E32USER-CBase 15 when a request is already outstanding.
     void after(const ExecContext& ctx, sim::Duration delay);
 
-    /// Requests a completion at an absolute time (RTimer::At).  Panics
-    /// E32USER-CBase 15 when a request is already outstanding.
-    void at(const ExecContext& ctx, sim::TimePoint when);
-
     /// Cancels the outstanding request, if any; the client completes with
     /// KErrCancel semantics via ActiveObject::cancel (callers follow the
     /// Symbian idiom of cancelling the AO, which invokes DoCancel).
@@ -36,8 +32,6 @@ public:
     [[nodiscard]] bool outstanding() const { return outstanding_; }
 
 private:
-    void arm(const ExecContext& ctx, sim::TimePoint when);
-
     ActiveObject* client_;
     sim::Simulator* simulator_;
     bool outstanding_{false};

@@ -30,7 +30,6 @@ void EdwinModel::inlineEdit(const ExecContext& ctx) {
     if (corrupt_) {
         ctx.panic(kEikcoctlCorruptEdwin, "corrupt edwin state for inline editing");
     }
-    ++edits_;
 }
 
 void AudioClientModel::setVolume(const ExecContext& ctx, int volume) {

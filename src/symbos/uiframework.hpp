@@ -45,11 +45,8 @@ public:
     /// Performs an inline edit (panics EIKCOCTL 70 on corrupt state).
     void inlineEdit(const ExecContext& ctx);
 
-    [[nodiscard]] std::size_t editCount() const { return edits_; }
-
 private:
     bool corrupt_{false};
-    std::size_t edits_{0};
 };
 
 /// Multimedia framework audio client (MMFAudioClient panics).

@@ -104,7 +104,6 @@ public:
 
     [[nodiscard]] bool inOutage(sim::TimePoint t) const;
     [[nodiscard]] const ChannelStats& stats() const { return stats_; }
-    [[nodiscard]] const ChannelConfig& config() const { return config_; }
 
     /// Adds an outage window after construction.  The osfault radio plane
     /// uses this to turn modem events (link drops, resets) into channel

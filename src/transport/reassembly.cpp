@@ -45,37 +45,19 @@ std::vector<std::string> Reassembler::phones() const {
     return names;
 }
 
-std::size_t Reassembler::segmentsHeld(const std::string& phone) const {
+double Reassembler::coverage(const std::string& phone) const {
     const auto it = assemblies_.find(phone);
-    return it == assemblies_.end() ? 0 : it->second.segments.size();
-}
-
-std::size_t Reassembler::segmentsExpected(const std::string& phone) const {
-    const auto it = assemblies_.find(phone);
-    if (it == assemblies_.end()) return 0;
+    if (it == assemblies_.end()) return 0.0;
+    const Assembly& assembly = it->second;
     // A frame's seq can exceed its snapshot's segCount only under
     // corruption that still passed CRC (practically impossible), but keep
     // the accounting monotone anyway.
     std::uint32_t highestSeq = 0;
-    if (!it->second.segments.empty()) {
-        highestSeq = it->second.segments.rbegin()->first + 1;
-    }
-    return std::max<std::size_t>(it->second.segCount, highestSeq);
-}
-
-double Reassembler::coverage(const std::string& phone) const {
-    const auto it = assemblies_.find(phone);
-    if (it == assemblies_.end()) return 0.0;
-    const std::size_t expected = segmentsExpected(phone);
+    if (!assembly.segments.empty()) highestSeq = assembly.segments.rbegin()->first + 1;
+    const std::size_t expected = std::max<std::size_t>(assembly.segCount, highestSeq);
     if (expected == 0) return 1.0;
-    return static_cast<double>(it->second.segments.size()) /
+    return static_cast<double>(assembly.segments.size()) /
            static_cast<double>(expected);
-}
-
-bool Reassembler::complete(const std::string& phone) const {
-    const auto it = assemblies_.find(phone);
-    if (it == assemblies_.end()) return false;
-    return it->second.segments.size() == segmentsExpected(phone);
 }
 
 std::string Reassembler::reconstruct(const std::string& phone) const {

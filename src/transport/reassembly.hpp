@@ -60,10 +60,6 @@ public:
     /// Segments held / highest advertised segment count (1.0 when nothing
     /// was ever advertised, 0.0 for a phone never heard from).
     [[nodiscard]] double coverage(const std::string& phone) const;
-    [[nodiscard]] bool complete(const std::string& phone) const;
-    /// Highest advertised segment count and segments held, for reporting.
-    [[nodiscard]] std::size_t segmentsHeld(const std::string& phone) const;
-    [[nodiscard]] std::size_t segmentsExpected(const std::string& phone) const;
 
     /// Best-effort Log File content: held segments concatenated in
     /// sequence order, with a newline spliced in at every gap so records

@@ -27,10 +27,6 @@ UploadAgent::~UploadAgent() {
     teardown();
 }
 
-std::size_t UploadAgent::ackedSegments() const {
-    return ackedBytes_.size();
-}
-
 void UploadAgent::onBoot() {
     attempt_ = 0;
     pid_ = device_->kernel().createProcess("UploadAgent",

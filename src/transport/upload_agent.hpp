@@ -78,9 +78,6 @@ public:
     UploadAgent& operator=(const UploadAgent&) = delete;
 
     [[nodiscard]] const UploadAgentStats& stats() const { return stats_; }
-    [[nodiscard]] const UploadPolicy& policy() const { return policy_; }
-    /// Segments fully acknowledged at their current length.
-    [[nodiscard]] std::size_t ackedSegments() const;
 
     /// Attaches provenance tracking: each round stamps its chunking
     /// snapshot (enqueued) and every transmitted segment (uploaded).

@@ -72,17 +72,6 @@ TEST_F(ExportFixture, FieldCsvFilesWritten) {
     EXPECT_EQ(lineCount(table2), 21u);
 }
 
-TEST_F(ExportFixture, ForumCsvFilesWritten) {
-    StudyConfig config;
-    config.forumConfig.failureReports = 200;
-    const FailureStudy study{config};
-    const auto result = study.runForumStudy();
-    const auto files = exportForumCsv(result, dir_.string());
-    EXPECT_EQ(files.size(), 2u);
-    const auto table1 = slurp((dir_ / "table1_forum.csv").string());
-    EXPECT_EQ(lineCount(table1), 31u);  // header + 30 cells
-}
-
 TEST_F(ExportFixture, JsonExportIsWellFormedEnough) {
     StudyConfig config;
     config.fleetConfig.phoneCount = 2;
@@ -115,11 +104,15 @@ TEST_F(ExportFixture, JsonExportIsWellFormedEnough) {
 
 TEST_F(ExportFixture, BadDirectoryThrows) {
     StudyConfig config;
-    config.forumConfig.failureReports = 10;
-    const FailureStudy study{config};
-    const auto result = study.runForumStudy();
-    EXPECT_THROW((void)exportForumCsv(result, "/proc/definitely/not/writable"),
+    config.fleetConfig.phoneCount = 1;
+    config.fleetConfig.campaign = sim::Duration::days(2);
+    config.fleetConfig.enrollmentWindow = sim::Duration::days(1);
+    const auto results = FailureStudy{config}.runFieldStudy();
+    // The directory cannot be created ...
+    EXPECT_THROW((void)exportFieldCsv(results, "/proc/definitely/not/writable"),
                  std::exception);
+    // ... or exists but takes no files, so the first write fails.
+    EXPECT_THROW((void)exportFieldCsv(results, "/proc/self"), std::runtime_error);
 }
 
 }  // namespace

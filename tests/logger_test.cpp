@@ -130,6 +130,13 @@ protected:
         return device_->flash().lastLine(kBeatsFile);
     }
 
+    /// The complete lines of a flash file.
+    [[nodiscard]] std::vector<std::string_view> flashLines(std::string_view file) {
+        auto lines = splitFields(device_->flash().content(file), '\n');
+        lines.pop_back();  // the text after the final newline
+        return lines;
+    }
+
     sim::Simulator simulator_;
     // Declared before the device so it is destroyed after it: the device's
     // teardown runs the logger's kernel termination hook.
@@ -350,7 +357,7 @@ TEST_F(LoggerFixture, RunappSnapshotsAccumulate) {
     device_->startAppSession(phone::kAppClock, sim::Duration::hours(2));
     runFor(sim::Duration::minutes(30));
     EXPECT_GT(logger_->snapshotsWritten(), 10u);
-    const auto lines = device_->flash().lines(kRunappFile);
+    const auto lines = flashLines(kRunappFile);
     ASSERT_FALSE(lines.empty());
     EXPECT_NE(lines.back().find("Clock"), std::string::npos);
 }
@@ -361,7 +368,7 @@ TEST_F(LoggerFixture, ActivityRowsCopiedFromDbLog) {
     runFor(sim::Duration::minutes(2));
     device_->activityEnd(symbos::ActivityKind::VoiceCall, false);
     runFor(sim::Duration::minutes(10));
-    const auto lines = device_->flash().lines(kActivityFile);
+    const auto lines = flashLines(kActivityFile);
     ASSERT_GE(lines.size(), 2u);
     EXPECT_NE(lines[0].find("voice-call"), std::string::npos);
     EXPECT_NE(lines[0].find("start"), std::string::npos);
@@ -379,13 +386,13 @@ TEST_F(LoggerFixture, ActivityRowsNotRecopiedAfterReboot) {
     device_->requestShutdown(phone::ShutdownKind::UserOff);
     device_->powerOn();
     runFor(sim::Duration::minutes(10));
-    EXPECT_EQ(device_->flash().lines(kActivityFile).size(), 2u);
+    EXPECT_EQ(flashLines(kActivityFile).size(), 2u);
 }
 
 TEST_F(LoggerFixture, PowerRowsWritten) {
     device_->powerOn();
     runFor(sim::Duration::hours(1));
-    const auto lines = device_->flash().lines(kPowerFile);
+    const auto lines = flashLines(kPowerFile);
     EXPECT_GE(lines.size(), 5u);
     EXPECT_EQ(lines[0].rfind("POWER|", 0), 0u);
 }

@@ -141,39 +141,6 @@ TEST(AlertEngine, PerPhoneRulesTrackEachPhoneSeparately) {
     EXPECT_EQ(labels[0], "silent/a");
 }
 
-TEST(AlertAttribution, FiringEdgesAttributeToActivationsWithinTheWindow) {
-    using monitor::AlertEvent;
-    const std::vector<AlertEvent> log{
-        // Fires 30 min after the flash activation: claimed by "flash".
-        {kT0 + sim::Duration::minutes(30), "anomalies", "", true, 3.0,
-         monitor::Severity::Warning},
-        // The CLEARED edge is never attributed.
-        {kT0 + sim::Duration::hours(2), "anomalies", "", false, 0.0,
-         monitor::Severity::Warning},
-        // Fires with no activation in the preceding window: unattributed.
-        {kT0 + sim::Duration::hours(12), "silence", "p3", true, 1.0,
-         monitor::Severity::Critical},
-        // Fires inside both planes' windows: each label claims it once,
-        // even though "memory" has two qualifying activations.
-        {kT0 + sim::Duration::hours(21), "deaths", "", true, 2.0,
-         monitor::Severity::Critical},
-    };
-    const std::vector<std::pair<std::string, sim::TimePoint>> activations{
-        {"flash", kT0},
-        {"memory", kT0 + sim::Duration::hours(20)},
-        {"memory", kT0 + sim::Duration::minutes(20 * 60 + 30)},
-        {"flash", kT0 + sim::Duration::hours(20)},
-        // An activation *after* the alert never claims it.
-        {"flash", kT0 + sim::Duration::hours(22)},
-    };
-    const auto counts =
-        monitor::attributeAlerts(log, activations, sim::Duration::hours(1));
-    ASSERT_EQ(counts.size(), 3u);
-    EXPECT_EQ(counts.at("flash"), 2u);
-    EXPECT_EQ(counts.at("memory"), 1u);
-    EXPECT_EQ(counts.at("unattributed"), 1u);
-}
-
 // -- Online vs batch exactness ----------------------------------------------
 
 core::FieldStudyResults analyzeBatch(const fleet::FleetConfig& fleetConfig,

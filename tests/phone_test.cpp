@@ -35,7 +35,7 @@ TEST(Flash, AppendAndLines) {
     flash.appendLine("f", "one");
     flash.appendLine("f", "two");
     EXPECT_TRUE(flash.exists("f"));
-    EXPECT_EQ(flash.lines("f"), (std::vector<std::string>{"one", "two"}));
+    EXPECT_EQ(flash.content("f"), "one\ntwo\n");
     EXPECT_EQ(flash.lastLine("f"), "two");
     EXPECT_EQ(flash.writeCount(), 2u);
 }
@@ -45,16 +45,14 @@ TEST(Flash, ReplaceWithLineCompacts) {
     flash.appendLine("beats", "a");
     flash.appendLine("beats", "b");
     flash.replaceWithLine("beats", "c");
-    EXPECT_EQ(flash.lines("beats"), (std::vector<std::string>{"c"}));
+    EXPECT_EQ(flash.content("beats"), "c\n");
 }
 
 TEST(Flash, MissingFileBehaviour) {
     FlashStore flash;
     EXPECT_FALSE(flash.exists("nope"));
     EXPECT_TRUE(flash.content("nope").empty());
-    EXPECT_TRUE(flash.lines("nope").empty());
     EXPECT_TRUE(flash.lastLine("nope").empty());
-    flash.remove("nope");  // no-op
     flash.tearTail("nope", 10);  // no-op
 }
 
@@ -84,7 +82,8 @@ TEST(Flash, TotalBytesAndClear) {
     FlashStore flash;
     flash.appendLine("a", "12345");
     flash.appendLine("b", "123");
-    EXPECT_EQ(flash.totalBytes(), 10u);  // 5+1 and 3+1 newlines
+    // 5+1 and 3+1 newlines.
+    EXPECT_EQ(flash.content("a").size() + flash.content("b").size(), 10u);
     EXPECT_EQ(flash.fileCount(), 2u);
     flash.clear();
     EXPECT_EQ(flash.fileCount(), 0u);
@@ -280,16 +279,6 @@ TEST_F(DeviceFixture, OverlappingCallsRefcount) {
     EXPECT_TRUE(device_->activityActive(symbos::ActivityKind::VoiceCall));
     device_->activityEnd(symbos::ActivityKind::VoiceCall, false);
     EXPECT_FALSE(device_->activityActive(symbos::ActivityKind::VoiceCall));
-}
-
-TEST_F(DeviceFixture, OnTimeAccounting) {
-    device_->powerOn();
-    runFor(sim::Duration::hours(3));
-    device_->requestShutdown(ShutdownKind::UserOff);
-    runFor(sim::Duration::hours(2));
-    device_->powerOn();
-    runFor(sim::Duration::hours(1));
-    EXPECT_NEAR(device_->totalOnTime().asHoursF(), 4.0, 0.01);
 }
 
 TEST_F(DeviceFixture, FlashSurvivesRebootAndBatteryPull) {

@@ -33,7 +33,7 @@ TEST_P(SimulatorOrdering, RandomScheduleFiresInOrder) {
             fired.push_back(at.micros());
             if (rng.bernoulli(0.3)) {
                 const auto delay = sim::Duration::micros(rng.uniformInt(0, 10'000));
-                simulator.scheduleAfter(delay, [&fired, &simulator]() {
+                simulator.scheduleAfter(delay, "test", [&fired, &simulator]() {
                     fired.push_back(simulator.now().micros());
                 });
             }

@@ -3,6 +3,7 @@
 // the lineage/flow/report surfaces.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -25,6 +26,16 @@ fleet::FleetConfig smallCampaign(std::uint64_t seed) {
     config.selfShutdownsPerHour *= 8.0;
     config.panicsPerHour *= 8.0;
     return config;
+}
+
+/// Every lineage the tracker holds for `phone`, in id order.
+std::vector<const RecordLineage*> lineages(const ProvenanceTracker& tracker,
+                                           const std::string& phone) {
+    std::vector<const RecordLineage*> out;
+    for (std::uint64_t id = 0; const RecordLineage* rec = tracker.find(phone, id); ++id) {
+        out.push_back(rec);
+    }
+    return out;
 }
 
 struct ChannelScenario {
@@ -79,7 +90,7 @@ TEST(ProvenanceConservation, HoldsAcrossLossDupReorderAndOutageSweeps) {
         // The per-phone lineages must add up to the fleet totals.
         std::uint64_t perPhone = 0;
         for (const auto& phone : tracker.phoneNames()) {
-            perPhone += tracker.records(phone)->size();
+            perPhone += lineages(tracker, phone).size();
         }
         EXPECT_EQ(perPhone, summary.created);
     }
@@ -126,21 +137,53 @@ TEST(ProvenanceLineage, DeliveredStampsAreOrdered) {
 
     std::size_t checked = 0;
     for (const auto& phone : tracker.phoneNames()) {
-        for (const auto& rec : *tracker.records(phone)) {
-            if (rec.outcome != RecordOutcome::Delivered) continue;
-            ASSERT_TRUE(rec.enqueued.has_value());
-            ASSERT_TRUE(rec.uploaded.has_value());
-            ASSERT_TRUE(rec.delivered.has_value());
-            ASSERT_TRUE(rec.reconciled.has_value());
-            EXPECT_LE(rec.created.micros(), rec.enqueued->micros());
-            EXPECT_LE(rec.enqueued->micros(), rec.uploaded->micros());
-            EXPECT_LE(rec.uploaded->micros(), rec.delivered->micros());
-            EXPECT_LE(rec.delivered->micros(), rec.reconciled->micros());
-            EXPECT_GE(rec.sendCount, 1u);
+        for (const RecordLineage* rec : lineages(tracker, phone)) {
+            if (rec->outcome != RecordOutcome::Delivered) continue;
+            ASSERT_TRUE(rec->enqueued.has_value());
+            ASSERT_TRUE(rec->uploaded.has_value());
+            ASSERT_TRUE(rec->delivered.has_value());
+            ASSERT_TRUE(rec->reconciled.has_value());
+            EXPECT_LE(rec->created.micros(), rec->enqueued->micros());
+            EXPECT_LE(rec->enqueued->micros(), rec->uploaded->micros());
+            EXPECT_LE(rec->uploaded->micros(), rec->delivered->micros());
+            EXPECT_LE(rec->delivered->micros(), rec->reconciled->micros());
+            EXPECT_GE(rec->sendCount, 1u);
             ++checked;
         }
     }
     EXPECT_GT(checked, 10u);
+}
+
+// Flash-plane tears cut records out of the Log File; `undelivered` must
+// still list them, together with every record still in the log that
+// missed delivery.
+TEST(ProvenanceLineage, UndeliveredIncludesTornRecords) {
+    auto config = smallCampaign(12);
+    config.osfault.flash.faultsPerKHour = 200.0;
+    ProvenanceTracker tracker;
+    config.obs.provenance = &tracker;
+    (void)fleet::runCampaign(config);
+
+    const auto summary = tracker.summary();
+    ASSERT_GT(summary.torn, 0u);
+    std::uint64_t listed = 0;
+    std::uint64_t tornListed = 0;
+    for (const auto& phone : tracker.phoneNames()) {
+        std::vector<std::uint64_t> expected;
+        for (const RecordLineage* rec : lineages(tracker, phone)) {
+            if (rec->outcome != RecordOutcome::Delivered) expected.push_back(rec->id);
+        }
+        std::vector<std::uint64_t> ids;
+        for (const RecordLineage* rec : tracker.undelivered(phone)) {
+            ids.push_back(rec->id);
+            if (rec->outcome == RecordOutcome::Torn) ++tornListed;
+        }
+        EXPECT_EQ(ids, expected) << phone;
+        listed += ids.size();
+    }
+    EXPECT_EQ(listed, summary.created - summary.delivered);
+    EXPECT_EQ(tornListed, summary.torn);
+    EXPECT_TRUE(tracker.undelivered("no-such-phone").empty());
 }
 
 // ----- unit-level hook tests (no campaign) ----------------------------

@@ -6,8 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 #include <set>
 #include <string>
+#include <string_view>
 #include <utility>
 
 #include "analysis/dataset.hpp"
@@ -247,6 +249,14 @@ std::string validDumpLine() {
     return crash::serialize(dump);
 }
 
+/// Parses one DUMP line the way the analysis reads it: through the Log
+/// File parser.  nullopt when the line is malformed.
+std::optional<crash::CrashDump> parseDump(std::string_view line) {
+    const auto entries = parseLogFile(line);
+    if (entries.size() != 1) return std::nullopt;
+    return entries[0].dump;
+}
+
 /// A consolidated log whose panic carries its dump, as the logger writes it.
 std::string validLogWithDump() {
     std::string content = validLog();
@@ -262,11 +272,11 @@ TEST_P(DumpFramingFuzz, TruncatedDumpsNeverCrashAndNeverHalfParse) {
     // whole — no dump with fields swapped or missing.  The trailing frame
     // list is the wire format's only open-ended field (last by design): a
     // cut there may still parse, but every scalar field must be intact.
-    const auto parsedFull = crash::parseDumpLine(line);
+    const auto parsedFull = parseDump(line);
     ASSERT_TRUE(parsedFull.has_value());
     const std::size_t lastBar = line.rfind('|');
     for (std::size_t cut = 0; cut < line.size(); ++cut) {
-        const auto parsed = crash::parseDumpLine(line.substr(0, cut));
+        const auto parsed = parseDump(line.substr(0, cut));
         if (cut <= lastBar) {
             EXPECT_FALSE(parsed.has_value()) << "prefix of length " << cut;
         } else if (parsed) {
@@ -316,15 +326,13 @@ TEST_P(DumpFramingFuzz, OversizedCountsAndMutationsDegradeGracefully) {
 
     // Hostile counts and frame lists are rejected outright, bounding what
     // a parser may allocate on behalf of one line.
-    EXPECT_FALSE(crash::parseDumpLine(
-                     "DUMP|1|KERN-EXEC|3|8001abcd|p|18446744073709551615|0|"
-                     "0|0|0|0||f")
+    EXPECT_FALSE(parseDump("DUMP|1|KERN-EXEC|3|8001abcd|p|18446744073709551615|0|"
+                           "0|0|0|0||f")
                      .has_value());
     std::string frames;
     for (int i = 0; i < 200; ++i) frames += "frame;";
     frames += "last";
-    EXPECT_FALSE(crash::parseDumpLine("DUMP|1|KERN-EXEC|3|8001abcd|p|0|0|0|0|0|0||" +
-                                      frames)
+    EXPECT_FALSE(parseDump("DUMP|1|KERN-EXEC|3|8001abcd|p|0|0|0|0|0|0||" + frames)
                      .has_value());
 }
 

@@ -220,7 +220,6 @@ TEST(Reassembler, MergesOutOfOrderAndSuppressesDuplicates) {
         EXPECT_EQ(ack1->seq, it->seq);
         EXPECT_EQ(ack2->payloadBytes, ack1->payloadBytes);
     }
-    EXPECT_TRUE(reassembler.complete("p"));
     EXPECT_DOUBLE_EQ(reassembler.coverage("p"), 1.0);
     EXPECT_EQ(reassembler.reconstruct("p"), content);
     EXPECT_EQ(reassembler.stats().duplicates, frames.size());
@@ -260,7 +259,6 @@ TEST(Reassembler, GapsNeverFuseRecordsAcrossLostSegments) {
         if (frame.seq == 2) continue;  // permanently lost
         (void)reassembler.ingest(encodeFrame(frame));
     }
-    EXPECT_FALSE(reassembler.complete("p"));
     EXPECT_LT(reassembler.coverage("p"), 1.0);
 
     // Every line in the reconstruction is a line of the original: no

@@ -539,13 +539,12 @@ int runTrace(const std::vector<std::string>& args) {
         std::size_t listed = 0;
         std::printf("undelivered records:\n");
         for (const auto& phone : provenance.phoneNames()) {
-            for (const auto& rec : *provenance.records(phone)) {
-                if (rec.outcome == obs::RecordOutcome::Delivered) continue;
+            for (const obs::RecordLineage* rec : provenance.undelivered(phone)) {
                 std::printf("  %-18s %-10s %-11s sent x%u\n",
-                            obs::provenanceId(phone, rec.id).c_str(),
-                            rec.tag.c_str(),
-                            std::string{obs::toString(rec.outcome)}.c_str(),
-                            rec.sendCount);
+                            obs::provenanceId(phone, rec->id).c_str(),
+                            rec->tag.c_str(),
+                            std::string{obs::toString(rec->outcome)}.c_str(),
+                            rec->sendCount);
                 ++listed;
             }
         }
