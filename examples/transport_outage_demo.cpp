@@ -44,8 +44,7 @@ int main() {
     };
     std::vector<Unit> units;
 
-    transport::UploadPolicy policy;
-    policy.uploadPeriod = sim::Duration::hours(4);
+    const transport::UploadPolicy policy;
 
     for (int i = 0; i < kPhones; ++i) {
         Unit unit;

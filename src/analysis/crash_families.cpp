@@ -2,9 +2,8 @@
 
 namespace symfail::analysis {
 
-CrashFamilyReport buildCrashFamilyReport(const LogDataset& dataset,
-                                         crash::ClustererConfig config) {
-    crash::CrashClusterer clusterer{config};
+CrashFamilyReport buildCrashFamilyReport(const LogDataset& dataset) {
+    crash::CrashClusterer clusterer;
     for (const auto& obs : dataset.dumps()) {
         clusterer.add(obs.phoneName, obs.dump);
     }

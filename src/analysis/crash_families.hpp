@@ -39,7 +39,6 @@ struct CrashFamilyReport {
 /// Clusters the dataset's dumps.  Deterministic: phones arrive in the
 /// dataset's (sorted) order and records in log order, so the same dataset
 /// always yields byte-identical rows.
-[[nodiscard]] CrashFamilyReport buildCrashFamilyReport(
-    const LogDataset& dataset, crash::ClustererConfig config = {});
+[[nodiscard]] CrashFamilyReport buildCrashFamilyReport(const LogDataset& dataset);
 
 }  // namespace symfail::analysis

@@ -26,10 +26,13 @@ struct PanicTableRow {
 [[nodiscard]] double categoryShare(const LogDataset& dataset,
                                    symbos::PanicCategory category);
 
+/// Figure 3's burst gap: panics at most five minutes apart share a burst.
+inline constexpr double kBurstGapSeconds = 300.0;
+
 /// Figure 3: groups each phone's panics into bursts (inter-panic gap at
 /// most `gapSeconds`) and returns the burst-length frequency counter.
 [[nodiscard]] sim::FreqCounter burstLengths(const LogDataset& dataset,
-                                            double gapSeconds = 300.0);
+                                            double gapSeconds = kBurstGapSeconds);
 
 /// Fraction of bursts with length >= 2 (the paper reports ~25%).
 [[nodiscard]] double burstFraction(const sim::FreqCounter& lengths);

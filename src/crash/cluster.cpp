@@ -4,6 +4,10 @@
 
 namespace symfail::crash {
 
+/// Similarity strictly above this merges a near-miss signature into an
+/// existing family instead of opening a new one.
+constexpr double kSimilarityThreshold = 0.8;
+
 void CrashClusterer::add(const std::string& phoneName, const CrashDump& dump) {
     const CrashSignature sig = signatureOf(dump);
     const std::string key = sig.key();
@@ -14,10 +18,10 @@ void CrashClusterer::add(const std::string& phoneName, const CrashDump& dump) {
         index = it->second;
     } else {
         // Near-miss fallback: scan families in insertion order and take
-        // the most similar representative at or above the threshold; ties
+        // the most similar representative above the threshold; ties
         // resolve to the earliest family (deterministic).
         std::size_t best = families_.size();
-        double bestScore = config_.similarityThreshold;
+        double bestScore = kSimilarityThreshold;
         for (std::size_t i = 0; i < families_.size(); ++i) {
             const double score = similarity(sig, families_[i].signature);
             if (score > bestScore) {

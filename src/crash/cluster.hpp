@@ -37,18 +37,9 @@ struct CrashFamily {
     sim::TimePoint lastSeen;
 };
 
-struct ClustererConfig {
-    /// Similarity strictly above this merges a near-miss signature into an
-    /// existing family instead of opening a new one.
-    double similarityThreshold = 0.8;
-};
-
 /// Incremental clusterer.
 class CrashClusterer {
 public:
-    CrashClusterer() = default;
-    explicit CrashClusterer(ClustererConfig config) : config_{config} {}
-
     /// Adds one dump attributed to `phoneName`.
     void add(const std::string& phoneName, const CrashDump& dump);
 
@@ -58,7 +49,6 @@ public:
     [[nodiscard]] std::vector<CrashFamily> families() const;
 
 private:
-    ClustererConfig config_;
     std::vector<CrashFamily> families_;          // insertion order
     std::map<std::string, std::size_t> byKey_;   // signature key -> family index
     std::size_t totalDumps_{0};

@@ -34,8 +34,10 @@ TrialMetrics fieldTrialMetrics(const Cell& cell, std::uint64_t seed) {
     auto config = cell.toStudyConfig(seed);
     // Each trial carries its own online monitor; it is read-only and
     // draws no randomness, so the campaign results are unchanged and the
-    // alert counts are a pure function of the trial seed.
-    monitor::FleetMonitor fleetMonitor;
+    // alert counts are a pure function of the trial seed.  It classifies
+    // with the cell's threshold, like the batch analysis beside it.
+    monitor::FleetMonitor fleetMonitor{monitor::MonitorConfig{
+        .selfShutdownThresholdSeconds = config.selfShutdownThresholdSeconds}};
     config.fleetConfig.obs.monitor = &fleetMonitor;
     // Per-trial provenance: like the monitor it is read-only, so the sweep
     // rollups gain pipeline loss accounting at zero cost to determinism.

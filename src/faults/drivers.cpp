@@ -126,7 +126,7 @@ void driveMechanism(phone::PhoneDevice& device, ProcessId victim, PanicId id,
         scheduler.complete(*ao, KErrNone,
                            ActiveScheduler::CompleteOpts{
                                sim::Duration{},
-                               kernel.config().viewSrvTimeout * 3});
+                               kViewSrvTimeout * 3});
         bag.aos.push_back(std::move(ao));
     } else if (id == kListboxBadItemIndex) {
         run(device, victim, [&](ExecContext& ctx) {

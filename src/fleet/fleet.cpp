@@ -1,6 +1,7 @@
 #include "fleet/fleet.hpp"
 
 #include <algorithm>
+#include <array>
 #include <functional>
 #include <map>
 #include <memory>
@@ -14,6 +15,17 @@
 
 namespace symfail::fleet {
 namespace {
+
+/// Symbian version mix: mostly 8.0, as in the study.
+constexpr std::array<std::string_view, 6> kVersionPool{"6.1", "7.0", "8.0",
+                                                       "8.0", "8.0", "9.0"};
+/// Output (value) failures: the forum study makes them the most common
+/// failure type; modelled at roughly twice the freeze rate.
+constexpr double kOutputFailuresPerHour = 2.0 / 313.0;
+/// Assumed powered-on fraction of observed wall-clock time, used only to
+/// convert targets into background rates (measured behaviour feeds back
+/// through the logs, not through this estimate).
+constexpr double kAssumedOnFraction = 0.85;
 
 /// Adapts one phone's flash mutations onto the provenance tracker: only
 /// the consolidated Log File feeds lineage, and every event is stamped
@@ -70,7 +82,7 @@ double expectedObservedHours(const FleetConfig& config) {
 
 faults::StudyPlan derivePlan(const FleetConfig& config) {
     const double wallHours = expectedObservedHours(config);
-    const double onHours = wallHours * config.assumedOnFraction;
+    const double onHours = wallHours * kAssumedOnFraction;
     faults::StudyPlan plan;
     // Typical profile: ~6 calls and ~8 messages per powered-on day.
     plan.expectedCalls = onHours / 24.0 * 6.0;
@@ -79,7 +91,7 @@ faults::StudyPlan derivePlan(const FleetConfig& config) {
     plan.targetPanics = config.panicsPerHour * wallHours;
     plan.targetFreezes = config.freezesPerHour * wallHours;
     plan.targetSelfShutdowns = config.selfShutdownsPerHour * wallHours;
-    plan.targetOutputFailures = config.outputFailuresPerHour * wallHours;
+    plan.targetOutputFailures = kOutputFailuresPerHour * wallHours;
     return plan;
 }
 
@@ -145,7 +157,7 @@ FleetResult runCampaign(const FleetConfig& config) {
         phone::PhoneDevice::Config deviceConfig;
         deviceConfig.name = "phone-" + std::to_string(i);
         deviceConfig.symbianVersion =
-            config.versionPool[static_cast<std::size_t>(i) % config.versionPool.size()];
+            kVersionPool[static_cast<std::size_t>(i) % kVersionPool.size()];
         deviceConfig.seed = fleetRng.nextU64();
 
         // Per-user variation around the typical profile.

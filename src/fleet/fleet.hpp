@@ -39,8 +39,9 @@ class CampaignObserver;
 
 /// Collection-path configuration: how each phone's Log File travels to the
 /// collection server.  Default: chunked uploads over a lossy GPRS-like
-/// channel with retries — the realistic setting; disable for the ideal
-/// end-of-campaign handoff only.
+/// channel with retries — the only collection path.  Disabled, the server
+/// receives nothing and `FleetResult::collectedLogs` stays empty; only the
+/// phone-side logs remain for analysis.
 struct TransportOptions {
     bool enabled = true;
     /// Phone -> server path (frames).
@@ -89,16 +90,11 @@ struct FleetConfig {
     sim::Duration enrollmentWindow = sim::Duration::days(340);
     std::uint64_t seed = 2007;
     logger::LoggerConfig loggerConfig{};
-    /// Symbian version mix: mostly 8.0, as in the study.
-    std::vector<std::string> versionPool{"6.1", "7.0", "8.0", "8.0", "8.0", "9.0"};
 
     /// Paper rates used to derive targets (events per wall-clock hour).
     double freezesPerHour = 1.0 / 313.0;
     double selfShutdownsPerHour = 1.0 / 250.0;
     double panicsPerHour = 396.0 / 112'680.0;
-    /// Output (value) failures: the forum study makes them the most common
-    /// failure type; modelled at roughly twice the freeze rate.
-    double outputFailuresPerHour = 2.0 / 313.0;
     /// User-report channel for output failures (the future-work
     /// extension); set reportProbability to 0 to disable.
     logger::UserReportConfig userReportConfig{};
@@ -117,11 +113,6 @@ struct FleetConfig {
     /// seed substream, so enabling a plane never shifts the workload or
     /// fault-injector streams.
     osfault::PlaneConfig osfault{};
-
-    /// Assumed powered-on fraction of observed wall-clock time, used only
-    /// to convert targets into background rates (measured behaviour feeds
-    /// back through the logs, not through this estimate).
-    double assumedOnFraction = 0.85;
 };
 
 /// Campaign output: everything the analysis pipeline and the evaluator

@@ -157,13 +157,24 @@ std::string substituteModel(std::string_view text, const std::string& model) {
     return out;
 }
 
+/// Non-failure posts per failure report (noise the filter removes).
+constexpr double kNoiseRatio = 1.5;
+/// Fraction of failure reports from smart phones (paper: 22.3%).
+constexpr double kSmartPhoneShare = 0.223;
+/// Activity-mention rates (paper: calls 13%, SMS 5.4%, BT 3.6%,
+/// images 2.4%).
+constexpr double kVoiceCallShare = 0.130;
+constexpr double kTextMessageShare = 0.054;
+constexpr double kBluetoothShare = 0.036;
+constexpr double kImagesShare = 0.024;
+
 }  // namespace
 
 std::vector<ForumReport> generateCorpus(const CorpusConfig& config, std::uint64_t seed) {
     sim::Rng rng{seed};
     std::vector<ForumReport> corpus;
     const int noisePosts =
-        static_cast<int>(config.noiseRatio * config.failureReports);
+        static_cast<int>(kNoiseRatio * config.failureReports);
     corpus.reserve(static_cast<std::size_t>(config.failureReports + noisePosts));
 
     auto pickVendor = [&](bool smart) -> const VendorModels& {
@@ -176,7 +187,7 @@ std::vector<ForumReport> generateCorpus(const CorpusConfig& config, std::uint64_
 
     for (int i = 0; i < config.failureReports; ++i) {
         ForumReport report;
-        report.smartPhone = rng.bernoulli(config.smartPhoneShare);
+        report.smartPhone = rng.bernoulli(kSmartPhoneShare);
         const auto& vendor = pickVendor(report.smartPhone);
         report.vendor = vendor.vendor;
         report.model = std::string{vendor.vendor} + " " +
@@ -206,18 +217,17 @@ std::vector<ForumReport> generateCorpus(const CorpusConfig& config, std::uint64_
         // Activity context at the paper's rates.
         const double r = rng.uniform01();
         std::string_view context;
-        if (r < config.voiceCallShare) {
+        if (r < kVoiceCallShare) {
             report.label.activity = ReportedActivity::VoiceCall;
             context = pickPhrase(rng, kVoiceCallContexts);
-        } else if (r < config.voiceCallShare + config.textMessageShare) {
+        } else if (r < kVoiceCallShare + kTextMessageShare) {
             report.label.activity = ReportedActivity::TextMessage;
             context = pickPhrase(rng, kTextMessageContexts);
-        } else if (r < config.voiceCallShare + config.textMessageShare +
-                           config.bluetoothShare) {
+        } else if (r < kVoiceCallShare + kTextMessageShare + kBluetoothShare) {
             report.label.activity = ReportedActivity::Bluetooth;
             context = pickPhrase(rng, kBluetoothContexts);
-        } else if (r < config.voiceCallShare + config.textMessageShare +
-                           config.bluetoothShare + config.imagesShare) {
+        } else if (r < kVoiceCallShare + kTextMessageShare + kBluetoothShare +
+                           kImagesShare) {
             report.label.activity = ReportedActivity::Images;
             context = pickPhrase(rng, kImagesContexts);
         }

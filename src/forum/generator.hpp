@@ -17,20 +17,11 @@
 
 namespace symfail::forum {
 
-/// Corpus shape parameters (defaults reproduce the paper's Section 4).
+/// Corpus size.  The corpus shape (noise share, smart-phone share,
+/// activity mentions) follows the paper's Section 4 (generator.cpp).
 struct CorpusConfig {
     /// Number of genuine failure reports (the paper analyzed 533).
     int failureReports = kPaperReportCount;
-    /// Non-failure posts per failure report (noise the filter removes).
-    double noiseRatio = 1.5;
-    /// Fraction of failure reports from smart phones (paper: 22.3%).
-    double smartPhoneShare = 0.223;
-    /// Activity-mention rates (paper: calls 13%, SMS 5.4%, BT 3.6%,
-    /// images 2.4%).
-    double voiceCallShare = 0.130;
-    double textMessageShare = 0.054;
-    double bluetoothShare = 0.036;
-    double imagesShare = 0.024;
 };
 
 /// Generates the corpus; deterministic for a given seed.

@@ -13,7 +13,7 @@ using phone::PhoneDevice;
 using symbos::ExecContext;
 
 FailureLogger::FailureLogger(PhoneDevice& device, LoggerConfig config)
-    : device_{&device}, config_{config}, enabled_{config.startEnabled} {
+    : device_{&device}, config_{config} {
     device_->addBootHook([this]() { onBoot(); });
     device_->addShutdownHook([this](phone::ShutdownKind kind) { onShutdown(kind); });
     device_->addPowerDownHook([this]() { teardownDaemon(); });
@@ -189,7 +189,7 @@ void FailureLogger::onBoot() {
         // instrument.  With the default unbounded heap it never fails and
         // draws no randomness, so fault-free campaigns are unchanged.
         const symbos::HeapCell scratch =
-            ctx.heap().allocL(ctx, config_.heartbeatScratchBytes);
+            ctx.heap().allocL(ctx, kHeartbeatScratchBytes);
         writeBeat(BeatKind::Alive);
         ctx.heap().free(scratch);
     });

@@ -41,17 +41,17 @@ struct LoggerConfig {
     sim::Duration runappPeriod = sim::Duration::seconds(120);
     sim::Duration activityPeriod = sim::Duration::seconds(300);
     sim::Duration powerPeriod = sim::Duration::seconds(600);
-    bool startEnabled = true;
     /// Writes a structured DUMP record right after every PANIC record.
     /// Dumps share the panic's timestamp, so enabling them never changes
     /// the failure analysis — only adds the clustering material.
     bool captureDumps = true;
-    /// Scratch buffer the heartbeat formats its record in.  The daemon's
-    /// one per-tick heap allocation — which is what makes it killable by
-    /// memory pressure: when the heap can no longer cover this, the
-    /// heartbeat's RunL leaves and the daemon dies with E32USER-CBase 47.
-    std::size_t heartbeatScratchBytes = 512;
 };
+
+/// Scratch buffer the heartbeat formats its record in.  The daemon's one
+/// per-tick heap allocation — which is what makes it killable by memory
+/// pressure: when the heap can no longer cover this, the heartbeat's RunL
+/// leaves and the daemon dies with E32USER-CBase 47.
+inline constexpr std::size_t kHeartbeatScratchBytes = 512;
 
 /// The logger daemon.  One instance per phone; re-creates its active
 /// objects at every boot (like the real daemon restarting with the phone).
@@ -132,7 +132,7 @@ private:
 
     phone::PhoneDevice* device_;
     LoggerConfig config_;
-    bool enabled_;
+    bool enabled_{true};
 
     // Per-boot daemon state.
     symbos::ProcessId daemonPid_{0};

@@ -2,14 +2,18 @@
 
 namespace symfail::logger {
 
+/// Delay between the failure and the report (lognormal median and sigma).
+constexpr sim::Duration kReportDelayMedian = sim::Duration::minutes(3);
+constexpr double kReportDelaySigma = 0.8;
+
 UserReportChannel::UserReportChannel(phone::PhoneDevice& device,
                                      UserReportConfig config, std::uint64_t seed)
     : device_{&device}, config_{config}, rng_{seed} {
     device_->addOutputFailureHook([this](const std::string& symptom) {
         ++seen_;
         if (!rng_.bernoulli(config_.reportProbability)) return;
-        const auto delay = rng_.lognormalDuration(config_.reportDelayMedian,
-                                                  config_.reportDelaySigma);
+        const auto delay =
+            rng_.lognormalDuration(kReportDelayMedian, kReportDelaySigma);
         const auto bootCount = device_->bootCount();
         device_->simulator().scheduleAfter(
             delay, "logger", [this, bootCount, symptom]() {

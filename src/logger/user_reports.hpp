@@ -27,9 +27,6 @@ struct UserReportConfig {
     /// Probability that the user reports a noticed output failure (the
     /// paper's Bluetooth-study experience suggests well below one).
     double reportProbability = 0.35;
-    /// Median delay between the failure and the report.
-    sim::Duration reportDelayMedian = sim::Duration::minutes(3);
-    double reportDelaySigma = 0.8;
 };
 
 /// Collects user reports of output failures into the consolidated Log

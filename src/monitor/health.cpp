@@ -26,10 +26,13 @@ double safeRatio(double hours, std::uint64_t failures) {
 
 }  // namespace
 
-HealthEngine::HealthEngine(HealthConfig config) : config_{config} {}
+HealthEngine::HealthEngine(double selfShutdownThresholdSeconds,
+                           sim::Duration heartbeatPeriod)
+    : selfShutdownThresholdSeconds_{selfShutdownThresholdSeconds},
+      heartbeatPeriod_{heartbeatPeriod} {}
 
 sim::TimePoint HealthEngine::windowCutoff(sim::TimePoint now) const {
-    return now - config_.rateWindow;
+    return now - kRateWindow;
 }
 
 void HealthEngine::addHl(PhoneState& state, sim::TimePoint time,
@@ -43,7 +46,7 @@ void HealthEngine::addHl(PhoneState& state, sim::TimePoint time,
 
 void HealthEngine::feedPanic(PhoneState& state, sim::TimePoint time) {
     if (state.burstLen == 0 ||
-        (time - state.prevPanicAt).asSecondsF() <= config_.burstGapSeconds) {
+        (time - state.prevPanicAt).asSecondsF() <= analysis::kBurstGapSeconds) {
         ++state.burstLen;
     } else {
         closeBurst(state);
@@ -66,7 +69,7 @@ void HealthEngine::resolvePanic(PhoneState& state, const PendingPanic& panic) {
     // Mirrors analysis::coalesce: nearest HL event within the window wins,
     // later equal-gap events replacing earlier ones.
     auto relation = analysis::PanicRelation::Isolated;
-    double best = config_.coalescenceWindowSeconds;
+    double best = analysis::kCoalescenceWindowSeconds;
     std::size_t bestIdx = state.hls.size();
     for (std::size_t i = 0; i < state.hls.size(); ++i) {
         const double gap = std::abs((state.hls[i].time - panic.time).asSecondsF());
@@ -100,10 +103,9 @@ void HealthEngine::resolveReady(const std::string& /*phone*/, PhoneState& state)
     // A pending panic is safe to resolve once no future record of this
     // phone can reveal an HL event inside its coalescence window: an
     // unrevealed HL is later than watermark - heartbeatPeriod.
-    const auto window = sim::Duration::fromSecondsF(config_.coalescenceWindowSeconds);
+    const auto window = sim::Duration::fromSecondsF(analysis::kCoalescenceWindowSeconds);
     while (!state.pending.empty() &&
-           state.watermark > state.pending.front().time + window +
-                                 config_.heartbeatPeriod) {
+           state.watermark > state.pending.front().time + window + heartbeatPeriod_) {
         resolvePanic(state, state.pending.front());
         state.pending.pop_front();
     }
@@ -169,7 +171,7 @@ void HealthEngine::onRecord(const std::string& phone,
                     // The paper's discriminator: off-durations under the
                     // threshold are self-shutdowns, the rest deliberate.
                     const double off = (boot.time - boot.lastBeatAt).asSecondsF();
-                    if (off < config_.selfShutdownThresholdSeconds) {
+                    if (off < selfShutdownThresholdSeconds_) {
                         ++totals_.selfShutdowns;
                         ++state.selfShutdowns;
                         insertSorted(state.windowSelf, boot.lastBeatAt);

@@ -20,7 +20,7 @@
 // t + window + heartbeatPeriod.  finalize() resolves everything left.
 //
 // Sliding-window rates (not part of the batch pipeline) count revealed
-// events in (now - rateWindow, now] against the observed phone-time
+// events in (now - kRateWindow, now] against the observed phone-time
 // overlapping the window.
 #pragma once
 
@@ -33,6 +33,7 @@
 
 #include "analysis/coalescence.hpp"
 #include "analysis/discriminator.hpp"
+#include "analysis/panic_stats.hpp"
 #include "crash/signature.hpp"
 #include "logger/records.hpp"
 #include "simkernel/histogram.hpp"
@@ -40,16 +41,8 @@
 
 namespace symfail::monitor {
 
-/// Analytic knobs; defaults mirror the paper's batch analysis.
-struct HealthConfig {
-    double coalescenceWindowSeconds = analysis::kCoalescenceWindowSeconds;
-    double burstGapSeconds = 300.0;
-    double selfShutdownThresholdSeconds = analysis::kSelfShutdownThresholdSeconds;
-    /// Sliding window for rates and windowed MTBF.
-    sim::Duration rateWindow = sim::Duration::days(7);
-    /// Lateness bound for live panic finalization (see file comment).
-    sim::Duration heartbeatPeriod = sim::Duration::seconds(60);
-};
+/// Sliding window for rates and windowed MTBF.
+inline constexpr sim::Duration kRateWindow = sim::Duration::days(7);
 
 /// Fleet-wide windowed counts at one instant.
 struct WindowStats {
@@ -127,17 +120,23 @@ struct PhoneHealthView {
     sim::TimePoint lastRecordAt;
 };
 
-/// Streaming analytics over per-phone record streams.
+/// Streaming analytics over per-phone record streams.  The coalescence
+/// window and burst gap are the batch analysis's constants; the
+/// self-shutdown threshold is the study's.
 class HealthEngine {
 public:
-    explicit HealthEngine(HealthConfig config = {});
+    /// `heartbeatPeriod` is the campaign's: the lateness bound for live
+    /// panic finalization (see file comment).
+    explicit HealthEngine(
+        double selfShutdownThresholdSeconds = analysis::kSelfShutdownThresholdSeconds,
+        sim::Duration heartbeatPeriod = sim::Duration::seconds(60));
 
     /// Feeds one parsed record.  Records of one phone must arrive in log
     /// order (nondecreasing time) — exactly what the ingest tap produces.
     void onRecord(const std::string& phone, const logger::LogFileEntry& entry);
     void addMalformed(std::uint64_t lines) { malformedLines_ += lines; }
 
-    /// Advances the window clock: events at or before `now - rateWindow`
+    /// Advances the window clock: events at or before `now - kRateWindow`
     /// leave the windowed counts.
     void trimTo(sim::TimePoint now);
 
@@ -199,7 +198,8 @@ private:
     void closeBurst(PhoneState& state);
     [[nodiscard]] sim::TimePoint windowCutoff(sim::TimePoint now) const;
 
-    HealthConfig config_;
+    double selfShutdownThresholdSeconds_;
+    sim::Duration heartbeatPeriod_;
     std::map<std::string, PhoneState> phones_;
     std::map<symbos::PanicCategory, analysis::CategoryRelationRow> byCategory_;
     sim::FreqCounter bursts_;

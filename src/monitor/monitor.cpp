@@ -124,9 +124,9 @@ std::vector<AlertRule> defaultRules(const MonitorConfig& config) {
 }
 
 FleetMonitor::FleetMonitor(MonitorConfig config)
-    : config_{std::move(config)},
-      health_{config_.health},
-      alerts_{config_.rules.empty() ? defaultRules(config_) : config_.rules} {}
+    : config_{config},
+      health_{config_.selfShutdownThresholdSeconds},
+      alerts_{defaultRules(config_)} {}
 
 void FleetMonitor::onCampaignBegin(sim::Simulator& simulator,
                                    const fleet::FleetConfig& config) {
@@ -134,8 +134,8 @@ void FleetMonitor::onCampaignBegin(sim::Simulator& simulator,
     // Adopt the campaign's heartbeat period: it bounds how far an HL
     // event's timestamp can trail the record stream (the finalization
     // safety margin).
-    config_.health.heartbeatPeriod = config.loggerConfig.heartbeatPeriod;
-    health_ = HealthEngine{config_.health};
+    health_ = HealthEngine{config_.selfShutdownThresholdSeconds,
+                           config.loggerConfig.heartbeatPeriod};
     tickHandle_ = simulator.schedulePeriodic(
         config_.tick, "monitor.tick",
         [this](sim::Periodic&) { tick(simulator_->now()); });
@@ -204,9 +204,7 @@ void FleetMonitor::onFrameAccepted(const transport::IngestResult& frame) {
     ++framesSeen_;
     lastEventAt_ = std::max(lastEventAt_, now);
 
-    const auto [it, inserted] = streams_.try_emplace(frame.phone);
-    PhoneStream& stream = it->second;
-    if (inserted) stream.tap = SegmentTap{config_.settleTimeout};
+    PhoneStream& stream = streams_[frame.phone];
     const std::string released =
         stream.tap.push(frame.seq, frame.segCount, frame.payload, now);
     feedStream(frame.phone, stream, released);
@@ -518,8 +516,7 @@ std::string FleetMonitor::renderDashboard() const {
 
     appendf(out, "  simulated             %.1f d, %zu snapshots (tick %.1f h, window %.0f h)\n",
             (last.at - sim::TimePoint::origin()).asHoursF() / 24.0,
-            snapshots_.size(), config_.tick.asHoursF(),
-            config_.health.rateWindow.asHoursF());
+            snapshots_.size(), config_.tick.asHoursF(), kRateWindow.asHoursF());
     appendf(out, "  ingest                %llu frames -> %llu records (%llu malformed), %zu/%zu phones heard\n",
             static_cast<unsigned long long>(framesSeen_),
             static_cast<unsigned long long>(recordsConsumed_),
@@ -550,7 +547,7 @@ std::string FleetMonitor::renderDashboard() const {
             last.window.mtbfAnyHours, last.window.failureRatePerKiloHour);
     appendf(out, "  reliability trend     Laplace %+.2f at end; forecast %.0f failures over next %.0f h\n",
             last.window.laplaceTrend, last.window.forecastNextWindowFailures,
-            config_.health.rateWindow.asHoursF());
+            kRateWindow.asHoursF());
     appendf(out, "  crash families        %llu dumps total; window: %llu dumps in %llu families, top %s (%llu)\n",
             static_cast<unsigned long long>(totals.dumps),
             static_cast<unsigned long long>(last.window.dumps),
@@ -599,7 +596,7 @@ std::string FleetMonitor::renderDashboard() const {
                             ? 0.0
                             : *std::max_element(failures.begin(), failures.end());
     appendf(out, "  windowed failures     peak %.0f per %.0f h window\n", peak,
-            config_.health.rateWindow.asHoursF());
+            kRateWindow.asHoursF());
     out += "    [";
     out += sparkline(failures, 64);
     out += "]\n";

@@ -45,7 +45,6 @@ namespace symfail::monitor {
 
 /// Monitor configuration.
 struct MonitorConfig {
-    HealthConfig health{};
     /// Snapshot / alert-evaluation cadence on the simulated clock.
     sim::Duration tick = sim::Duration::hours(6);
     /// Upload silence beyond this flags a phone (suspect or outage).
@@ -53,10 +52,9 @@ struct MonitorConfig {
     /// healthy quiet phone can be silent for a day or two; three days is
     /// past the bulk of benign gaps at the paper's failure rates.
     double silenceHours = 72.0;
-    /// Settle window for retiring exactly-full segments (see SegmentTap).
-    sim::Duration settleTimeout = sim::Duration::hours(12);
-    /// Alert rules; empty selects defaultRules().
-    std::vector<AlertRule> rules;
+    /// The study's self-shutdown threshold: the exactness contract needs
+    /// the batch classification's value.
+    double selfShutdownThresholdSeconds = analysis::kSelfShutdownThresholdSeconds;
 };
 
 /// The built-in rule set: fleet failure-rate spike, windowed-MTBF floor,

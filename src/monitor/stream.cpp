@@ -73,8 +73,8 @@ std::string SegmentTap::drain(sim::TimePoint at) {
         const bool laterSegmentKnown = maxSegCount_ >= nextSeq_ + 2;
         if (laterSegmentKnown && !settleArmedAt_) settleArmedAt_ = at;
         const bool settled = laterSegmentKnown && settleArmedAt_ &&
-                             at - *settleArmedAt_ >= settleTimeout_ &&
-                             at - segment.lastFrameAt >= settleTimeout_;
+                             at - *settleArmedAt_ >= kSettleTimeout &&
+                             at - segment.lastFrameAt >= kSettleTimeout;
         if (!segment.closedProven && !settled) break;
 
         pending_.erase(it);

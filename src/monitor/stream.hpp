@@ -37,8 +37,8 @@ namespace symfail::monitor {
 /// Orders one phone's segment stream into an append-only byte stream.
 class SegmentTap {
 public:
-    explicit SegmentTap(sim::Duration settleTimeout = sim::Duration::hours(12))
-        : settleTimeout_{settleTimeout} {}
+    /// Settle window for retiring an exactly-full segment.
+    static constexpr sim::Duration kSettleTimeout = sim::Duration::hours(12);
 
     /// Feeds the stored content of segment `seq` after a frame arrival
     /// (`segCount` as advertised by that frame).  Returns the bytes newly
@@ -87,7 +87,6 @@ private:
     /// When a later segment first became known for the current front
     /// segment; the settle window counts from here (reset on advance).
     std::optional<sim::TimePoint> settleArmedAt_;
-    sim::Duration settleTimeout_;
     std::uint64_t bytesReleased_{0};
 };
 

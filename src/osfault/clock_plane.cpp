@@ -2,11 +2,15 @@
 
 namespace symfail::osfault {
 
+/// Jump magnitude (lognormal median, sigma); direction is a fair coin, so
+/// roughly half the jumps step the clock backwards.
+constexpr sim::Duration kJumpMagnitudeMedian = sim::Duration::minutes(3);
+constexpr double kJumpMagnitudeSigma = 0.8;
+
 ClockPlane::ClockPlane(sim::Simulator& simulator, phone::PhoneDevice& device,
                        ClockPlaneConfig config, std::uint64_t seed)
-    : FaultPlane{simulator, "osfault.clock",
-                 FaultSchedule{config.jumpsPerKHour, 1, {}, {}}, seed},
-      config_{config},
+    : FaultPlane{simulator, "osfault.clock", config.jumpsPerKHour, seed},
+      skewPpm_{config.skewPpm},
       epoch_{simulator.now()} {
     device.setClock(this);
 }
@@ -14,7 +18,7 @@ ClockPlane::ClockPlane(sim::Simulator& simulator, phone::PhoneDevice& device,
 sim::TimePoint ClockPlane::read(sim::TimePoint trueNow) {
     const sim::Duration elapsed = trueNow - epoch_;
     const sim::Duration skew =
-        sim::Duration::fromSecondsF(elapsed.asSecondsF() * config_.skewPpm / 1e6);
+        sim::Duration::fromSecondsF(elapsed.asSecondsF() * skewPpm_ / 1e6);
     sim::TimePoint reported = trueNow + skew + offset_;
     // The RTC cannot report a time before the campaign epoch.
     if (reported < epoch_) reported = epoch_;
@@ -25,8 +29,8 @@ sim::TimePoint ClockPlane::read(sim::TimePoint trueNow) {
 }
 
 void ClockPlane::activate(sim::Rng& rng) {
-    const sim::Duration magnitude = rng.lognormalDuration(
-        config_.jumpMagnitudeMedian, config_.jumpMagnitudeSigma);
+    const sim::Duration magnitude =
+        rng.lognormalDuration(kJumpMagnitudeMedian, kJumpMagnitudeSigma);
     if (rng.bernoulli(0.5)) {
         offset_ = offset_ + magnitude;
     } else {

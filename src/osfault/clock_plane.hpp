@@ -22,10 +22,6 @@ struct ClockPlaneConfig {
     double skewPpm{0.0};
     /// Step events (NITZ updates, user corrections) per 1000 device-hours.
     double jumpsPerKHour{0.0};
-    /// Jump magnitude (lognormal median); direction is a fair coin, so
-    /// roughly half the jumps step the clock backwards.
-    sim::Duration jumpMagnitudeMedian = sim::Duration::minutes(3);
-    double jumpMagnitudeSigma{0.8};
 
     [[nodiscard]] bool enabled() const {
         return skewPpm != 0.0 || jumpsPerKHour > 0.0;
@@ -58,7 +54,7 @@ protected:
     void activate(sim::Rng& rng) override;
 
 private:
-    ClockPlaneConfig config_;
+    double skewPpm_;
     sim::TimePoint epoch_{};
     sim::Duration offset_{};
     sim::TimePoint lastReported_{};

@@ -7,12 +7,14 @@
 
 namespace symfail::osfault {
 
+/// Unnormalized effect mix drawn per activation: bit rot, torn write,
+/// dropped write.
+constexpr std::array<double, 3> kEffectWeights{0.5, 0.3, 0.2};
+
 FlashPlane::FlashPlane(sim::Simulator& simulator, phone::FlashStore& flash,
                        FlashPlaneConfig config, std::uint64_t seed)
-    : FaultPlane{simulator, "osfault.flash",
-                 FaultSchedule{config.faultsPerKHour, config.burst, {}, {}}, seed},
-      flash_{&flash},
-      config_{config} {
+    : FaultPlane{simulator, "osfault.flash", config.faultsPerKHour, seed},
+      flash_{&flash} {
     flash_->setFaultInjector(this);
 }
 
@@ -30,10 +32,7 @@ void FlashPlane::activate(sim::Rng& rng) {
     // beats file and the consolidated Log File.
     const std::string_view target =
         rng.bernoulli(0.5) ? logger::kBeatsFile : logger::kLogFile;
-    const std::array<double, 3> weights{config_.bitRotWeight,
-                                        config_.tornWriteWeight,
-                                        config_.dropWriteWeight};
-    switch (rng.discrete(std::span<const double>{weights})) {
+    switch (rng.discrete(std::span<const double>{kEffectWeights})) {
         case 0: {  // bit rot in already-stored bytes
             const std::size_t size = flash_->content(target).size();
             if (size == 0) break;

@@ -22,11 +22,6 @@ namespace symfail::osfault {
 struct FlashPlaneConfig {
     /// Activation rate (per 1000 device-hours); 0 disables the plane.
     double faultsPerKHour{0.0};
-    int burst{1};
-    /// Unnormalized effect mix drawn per activation.
-    double bitRotWeight{0.5};
-    double tornWriteWeight{0.3};
-    double dropWriteWeight{0.2};
 
     [[nodiscard]] bool enabled() const { return faultsPerKHour > 0.0; }
 };
@@ -54,7 +49,6 @@ protected:
 
 private:
     phone::FlashStore* flash_;
-    FlashPlaneConfig config_;
     /// Armed write fault: consumed by the next write to `armedFile_`.
     Kind armedKind_{Kind::None};
     std::string armedFile_;

@@ -4,14 +4,21 @@
 
 namespace symfail::osfault {
 
+/// Heap headroom left during an episode.
+constexpr std::size_t kPressureHeadroomBytes = 256;
+static_assert(kPressureHeadroomBytes < logger::kHeartbeatScratchBytes,
+              "the next heartbeat allocation must not fit, or no kill fires");
+
+/// Watchdog delay before the daemon is restarted (lognormal median, sigma).
+constexpr sim::Duration kWatchdogDelayMedian = sim::Duration::minutes(8);
+constexpr double kWatchdogDelaySigma = 0.5;
+
 MemoryPlane::MemoryPlane(sim::Simulator& simulator, phone::PhoneDevice& device,
                          logger::FailureLogger& logger, MemoryPlaneConfig config,
                          std::uint64_t seed)
-    : FaultPlane{simulator, "osfault.memory",
-                 FaultSchedule{config.episodesPerKHour, 1, {}, {}}, seed},
+    : FaultPlane{simulator, "osfault.memory", config.episodesPerKHour, seed},
       device_{&device},
-      logger_{&logger},
-      config_{config} {
+      logger_{&logger} {
     // The kernel survives reboots, so one hook registration covers the
     // phone's lifetime.  Only a *panicked* daemon death is an OOM kill
     // worth a watchdog restart; device shutdowns restart the logger
@@ -23,8 +30,8 @@ MemoryPlane::MemoryPlane(sim::Simulator& simulator, phone::PhoneDevice& device,
             watchedPid_ = 0;
             if (reason != symbos::TerminationReason::Panicked) return;
             ++oomKills_;
-            const sim::Duration delay = rng().lognormalDuration(
-                config_.watchdogDelayMedian, config_.watchdogDelaySigma);
+            const sim::Duration delay =
+                rng().lognormalDuration(kWatchdogDelayMedian, kWatchdogDelaySigma);
             this->simulator().scheduleAfter(delay, "osfault.memory.watchdog", [this]() {
                 logger_->restartDaemon();
                 if (logger_->daemonPid() != 0) ++restarts_;
@@ -40,7 +47,7 @@ void MemoryPlane::activate(sim::Rng& /*rng*/) {
     // Squeeze the daemon's heap: everything currently allocated survives,
     // but the next heartbeat scratch allocation cannot fit.
     symbos::HeapModel& heap = device_->kernel().heapOf(pid);
-    heap.setCapacity(heap.bytesInUse() + config_.pressureHeadroomBytes);
+    heap.setCapacity(heap.bytesInUse() + kPressureHeadroomBytes);
     watchedPid_ = pid;
 }
 

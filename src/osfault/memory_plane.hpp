@@ -21,12 +21,6 @@ namespace symfail::osfault {
 struct MemoryPlaneConfig {
     /// Pressure episodes per 1000 device-hours; 0 disables the plane.
     double episodesPerKHour{0.0};
-    /// Heap headroom left during an episode; must be smaller than the
-    /// logger's heartbeatScratchBytes for the kill to fire.
-    std::size_t pressureHeadroomBytes{256};
-    /// Watchdog delay before the daemon is restarted (lognormal median).
-    sim::Duration watchdogDelayMedian = sim::Duration::minutes(8);
-    double watchdogDelaySigma{0.5};
 
     [[nodiscard]] bool enabled() const { return episodesPerKHour > 0.0; }
 };
@@ -53,7 +47,6 @@ protected:
 private:
     phone::PhoneDevice* device_;
     logger::FailureLogger* logger_;
-    MemoryPlaneConfig config_;
     /// Daemon pid under pressure; 0 when no episode is in flight.
     symbos::ProcessId watchedPid_{0};
     std::uint64_t oomKills_{0};

@@ -23,40 +23,22 @@
 
 namespace symfail::osfault {
 
-/// Declarative activation schedule: a rate (per 1000 device-hours — the
-/// paper's failure-rate unit), an optional burst factor, and an optional
-/// active window.  A zero rate disables the plane's arrival process
-/// entirely (no Rng draws, no simulator events).
-struct FaultSchedule {
-    /// Mean activations per 1000 hours of simulated time.
-    double eventsPerKHour{0.0};
-    /// Activations fired per arrival (>= 1); models correlated faults
-    /// (a failing flash block rots several bits at once).
-    int burst{1};
-    /// Active window; end <= start means the whole campaign.
-    sim::TimePoint windowStart{};
-    sim::TimePoint windowEnd{};
-
-    [[nodiscard]] bool enabled() const { return eventsPerKHour > 0.0; }
-    [[nodiscard]] bool windowed() const { return windowEnd > windowStart; }
-    [[nodiscard]] bool inWindow(sim::TimePoint t) const {
-        return !windowed() || (t >= windowStart && t < windowEnd);
-    }
-};
-
 /// Base class: owns the plane's Rng substream and drives the arrival
 /// process.  Derived planes implement `activate`.
 class FaultPlane {
 public:
     /// `category` must be a static string ("osfault.flash"): it labels
     /// simulator events and the queue keeps only the pointer.
+    /// `eventsPerKHour` is the mean activation rate per 1000 hours of
+    /// simulated time (the paper's failure-rate unit); zero disables the
+    /// arrival process entirely (no Rng draws, no simulator events).
     FaultPlane(sim::Simulator& simulator, const char* category,
-               FaultSchedule schedule, std::uint64_t seed);
+               double eventsPerKHour, std::uint64_t seed);
     virtual ~FaultPlane();
     FaultPlane(const FaultPlane&) = delete;
     FaultPlane& operator=(const FaultPlane&) = delete;
 
-    /// Schedules the first arrival (no-op when the schedule is disabled).
+    /// Schedules the first arrival (no-op at a zero rate).
     void start();
 
     [[nodiscard]] std::uint64_t activations() const { return activations_; }
@@ -73,7 +55,7 @@ private:
 
     sim::Simulator* simulator_;
     const char* category_;
-    FaultSchedule schedule_;
+    double eventsPerKHour_;
     sim::Rng rng_;
     sim::EventId pending_{};
     std::uint64_t activations_{0};

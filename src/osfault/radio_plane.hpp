@@ -20,20 +20,6 @@ namespace symfail::osfault {
 struct RadioPlaneConfig {
     /// Radio fault events per 1000 device-hours; 0 disables the plane.
     double faultsPerKHour{0.0};
-    /// Unnormalized event mix.
-    double linkDropWeight{0.5};
-    double modemResetWeight{0.3};
-    double staleSignalWeight{0.2};
-    /// Link-drop outage duration (lognormal median) — coverage holes are
-    /// long.
-    sim::Duration linkDropMedian = sim::Duration::minutes(25);
-    double linkDropSigma{0.8};
-    /// Modem-reset outage duration — short, self-recovering.
-    sim::Duration modemResetMedian = sim::Duration::seconds(40);
-    double modemResetSigma{0.4};
-    /// Stale-signal window duration.
-    sim::Duration staleSignalMedian = sim::Duration::minutes(15);
-    double staleSignalSigma{0.6};
 
     [[nodiscard]] bool enabled() const { return faultsPerKHour > 0.0; }
 };
@@ -64,7 +50,6 @@ private:
     phone::PhoneDevice* device_;
     transport::Channel* dataChannel_;
     transport::Channel* ackChannel_;
-    RadioPlaneConfig config_;
 };
 
 }  // namespace symfail::osfault

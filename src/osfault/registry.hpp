@@ -20,8 +20,8 @@
 
 namespace symfail::osfault {
 
-/// Fleet-level plane configuration: one schedule per plane, applied to
-/// every phone (each phone gets independent Rng substreams).
+/// Fleet-level plane configuration, applied to every phone (each phone
+/// gets independent Rng substreams).
 struct PlaneConfig {
     FlashPlaneConfig flash;
     MemoryPlaneConfig memory;

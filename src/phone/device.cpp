@@ -7,6 +7,11 @@
 
 namespace symfail::phone {
 
+/// Self-reboot off-time (lognormal median, sigma); the paper's data peaks
+/// ~80 s (the lognormal's histogram mode is median * exp(-sigma^2)).
+constexpr sim::Duration kSelfRebootMedian = sim::Duration::seconds(90);
+constexpr double kSelfRebootSigma = 0.35;
+
 std::string_view toString(ShutdownKind k) {
     switch (k) {
         case ShutdownKind::UserOff: return "user-off";
@@ -21,7 +26,7 @@ PhoneDevice::PhoneDevice(sim::Simulator& simulator, Config config)
     : simulator_{&simulator},
       config_{std::move(config)},
       rng_{config_.seed},
-      kernel_{std::make_unique<symbos::Kernel>(simulator, config_.kernelConfig)} {
+      kernel_{std::make_unique<symbos::Kernel>(simulator)} {
     if (auto* trace = simulator_->traceSink()) {
         traceTrack_ = trace->registerTrack(config_.name);
         kernel_->setTraceTrack(traceTrack_);
@@ -158,8 +163,7 @@ void PhoneDevice::freeze(std::string cause) {
 void PhoneDevice::selfReboot(std::string cause) {
     if (state_ != PowerState::On) return;
     requestShutdown(ShutdownKind::SelfReboot, std::move(cause));
-    const auto offTime =
-        rng_.lognormalDuration(config_.selfRebootMedian, config_.selfRebootSigma);
+    const auto offTime = rng_.lognormalDuration(kSelfRebootMedian, kSelfRebootSigma);
     simulator_->scheduleAfter(offTime, "phone.reboot", [this]() { powerOn(); });
 }
 
@@ -322,8 +326,7 @@ void PhoneDevice::batteryTick() {
         if (batteryPercent_ < 0.0) batteryPercent_ = 0.0;
         // Charging habits: plug in when low, or overnight.
         const auto hour = simulator_->now().timeOfDay().totalSeconds() / 3600;
-        const bool nightWindow =
-            hour >= config_.profile.sleepHour - 1 || hour < config_.profile.wakeHour;
+        const bool nightWindow = hour >= kSleepHour - 1 || hour < kWakeHour;
         if (batteryPercent_ < 25.0 && rng_.bernoulli(0.5)) {
             charging_ = true;
         } else if (nightWindow && batteryPercent_ < 90.0 && rng_.bernoulli(0.25)) {

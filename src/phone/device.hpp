@@ -66,39 +66,24 @@ public:
     virtual sim::TimePoint read(sim::TimePoint trueNow) = 0;
 };
 
-/// Tunable user behaviour.  Defaults describe a typical phone in the
-/// study's population; the fleet draws per-phone variations around them.
+/// Per-phone user behaviour: the rates the fleet draws for each phone
+/// around a typical member of the study's population.  Durations
+/// (user.cpp) and waking hours (below) are the same for every phone.
 struct UserProfile {
     double callsPerDay = 6.0;
-    sim::Duration callMedian = sim::Duration::seconds(90);
-    double callSigma = 0.8;
     double smsPerDay = 8.0;
-    sim::Duration smsHandlingMedian = sim::Duration::seconds(30);
     double cameraPerDay = 0.5;
     double bluetoothPerDay = 0.3;
     double webPerDay = 1.0;
     double appSessionsPerDay = 10.0;
 
     double nightOffProb = 0.28;
-    sim::Duration nightOffMedian = sim::Duration::seconds(30'000);
-    double nightOffSigma = 0.25;
     double daytimeOffPerDay = 0.12;
-    sim::Duration daytimeOffMedian = sim::Duration::minutes(40);
-    double daytimeOffSigma = 0.7;
     double quickCyclesPerDay = 0.04;
-    sim::Duration quickCycleMedian = sim::Duration::minutes(10);
-    double quickCycleSigma = 0.6;
 
     /// How long until the user notices a frozen phone and pulls the
     /// battery (clamped into waking hours).
     sim::Duration freezeNoticeMedian = sim::Duration::minutes(12);
-    double freezeNoticeSigma = 0.9;
-    sim::Duration batteryPullOffMedian = sim::Duration::seconds(45);
-    double batteryPullOffSigma = 0.4;
-
-    /// Fraction of closed app sessions that linger in the running list
-    /// (users leave applications open).
-    double appLingerProb = 0.35;
 
     /// Probability that the Telephone application registers a foreground
     /// UI session during a voice call.  The paper's Table 4 lists
@@ -109,11 +94,11 @@ struct UserProfile {
 
     /// MAOFF events: the user turning the logger application off.
     double loggerTogglesPerMonth = 0.15;
-    sim::Duration loggerOffMedian = sim::Duration::hours(5);
-
-    int wakeHour = 8;
-    int sleepHour = 23;
 };
+
+/// The user's waking hours: activity happens in [kWakeHour, kSleepHour).
+inline constexpr int kWakeHour = 8;
+inline constexpr int kSleepHour = 23;
 
 /// The device.
 class PhoneDevice {
@@ -123,11 +108,6 @@ public:
         std::string symbianVersion = "8.0";
         UserProfile profile{};
         std::uint64_t seed = 1;
-        /// Median self-reboot (off-time) duration; paper's data peaks ~80 s
-        /// (the lognormal's histogram mode is median * exp(-sigma^2)).
-        sim::Duration selfRebootMedian = sim::Duration::seconds(90);
-        double selfRebootSigma = 0.35;
-        symbos::Kernel::Config kernelConfig{};
     };
 
     enum class PowerState : std::uint8_t { Off, On, Frozen };

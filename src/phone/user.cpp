@@ -10,6 +10,26 @@ namespace symfail::phone {
 namespace {
 
 constexpr double kSecondsPerDay = 86'400.0;
+constexpr double kActiveHours = kSleepHour - kWakeHour;
+
+// Durations drawn per event (lognormal median, sigma).
+constexpr sim::Duration kCallMedian = sim::Duration::seconds(90);
+constexpr double kCallSigma = 0.8;
+constexpr sim::Duration kSmsHandlingMedian = sim::Duration::seconds(30);
+constexpr sim::Duration kNightOffMedian = sim::Duration::seconds(30'000);
+constexpr double kNightOffSigma = 0.25;
+constexpr sim::Duration kDaytimeOffMedian = sim::Duration::minutes(40);
+constexpr double kDaytimeOffSigma = 0.7;
+constexpr sim::Duration kQuickCycleMedian = sim::Duration::minutes(10);
+constexpr double kQuickCycleSigma = 0.6;
+constexpr double kFreezeNoticeSigma = 0.9;
+constexpr sim::Duration kBatteryPullOffMedian = sim::Duration::seconds(45);
+constexpr double kBatteryPullOffSigma = 0.4;
+constexpr sim::Duration kLoggerOffMedian = sim::Duration::hours(5);
+
+/// Fraction of closed app sessions that linger in the running list
+/// (users leave applications open).
+constexpr double kAppLingerProb = 0.35;
 
 /// Converts an events-per-day rate into a mean gap in active seconds.
 double activeGapSeconds(sim::Rng& rng, double perDay, double activeHours) {
@@ -25,11 +45,10 @@ UserModel::UserModel(PhoneDevice& device, sim::Rng rng)
 void UserModel::start() {
     // First night routine at tonight's sleep hour (plus up to 90 minutes of
     // jitter); repeats daily regardless of power state.
-    const auto& profile = device_->profile();
     const auto now = device_->simulator().now();
     auto tonight = sim::TimePoint::fromMicros(0) +
                    sim::Duration::days(now.dayIndex()) +
-                   sim::Duration::hours(profile.sleepHour) +
+                   sim::Duration::hours(kSleepHour) +
                    sim::Duration::fromSecondsF(rng_.uniform(0.0, 5'400.0));
     if (tonight <= now) tonight += sim::Duration::days(1);
     scheduleNightRoutine(tonight);
@@ -46,22 +65,19 @@ void UserModel::deviceBooted() {
 }
 
 bool UserModel::isNight(sim::TimePoint t) const {
-    const auto& profile = device_->profile();
     const auto hour = t.timeOfDay().totalSeconds() / 3'600;
-    return hour < profile.wakeHour || hour >= profile.sleepHour;
+    return hour < kWakeHour || hour >= kSleepHour;
 }
 
 sim::TimePoint UserModel::nextWake(sim::TimePoint t) const {
-    const auto& profile = device_->profile();
     auto wake = sim::TimePoint::fromMicros(0) + sim::Duration::days(t.dayIndex()) +
-                sim::Duration::hours(profile.wakeHour);
+                sim::Duration::hours(kWakeHour);
     if (wake <= t) wake += sim::Duration::days(1);
     return wake;
 }
 
 sim::TimePoint UserModel::advanceActiveTime(sim::TimePoint from,
                                             double activeSeconds) const {
-    const auto& profile = device_->profile();
     auto t = from;
     double remaining = activeSeconds;
     for (int guard = 0; guard < 4'000; ++guard) {
@@ -71,7 +87,7 @@ sim::TimePoint UserModel::advanceActiveTime(sim::TimePoint from,
         }
         const auto sleepToday = sim::TimePoint::fromMicros(0) +
                                 sim::Duration::days(t.dayIndex()) +
-                                sim::Duration::hours(profile.sleepHour);
+                                sim::Duration::hours(kSleepHour);
         const double available = (sleepToday - t).asSecondsF();
         if (remaining <= available) {
             return t + sim::Duration::fromSecondsF(remaining);
@@ -98,16 +114,14 @@ void UserModel::scheduleOnChain(double activeGapSec, const std::function<void()>
 void UserModel::scheduleNextCall() {
     const auto& profile = device_->profile();
     if (profile.callsPerDay <= 0.0) return;
-    const double activeHours = profile.sleepHour - profile.wakeHour;
-    scheduleOnChain(activeGapSeconds(rng_, profile.callsPerDay, activeHours),
+    scheduleOnChain(activeGapSeconds(rng_, profile.callsPerDay, kActiveHours),
                     [this]() { fireCall(); });
 }
 
 void UserModel::fireCall() {
-    const auto& profile = device_->profile();
     const bool incoming = rng_.bernoulli(0.5);
     device_->activityBegin(symbos::ActivityKind::VoiceCall, incoming);
-    const auto duration = rng_.lognormalDuration(profile.callMedian, profile.callSigma);
+    const auto duration = rng_.lognormalDuration(kCallMedian, kCallSigma);
     const auto epoch = device_->bootEpoch_;
     device_->simulator().scheduleAfter(duration, "phone.user", [this, epoch, incoming]() {
         if (epoch != device_->bootEpoch_) return;
@@ -121,16 +135,14 @@ void UserModel::fireCall() {
 void UserModel::scheduleNextMessage() {
     const auto& profile = device_->profile();
     if (profile.smsPerDay <= 0.0) return;
-    const double activeHours = profile.sleepHour - profile.wakeHour;
-    scheduleOnChain(activeGapSeconds(rng_, profile.smsPerDay, activeHours),
+    scheduleOnChain(activeGapSeconds(rng_, profile.smsPerDay, kActiveHours),
                     [this]() { fireMessage(); });
 }
 
 void UserModel::fireMessage() {
-    const auto& profile = device_->profile();
     const bool incoming = rng_.bernoulli(0.45);
     device_->activityBegin(symbos::ActivityKind::TextMessage, incoming);
-    const auto handling = rng_.lognormalDuration(profile.smsHandlingMedian, 0.5);
+    const auto handling = rng_.lognormalDuration(kSmsHandlingMedian, 0.5);
     const auto epoch = device_->bootEpoch_;
     device_->simulator().scheduleAfter(handling, "phone.user", [this, epoch, incoming]() {
         if (epoch != device_->bootEpoch_) return;
@@ -146,8 +158,7 @@ void UserModel::scheduleNextMediaSession() {
     const double totalPerDay =
         profile.cameraPerDay + profile.bluetoothPerDay + profile.webPerDay;
     if (totalPerDay <= 0.0) return;
-    const double activeHours = profile.sleepHour - profile.wakeHour;
-    scheduleOnChain(activeGapSeconds(rng_, totalPerDay, activeHours), [this]() {
+    scheduleOnChain(activeGapSeconds(rng_, totalPerDay, kActiveHours), [this]() {
         const auto& p = device_->profile();
         const std::array<double, 3> weights{p.cameraPerDay, p.bluetoothPerDay,
                                             p.webPerDay};
@@ -177,8 +188,7 @@ void UserModel::scheduleNextMediaSession() {
 void UserModel::scheduleNextAppSession() {
     const auto& profile = device_->profile();
     if (profile.appSessionsPerDay <= 0.0) return;
-    const double activeHours = profile.sleepHour - profile.wakeHour;
-    scheduleOnChain(activeGapSeconds(rng_, profile.appSessionsPerDay, activeHours),
+    scheduleOnChain(activeGapSeconds(rng_, profile.appSessionsPerDay, kActiveHours),
                     [this]() { fireAppSession(); });
 }
 
@@ -196,7 +206,7 @@ void UserModel::fireAppSession() {
     const AppInfo& info = appInfo(names[pick]);
     auto duration = rng_.lognormalDuration(info.sessionMedian, 0.7);
     // Users leave apps open: some sessions linger long after active use.
-    if (rng_.bernoulli(device_->profile().appLingerProb)) {
+    if (rng_.bernoulli(kAppLingerProb)) {
         duration = duration * 8;
     }
     device_->startAppSession(info.name, duration);
@@ -208,13 +218,11 @@ void UserModel::fireAppSession() {
 void UserModel::scheduleNextDaytimeOff() {
     const auto& profile = device_->profile();
     if (profile.daytimeOffPerDay <= 0.0) return;
-    const double activeHours = profile.sleepHour - profile.wakeHour;
-    scheduleOnChain(activeGapSeconds(rng_, profile.daytimeOffPerDay, activeHours),
+    scheduleOnChain(activeGapSeconds(rng_, profile.daytimeOffPerDay, kActiveHours),
                     [this]() {
-                        const auto& p = device_->profile();
                         device_->requestShutdown(ShutdownKind::UserOff, "meeting/cinema");
-                        const auto off = rng_.lognormalDuration(p.daytimeOffMedian,
-                                                                p.daytimeOffSigma);
+                        const auto off =
+                            rng_.lognormalDuration(kDaytimeOffMedian, kDaytimeOffSigma);
                         device_->simulator().scheduleAfter(
                             off, "phone.user", [this]() { device_->powerOn(); });
                     });
@@ -223,13 +231,11 @@ void UserModel::scheduleNextDaytimeOff() {
 void UserModel::scheduleNextQuickCycle() {
     const auto& profile = device_->profile();
     if (profile.quickCyclesPerDay <= 0.0) return;
-    const double activeHours = profile.sleepHour - profile.wakeHour;
-    scheduleOnChain(activeGapSeconds(rng_, profile.quickCyclesPerDay, activeHours),
+    scheduleOnChain(activeGapSeconds(rng_, profile.quickCyclesPerDay, kActiveHours),
                     [this]() {
-                        const auto& p = device_->profile();
                         device_->requestShutdown(ShutdownKind::UserOff, "quick power cycle");
-                        const auto off = rng_.lognormalDuration(p.quickCycleMedian,
-                                                                p.quickCycleSigma);
+                        const auto off =
+                            rng_.lognormalDuration(kQuickCycleMedian, kQuickCycleSigma);
                         device_->simulator().scheduleAfter(
                             off, "phone.user", [this]() { device_->powerOn(); });
                     });
@@ -240,8 +246,7 @@ void UserModel::scheduleNightRoutine(sim::TimePoint at) {
         const auto& profile = device_->profile();
         if (device_->isOn() && rng_.bernoulli(profile.nightOffProb)) {
             device_->requestShutdown(ShutdownKind::NightOff, "night");
-            const auto off =
-                rng_.lognormalDuration(profile.nightOffMedian, profile.nightOffSigma);
+            const auto off = rng_.lognormalDuration(kNightOffMedian, kNightOffSigma);
             device_->simulator().scheduleAfter(off, "phone.user", [this]() { device_->powerOn(); });
         }
         scheduleNightRoutine(at + sim::Duration::days(1) +
@@ -253,15 +258,13 @@ void UserModel::scheduleNextLoggerToggle() {
     const auto& profile = device_->profile();
     if (profile.loggerTogglesPerMonth <= 0.0) return;
     const double perDay = profile.loggerTogglesPerMonth / 30.0;
-    const double activeHours = profile.sleepHour - profile.wakeHour;
-    const double gap = activeGapSeconds(rng_, perDay, activeHours);
+    const double gap = activeGapSeconds(rng_, perDay, kActiveHours);
     auto& simulator = device_->simulator();
     const auto at = advanceActiveTime(simulator.now(), gap);
     simulator.scheduleAt(at, "phone.user", [this]() {
         if (device_->isOn()) {
             device_->toggleLogger(false);
-            const auto& p = device_->profile();
-            const auto offFor = rng_.lognormalDuration(p.loggerOffMedian, 0.6);
+            const auto offFor = rng_.lognormalDuration(kLoggerOffMedian, 0.6);
             device_->simulator().scheduleAfter(offFor, "phone.user", [this]() {
                 if (device_->isOn()) device_->toggleLogger(true);
             });
@@ -275,7 +278,7 @@ void UserModel::scheduleNextLoggerToggle() {
 void UserModel::deviceFroze() {
     const auto& profile = device_->profile();
     const auto notice =
-        rng_.lognormalDuration(profile.freezeNoticeMedian, profile.freezeNoticeSigma);
+        rng_.lognormalDuration(profile.freezeNoticeMedian, kFreezeNoticeSigma);
     auto& simulator = device_->simulator();
     auto at = simulator.now() + notice;
     // Nobody pulls a battery in their sleep: push night-time notices to
@@ -288,9 +291,8 @@ void UserModel::deviceFroze() {
         device_->groundTruth().record(device_->simulator().now(),
                                       TruthKind::BatteryPull);
         device_->abruptPowerOff();
-        const auto& p = device_->profile();
         const auto off =
-            rng_.lognormalDuration(p.batteryPullOffMedian, p.batteryPullOffSigma);
+            rng_.lognormalDuration(kBatteryPullOffMedian, kBatteryPullOffSigma);
         device_->simulator().scheduleAfter(off, "phone.user", [this]() { device_->powerOn(); });
     });
 }

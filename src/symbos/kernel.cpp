@@ -90,10 +90,7 @@ void ObjectIndex::dropOwnedBy(ProcessId pid) {
 // ---------------------------------------------------------------------------
 // Kernel
 
-Kernel::Kernel(sim::Simulator& simulator) : Kernel{simulator, Config{}} {}
-
-Kernel::Kernel(sim::Simulator& simulator, Config config)
-    : simulator_{&simulator}, config_{config} {}
+Kernel::Kernel(sim::Simulator& simulator) : simulator_{&simulator} {}
 
 Kernel::~Kernel() = default;
 
@@ -228,7 +225,7 @@ bool Kernel::hasView(ProcessId pid) const {
 
 void Kernel::reportDispatchCost(ProcessId pid, sim::Duration cost) {
     if (!alive(pid)) return;
-    if (hasView(pid) && cost > config_.viewSrvTimeout) {
+    if (hasView(pid) && cost > kViewSrvTimeout) {
         deliverPanic(pid, kViewSrvEventStarvation,
                      "active object monopolized the scheduler for " + cost.str());
     }

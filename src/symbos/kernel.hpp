@@ -153,26 +153,21 @@ private:
     Handle next_{1};
 };
 
+/// ViewSrv watchdog: a dispatch monopolizing the active scheduler longer
+/// than this, in a process with a registered view, panics with ViewSrv 11.
+inline constexpr sim::Duration kViewSrvTimeout = sim::Duration::seconds(10);
+
 /// The kernel.  One instance per simulated phone; survives reboots (the
 /// device layer calls `shutdownAll` on power-off and re-creates processes
 /// on boot, as firmware does).
 class Kernel {
 public:
-    struct Config {
-        /// ViewSrv watchdog: a dispatch monopolizing the active scheduler
-        /// longer than this, in a process with a registered view, panics
-        /// with ViewSrv 11.
-        sim::Duration viewSrvTimeout = sim::Duration::seconds(10);
-    };
-
     explicit Kernel(sim::Simulator& simulator);
-    Kernel(sim::Simulator& simulator, Config config);
     ~Kernel();
     Kernel(const Kernel&) = delete;
     Kernel& operator=(const Kernel&) = delete;
 
     [[nodiscard]] sim::Simulator& simulator() { return *simulator_; }
-    [[nodiscard]] const Config& config() const { return config_; }
 
     /// Trace track this kernel's events land on (the owning phone's track;
     /// the device layer sets it once at construction).  Track 0 ("sim") is
@@ -261,7 +256,6 @@ private:
     friend class ExecContext;
 
     sim::Simulator* simulator_;
-    Config config_;
     std::uint32_t traceTrack_{0};
     std::unordered_map<ProcessId, std::unique_ptr<Process>> processes_;
     ProcessId nextPid_{1};

@@ -7,6 +7,10 @@
 
 namespace symfail::transport {
 
+/// Frames sent inside an outage window are lost with this probability
+/// (1.0: a hard blackout).
+constexpr double kOutageLossProb = 1.0;
+
 sim::Histogram makeDeliveryLatencyHistogram() {
     return sim::Histogram::logScale(0.05, 1'000'000.0, 6);
 }
@@ -61,7 +65,7 @@ void Channel::send(std::string bytes) {
     ++stats_.framesOffered;
     stats_.bytesOffered += bytes.size();
 
-    if (inOutage(simulator_->now()) && rng_.bernoulli(config_.outageLossProb)) {
+    if (inOutage(simulator_->now()) && rng_.bernoulli(kOutageLossProb)) {
         ++stats_.framesLost;
         ++stats_.outageDrops;
         if (provenance_ != nullptr) {

@@ -51,9 +51,6 @@ struct ChannelConfig {
     double latencySigma = 0.6;
     /// Extra hold-back applied to reordered frames (lognormal median).
     sim::Duration reorderHoldMedian = sim::Duration::seconds(8);
-    /// Frames sent inside an outage window are lost with this probability
-    /// (1.0: a hard blackout).
-    double outageLossProb = 1.0;
     std::vector<OutageWindow> outages;
 
     /// Presets for the three harvest paths the paper's infrastructure used.

@@ -8,6 +8,17 @@
 
 namespace symfail::transport {
 
+constexpr sim::Duration kUploadPeriod = sim::Duration::hours(6);
+constexpr std::size_t kChunkPayloadBytes = 2048;
+/// Frames sent per round at most; the rest wait for the next firing.
+constexpr std::size_t kMaxBatchFrames = 64;
+constexpr sim::Duration kRetryBase = sim::Duration::seconds(45);
+constexpr sim::Duration kRetryMax = sim::Duration::minutes(30);
+/// Uniform jitter applied to every retry delay: factor in
+/// [1-jitter, 1+jitter].  Keeps a fleet's retries from phase-locking.
+constexpr double kRetryJitter = 0.3;
+constexpr int kMaxRetriesPerRound = 8;
+
 UploadAgent::UploadAgent(phone::PhoneDevice& device, logger::FailureLogger& logger,
                          Channel& dataChannel, Channel& ackChannel,
                          UploadPolicy policy, std::uint64_t seed)
@@ -42,7 +53,7 @@ void UploadAgent::onBoot() {
     symbos::RTimer* timer = timer_.get();
     ao_->setCancelFn([timer]() { timer->cancel(); });
     device_->kernel().runInProcess(pid_, [this](symbos::ExecContext& ctx) {
-        timer_->after(ctx, policy_.uploadPeriod);
+        timer_->after(ctx, kUploadPeriod);
     });
 }
 
@@ -73,9 +84,9 @@ void UploadAgent::onAckBytes(std::string_view bytes) {
 sim::Duration UploadAgent::nextDelay(bool pendingRemain) {
     if (!pendingRemain || !policy_.retriesEnabled) {
         attempt_ = 0;
-        return policy_.uploadPeriod;
+        return kUploadPeriod;
     }
-    if (attempt_ >= policy_.maxRetriesPerRound) {
+    if (attempt_ >= kMaxRetriesPerRound) {
         // Budget exhausted: give up until the next regular round (which
         // re-offers everything unacknowledged).
         ++stats_.retryBudgetExhausted;
@@ -84,17 +95,16 @@ sim::Duration UploadAgent::nextDelay(bool pendingRemain) {
                            "retry-budget-exhausted", device_->simulator().now());
         }
         attempt_ = 0;
-        return policy_.uploadPeriod;
+        return kUploadPeriod;
     }
-    sim::Duration delay = policy_.retryBase;
+    sim::Duration delay = kRetryBase;
     for (int i = 0; i < attempt_; ++i) {
         delay = delay * 2;
-        if (delay >= policy_.retryMax) break;
+        if (delay >= kRetryMax) break;
     }
-    delay = std::min(delay, policy_.retryMax);
+    delay = std::min(delay, kRetryMax);
     ++attempt_;
-    const double jitter =
-        rng_.uniform(1.0 - policy_.retryJitter, 1.0 + policy_.retryJitter);
+    const double jitter = rng_.uniform(1.0 - kRetryJitter, 1.0 + kRetryJitter);
     const auto wait = sim::Duration::fromSecondsF(delay.asSecondsF() * jitter);
     stats_.backoffWait += wait;
     return wait;
@@ -104,7 +114,7 @@ void UploadAgent::runRound(const symbos::ExecContext& ctx) {
     ++stats_.rounds;
     const std::string& content = logger_->logFileContent();
     const auto frames =
-        chunkLogContent(device_->name(), content, policy_.chunkPayloadBytes);
+        chunkLogContent(device_->name(), content, kChunkPayloadBytes);
     if (provenance_ != nullptr) {
         provenance_->snapshotEnqueued(device_->name(), content.size(),
                                       device_->simulator().now());
@@ -121,7 +131,7 @@ void UploadAgent::runRound(const symbos::ExecContext& ctx) {
             ackedIt != ackedBytes_.end() && ackedIt->second >= frame.payload.size();
         if (satisfied) continue;
         ++pending;
-        if (sentThisRound >= policy_.maxBatchFrames) continue;
+        if (sentThisRound >= kMaxBatchFrames) continue;
         ++sentThisRound;
 
         auto& sent = sentBytes_[frame.seq];

@@ -37,18 +37,10 @@
 
 namespace symfail::transport {
 
-/// Upload scheduling and retry policy.
+/// Upload retry policy.  The round period, chunk size and backoff schedule
+/// are constants (upload_agent.cpp).
 struct UploadPolicy {
-    sim::Duration uploadPeriod = sim::Duration::hours(6);
-    std::size_t chunkPayloadBytes = 2048;
-    std::size_t maxBatchFrames = 64;
     bool retriesEnabled = true;
-    sim::Duration retryBase = sim::Duration::seconds(45);
-    sim::Duration retryMax = sim::Duration::minutes(30);
-    /// Uniform jitter applied to every retry delay: factor in
-    /// [1-jitter, 1+jitter].  Keeps a fleet's retries from phase-locking.
-    double retryJitter = 0.3;
-    int maxRetriesPerRound = 8;
 };
 
 /// Agent-side effort accounting.

@@ -5,6 +5,7 @@
 #include <fstream>
 #include <iterator>
 #include <string>
+#include <vector>
 
 #include "cli.hpp"
 #include "core/logio.hpp"
@@ -121,6 +122,52 @@ TEST(Cli, FleetOptionParsingParityAcrossSubcommands) {
         EXPECT_EQ(cli::runCli({command, "--days", "0"}), 1) << command;
         EXPECT_EQ(cli::runCli({command, "--days", "-7"}), 1) << command;
     }
+}
+
+// Every subcommand rejects, before anything runs, a flag it does not read
+// and a value flag with no value.  Both used to be ignored, so a typo ran
+// a different study than the one asked for and still exited 0.
+TEST(Cli, RejectsUnknownFlagsAndMissingValues) {
+    const std::string dir = std::filesystem::temp_directory_path().string();
+    const auto expectRejected = [](const std::vector<std::string>& args,
+                                   const std::string& why) {
+        ::testing::internal::CaptureStderr();
+        EXPECT_EQ(cli::runCli(args), 1) << args[0];
+        const std::string err = ::testing::internal::GetCapturedStderr();
+        EXPECT_NE(err.find(why), std::string::npos) << args[0] << ": " << err;
+    };
+    const std::vector<std::vector<std::string>> lastFlagMissingItsValue{
+        {"campaign", "--json"},         {"transport", "--loss"},
+        {"analyze", dir, "--csv"},      {"crash", dir, "--json"},
+        {"forum", "--seed"},            {"obs", "--trace"},
+        {"monitor", "--snapshots"},     {"trace", "--record"},
+        {"sweep", "--grid"},            {"osfault", "--min-precision"},
+        {"srgm", "--holdout"},          {"perf", "--fleet-sizes"}};
+    for (auto args : lastFlagMissingItsValue) {
+        expectRejected(args, args.back() + " requires a value");
+        args.back() = "--bogus";
+        expectRejected(args, "unknown flag: --bogus");
+    }
+    expectRejected({"tables", "--bogus"}, "unknown flag: --bogus");
+    expectRejected({"campaign", "5"}, "unexpected argument: 5");
+
+    // Runs that used to exit 0: a typo, another subcommand's flag, a path
+    // flag at the end, out-of-range outage and report counts.
+    expectRejected({"forum", "--reprots", "10"}, "unknown flag: --reprots");
+    expectRejected({"sweep", "--trials", "1", "--loss", "50"}, "unknown flag: --loss");
+    expectRejected({"campaign", "--phones", "1", "--days", "1", "--json"},
+                   "--json requires a value");
+    expectRejected({"campaign", "--json", "--no-transport"}, "--json requires a value");
+    expectRejected({"campaign", "--outage-day", "-5", "--outage-days", "2"},
+                   "--outage-day must be in [-1, 36500]");
+    expectRejected({"campaign", "--outage-day", "5", "--outage-days", "-3"},
+                   "--outage-days must be in [0, 36500]");
+    expectRejected({"campaign", "--outage-days", "2"},
+                   "--outage-days requires --outage-day");
+    expectRejected({"forum", "--reports", "-5"}, "--reports must be in [1, 100000]");
+    // Without the transport, monitor and trace would watch nothing.
+    expectRejected({"monitor", "--no-transport"}, "unknown flag: --no-transport");
+    expectRejected({"trace", "--no-transport"}, "unknown flag: --no-transport");
 }
 
 // Output paths are validated before the campaign runs: a typo'd path must

@@ -9,6 +9,7 @@
 #include <filesystem>
 #include <fstream>
 #include <set>
+#include <string_view>
 #include <thread>
 
 #include "experiment/export.hpp"
@@ -418,6 +419,30 @@ TEST(ExperimentRunner, FieldTrialsCarryMonitorMetrics) {
           "monitor_related_panics", "monitor_multi_bursts"}) {
         EXPECT_NE(summary.cells[0].find(metric), nullptr) << metric;
     }
+}
+
+// The trial's monitor classifies with the cell's self-shutdown threshold,
+// as the batch analysis beside it does: at 30 s both relate the same
+// panics (a monitor on the default 360 s related 19 here, not 14).
+TEST(ExperimentRunner, FieldTrialMonitorUsesTheCellsThreshold) {
+    experiment::Cell cell;
+    cell.phones = 5;
+    cell.days = 120;
+    cell.lossPct = 0.0;
+    cell.selfShutdownThresholdSeconds = 30.0;
+    const auto metrics =
+        experiment::fieldTrialMetrics(cell, experiment::deriveTrialSeed(7, 0, 0));
+    const auto value = [&](std::string_view name) {
+        for (const auto& [metric, v] : metrics) {
+            if (metric == name) return v;
+        }
+        ADD_FAILURE() << "missing metric " << name;
+        return 0.0;
+    };
+    const double panics = value("panic_count");
+    EXPECT_GT(panics, 0.0);
+    EXPECT_DOUBLE_EQ(value("monitor_related_panics"),
+                     std::round(value("coalescence_related_fraction") * panics));
 }
 
 // Every sweep cell also carries the fleet-level reliability-growth

@@ -141,14 +141,12 @@ TEST(UserReports, RebootBeforeDelayLosesReport) {
     logger::FailureLogger loggerApp{device};
     logger::UserReportConfig config;
     config.reportProbability = 1.0;
-    config.reportDelayMedian = sim::Duration::minutes(30);
-    config.reportDelaySigma = 0.01;  // essentially fixed delay
     logger::UserReportChannel channel{device, config, 67};
     device.powerOn();
     simulator.runUntil(sim::TimePoint::origin() + sim::Duration::hours(1));
     device.outputFailureOccurred("soon forgotten");
-    // The phone reboots before the user gets around to it.
-    simulator.runUntil(simulator.now() + sim::Duration::minutes(5));
+    // The phone reboots before the user gets around to it: the report
+    // delay is always positive.
     device.requestShutdown(phone::ShutdownKind::UserOff);
     device.powerOn();
     simulator.runUntil(simulator.now() + sim::Duration::hours(2));
@@ -168,10 +166,9 @@ TEST(UserReports, RecordRoundTripStripsDelimiters) {
 TEST(UserReports, FleetWiresChannelAndEvaluatorScoresIt) {
     fleet::FleetConfig config;
     config.phoneCount = 3;
-    config.campaign = sim::Duration::days(30);
+    config.campaign = sim::Duration::days(90);  // ~40 output failures
     config.enrollmentWindow = sim::Duration::days(5);
     config.seed = 68;
-    config.outputFailuresPerHour = 1.0 / 24.0;  // ~1/day for a strong signal
     config.userReportConfig.reportProbability = 0.5;
     const auto result = fleet::runCampaign(config);
     EXPECT_GT(result.outputFailuresInjected, 20u);

@@ -45,7 +45,7 @@ TEST(FleetPlan, TargetsScaleWithRates) {
     EXPECT_NEAR(plan.targetFreezes, wallHours / 313.0, 1.0);
     EXPECT_NEAR(plan.targetSelfShutdowns, wallHours / 250.0, 1.0);
     EXPECT_NEAR(plan.targetPanics, wallHours * 396.0 / 112'680.0, 1.0);
-    EXPECT_NEAR(plan.expectedOnHours, wallHours * config.assumedOnFraction, 1.0);
+    EXPECT_NEAR(plan.expectedOnHours, wallHours * 0.85, 1.0);
     EXPECT_GT(plan.expectedCalls, 0.0);
 }
 

@@ -67,9 +67,8 @@ TEST(Generator, DeterministicForSeed) {
 TEST(Generator, CorpusShape) {
     CorpusConfig config;
     config.failureReports = 400;
-    config.noiseRatio = 1.0;
     const auto corpus = generateCorpus(config, 1);
-    EXPECT_EQ(corpus.size(), 800u);
+    EXPECT_EQ(corpus.size(), 1000u);  // 1.5 noise posts per failure report
     std::size_t failures = 0;
     for (const auto& report : corpus) {
         EXPECT_FALSE(report.text.empty());
@@ -84,11 +83,11 @@ TEST(Generator, CorpusShape) {
 TEST(Generator, MarginalsApproximatePaper) {
     CorpusConfig config;
     config.failureReports = 5'000;  // large sample to test the sampler
-    config.noiseRatio = 0.0;
     const auto corpus = generateCorpus(config, 2);
     std::array<std::size_t, kFailureTypeCount> typeCounts{};
     std::size_t smart = 0;
     for (const auto& report : corpus) {
+        if (!report.label.isFailureReport) continue;
         ++typeCounts[static_cast<std::size_t>(report.label.type)];
         if (report.smartPhone) ++smart;
     }

@@ -398,13 +398,12 @@ TEST_F(LoggerFixture, PowerRowsWritten) {
 }
 
 TEST_F(LoggerFixture, DisabledLoggerWritesNothingAtBoot) {
-    LoggerConfig config;
-    config.startEnabled = false;
     phone::PhoneDevice::Config deviceConfig;
     deviceConfig.name = "dark";
     deviceConfig.seed = 4;
     phone::PhoneDevice device{simulator_, deviceConfig};
-    FailureLogger darkLogger{device, config};
+    FailureLogger darkLogger{device};
+    darkLogger.setEnabled(false);  // the user's off switch, before the boot
     device.powerOn();
     simulator_.runUntil(simulator_.now() + sim::Duration::hours(1));
     EXPECT_EQ(darkLogger.heartbeatsWritten(), 0u);

@@ -64,13 +64,13 @@ TEST(SegmentTap, ShortStaleCopyDoesNotRetireTheSegment) {
 }
 
 TEST(SegmentTap, SettleTimeoutReleasesTheExactlyFullSegment) {
-    monitor::SegmentTap tap{sim::Duration::hours(1)};
+    monitor::SegmentTap tap;
     // Segment 0 filled exactly to capacity and was acked first try: no
     // frame for it will ever advertise a later segment.
     EXPECT_EQ(tap.push(0, 1, "AAAA", kT0), "AAAA");
     EXPECT_EQ(tap.push(1, 2, "BB", kT0), "");
-    EXPECT_EQ(tap.poll(kT0 + sim::Duration::minutes(30)), "");
-    EXPECT_EQ(tap.poll(kT0 + sim::Duration::hours(2)), "BB");
+    EXPECT_EQ(tap.poll(kT0 + sim::Duration::hours(6)), "");
+    EXPECT_EQ(tap.poll(kT0 + monitor::SegmentTap::kSettleTimeout), "BB");
 }
 
 TEST(SegmentTap, FlushDrainsEverythingUpToAGap) {
@@ -143,10 +143,12 @@ TEST(AlertEngine, PerPhoneRulesTrackEachPhoneSeparately) {
 
 // -- Online vs batch exactness ----------------------------------------------
 
-core::FieldStudyResults analyzeBatch(const fleet::FleetConfig& fleetConfig,
-                                     const std::vector<analysis::PhoneLog>& logs) {
+core::FieldStudyResults analyzeBatch(
+    const fleet::FleetConfig& fleetConfig, const std::vector<analysis::PhoneLog>& logs,
+    double selfShutdownThresholdSeconds = analysis::kSelfShutdownThresholdSeconds) {
     core::StudyConfig config;
     config.fleetConfig = fleetConfig;
+    config.selfShutdownThresholdSeconds = selfShutdownThresholdSeconds;
     const core::FailureStudy study{config};
     return study.analyzeLogs(logs);
 }
@@ -195,6 +197,26 @@ TEST(MonitorReplay, MatchesBatchOnIdealLogs) {
     monitor::FleetMonitor fleetMonitor;
     fleetMonitor.replay(result.logs);
     expectMatchesBatch(fleetMonitor, analyzeBatch(config, result.logs));
+}
+
+// The monitor classifies self-shutdowns with the study's threshold, not a
+// private copy: at 30 s fewer reboots count, so fewer panics coalesce.
+TEST(MonitorReplay, MatchesBatchAtTheStudysThreshold) {
+    fleet::FleetConfig config;
+    config.phoneCount = 5;
+    config.campaign = sim::Duration::days(120);
+    config.enrollmentWindow = sim::Duration::days(60);
+    config.seed = 7;
+    const auto result = fleet::runCampaign(config);
+
+    constexpr double kThreshold = 30.0;
+    const auto batch = analyzeBatch(config, result.collectedLogs, kThreshold);
+    ASSERT_LT(batch.fig5Coalescence.relatedCount,
+              analyzeBatch(config, result.collectedLogs).fig5Coalescence.relatedCount);
+    monitor::FleetMonitor fleetMonitor{
+        monitor::MonitorConfig{.selfShutdownThresholdSeconds = kThreshold}};
+    fleetMonitor.replay(result.collectedLogs);
+    expectMatchesBatch(fleetMonitor, batch);
 }
 
 TEST(MonitorReplay, MatchesBatchOnLossyCollectedLogs) {

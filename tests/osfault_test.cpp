@@ -13,7 +13,6 @@
 #include "logger/records.hpp"
 #include "osfault/clock_plane.hpp"
 #include "osfault/flash_plane.hpp"
-#include "osfault/plane.hpp"
 #include "osfault/registry.hpp"
 #include "osfault/validity.hpp"
 #include "phone/device.hpp"
@@ -43,22 +42,6 @@ std::vector<std::string> logBytes(const fleet::FleetResult& result) {
         bytes.push_back(log.phoneName + "\n" + log.logFileContent);
     }
     return bytes;
-}
-
-TEST(FaultSchedule, WindowAndEnableSemantics) {
-    FaultSchedule schedule;
-    EXPECT_FALSE(schedule.enabled());
-    schedule.eventsPerKHour = 2.0;
-    EXPECT_TRUE(schedule.enabled());
-    EXPECT_FALSE(schedule.windowed());
-    EXPECT_TRUE(schedule.inWindow(sim::TimePoint::origin() + sim::Duration::days(9)));
-    schedule.windowStart = sim::TimePoint::origin() + sim::Duration::days(1);
-    schedule.windowEnd = sim::TimePoint::origin() + sim::Duration::days(2);
-    EXPECT_TRUE(schedule.windowed());
-    EXPECT_FALSE(schedule.inWindow(sim::TimePoint::origin()));
-    EXPECT_TRUE(
-        schedule.inWindow(sim::TimePoint::origin() + sim::Duration::hours(36)));
-    EXPECT_FALSE(schedule.inWindow(sim::TimePoint::origin() + sim::Duration::days(2)));
 }
 
 TEST(PlaneRegistryConfig, AttachRules) {
@@ -197,10 +180,6 @@ TEST(FlashPlaneUnit, ArmedFaultsConsumeOnNextWrite) {
     phone::FlashStore flash;
     FlashPlaneConfig config;
     config.faultsPerKHour = 500.0;  // roughly one activation per two hours
-    // Only armed write faults, so every activation arms Drop or Torn.
-    config.bitRotWeight = 0.0;
-    config.tornWriteWeight = 0.5;
-    config.dropWriteWeight = 0.5;
     FlashPlane plane{simulator, flash, config, 3};
     plane.start();
 

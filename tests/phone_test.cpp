@@ -340,8 +340,8 @@ TEST(UserModel, GeneratesDiurnalActivity) {
             ++callStarts;
             // Diurnal: calls only between wake and sleep hours.
             const auto hour = e.time.timeOfDay().totalSeconds() / 3'600;
-            EXPECT_GE(hour, config.profile.wakeHour);
-            EXPECT_LT(hour, config.profile.sleepHour);
+            EXPECT_GE(hour, kWakeHour);
+            EXPECT_LT(hour, kSleepHour);
         }
     }
     EXPECT_GT(callStarts, 40u);

@@ -502,7 +502,7 @@ TEST_F(KernelFixture, ViewSrvWatchdogPanicsMonopolizer) {
     ao.setActive();
     scheduler.complete(ao, KErrNone,
                        ActiveScheduler::CompleteOpts{
-                           {}, kernel_.config().viewSrvTimeout * 2});
+                           {}, kViewSrvTimeout * 2});
     simulator_.runAll();
     ASSERT_FALSE(kernel_.panicLog().empty());
     EXPECT_EQ(kernel_.panicLog().back().id, kViewSrvEventStarvation);
@@ -514,7 +514,7 @@ TEST_F(KernelFixture, NoViewNoWatchdog) {
     ao.setActive();
     scheduler.complete(ao, KErrNone,
                        ActiveScheduler::CompleteOpts{
-                           {}, kernel_.config().viewSrvTimeout * 2});
+                           {}, kViewSrvTimeout * 2});
     simulator_.runAll();
     EXPECT_TRUE(kernel_.panicLog().empty());
 }

@@ -334,20 +334,12 @@ analysis::LogDataset deliveredDataset(const AgentHarness& harness) {
          harness.server.coverage("uplink")}});
 }
 
-UploadPolicy fastPolicy() {
-    UploadPolicy policy;
-    policy.uploadPeriod = sim::Duration::hours(2);
-    policy.chunkPayloadBytes = 512;
-    policy.retryBase = sim::Duration::seconds(30);
-    return policy;
-}
-
 TEST(UploadAgent, DeliversCompleteLogOverLossyChannel) {
     ChannelConfig lossy;
     lossy.lossProb = 0.15;
     lossy.dupProb = 0.05;
     lossy.reorderProb = 0.15;
-    AgentHarness harness{lossy, fastPolicy()};
+    AgentHarness harness{lossy, UploadPolicy{}};
     harness.device->powerOn();
     harness.simulator.runUntil(sim::TimePoint::origin() + sim::Duration::days(4));
 
@@ -377,7 +369,7 @@ TEST(UploadAgent, PhoneDeathMidCampaignLeavesPartialLogOnServer) {
     doomed.outages.push_back(
         OutageWindow{sim::TimePoint::origin() + sim::Duration::days(2),
                      sim::TimePoint::origin() + sim::Duration::days(11)});
-    AgentHarness harness{doomed, fastPolicy()};
+    AgentHarness harness{doomed, UploadPolicy{}};
     harness.device->powerOn();
     harness.simulator.runUntil(sim::TimePoint::origin() + sim::Duration::days(10));
 
@@ -397,9 +389,7 @@ TEST(UploadAgent, PhoneDeathMidCampaignLeavesPartialLogOnServer) {
 TEST(UploadAgent, RetriesDisabledDegradesGracefully) {
     ChannelConfig veryLossy;
     veryLossy.lossProb = 0.5;
-    auto policy = fastPolicy();
-    policy.retriesEnabled = false;
-    AgentHarness harness{veryLossy, policy};
+    AgentHarness harness{veryLossy, UploadPolicy{.retriesEnabled = false}};
     harness.device->powerOn();
     harness.simulator.runUntil(sim::TimePoint::origin() + sim::Duration::days(6));
 
@@ -416,10 +406,7 @@ TEST(UploadAgent, RetriesDisabledDegradesGracefully) {
 TEST(UploadAgent, UnreachableServerExhaustsRetryBudget) {
     ChannelConfig blackhole;
     blackhole.lossProb = 1.0;
-    auto policy = fastPolicy();
-    policy.maxRetriesPerRound = 3;
-    policy.retryBase = sim::Duration::seconds(10);
-    AgentHarness harness{blackhole, policy};
+    AgentHarness harness{blackhole, UploadPolicy{}};
     harness.device->powerOn();
     harness.simulator.runUntil(sim::TimePoint::origin() + sim::Duration::days(2));
 

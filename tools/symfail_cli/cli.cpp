@@ -1,11 +1,13 @@
 #include "cli.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <memory>
 #include <optional>
 #include <stdexcept>
+#include <string_view>
 
 #include "analysis/version_stats.hpp"
 #include "core/export.hpp"
@@ -33,7 +35,7 @@ void printUsage() {
         "\n"
         "commands:\n"
         "  campaign [--phones N] [--days D] [--seed S] [--logs DIR] [--csv DIR]\n"
-        "           [--json FILE] [--no-transport] [--loss PCT] [--no-retries]\n"
+        "           [--json FILE] [--no-transport] [TRANSPORT]\n"
         "           [--flash-fault R] [--mem-pressure R] [--clock-skew PPM]\n"
         "           [--radio-fault R] [--trace FILE] [--metrics FILE]\n"
         "           run a fleet campaign (defaults: the paper's 25 phones,\n"
@@ -41,8 +43,7 @@ void printUsage() {
         "           --trace writes a Perfetto-loadable trace, --metrics a\n"
         "           metrics snapshot (.json/.csv by extension, else\n"
         "           Prometheus text)\n"
-        "  transport [--phones N] [--days D] [--seed S] [--loss PCT] [--dup PCT]\n"
-        "           [--reorder PCT] [--no-retries] [--outage-day D --outage-days N]\n"
+        "  transport [--phones N] [--days D] [--seed S] [TRANSPORT]\n"
         "           run a campaign and analyze what the lossy collection\n"
         "           path delivered (the analysis runs on the *collected*\n"
         "           logs, partial if segments were permanently lost)\n"
@@ -55,24 +56,22 @@ void printUsage() {
         "           pure function of the logs, byte-identical across runs\n"
         "  forum    [--reports N] [--seed S]\n"
         "           run the web-forum study (Table 1)\n"
-        "  obs      [--phones N] [--days D] [--seed S] [--trace FILE]\n"
-        "           [--metrics FILE]\n"
+        "  obs      [--phones N] [--days D] [--seed S] [TRANSPORT]\n"
+        "           [--trace FILE] [--metrics FILE]\n"
         "           run an instrumented campaign (default 60 days) and print\n"
         "           the host-time profile and the metric snapshot\n"
-        "  monitor  [--phones N] [--days D] [--seed S] [--no-transport] [--loss PCT]\n"
-        "           [--outage-day D --outage-days N] [--replay] [--tick-hours H]\n"
-        "           [--silence-hours H] [--snapshots FILE.jsonl] [--alerts FILE]\n"
-        "           [--metrics FILE]\n"
+        "  monitor  [--phones N] [--days D] [--seed S] [TRANSPORT] [--replay]\n"
+        "           [--tick-hours H] [--silence-hours H] [--snapshots FILE.jsonl]\n"
+        "           [--alerts FILE] [--metrics FILE]\n"
         "           run a campaign (default 120 days) with the online\n"
         "           fleet-health monitor attached to the ingest path and\n"
         "           print the live dashboard; --replay streams the collected\n"
         "           dataset through the monitor instead and checks the\n"
         "           online burst/coalescence counts against the batch\n"
         "           analysis (exit 1 on mismatch)\n"
-        "  trace    [--phones N] [--days D] [--seed S] [--no-transport] [--loss PCT]\n"
-        "           [--dup PCT] [--reorder PCT] [--no-retries]\n"
-        "           [--outage-day D --outage-days N] [--record PHONE#ID] [--lost]\n"
-        "           [--flow-all] [--trace FILE] [--json FILE] [--metrics FILE]\n"
+        "  trace    [--phones N] [--days D] [--seed S] [TRANSPORT]\n"
+        "           [--record PHONE#ID] [--lost] [--flow-all] [--trace FILE]\n"
+        "           [--json FILE] [--metrics FILE]\n"
         "           run a campaign (default 120 days) with end-to-end failure\n"
         "           provenance and print the pipeline accounting table\n"
         "           (created = delivered + torn + lost-wire + lost-outage +\n"
@@ -89,7 +88,7 @@ void printUsage() {
         "           byte-identical for any --jobs value at a fixed seed;\n"
         "           grid axes flash_fault_per_khour / mem_pressure_per_khour /\n"
         "           clock_skew_ppm / radio_fault_per_khour sweep the planes\n"
-        "  osfault  [--phones N] [--days D] [--seed S] [--loss PCT]\n"
+        "  osfault  [--phones N] [--days D] [--seed S] [TRANSPORT]\n"
         "           [--flash-fault R] [--mem-pressure R] [--clock-skew PPM]\n"
         "           [--radio-fault R] [--check] [--min-precision P]\n"
         "           [--min-recall R] [--min-capture C]\n"
@@ -98,7 +97,7 @@ void printUsage() {
         "           ppm) and score measurement validity: how precisely the\n"
         "           pipeline still recovers the ground-truth failure tables;\n"
         "           --check exits 1 when recovery drops below the bounds\n"
-        "  srgm     [<logdir>] [--phones N] [--days D] [--seed S] [--loss PCT]\n"
+        "  srgm     [<logdir>] [--phones N] [--days D] [--seed S] [TRANSPORT]\n"
         "           [--holdout F] [--fleet-only] [--json FILE] [--csv DIR]\n"
         "           [--metrics FILE] [--check] [--max-count-err E]\n"
         "           [--min-preq-gain G] [--max-ks D]\n"
@@ -110,7 +109,8 @@ void printUsage() {
         "           forecast (fit on the first --holdout fraction, score\n"
         "           the tail) against a constant-rate baseline; with a\n"
         "           <logdir> the fits run over *.log files on disk instead\n"
-        "           of a fresh campaign (default: the paper's 25 phones,\n"
+        "           of a fresh campaign, and the campaign flags are\n"
+        "           rejected (default: the paper's 25 phones,\n"
         "           425 days); --check exits 1 when the holdout forecast\n"
         "           misses the bounds\n"
         "  perf     [--fleet-sizes N,M,...] [--phones N] [--days D] [--seed S]\n"
@@ -124,7 +124,62 @@ void printUsage() {
         "           byte-identical across runs at a fixed seed; --check\n"
         "           exits 1 when a cell misses the bounds\n"
         "  tables   print the paper's reference taxonomies\n"
-        "  help     show this message\n");
+        "  help     show this message\n"
+        "\n"
+        "TRANSPORT: [--loss PCT] [--dup PCT] [--reorder PCT] [--no-retries]\n"
+        "           [--outage-day D --outage-days N]: data-channel loss,\n"
+        "           duplication and reordering in percent, retries off,\n"
+        "           and an outage of N days (default 3) from day D\n"
+        "\n"
+        "A flag the command does not read, or a flag missing its value,\n"
+        "exits 1 before anything runs.\n");
+}
+
+// The flags each subcommand reads, as space-separated names; a trailing
+// '=' marks a flag that takes a value.
+constexpr std::string_view kFleetFlags = "--phones= --days= --seed=";
+constexpr std::string_view kTransportFlags =
+    "--loss= --dup= --reorder= --no-retries --outage-day= --outage-days=";
+constexpr std::string_view kOsfaultFlags =
+    "--flash-fault= --mem-pressure= --clock-skew= --radio-fault=";
+
+/// Checks a subcommand's arguments against the flags it reads, before
+/// anything runs.  An unknown `--` token (a typo, or another subcommand's
+/// flag), a value flag with no value, and a bare argument anywhere but
+/// the first `positionals` slots all throw instead of being ignored.
+void requireKnownFlags(const std::vector<std::string>& args,
+                       std::initializer_list<std::string_view> flagLists,
+                       std::size_t positionals = 0) {
+    // nullopt: unknown; otherwise whether the flag takes a value.
+    const auto lookup = [&](std::string_view name) -> std::optional<bool> {
+        for (const std::string_view list : flagLists) {
+            for (std::size_t pos = 0; pos < list.size();) {
+                const std::size_t end = std::min(list.find(' ', pos), list.size());
+                std::string_view flag = list.substr(pos, end - pos);
+                const bool takesValue = flag.ends_with('=');
+                if (takesValue) flag.remove_suffix(1);
+                if (flag == name) return takesValue;
+                pos = end + 1;
+            }
+        }
+        return std::nullopt;
+    };
+    for (std::size_t i = 0; i < args.size(); ++i) {
+        const std::string& arg = args[i];
+        if (!arg.starts_with("--")) {
+            if (i >= positionals) {
+                throw std::runtime_error("unexpected argument: " + arg);
+            }
+            continue;
+        }
+        const auto takesValue = lookup(arg);
+        if (!takesValue) throw std::runtime_error("unknown flag: " + arg);
+        if (!*takesValue) continue;
+        if (i + 1 == args.size() || args[i + 1].starts_with("--")) {
+            throw std::runtime_error(arg + " requires a value");
+        }
+        ++i;
+    }
 }
 
 /// Pulls `--name value` from args; returns nullopt when absent.
@@ -392,13 +447,24 @@ void applyTransportOptions(const std::vector<std::string>& args,
     if (hasFlag(args, "--no-retries")) {
         transportOptions.policy.retriesEnabled = false;
     }
-    const auto outageDay = option(args, "--outage-day");
-    if (outageDay) {
-        const auto start =
-            sim::TimePoint::origin() +
-            sim::Duration::days(numericOption(args, "--outage-day", 0));
-        const auto length = sim::Duration::days(numericOption(args, "--outage-days", 3));
-        transport::OutageWindow window{start, start + length};
+    // The sweep grid's ranges: day -1 means no outage.
+    const auto outageDay = numericOption(args, "--outage-day", -1);
+    if (outageDay < -1 || outageDay > 36'500) {
+        throw std::runtime_error("--outage-day must be in [-1, 36500], got " +
+                                 std::to_string(outageDay));
+    }
+    const auto outageDays = numericOption(args, "--outage-days", 3);
+    if (outageDays < 0 || outageDays > 36'500) {
+        throw std::runtime_error("--outage-days must be in [0, 36500], got " +
+                                 std::to_string(outageDays));
+    }
+    if (option(args, "--outage-days") && !option(args, "--outage-day")) {
+        throw std::runtime_error("--outage-days requires --outage-day");
+    }
+    if (outageDay >= 0) {
+        const auto start = sim::TimePoint::origin() + sim::Duration::days(outageDay);
+        const transport::OutageWindow window{start,
+                                             start + sim::Duration::days(outageDays)};
         transportOptions.dataChannel.outages.push_back(window);
         transportOptions.ackChannel.outages.push_back(window);
     }
@@ -421,6 +487,9 @@ void printFieldResults(const core::FieldStudyResults& results, bool withEvaluati
 }
 
 int runCampaign(const std::vector<std::string>& args) {
+    requireKnownFlags(args, {kFleetFlags, kTransportFlags, kOsfaultFlags,
+                             "--no-transport --logs= --csv= --json= --trace= "
+                             "--metrics="});
     validateOutputPaths(args);
     core::StudyConfig config;
     const auto days = parseFleetOptions(args, config.fleetConfig, 425);
@@ -455,6 +524,7 @@ int runCampaign(const std::vector<std::string>& args) {
 }
 
 int runObs(const std::vector<std::string>& args) {
+    requireKnownFlags(args, {kFleetFlags, kTransportFlags, "--trace= --metrics="});
     validateOutputPaths(args);
     core::StudyConfig config;
     const auto days = parseFleetOptions(args, config.fleetConfig, 60);
@@ -489,11 +559,31 @@ int runObs(const std::vector<std::string>& args) {
 }
 
 int runTrace(const std::vector<std::string>& args) {
+    requireKnownFlags(args, {kFleetFlags, kTransportFlags,
+                             "--record= --lost --flow-all --trace= --json= --metrics="});
     validateOutputPaths(args);
     core::StudyConfig config;
     const auto days = parseFleetOptions(args, config.fleetConfig, 120);
-    if (hasFlag(args, "--no-transport")) config.fleetConfig.transport.enabled = false;
     applyTransportOptions(args, config.fleetConfig);
+
+    // --record PHONE#ID parses before the campaign runs.
+    std::optional<std::pair<std::string, std::uint64_t>> record;
+    if (const auto value = option(args, "--record")) {
+        const auto hash = value->find('#');
+        if (hash == std::string::npos || hash == 0 || hash + 1 == value->size()) {
+            throw std::runtime_error("--record expects PHONE#ID, got " + *value);
+        }
+        try {
+            std::size_t consumed = 0;
+            record.emplace(value->substr(0, hash),
+                           std::stoull(value->substr(hash + 1), &consumed));
+            if (consumed != value->size() - hash - 1) {
+                throw std::invalid_argument{"trailing characters"};
+            }
+        } catch (const std::exception&) {
+            throw std::runtime_error("--record expects PHONE#ID, got " + *value);
+        }
+    }
 
     obs::ProvenanceTracker provenance;
     if (hasFlag(args, "--flow-all")) provenance.setFlowAllRecords(true);
@@ -513,24 +603,10 @@ int runTrace(const std::vector<std::string>& args) {
 
     std::printf("%s\n", provenance.renderReport().c_str());
 
-    if (const auto record = option(args, "--record")) {
-        const auto hash = record->find('#');
-        if (hash == std::string::npos || hash == 0 || hash + 1 == record->size()) {
-            throw std::runtime_error("--record expects PHONE#ID, got " + *record);
-        }
-        const std::string phone = record->substr(0, hash);
-        std::uint64_t id = 0;
-        try {
-            std::size_t consumed = 0;
-            id = std::stoull(record->substr(hash + 1), &consumed);
-            if (consumed != record->size() - hash - 1) {
-                throw std::invalid_argument{"trailing characters"};
-            }
-        } catch (const std::exception&) {
-            throw std::runtime_error("--record expects PHONE#ID, got " + *record);
-        }
+    if (record) {
+        const auto& [phone, id] = *record;
         if (provenance.find(phone, id) == nullptr) {
-            throw std::runtime_error("unknown record: " + *record);
+            throw std::runtime_error("unknown record: " + *option(args, "--record"));
         }
         std::printf("%s\n", provenance.explain(phone, id).c_str());
     }
@@ -564,6 +640,7 @@ int runTrace(const std::vector<std::string>& args) {
 }
 
 int runTransport(const std::vector<std::string>& args) {
+    requireKnownFlags(args, {kFleetFlags, kTransportFlags});
     core::StudyConfig config;
     const auto days = parseFleetOptions(args, config.fleetConfig, 120);
     config.fleetConfig.transport.enabled = true;
@@ -602,6 +679,9 @@ int runTransport(const std::vector<std::string>& args) {
 }
 
 int runSweep(const std::vector<std::string>& args) {
+    requireKnownFlags(args, {kFleetFlags, kOsfaultFlags,
+                             "--trials= --jobs= --bootstrap= --grid= --json= --csv= "
+                             "--metrics="});
     validateOutputPaths(args);
     // The --phones/--days/--seed flags set the *default cell*; a grid
     // file's axes override them per cell.  --seed is the sweep's master
@@ -661,7 +741,8 @@ int runSweep(const std::vector<std::string>& args) {
 }
 
 int runOsfault(const std::vector<std::string>& args) {
-    validateOutputPaths(args);
+    requireKnownFlags(args, {kFleetFlags, kTransportFlags, kOsfaultFlags,
+                             "--check --min-precision= --min-recall= --min-capture="});
     core::StudyConfig config;
     const auto days = parseFleetOptions(args, config.fleetConfig, 120);
     applyTransportOptions(args, config.fleetConfig);
@@ -718,10 +799,12 @@ std::uint64_t multiBurstCount(const sim::FreqCounter& bursts) {
 }
 
 int runMonitor(const std::vector<std::string>& args) {
+    requireKnownFlags(args, {kFleetFlags, kTransportFlags,
+                             "--replay --tick-hours= --silence-hours= --snapshots= "
+                             "--alerts= --metrics="});
     validateOutputPaths(args);
     core::StudyConfig config;
     const auto days = parseFleetOptions(args, config.fleetConfig, 120);
-    if (hasFlag(args, "--no-transport")) config.fleetConfig.transport.enabled = false;
     applyTransportOptions(args, config.fleetConfig);
 
     monitor::MonitorConfig monitorConfig;
@@ -806,6 +889,7 @@ int runAnalyze(const std::vector<std::string>& args) {
         std::fprintf(stderr, "analyze: missing <logdir>\n");
         return 2;
     }
+    requireKnownFlags(args, {"--csv="}, 1);
     validateOutputPaths(args);
     const auto logs = core::loadLogs(args[0]);
     if (logs.empty()) {
@@ -837,6 +921,7 @@ int runCrash(const std::vector<std::string>& args) {
         std::fprintf(stderr, "crash: missing <logdir>\n");
         return 2;
     }
+    requireKnownFlags(args, {"--json= --csv= --metrics="}, 1);
     validateOutputPaths(args);
     const auto logs = core::loadLogs(args[0]);
     if (logs.empty()) {
@@ -896,8 +981,16 @@ int runCrash(const std::vector<std::string>& args) {
 }
 
 int runSrgm(const std::vector<std::string>& args) {
+    const bool fromLogs = !args.empty() && !args[0].starts_with("--");
+    constexpr std::string_view kSrgmFlags =
+        "--holdout= --fleet-only --json= --csv= --metrics= --check --max-count-err= "
+        "--min-preq-gain= --max-ks=";
+    if (fromLogs) {
+        requireKnownFlags(args, {kSrgmFlags}, 1);
+    } else {
+        requireKnownFlags(args, {kSrgmFlags, kFleetFlags, kTransportFlags});
+    }
     validateOutputPaths(args);
-    const bool fromLogs = !args.empty() && args[0].rfind("--", 0) != 0;
 
     srgm::SrgmOptions options;
     options.holdoutSplit = realOption(args, "--holdout", 0.7, 0.05, 0.95);
@@ -1018,6 +1111,10 @@ std::vector<int> fleetSizesOption(const std::vector<std::string>& args,
 }
 
 int runPerf(const std::vector<std::string>& args) {
+    requireKnownFlags(args, {kFleetFlags,
+                             "--fleet-sizes= --sample-hours= --stride= --json= --csv= "
+                             "--metrics= --check --max-bytes-per-phone= "
+                             "--min-phone-hours-per-sec="});
     validateOutputPaths(args);
     core::PerfOptions options;
     // --phones/--days/--seed parse (and reject malformed values) exactly
@@ -1102,9 +1199,15 @@ int runPerf(const std::vector<std::string>& args) {
 }
 
 int runForum(const std::vector<std::string>& args) {
+    requireKnownFlags(args, {"--reports= --seed="});
     core::StudyConfig config;
-    config.forumConfig.failureReports = static_cast<int>(
-        numericOption(args, "--reports", config.forumConfig.failureReports));
+    const auto reports =
+        numericOption(args, "--reports", config.forumConfig.failureReports);
+    if (reports < 1 || reports > 100'000) {
+        throw std::runtime_error("--reports must be in [1, 100000], got " +
+                                 std::to_string(reports));
+    }
+    config.forumConfig.failureReports = static_cast<int>(reports);
     config.forumSeed = static_cast<std::uint64_t>(
         numericOption(args, "--seed", static_cast<long long>(config.forumSeed)));
     const core::FailureStudy study{config};
@@ -1114,7 +1217,8 @@ int runForum(const std::vector<std::string>& args) {
     return 0;
 }
 
-int runTables() {
+int runTables(const std::vector<std::string>& args) {
+    requireKnownFlags(args, {});
     std::printf("Panic taxonomy (Table 2 of the paper):\n\n");
     for (const auto& row : symbos::paperPanicTable()) {
         std::printf("  %-20s %6.2f%%  %.70s\n", symbos::toString(row.id).c_str(),
@@ -1153,7 +1257,7 @@ int runCli(const std::vector<std::string>& args) {
         if (command == "srgm") return runSrgm(rest);
         if (command == "perf") return runPerf(rest);
         if (command == "forum") return runForum(rest);
-        if (command == "tables") return runTables();
+        if (command == "tables") return runTables(rest);
     } catch (const std::exception& error) {
         std::fprintf(stderr, "%s: %s\n", command.c_str(), error.what());
         return 1;
