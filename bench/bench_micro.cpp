@@ -1,6 +1,7 @@
 // M1: google-benchmark microbenchmarks of the substrates: event queue,
-// active-object dispatch, one logger heartbeat tick, log
-// serialization/parsing, and the coalescence algorithm's scaling.
+// active-object dispatch, one logger heartbeat tick, one derived-tick
+// catch-up, log serialization/parsing, and the coalescence algorithm's
+// scaling.
 #include <benchmark/benchmark.h>
 
 #include <memory>
@@ -113,13 +114,9 @@ void BM_ActiveObjectDispatch(benchmark::State& state) {
 }
 BENCHMARK(BM_ActiveObjectDispatch);
 
-// One heartbeat period of a booted phone running the failure logger: the
-// RTimer expiry, the AO completion, the heartbeat RunL (its scratch heap
-// cell and the beats-file write) and the re-arm.  The logger's other AOs
-// are parked past the run and the user stays idle, so an iteration is one
-// tick plus, every 30th, the device's battery tick.
-void BM_LoggerHeartbeatTick(benchmark::State& state) {
-    sim::Simulator simulator;
+/// A phone whose user does nothing, so the logger and the battery chain
+/// are its only events.
+phone::PhoneDevice::Config idlePhone() {
     phone::PhoneDevice::Config config;
     config.name = "bench";
     config.profile.callsPerDay = 0.0;
@@ -132,6 +129,17 @@ void BM_LoggerHeartbeatTick(benchmark::State& state) {
     config.profile.daytimeOffPerDay = 0.0;
     config.profile.quickCyclesPerDay = 0.0;
     config.profile.loggerTogglesPerMonth = 0.0;
+    return config;
+}
+
+// One heartbeat period of a booted phone running the failure logger with
+// real AO ticks (as under a fault plane that observes them): the RTimer
+// expiry, the AO completion, the heartbeat RunL (its scratch heap cell and
+// the beats-file write) and the re-arm.  The logger's other AOs are parked
+// past the run and the user stays idle, so an iteration is one tick plus,
+// every 30th, the device's battery tick.
+void BM_LoggerHeartbeatTick(benchmark::State& state) {
+    sim::Simulator simulator;
     logger::LoggerConfig loggerConfig;
     const auto parked = sim::Duration::days(100'000);
     loggerConfig.runappPeriod = parked;
@@ -140,8 +148,9 @@ void BM_LoggerHeartbeatTick(benchmark::State& state) {
     // Declared first so it outlives the device, whose teardown runs the
     // logger's kernel hooks.
     std::unique_ptr<logger::FailureLogger> failureLogger;
-    auto device = std::make_unique<phone::PhoneDevice>(simulator, config);
+    auto device = std::make_unique<phone::PhoneDevice>(simulator, idlePhone());
     failureLogger = std::make_unique<logger::FailureLogger>(*device, loggerConfig);
+    failureLogger->observeTicks();
     device->powerOn();
     for (auto _ : state) {
         simulator.runUntil(simulator.now() + loggerConfig.heartbeatPeriod);
@@ -150,6 +159,24 @@ void BM_LoggerHeartbeatTick(benchmark::State& state) {
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_LoggerHeartbeatTick);
+
+// One 30-minute battery tick of a booted phone whose logger derives its
+// ticks: the battery event syncs the logger, which writes the period's
+// due ticks in one catch-up (one beats line for 30 heartbeats, 15 runapp
+// snapshots, 6 log-engine copies and 3 power lines).
+void BM_LoggerCatchUp(benchmark::State& state) {
+    sim::Simulator simulator;
+    std::unique_ptr<logger::FailureLogger> failureLogger;
+    auto device = std::make_unique<phone::PhoneDevice>(simulator, idlePhone());
+    failureLogger = std::make_unique<logger::FailureLogger>(*device);
+    device->powerOn();
+    for (auto _ : state) {
+        simulator.runUntil(simulator.now() + sim::Duration::minutes(30));
+    }
+    benchmark::DoNotOptimize(failureLogger->heartbeatsWritten());
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_LoggerCatchUp);
 
 void BM_PanicRecordSerialize(benchmark::State& state) {
     logger::PanicRecord record;

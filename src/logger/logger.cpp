@@ -18,6 +18,13 @@ FailureLogger::FailureLogger(PhoneDevice& device, LoggerConfig config)
     device_->addShutdownHook([this](phone::ShutdownKind kind) { onShutdown(kind); });
     device_->addPowerDownHook([this]() { teardownDaemon(); });
     device_->setLoggerToggleHook([this](bool on) { setEnabled(on); });
+    device_->setLoggerSyncHook([this]() { catchUp(); });
+    device_->flash().setReadHook([this](std::string_view file) {
+        if (file == kBeatsFile || file == kRunappFile || file == kActivityFile ||
+            file == kPowerFile) {
+            catchUp();
+        }
+    });
     device_->kernel().addPanicHook(
         [this](const symbos::PanicEvent& event) { onPanic(event); });
     // The daemon can die under the logger — OOM-killed by the kernel after
@@ -38,9 +45,9 @@ FailureLogger::FailureLogger(PhoneDevice& device, LoggerConfig config)
 FailureLogger::FailureLogger(PhoneDevice& device)
     : FailureLogger{device, LoggerConfig{}} {}
 
-FailureLogger::~FailureLogger() {
-    teardownDaemon();
-}
+// Touches no device: fleets and tests destroy the device first, and the
+// device clears the hooks that point here.
+FailureLogger::~FailureLogger() = default;
 
 const std::string& FailureLogger::logFileContent() const {
     return device_->flash().content(kLogFile);
@@ -52,27 +59,99 @@ void FailureLogger::setEnabled(bool enabled) {
     if (!enabled) {
         // The user deliberately turns the logger off: record MAOFF so the
         // next boot is not misclassified as a freeze.
-        if (device_->isOn() && daemonPid_ != 0) writeBeat(BeatKind::Maoff);
+        catchUp();
+        if (device_->isOn() && daemonPid_ != 0) {
+            writeBeat(BeatKind::Maoff, device_->simulator().now());
+        }
         teardownDaemon();
     } else if (device_->isOn()) {
         onBoot();
     }
 }
 
-void FailureLogger::writeBeat(BeatKind kind) {
+sim::TimePoint FailureLogger::stampAt(sim::TimePoint at) {
+    // Records are stamped with the *device clock* (clockNow), not the
+    // simulation clock: an osfault clock plane distorts only what lands
+    // in flash, never when the write happens.  A derived tick is written
+    // after its time and stamps that time: only phones whose clock no
+    // plane distorts derive ticks, and their clock is the simulation's.
+    return at == device_->simulator().now() ? device_->clockNow() : at;
+}
+
+void FailureLogger::writeBeat(BeatKind kind, sim::TimePoint at) {
     // Only the most recent event matters (Section 5.2); the beats file is
     // compacted to its last line to keep a 14-month campaign bounded.
     if (auto* trace = device_->simulator().traceSink()) {
         const obs::TraceArg args[] = {{"beat", toString(kind)}};
-        trace->instant(device_->traceTrack(), "logger", "heartbeat",
-                       device_->simulator().now(), args);
+        trace->instant(device_->traceTrack(), "logger", "heartbeat", at, args);
     }
-    // Records are stamped with the *device clock* (clockNow), not the
-    // simulation clock: an osfault clock plane distorts only what lands
-    // in flash, never when the write happens.
-    device_->flash().replaceWithLine(
-        kBeatsFile, serialize(BeatRecord{device_->clockNow(), kind}));
-    if (kind == BeatKind::Alive) ++heartbeats_;
+    line_.clear();
+    appendBeat(line_, BeatRecord{stampAt(at), kind});
+    device_->flash().replaceWithLine(kBeatsFile, line_);
+}
+
+void FailureLogger::writeRunapp(sim::TimePoint at) {
+    line_.clear();
+    appendRunapp(line_, stampAt(at), device_->appArch().running());
+    device_->flash().appendLine(kRunappFile, line_);
+    ++snapshots_;
+}
+
+void FailureLogger::copyActivity() {
+    for (const auto& row : device_->dbLog().eventsSince(lastActivityCopied_)) {
+        device_->flash().appendLine(
+            kActivityFile, serializeActivity(row.time, symbos::toString(row.kind),
+                                             row.incoming, row.isStart));
+        if (row.time + sim::Duration::micros(1) > lastActivityCopied_) {
+            lastActivityCopied_ = row.time + sim::Duration::micros(1);
+        }
+    }
+}
+
+void FailureLogger::writePower(sim::TimePoint at) {
+    const auto& agent = device_->systemAgent();
+    line_.clear();
+    appendPower(line_, stampAt(at), agent.batteryPercent(), agent.charging());
+    device_->flash().appendLine(kPowerFile, line_);
+}
+
+std::uint64_t FailureLogger::dueTicks(const Cadence& cadence) const {
+    if (!deriving_ || !device_->isOn()) return 0;
+    const sim::Simulator& simulator = device_->simulator();
+    sim::TimePoint last = simulator.now();
+    if (simulator.dispatching()) last = last - sim::Duration::micros(1);
+    if (cadence.next > last) return 0;
+    return static_cast<std::uint64_t>((last - cadence.next).totalMicros() /
+                                      cadence.period.totalMicros()) +
+           1;
+}
+
+void FailureLogger::catchUp() {
+    if (!deriving_) return;
+    if (!device_->isOn()) {
+        deriving_ = false;
+        return;
+    }
+    if (const std::uint64_t beats = dueTicks(heartbeat_); beats != 0) {
+        // The beats file keeps only its last line: write the last due beat.
+        const sim::TimePoint last =
+            heartbeat_.next + heartbeat_.period * static_cast<std::int64_t>(beats - 1);
+        writeBeat(BeatKind::Alive, last);
+        heartbeats_ += beats;
+        heartbeat_.next = last + heartbeat_.period;
+    }
+    for (std::uint64_t n = dueTicks(runapp_); n != 0; --n) {
+        writeRunapp(runapp_.next);
+        runapp_.next += runapp_.period;
+    }
+    for (std::uint64_t n = dueTicks(logEngine_); n != 0; --n) {
+        copyActivity();
+        logEngine_.next += logEngine_.period;
+    }
+    for (std::uint64_t n = dueTicks(power_); n != 0; --n) {
+        writePower(power_.next);
+        power_.next += power_.period;
+    }
 }
 
 ActivityContext FailureLogger::currentActivityContext() const {
@@ -176,11 +255,23 @@ void FailureLogger::onBoot() {
     flash.appendLine(kLogFile, serialize(boot));
     ++bootsLogged_;
 
-    // Start the daemon: one background process hosting the AOs.
+    // Start the daemon: one background process hosting the AOs, whose
+    // periodic ticks are kept as cadences unless a fault plane observes
+    // them.
     daemonPid_ = device_->kernel().createProcess("FailureLogger",
                                                  symbos::ProcessKind::SystemServer);
-    writeBeat(BeatKind::Alive);
+    const sim::TimePoint now = device_->simulator().now();
+    writeBeat(BeatKind::Alive, now);
+    ++heartbeats_;
 
+    if (!ticksObserved_) {
+        heartbeat_ = {now + config_.heartbeatPeriod, config_.heartbeatPeriod};
+        runapp_ = {now + config_.runappPeriod, config_.runappPeriod};
+        logEngine_ = {now + config_.activityPeriod, config_.activityPeriod};
+        power_ = {now + config_.powerPeriod, config_.powerPeriod};
+        deriving_ = true;
+        return;
+    }
     startPeriodicAo("heartbeat", config_.heartbeatPeriod, [this](ExecContext& ctx) {
         // The record is formatted in a heap scratch buffer.  Under an
         // osfault memory-pressure episode this allocation leaves with
@@ -190,33 +281,17 @@ void FailureLogger::onBoot() {
         // draws no randomness, so fault-free campaigns are unchanged.
         const symbos::HeapCell scratch =
             ctx.heap().allocL(ctx, kHeartbeatScratchBytes);
-        writeBeat(BeatKind::Alive);
+        writeBeat(BeatKind::Alive, device_->simulator().now());
+        ++heartbeats_;
         ctx.heap().free(scratch);
     });
     startPeriodicAo("runapp-detector", config_.runappPeriod, [this](ExecContext&) {
-        device_->flash().appendLine(
-            kRunappFile, serializeRunapp(device_->clockNow(),
-                                         device_->runningUserApps()));
-        ++snapshots_;
+        writeRunapp(device_->simulator().now());
     });
-    startPeriodicAo("log-engine", config_.activityPeriod, [this](ExecContext&) {
-        const auto rows = device_->dbLog().eventsSince(lastActivityCopied_);
-        for (const auto& row : rows) {
-            device_->flash().appendLine(
-                kActivityFile,
-                serializeActivity(row.time, symbos::toString(row.kind), row.incoming,
-                                  row.isStart));
-            if (row.time + sim::Duration::micros(1) > lastActivityCopied_) {
-                lastActivityCopied_ = row.time + sim::Duration::micros(1);
-            }
-        }
-    });
+    startPeriodicAo("log-engine", config_.activityPeriod,
+                    [this](ExecContext&) { copyActivity(); });
     startPeriodicAo("power-manager", config_.powerPeriod, [this](ExecContext&) {
-        device_->flash().appendLine(
-            kPowerFile,
-            serializePower(device_->clockNow(),
-                           device_->systemAgent().batteryPercent(),
-                           device_->systemAgent().charging()));
+        writePower(device_->simulator().now());
     });
 }
 
@@ -256,10 +331,13 @@ void FailureLogger::startPeriodicAo(std::string name, sim::Duration period,
 void FailureLogger::onShutdown(phone::ShutdownKind kind) {
     if (!enabled_ || daemonPid_ == 0) return;
     writeBeat(kind == phone::ShutdownKind::LowBattery ? BeatKind::Lowbt
-                                                      : BeatKind::Reboot);
+                                                      : BeatKind::Reboot,
+              device_->simulator().now());
 }
 
 void FailureLogger::teardownDaemon() {
+    catchUp();
+    deriving_ = false;
     timers_.clear();
     aos_.clear();
     daemonPid_ = 0;

@@ -19,6 +19,13 @@
 //     running applications, activity context, battery) the moment a panic
 //     is delivered, and at boot classifies the previous shutdown from the
 //     last heartbeat event and writes a BOOT record.
+//
+// The four periodic AOs run as real RTimer-driven ticks only when an
+// OS-interface fault plane observes them (observeTicks()).  Otherwise the
+// daemon keeps each duty's cadence as data and writes every due tick at
+// the next sync: before the phone changes something a tick reads, and
+// before a tick file is read.  Both paths write the same bytes; see
+// docs/METHODOLOGY.md §1 for the same-instant rule this rests on.
 #pragma once
 
 #include <cstdint>
@@ -75,6 +82,14 @@ public:
     /// Pid of the running daemon process (0 when not running).
     [[nodiscard]] symbos::ProcessId daemonPid() const { return daemonPid_; }
 
+    /// Keeps the periodic AOs as real ticks.  An OS-interface fault plane
+    /// that reads tick-time state calls this: the flash plane (it damages
+    /// and tears heartbeat writes), the memory plane (it fails the
+    /// heartbeat's scratch allocation) and the clock plane (it counts
+    /// every clock read).  Call before the phone boots; a daemon already
+    /// running keeps its mode until it restarts.
+    void observeTicks() { ticksObserved_ = true; }
+
     /// Restarts a dead daemon on a running phone without a device boot —
     /// the watchdog path after the daemon was OOM-killed.  The restart
     /// re-runs boot classification, so a stale ALIVE beat left by the dead
@@ -83,11 +98,16 @@ public:
     /// enabled, the phone is on, and the daemon is down.
     void restartDaemon();
 
-    // Statistics (used by tests and the overhead ablation).
-    [[nodiscard]] std::uint64_t heartbeatsWritten() const { return heartbeats_; }
+    // Statistics (used by tests and the overhead ablation).  The tick
+    // counts include ticks due but not yet written.
+    [[nodiscard]] std::uint64_t heartbeatsWritten() const {
+        return heartbeats_ + dueTicks(heartbeat_);
+    }
     [[nodiscard]] std::uint64_t panicsLogged() const { return panicsLogged_; }
     [[nodiscard]] std::uint64_t bootsLogged() const { return bootsLogged_; }
-    [[nodiscard]] std::uint64_t snapshotsWritten() const { return snapshots_; }
+    [[nodiscard]] std::uint64_t snapshotsWritten() const {
+        return snapshots_ + dueTicks(runapp_);
+    }
     /// Beats files found ending in a torn (newline-less) tail at boot.
     [[nodiscard]] std::uint64_t tornBeatTails() const { return tornBeatTails_; }
     /// Beat lines that would not parse at boot classification.
@@ -109,7 +129,7 @@ public:
     /// machinery.  The log content itself lives in the device's flash
     /// store and is accounted there.
     [[nodiscard]] std::size_t approxMemoryBytes() const {
-        return sizeof *this +
+        return sizeof *this + line_.capacity() +
                aos_.capacity() * sizeof(void*) +
                aos_.size() * sizeof(symbos::FunctionAo) +
                timers_.capacity() * sizeof(void*) +
@@ -117,12 +137,37 @@ public:
     }
 
 private:
+    /// One periodic duty of a daemon whose ticks are derived: the time of
+    /// the next tick not yet written, and the period.
+    struct Cadence {
+        sim::TimePoint next;
+        sim::Duration period;
+    };
+
     void onBoot();
     void onShutdown(phone::ShutdownKind kind);
     void onPanic(const symbos::PanicEvent& event);
+    /// Writes the derived ticks due, then stops the daemon's ticks.
     void teardownDaemon();
-    void writeBeat(BeatKind kind);
     [[nodiscard]] ActivityContext currentActivityContext() const;
+
+    // The writers of the periodic duties, shared by the AO bodies and the
+    // catch-up.  `at` is the tick's simulated time.
+    void writeBeat(BeatKind kind, sim::TimePoint at);
+    void writeRunapp(sim::TimePoint at);
+    void copyActivity();
+    void writePower(sim::TimePoint at);
+    /// The device-clock stamp of a record due at `at`.
+    [[nodiscard]] sim::TimePoint stampAt(sim::TimePoint at);
+
+    /// Writes every derived tick due (see dueTicks).  A frozen phone's
+    /// ticks stopped at the freeze, whose sync wrote the ones before it.
+    void catchUp();
+    /// Ticks of `cadence` due and not yet written.  Inside an event at t
+    /// a tick at t is not due yet: in the AO model it runs after the
+    /// events already queued for t, so it sees the change the sync
+    /// precedes.  Between events it has run.
+    [[nodiscard]] std::uint64_t dueTicks(const Cadence& cadence) const;
 
     /// Creates a self-re-arming periodic AO driven by an RTimer.  The body
     /// receives the daemon's ExecContext so it can use kernel services
@@ -133,12 +178,20 @@ private:
     phone::PhoneDevice* device_;
     LoggerConfig config_;
     bool enabled_{true};
+    bool ticksObserved_{false};
 
-    // Per-boot daemon state.
+    // Per-boot daemon state: real AOs when observed, cadences otherwise.
     symbos::ProcessId daemonPid_{0};
     std::vector<std::unique_ptr<symbos::FunctionAo>> aos_;
     std::vector<std::unique_ptr<symbos::RTimer>> timers_;
+    bool deriving_{false};
+    Cadence heartbeat_;
+    Cadence runapp_;
+    Cadence logEngine_;
+    Cadence power_;
     sim::TimePoint lastActivityCopied_{};
+    /// Format buffer reused by every periodic line.
+    std::string line_;
 
     std::uint64_t heartbeats_{0};
     std::uint64_t panicsLogged_{0};

@@ -15,6 +15,12 @@ std::optional<std::int64_t> parseInt(std::string_view s) {
     return value;
 }
 
+/// Appends an integer in decimal, as std::to_string would spell it.
+void appendInt(std::string& out, std::int64_t value) {
+    char digits[24];
+    out.append(digits, std::to_chars(digits, digits + sizeof digits, value).ptr);
+}
+
 }  // namespace
 
 std::string_view toString(BeatKind k) {
@@ -69,9 +75,11 @@ std::vector<std::string_view> splitFields(std::string_view line, char delim) {
     }
 }
 
-std::string serialize(const BeatRecord& r) {
-    return "BEAT|" + std::to_string(r.time.micros()) + "|" +
-           std::string{toString(r.kind)};
+void appendBeat(std::string& out, const BeatRecord& r) {
+    out += "BEAT|";
+    appendInt(out, r.time.micros());
+    out += '|';
+    out += toString(r.kind);
 }
 
 std::string serialize(const PanicRecord& r) {
@@ -110,18 +118,23 @@ std::string serialize(const MetaRecord& r) {
     return "META|" + std::to_string(r.time.micros()) + "|" + clean;
 }
 
-std::string serializeRunapp(sim::TimePoint t, const std::vector<std::string>& apps) {
-    std::string joined;
+void appendRunapp(std::string& out, sim::TimePoint t,
+                  const std::vector<std::string>& apps) {
+    out += "RUNAPP|";
+    appendInt(out, t.micros());
+    out += '|';
     for (std::size_t i = 0; i < apps.size(); ++i) {
-        if (i != 0) joined += ',';
-        joined += apps[i];
+        if (i != 0) out += ',';
+        out += apps[i];
     }
-    return "RUNAPP|" + std::to_string(t.micros()) + "|" + joined;
 }
 
-std::string serializePower(sim::TimePoint t, int percent, bool charging) {
-    return "POWER|" + std::to_string(t.micros()) + "|" + std::to_string(percent) +
-           "|" + (charging ? "1" : "0");
+void appendPower(std::string& out, sim::TimePoint t, int percent, bool charging) {
+    out += "POWER|";
+    appendInt(out, t.micros());
+    out += '|';
+    appendInt(out, percent);
+    out += charging ? "|1" : "|0";
 }
 
 std::string serializeActivity(sim::TimePoint t, std::string_view kind, bool incoming,

@@ -118,16 +118,26 @@ struct LogFileEntry {
 
 // -- Serialization ------------------------------------------------------------
 
-[[nodiscard]] std::string serialize(const BeatRecord& r);
+// The periodic lines (beats, runapp, power) are appended to a caller's
+// buffer: the logger formats millions of them into one reused string.
+
+/// Appends a beats line.
+void appendBeat(std::string& out, const BeatRecord& r);
+/// Appends a runapp snapshot line.
+void appendRunapp(std::string& out, sim::TimePoint t,
+                  const std::vector<std::string>& apps);
+/// Appends a power status line.
+void appendPower(std::string& out, sim::TimePoint t, int percent, bool charging);
+
+[[nodiscard]] inline std::string serialize(const BeatRecord& r) {
+    std::string out;
+    appendBeat(out, r);
+    return out;
+}
 [[nodiscard]] std::string serialize(const PanicRecord& r);
 [[nodiscard]] std::string serialize(const BootRecord& r);
 [[nodiscard]] std::string serialize(const UserReportRecord& r);
 [[nodiscard]] std::string serialize(const MetaRecord& r);
-/// Runapp snapshot line.
-[[nodiscard]] std::string serializeRunapp(sim::TimePoint t,
-                                          const std::vector<std::string>& apps);
-/// Power status line.
-[[nodiscard]] std::string serializePower(sim::TimePoint t, int percent, bool charging);
 /// Activity row line.
 [[nodiscard]] std::string serializeActivity(sim::TimePoint t, std::string_view kind,
                                             bool incoming, bool isStart);

@@ -50,6 +50,7 @@ PhoneDevice::PhoneDevice(sim::Simulator& simulator, Config config)
         (void)reason;
         const auto it = sessions_.find(name);
         if (it != sessions_.end() && it->second.pid == pid) {
+            syncLogger();
             if (it->second.closeEvent.valid()) simulator_->cancel(it->second.closeEvent);
             sessions_.erase(it);
             appArch_.appStopped(name);
@@ -82,6 +83,8 @@ PhoneDevice::~PhoneDevice() {
     activityHooks_.clear();
     outputFailureHooks_.clear();
     loggerToggle_ = nullptr;
+    loggerSync_ = nullptr;
+    flash_.setReadHook(nullptr);
     if (state_ != PowerState::Off) {
         tearDown(false, ShutdownKind::UserOff);
     }
@@ -149,6 +152,7 @@ void PhoneDevice::abruptPowerOff() {
 
 void PhoneDevice::freeze(std::string cause) {
     if (state_ != PowerState::On) return;
+    syncLogger();
     if (auto* trace = simulator_->traceSink()) {
         const obs::TraceArg args[] = {{"cause", cause}};
         trace->instant(traceTrack_, "phone", "freeze", simulator_->now(), args);
@@ -169,6 +173,7 @@ void PhoneDevice::selfReboot(std::string cause) {
 
 void PhoneDevice::tearDown(bool graceful, ShutdownKind kind) {
     assert(state_ != PowerState::Off);
+    syncLogger();
     if (graceful) {
         // Symbian lets applications complete their tasks before the power
         // goes: the logger's heartbeat uses this window to write its
@@ -199,6 +204,7 @@ symbos::ProcessId PhoneDevice::startAppSession(std::string_view app,
                                                sim::Duration duration) {
     if (!isOn()) return 0;
     if (sessions_.find(app) != sessions_.end()) return 0;
+    syncLogger();
     const AppInfo& info = appInfo(app);
     const auto pid = kernel_->createProcess(std::string{app}, info.kind);
     AppSession session;
@@ -223,6 +229,7 @@ symbos::ProcessId PhoneDevice::startAppSession(std::string_view app,
 void PhoneDevice::closeAppSession(std::string_view app) {
     const auto it = sessions_.find(app);
     if (it == sessions_.end()) return;
+    syncLogger();
     const auto pid = it->second.pid;
     if (it->second.closeEvent.valid()) simulator_->cancel(it->second.closeEvent);
     sessions_.erase(it);
@@ -256,6 +263,7 @@ void PhoneDevice::outputFailureOccurred(std::string symptom) {
 
 void PhoneDevice::activityBegin(symbos::ActivityKind kind, bool incoming) {
     if (!isOn()) return;
+    syncLogger();
     ++activeActivities_[kind];
     dbLog_.record(symbos::ActivityEvent{simulator_->now(), kind, incoming, true});
     // The core app handling the activity may surface in the running list:
@@ -275,6 +283,7 @@ void PhoneDevice::activityEnd(symbos::ActivityKind kind, bool incoming) {
     if (!isOn()) return;
     auto it = activeActivities_.find(kind);
     if (it == activeActivities_.end() || it->second == 0) return;
+    syncLogger();
     if (--it->second == 0) activeActivities_.erase(it);
     dbLog_.record(symbos::ActivityEvent{simulator_->now(), kind, incoming, false});
     if (!activityActive(kind)) {
@@ -309,6 +318,7 @@ void PhoneDevice::startBatteryChain() {
 }
 
 void PhoneDevice::batteryTick() {
+    syncLogger();
     // Idle drain empties a full battery in about two days; calls and media
     // use cost extra.
     double drain = 0.9;

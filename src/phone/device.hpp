@@ -205,6 +205,7 @@ public:
     using ActivityHook = std::function<void(symbos::ActivityKind, bool started)>;
     using OutputFailureHook = std::function<void(const std::string& symptom)>;
     using LoggerToggleHook = std::function<void(bool enabled)>;
+    using LoggerSyncHook = std::function<void()>;
 
     void addBootHook(BootHook hook) { bootHooks_.push_back(std::move(hook)); }
     void addShutdownHook(ShutdownHook hook) { shutdownHooks_.push_back(std::move(hook)); }
@@ -219,6 +220,11 @@ public:
         outputFailureHooks_.push_back(std::move(hook));
     }
     void setLoggerToggleHook(LoggerToggleHook hook) { loggerToggle_ = std::move(hook); }
+    /// Runs before every change the logger's periodic ticks read: the
+    /// running-application registry, the activity database, the battery
+    /// and the power state.  A logger that derives its ticks instead of
+    /// scheduling them writes the ones due here.
+    void setLoggerSyncHook(LoggerSyncHook hook) { loggerSync_ = std::move(hook); }
     /// Invoked by the user model for MAOFF events; no-op without a hook.
     void toggleLogger(bool enabled);
 
@@ -236,6 +242,9 @@ private:
     friend class UserModel;
 
     void createResidentProcesses();
+    void syncLogger() {
+        if (loggerSync_) loggerSync_();
+    }
     void tearDown(bool graceful, ShutdownKind kind);
     void batteryTick();
     void startBatteryChain();
@@ -273,6 +282,7 @@ private:
     std::vector<ActivityHook> activityHooks_;
     std::vector<OutputFailureHook> outputFailureHooks_;
     LoggerToggleHook loggerToggle_;
+    LoggerSyncHook loggerSync_;
 
     double batteryPercent_{100.0};
     bool charging_{false};

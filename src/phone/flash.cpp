@@ -75,6 +75,7 @@ bool FlashStore::exists(std::string_view file) const {
 }
 
 const std::string& FlashStore::content(std::string_view file) const {
+    if (readHook_) readHook_(file);
     const auto it = files_.find(file);
     if (it == files_.end()) {
         static const std::string kEmpty;

@@ -8,9 +8,11 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <string>
 #include <string_view>
+#include <utility>
 
 namespace symfail::phone {
 
@@ -75,6 +77,8 @@ public:
     void replaceWithLine(std::string_view file, std::string_view line);
 
     [[nodiscard]] bool exists(std::string_view file) const;
+    /// A file's content.  Runs the read hook first, so a writer that
+    /// defers its lines can write them before anyone reads.
     [[nodiscard]] const std::string& content(std::string_view file) const;
     /// Last line of the file, or empty if absent/empty.
     [[nodiscard]] std::string lastLine(std::string_view file) const;
@@ -119,6 +123,11 @@ public:
     /// detaches).  Not owned.
     void setFaultInjector(FlashFaultInjector* injector) { injector_ = injector; }
 
+    /// Called with the file name before every read (content, lastLine,
+    /// readTail, lastCompleteLine); nullptr detaches.
+    using ReadHook = std::function<void(std::string_view file)>;
+    void setReadHook(ReadHook hook) { readHook_ = std::move(hook); }
+
     /// Writes swallowed by an injector Drop verdict (transient I/O errors).
     [[nodiscard]] std::uint64_t droppedWrites() const { return droppedWrites_; }
     /// Writes truncated by an injector Torn verdict.
@@ -132,6 +141,7 @@ private:
     std::size_t rotateLimit_{8 * 1024 * 1024};
     FlashWriteObserver* observer_{nullptr};
     FlashFaultInjector* injector_{nullptr};
+    ReadHook readHook_;
     std::uint64_t droppedWrites_{0};
     std::uint64_t tornWrites_{0};
     std::uint64_t corruptedBytes_{0};

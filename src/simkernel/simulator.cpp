@@ -59,6 +59,7 @@ void Simulator::dispatch(EventQueue::Fired& fired) {
                         fired.category != nullptr ? fired.category : "uncategorized",
                         now_);
     }
+    dispatching_ = true;
     if (profiler_ != nullptr) {
         if (profiler_->sampleThisEvent()) {
             const auto hostStart = std::chrono::steady_clock::now();
@@ -73,6 +74,7 @@ void Simulator::dispatch(EventQueue::Fired& fired) {
     } else {
         fired.action();
     }
+    dispatching_ = false;
     ++fired_;
 }
 

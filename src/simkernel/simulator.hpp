@@ -86,6 +86,12 @@ public:
     /// Requests that the run loop return after the current event.
     void stop() { stopRequested_ = true; }
 
+    /// True while an event's action runs.  Work derived lazily uses it to
+    /// tell a call from inside an event at now(), where events queued
+    /// later for the same instant have yet to run, from a call between
+    /// runs, where every event at now() has run.
+    [[nodiscard]] bool dispatching() const { return dispatching_; }
+
     [[nodiscard]] std::uint64_t eventsFired() const { return fired_; }
     [[nodiscard]] std::size_t pendingEvents() const { return queue_.size(); }
 
@@ -119,6 +125,7 @@ private:
     std::uint64_t fired_{0};
     std::size_t queueDepthPeak_{0};
     bool stopRequested_{false};
+    bool dispatching_{false};
     obs::TraceSink* trace_{nullptr};
     obs::CampaignProfiler* profiler_{nullptr};
 };

@@ -3,6 +3,11 @@
 // failure injection against the logger itself (torn writes).
 #include <gtest/gtest.h>
 
+#include <array>
+#include <functional>
+
+#include "faults/injector.hpp"
+#include "fleet/fleet.hpp"
 #include "logger/logger.hpp"
 #include "logger/records.hpp"
 #include "phone/device.hpp"
@@ -408,6 +413,190 @@ TEST_F(LoggerFixture, DisabledLoggerWritesNothingAtBoot) {
     simulator_.runUntil(simulator_.now() + sim::Duration::hours(1));
     EXPECT_EQ(darkLogger.heartbeatsWritten(), 0u);
     EXPECT_TRUE(darkLogger.logFileContent().empty());
+}
+
+// -- Derived ticks ---------------------------------------------------------------
+//
+// A logger whose ticks no fault plane observes derives them at the next
+// sync instead of running RTimer-driven AOs; observeTicks() keeps the AOs.
+// Both must leave the same bytes in every tick file.
+
+constexpr std::array<std::string_view, 4> kTickFiles = {kBeatsFile, kRunappFile,
+                                                        kActivityFile, kPowerFile};
+
+/// Sizes and hashes of the four tick files: enough to tell two runs apart
+/// without keeping megabytes of runapp lines per boot.
+using TickPrint = std::array<std::pair<std::size_t, std::size_t>, 4>;
+
+TickPrint tickPrint(const phone::FlashStore& flash) {
+    TickPrint print{};
+    for (std::size_t i = 0; i < kTickFiles.size(); ++i) {
+        const std::string& text = flash.content(kTickFiles[i]);
+        print[i] = {text.size(), std::hash<std::string>{}(text)};
+    }
+    return print;
+}
+
+struct TickRun {
+    std::vector<TickPrint> atBoots;
+    TickPrint atEnd{};
+    std::uint64_t heartbeats{0};
+    std::uint64_t snapshots{0};
+};
+
+/// One phone with the default user profile and faults at 8x the fleet's
+/// rates, run for 60 days; the tick files are printed at every boot, by a
+/// boot hook that runs before the logger's.
+TickRun runFaultedPhone(std::uint64_t seed, bool observed) {
+    fleet::FleetConfig fleetConfig;
+    fleetConfig.panicsPerHour *= 8.0;
+    fleetConfig.freezesPerHour *= 8.0;
+    fleetConfig.selfShutdownsPerHour *= 8.0;
+    const auto rates = faults::deriveRates(fleet::derivePlan(fleetConfig));
+
+    sim::Simulator simulator;
+    phone::PhoneDevice::Config config;
+    config.name = "ticks";
+    config.seed = seed;
+    // Declared before the device so they outlive it.
+    std::unique_ptr<FailureLogger> logger;
+    std::unique_ptr<faults::FaultInjector> injector;
+    auto device = std::make_unique<phone::PhoneDevice>(simulator, config);
+    TickRun run;
+    device->addBootHook([&]() { run.atBoots.push_back(tickPrint(device->flash())); });
+    logger = std::make_unique<FailureLogger>(*device);
+    if (observed) logger->observeTicks();
+    injector = std::make_unique<faults::FaultInjector>(*device, rates, seed * 31 + 7);
+    device->powerOn();
+    simulator.runUntil(sim::TimePoint::origin() + sim::Duration::days(60));
+    run.atEnd = tickPrint(device->flash());
+    run.heartbeats = logger->heartbeatsWritten();
+    run.snapshots = logger->snapshotsWritten();
+    return run;
+}
+
+TEST(DerivedTicks, TickFilesMatchAoTicksAtEveryBoot) {
+    for (const std::uint64_t seed : {1u, 2u, 3u, 4u, 5u}) {
+        SCOPED_TRACE(seed);
+        const TickRun derived = runFaultedPhone(seed, false);
+        const TickRun ao = runFaultedPhone(seed, true);
+        EXPECT_GT(derived.atBoots.size(), 5u);
+        ASSERT_EQ(derived.atBoots.size(), ao.atBoots.size());
+        for (std::size_t boot = 0; boot < ao.atBoots.size(); ++boot) {
+            EXPECT_EQ(derived.atBoots[boot], ao.atBoots[boot]) << "boot " << boot;
+        }
+        EXPECT_EQ(derived.atEnd, ao.atEnd);
+        EXPECT_EQ(derived.heartbeats, ao.heartbeats);
+        EXPECT_EQ(derived.snapshots, ao.snapshots);
+        EXPECT_GT(ao.heartbeats, 30'000u);
+    }
+}
+
+struct QuietOutcome {
+    std::array<std::string, 4> tickFiles;
+    std::string logFile;
+    std::uint64_t heartbeats{0};
+    std::uint64_t snapshots{0};
+};
+
+/// Boots a phone whose user does nothing at t = 0, runs `scenario`, and
+/// returns what the logger left in flash.
+QuietOutcome runQuietPhone(bool observed,
+                           const std::function<void(sim::Simulator&,
+                                                    phone::PhoneDevice&)>& scenario) {
+    sim::Simulator simulator;
+    phone::PhoneDevice::Config config;
+    config.name = "quiet";
+    config.profile.callsPerDay = 0.0;
+    config.profile.smsPerDay = 0.0;
+    config.profile.cameraPerDay = 0.0;
+    config.profile.bluetoothPerDay = 0.0;
+    config.profile.webPerDay = 0.0;
+    config.profile.appSessionsPerDay = 0.0;
+    config.profile.nightOffProb = 0.0;
+    config.profile.daytimeOffPerDay = 0.0;
+    config.profile.quickCyclesPerDay = 0.0;
+    config.profile.loggerTogglesPerMonth = 0.0;
+    std::unique_ptr<FailureLogger> logger;
+    auto device = std::make_unique<phone::PhoneDevice>(simulator, config);
+    logger = std::make_unique<FailureLogger>(*device);
+    if (observed) logger->observeTicks();
+    device->powerOn();
+    scenario(simulator, *device);
+    QuietOutcome outcome;
+    for (std::size_t i = 0; i < kTickFiles.size(); ++i) {
+        outcome.tickFiles[i] = device->flash().content(kTickFiles[i]);
+    }
+    outcome.logFile = logger->logFileContent();
+    outcome.heartbeats = logger->heartbeatsWritten();
+    outcome.snapshots = logger->snapshotsWritten();
+    return outcome;
+}
+
+/// Runs `scenario` with derived and with AO ticks, expects the same
+/// outcome, and returns it.
+QuietOutcome expectSameInBothModes(
+    const std::function<void(sim::Simulator&, phone::PhoneDevice&)>& scenario) {
+    const QuietOutcome derived = runQuietPhone(false, scenario);
+    const QuietOutcome ao = runQuietPhone(true, scenario);
+    EXPECT_EQ(derived.tickFiles, ao.tickFiles);
+    EXPECT_EQ(derived.logFile, ao.logFile);
+    EXPECT_EQ(derived.heartbeats, ao.heartbeats);
+    EXPECT_EQ(derived.snapshots, ao.snapshots);
+    return ao;
+}
+
+/// The BOOT records of a Log File.
+std::vector<BootRecord> bootRecords(const std::string& logFile) {
+    std::vector<BootRecord> boots;
+    for (const auto& entry : parseLogFile(logFile)) {
+        if (entry.type == LogFileEntry::Type::Boot) boots.push_back(entry.boot);
+    }
+    return boots;
+}
+
+TEST(DerivedTicks, FreezeQueuedAtAHeartbeatsInstantSuppressesIt) {
+    // The freeze was queued before the tick's completion, so it runs
+    // first and the suspended kernel drops the tick: the last beat is the
+    // boot's.
+    const auto heartbeat = LoggerConfig{}.heartbeatPeriod;
+    const QuietOutcome outcome =
+        expectSameInBothModes([&](sim::Simulator& simulator, phone::PhoneDevice& device) {
+            simulator.scheduleAt(sim::TimePoint::origin() + heartbeat, "test",
+                                 [&device]() { device.freeze("hang"); });
+            simulator.runUntil(sim::TimePoint::origin() + sim::Duration::hours(12));
+        });
+    const auto boots = bootRecords(outcome.logFile);
+    ASSERT_EQ(boots.size(), 2u);
+    EXPECT_EQ(boots[1].prior, PriorShutdown::Freeze);
+    EXPECT_EQ(boots[1].lastBeatAt, sim::TimePoint::origin());
+}
+
+TEST(DerivedTicks, SessionClosedAtARunappTickIsNotInItsSnapshot) {
+    const auto runapp = LoggerConfig{}.runappPeriod;
+    const QuietOutcome outcome =
+        expectSameInBothModes([&](sim::Simulator& simulator, phone::PhoneDevice& device) {
+            device.startAppSession(phone::kAppClock, runapp);
+            simulator.runUntil(sim::TimePoint::origin() + sim::Duration::minutes(10));
+        });
+    const auto lines = splitFields(outcome.tickFiles[1], '\n');
+    ASSERT_GE(lines.size(), 2u);
+    EXPECT_EQ(lines[0], "RUNAPP|" + std::to_string(runapp.totalMicros()) + "|");
+}
+
+TEST(DerivedTicks, BatteryPullBetweenRunsKeepsTheHeartbeatAtThatInstant) {
+    const auto heartbeat = LoggerConfig{}.heartbeatPeriod;
+    const QuietOutcome outcome =
+        expectSameInBothModes([&](sim::Simulator& simulator, phone::PhoneDevice& device) {
+            simulator.runUntil(sim::TimePoint::origin() + heartbeat * 3);
+            device.abruptPowerOff();
+            simulator.runUntil(simulator.now() + sim::Duration::minutes(1));
+            device.powerOn();
+        });
+    const auto boots = bootRecords(outcome.logFile);
+    ASSERT_EQ(boots.size(), 2u);
+    EXPECT_EQ(boots[1].prior, PriorShutdown::Freeze);
+    EXPECT_EQ(boots[1].lastBeatAt, sim::TimePoint::origin() + heartbeat * 3);
 }
 
 }  // namespace
