@@ -18,9 +18,7 @@ int main() {
     defaults.days = 30;
 
     // Sweep one axis: the data-channel loss probability.
-    experiment::GridAxes axes;
-    axes.lossPct = {0.0, 10.0, 30.0};
-    const auto grid = experiment::Grid::fromAxes(axes, defaults);
+    const auto grid = experiment::Grid::parse(R"({"loss_pct": [0, 10, 30]})", defaults);
 
     experiment::RunnerOptions options;
     options.trials = 10;

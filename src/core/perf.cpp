@@ -7,6 +7,7 @@
 #include <stdexcept>
 
 #include "analysis/dataset.hpp"
+#include "fleet/fleet.hpp"
 #include "obs/trace.hpp"  // jsonNum
 
 namespace symfail::core {
@@ -36,12 +37,9 @@ PerfReport runPerfScaling(const PerfOptions& options) {
     report.sampleHours = options.sampleHours;
     report.samplingStride = options.samplingStride;
     for (const int phones : options.fleetSizes) {
-        fleet::FleetConfig config = options.base;
+        fleet::FleetConfig config;
         config.phoneCount = phones;
-        config.campaign = sim::Duration::days(options.days);
-        if (config.enrollmentWindow > config.campaign) {
-            config.enrollmentWindow = config.campaign / 2;
-        }
+        fleet::setCampaignDays(config, options.days);
         config.seed = options.seed;
 
         obs::ResourceAccountant accountant;

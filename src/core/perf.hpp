@@ -22,14 +22,14 @@
 #include <string>
 #include <vector>
 
-#include "fleet/fleet.hpp"
 #include "obs/accountant.hpp"
 #include "obs/metrics.hpp"
 #include "obs/profiler.hpp"
 
 namespace symfail::core {
 
-/// Configuration of one scaling run.
+/// Configuration of one scaling run.  Every rung runs the default
+/// `fleet::FleetConfig` at its fleet size, `days` and `seed`.
 struct PerfOptions {
     /// Fleet sizes to ladder through, one campaign per entry.
     std::vector<int> fleetSizes{25, 10'000};
@@ -41,9 +41,6 @@ struct PerfOptions {
     long long sampleHours = 6;
     /// Profiler sampling stride (1 = time every dispatch).
     std::uint64_t samplingStride = 64;
-    /// Template campaign configuration (transport, rates, …); phone
-    /// count, length and seed are overwritten per cell.
-    fleet::FleetConfig base{};
 };
 
 /// One rung of the scaling ladder.

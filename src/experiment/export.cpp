@@ -23,33 +23,14 @@ void appendKey(std::string& out, std::string_view key) {
 }
 
 void appendCellParams(std::string& out, const Cell& cell) {
-    out += "{";
-    appendKey(out, "phones");
-    out += std::to_string(cell.phones);
-    out += ',';
-    appendKey(out, "days");
-    out += std::to_string(cell.days);
-    out += ',';
-    appendKey(out, "loss_pct");
-    out += jsonNum(cell.lossPct, kDigits);
-    out += ',';
-    appendKey(out, "dup_pct");
-    out += jsonNum(cell.dupPct, kDigits);
-    out += ',';
-    appendKey(out, "reorder_pct");
-    out += jsonNum(cell.reorderPct, kDigits);
-    out += ',';
-    appendKey(out, "outage_day");
-    out += std::to_string(cell.outageDay);
-    out += ',';
-    appendKey(out, "outage_days");
-    out += std::to_string(cell.outageDays);
-    out += ',';
-    appendKey(out, "heartbeat_seconds");
-    out += jsonNum(cell.heartbeatSeconds, kDigits);
-    out += ',';
-    appendKey(out, "self_shutdown_threshold_seconds");
-    out += jsonNum(cell.selfShutdownThresholdSeconds, kDigits);
+    out += '{';
+    for (const Axis& axis : axes()) {
+        const double value = axis.get(cell);
+        if (axis.omitWhenZero && value == 0.0) continue;
+        if (out.back() != '{') out += ',';
+        appendKey(out, axis.key);
+        out += jsonNum(value, kDigits);
+    }
     out += '}';
 }
 

@@ -6,6 +6,7 @@
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
+#include <type_traits>
 
 namespace symfail::experiment {
 namespace {
@@ -20,6 +21,9 @@ std::string compactNum(double value) {
     if (!s.empty() && s.back() == '.') s.pop_back();
     return s;
 }
+
+/// The characters a number token may hold.
+constexpr std::string_view kNumberChars = "0123456789+-.eE";
 
 /// Minimal JSON reader for the grid schema: one object mapping string
 /// keys to a number or a flat array of numbers.  Anything else is a
@@ -117,72 +121,105 @@ private:
 
     double readNumber() {
         const std::size_t start = pos_;
-        while (pos_ < text_.size()) {
-            const char c = text_[pos_];
-            if (std::isdigit(static_cast<unsigned char>(c)) != 0 || c == '-' ||
-                c == '+' || c == '.' || c == 'e' || c == 'E') {
-                ++pos_;
-            } else {
-                break;
-            }
+        while (pos_ < text_.size() &&
+               kNumberChars.find(text_[pos_]) != std::string_view::npos) {
+            ++pos_;
         }
         if (pos_ == start) fail("expected a number");
         const std::string token = text_.substr(start, pos_ - start);
-        std::size_t consumed = 0;
-        double value = 0.0;
-        try {
-            value = std::stod(token, &consumed);
-        } catch (const std::exception&) {
-            consumed = 0;
-        }
-        if (consumed != token.size() || !std::isfinite(value)) {
+        const auto value = parseNumber(token);
+        if (!value) {
             pos_ = start;
             fail("malformed number '" + token + "'");
         }
-        return value;
+        return *value;
     }
 
     const std::string& text_;
     std::size_t pos_{0};
 };
 
-void requireRange(const char* axis, double value, double lo, double hi) {
-    if (value < lo || value > hi) {
-        std::ostringstream msg;
-        msg << "grid axis '" << axis << "': value " << value << " outside [" << lo
-            << ", " << hi << "]";
-        throw std::runtime_error(msg.str());
-    }
+/// A bound or value as error messages show it ("100000", "0.05").
+std::string messageNum(double value) {
+    char buf[32];
+    std::snprintf(buf, sizeof buf, "%.10g", value);
+    return buf;
 }
 
-void requireInteger(const char* axis, double value) {
-    if (value != std::floor(value)) {
-        std::ostringstream msg;
-        msg << "grid axis '" << axis << "': value " << value << " must be an integer";
-        throw std::runtime_error(msg.str());
-    }
-}
-
-template <typename T>
-std::vector<T> integerAxis(const char* axis, const std::vector<double>& values,
-                           double lo, double hi) {
-    std::vector<T> out;
-    out.reserve(values.size());
-    for (const double v : values) {
-        requireInteger(axis, v);
-        requireRange(axis, v, lo, hi);
-        out.push_back(static_cast<T>(v));
-    }
-    return out;
-}
-
-std::vector<double> realAxis(const char* axis, const std::vector<double>& values,
-                             double lo, double hi) {
-    for (const double v : values) requireRange(axis, v, lo, hi);
-    return values;
-}
+// Every campaign axis, in canonical order.
+constexpr Bounds kPercent{0.0, 100.0};
+constexpr Bounds kSeconds{1.0, 86'400.0};
+constexpr Bounds kPerKHour{0.0, 100'000.0};
+constexpr Axis kAxes[] = {
+    // key, flag, bounds, omitWhenZero, member
+    {"phones", "--phones", {1.0, 100'000.0, true}, false, &Cell::phones},
+    {"days", "--days", {1.0, 36'500.0, true}, false, &Cell::days},
+    {"loss_pct", "--loss", kPercent, false, &Cell::lossPct},
+    {"dup_pct", "--dup", kPercent, false, &Cell::dupPct},
+    {"reorder_pct", "--reorder", kPercent, false, &Cell::reorderPct},
+    {"outage_day", "--outage-day", {-1.0, 36'500.0, true}, false, &Cell::outageDay},
+    {"outage_days", "--outage-days", {0.0, 36'500.0, true}, false, &Cell::outageDays},
+    {"heartbeat_seconds", "", kSeconds, false, &Cell::heartbeatSeconds},
+    {"self_shutdown_threshold_seconds", "", kSeconds, false,
+     &Cell::selfShutdownThresholdSeconds},
+    {"flash_fault_per_khour", "--flash-fault", kPerKHour, true,
+     &Cell::flashFaultPerKHour},
+    {"mem_pressure_per_khour", "--mem-pressure", kPerKHour, true,
+     &Cell::memPressurePerKHour},
+    {"clock_skew_ppm", "--clock-skew", {-10'000.0, 10'000.0}, true, &Cell::clockSkewPpm},
+    {"radio_fault_per_khour", "--radio-fault", kPerKHour, true,
+     &Cell::radioFaultPerKHour},
+};
 
 }  // namespace
+
+double Bounds::check(std::string_view name, double value) const {
+    if (!(value >= lo && value <= hi)) {
+        throw std::runtime_error(std::string{name} + " must be in [" + messageNum(lo) +
+                                 ", " + messageNum(hi) + "], got " + messageNum(value));
+    }
+    if (integer && value != std::floor(value)) {
+        throw std::runtime_error(std::string{name} + " must be an integer, got " +
+                                 messageNum(value));
+    }
+    return value;
+}
+
+std::optional<double> parseNumber(std::string_view token) {
+    if (token.empty() || token.find_first_not_of(kNumberChars) != token.npos) {
+        return std::nullopt;
+    }
+    try {
+        std::size_t consumed = 0;
+        const double value = std::stod(std::string{token}, &consumed);
+        if (consumed == token.size() && std::isfinite(value)) return value;
+    } catch (const std::exception&) {
+    }
+    return std::nullopt;
+}
+
+double Axis::get(const Cell& cell) const {
+    return std::visit([&](auto field) { return static_cast<double>(cell.*field); },
+                      member);
+}
+
+void Axis::set(Cell& cell, double value) const {
+    std::visit(
+        [&](auto field) {
+            using Field = std::remove_reference_t<decltype(cell.*field)>;
+            cell.*field = static_cast<Field>(value);
+        },
+        member);
+}
+
+std::span<const Axis> axes() { return kAxes; }
+
+const Axis& axis(std::string_view key) {
+    for (const Axis& entry : kAxes) {
+        if (entry.key == key) return entry;
+    }
+    throw std::runtime_error("unknown grid axis '" + std::string{key} + "'");
+}
 
 std::string Cell::label() const {
     std::string out = "phones=" + std::to_string(phones) +
@@ -206,10 +243,7 @@ core::StudyConfig Cell::toStudyConfig(std::uint64_t seed) const {
     core::StudyConfig config;
     auto& fleet = config.fleetConfig;
     fleet.phoneCount = phones;
-    fleet.campaign = sim::Duration::days(days);
-    if (fleet.enrollmentWindow > fleet.campaign) {
-        fleet.enrollmentWindow = fleet.campaign / 2;
-    }
+    fleet::setCampaignDays(fleet, days);
     fleet.seed = seed;
     fleet.loggerConfig.heartbeatPeriod = sim::Duration::fromSecondsF(heartbeatSeconds);
     auto& transport = fleet.transport;
@@ -240,101 +274,32 @@ Grid Grid::single(const Cell& cell) {
     return grid;
 }
 
-Grid Grid::fromAxes(const GridAxes& axes, const Cell& defaults) {
-    // Missing axes collapse to the default value, so the product below is
-    // always over non-empty lists.
-    const auto orDefault = [](auto values, auto fallback) {
-        if (values.empty()) values.push_back(fallback);
-        return values;
-    };
-    const auto phones = orDefault(axes.phones, defaults.phones);
-    const auto days = orDefault(axes.days, defaults.days);
-    const auto loss = orDefault(axes.lossPct, defaults.lossPct);
-    const auto dup = orDefault(axes.dupPct, defaults.dupPct);
-    const auto reorder = orDefault(axes.reorderPct, defaults.reorderPct);
-    const auto outageDay = orDefault(axes.outageDay, defaults.outageDay);
-    const auto outageDays = orDefault(axes.outageDays, defaults.outageDays);
-    const auto heartbeat = orDefault(axes.heartbeatSeconds, defaults.heartbeatSeconds);
-    const auto threshold = orDefault(axes.selfShutdownThresholdSeconds,
-                                     defaults.selfShutdownThresholdSeconds);
-    const auto flash = orDefault(axes.flashFaultPerKHour, defaults.flashFaultPerKHour);
-    const auto mem = orDefault(axes.memPressurePerKHour, defaults.memPressurePerKHour);
-    const auto skew = orDefault(axes.clockSkewPpm, defaults.clockSkewPpm);
-    const auto radio = orDefault(axes.radioFaultPerKHour, defaults.radioFaultPerKHour);
-
-    Grid grid;
-    for (const int p : phones)
-        for (const long long d : days)
-            for (const double l : loss)
-                for (const double du : dup)
-                    for (const double r : reorder)
-                        for (const long long od : outageDay)
-                            for (const long long ods : outageDays)
-                                for (const double hb : heartbeat)
-                                    for (const double th : threshold)
-                                        for (const double ff : flash)
-                                            for (const double mp : mem)
-                                                for (const double cs : skew)
-                                                    for (const double rf : radio) {
-                                                        Cell cell;
-                                                        cell.phones = p;
-                                                        cell.days = d;
-                                                        cell.lossPct = l;
-                                                        cell.dupPct = du;
-                                                        cell.reorderPct = r;
-                                                        cell.outageDay = od;
-                                                        cell.outageDays = ods;
-                                                        cell.heartbeatSeconds = hb;
-                                                        cell.selfShutdownThresholdSeconds = th;
-                                                        cell.flashFaultPerKHour = ff;
-                                                        cell.memPressurePerKHour = mp;
-                                                        cell.clockSkewPpm = cs;
-                                                        cell.radioFaultPerKHour = rf;
-                                                        grid.cells_.push_back(cell);
-                                                    }
-    return grid;
-}
-
 Grid Grid::parse(const std::string& json, const Cell& defaults) {
-    GridJsonReader reader{json};
-    GridAxes axes;
-    for (const auto& [key, values] : reader.read()) {
-        if (key == "phones") {
-            axes.phones = integerAxis<int>("phones", values, 1, 100'000);
-        } else if (key == "days") {
-            axes.days = integerAxis<long long>("days", values, 1, 36'500);
-        } else if (key == "loss_pct") {
-            axes.lossPct = realAxis("loss_pct", values, 0.0, 100.0);
-        } else if (key == "dup_pct") {
-            axes.dupPct = realAxis("dup_pct", values, 0.0, 100.0);
-        } else if (key == "reorder_pct") {
-            axes.reorderPct = realAxis("reorder_pct", values, 0.0, 100.0);
-        } else if (key == "outage_day") {
-            axes.outageDay = integerAxis<long long>("outage_day", values, -1, 36'500);
-        } else if (key == "outage_days") {
-            axes.outageDays = integerAxis<long long>("outage_days", values, 0, 36'500);
-        } else if (key == "heartbeat_seconds") {
-            axes.heartbeatSeconds =
-                realAxis("heartbeat_seconds", values, 1.0, 86'400.0);
-        } else if (key == "self_shutdown_threshold_seconds") {
-            axes.selfShutdownThresholdSeconds =
-                realAxis("self_shutdown_threshold_seconds", values, 1.0, 86'400.0);
-        } else if (key == "flash_fault_per_khour") {
-            axes.flashFaultPerKHour =
-                realAxis("flash_fault_per_khour", values, 0.0, 100'000.0);
-        } else if (key == "mem_pressure_per_khour") {
-            axes.memPressurePerKHour =
-                realAxis("mem_pressure_per_khour", values, 0.0, 100'000.0);
-        } else if (key == "clock_skew_ppm") {
-            axes.clockSkewPpm = realAxis("clock_skew_ppm", values, -10'000.0, 10'000.0);
-        } else if (key == "radio_fault_per_khour") {
-            axes.radioFaultPerKHour =
-                realAxis("radio_fault_per_khour", values, 0.0, 100'000.0);
-        } else {
-            throw std::runtime_error("grid JSON: unknown axis '" + key + "'");
-        }
+    const auto table = axes();
+    // One value list per axis; an axis the file leaves out keeps its
+    // default, and a repeated key keeps its last list.
+    std::vector<std::vector<double>> values(table.size());
+    for (std::size_t i = 0; i < table.size(); ++i) values[i] = {table[i].get(defaults)};
+    for (auto& [key, list] : GridJsonReader{json}.read()) {
+        const Axis& entry = axis(key);
+        const std::string name = "grid axis '" + key + "'";
+        if (list.empty()) throw std::runtime_error(name + " has an empty value list");
+        for (const double value : list) entry.bounds.check(name, value);
+        values[static_cast<std::size_t>(&entry - table.data())] = std::move(list);
     }
-    return fromAxes(axes, defaults);
+    // The Cartesian product as an odometer: the last axis turns fastest.
+    Grid grid;
+    std::vector<std::size_t> at(table.size(), 0);
+    while (true) {
+        Cell cell = defaults;
+        for (std::size_t i = 0; i < table.size(); ++i) {
+            table[i].set(cell, values[i][at[i]]);
+        }
+        grid.cells_.push_back(cell);
+        std::size_t i = table.size();
+        while (i > 0 && ++at[i - 1] == values[i - 1].size()) at[--i] = 0;
+        if (i == 0) return grid;
+    }
 }
 
 Grid Grid::load(const std::string& path, const Cell& defaults) {

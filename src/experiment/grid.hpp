@@ -3,22 +3,31 @@
 // A Grid is the Cartesian product of per-parameter value lists ("axes")
 // over the campaign knobs worth sweeping: fleet size, campaign length,
 // transport loss/dup/reorder and outage windows, the logger heartbeat
-// period, and the self-shutdown discrimination threshold.  Each point of
-// the product is a Cell — one fully concrete campaign configuration that
-// the experiment Runner replicates N times with derived seeds.
+// period, the self-shutdown discrimination threshold and the four
+// OS-interface fault-plane rates.  Each point of the product is a Cell —
+// one fully concrete campaign configuration that the experiment Runner
+// replicates N times with derived seeds.
+//
+// `axes()` defines each knob once: its grid key, its CLI flag, its bounds
+// and the Cell member it sets.  The grid reader, the sweep JSON writer
+// and the CLI's campaign flags all read that table.
 //
 // Grids load from a small JSON file (`symfail sweep --grid FILE.json`):
 // one object whose keys are axis names and whose values are a number or
-// an array of numbers, e.g.
+// a non-empty array of numbers, e.g.
 //
 //   { "phones": [5, 10], "days": 60, "loss_pct": [0, 5, 20] }
 //
-// Unknown keys are rejected loudly — a typo must not silently sweep the
-// default instead of the intended axis.
+// Unknown keys and empty lists are rejected loudly — a typo must not
+// silently sweep the default instead of the intended axis.
 #pragma once
 
 #include <cstdint>
+#include <optional>
+#include <span>
 #include <string>
+#include <string_view>
+#include <variant>
 #include <vector>
 
 #include "core/study.hpp"
@@ -53,22 +62,43 @@ struct Cell {
     [[nodiscard]] core::StudyConfig toStudyConfig(std::uint64_t seed) const;
 };
 
-/// Axis names accepted by the JSON schema, in canonical order.
-struct GridAxes {
-    std::vector<int> phones;
-    std::vector<long long> days;
-    std::vector<double> lossPct;
-    std::vector<double> dupPct;
-    std::vector<double> reorderPct;
-    std::vector<long long> outageDay;
-    std::vector<long long> outageDays;
-    std::vector<double> heartbeatSeconds;
-    std::vector<double> selfShutdownThresholdSeconds;
-    std::vector<double> flashFaultPerKHour;
-    std::vector<double> memPressurePerKHour;
-    std::vector<double> clockSkewPpm;
-    std::vector<double> radioFaultPerKHour;
+/// The values a numeric knob accepts: [lo, hi], and only whole numbers
+/// when `integer`.
+struct Bounds {
+    double lo;
+    double hi;
+    bool integer{false};
+
+    /// Returns `value` when it is within bounds; otherwise throws
+    /// std::runtime_error naming `name` (a grid key or a CLI flag).
+    double check(std::string_view name, double value) const;
 };
+
+/// Reads a whole token as a decimal number: digits, signs, '.', 'e' and
+/// 'E' only (no hex, nan or inf), and a finite value.  nullopt otherwise.
+/// Grid files and CLI flags both read numbers through it.
+[[nodiscard]] std::optional<double> parseNumber(std::string_view token);
+
+/// One campaign axis: a Cell member that a grid key and, for most axes, a
+/// CLI flag set.
+struct Axis {
+    std::string_view key;   ///< Grid key, also the sweep JSON `params` key.
+    std::string_view flag;  ///< CLI flag; empty when the axis has none.
+    Bounds bounds;
+    /// Enters the sweep JSON `params` only when nonzero, as in `Cell::label`.
+    bool omitWhenZero;
+    std::variant<int Cell::*, long long Cell::*, double Cell::*> member;
+
+    [[nodiscard]] double get(const Cell& cell) const;
+    void set(Cell& cell, double value) const;
+};
+
+/// Every axis, in canonical order: grid cells vary the first slowest, and
+/// the sweep JSON `params` list them in this order.
+[[nodiscard]] std::span<const Axis> axes();
+
+/// The axis whose grid key is `key`; throws std::runtime_error if none.
+[[nodiscard]] const Axis& axis(std::string_view key);
 
 /// The sweep grid: an ordered list of cells.
 class Grid {
@@ -76,15 +106,12 @@ public:
     /// A single cell with the given defaults (the no-grid-file case).
     [[nodiscard]] static Grid single(const Cell& cell);
 
-    /// Expands axes into cells (Cartesian product, axes varying slowest
-    /// to fastest in the canonical order above).  Missing axes take the
-    /// corresponding value from `defaults`.  Throws std::runtime_error on
-    /// an empty product or out-of-range values.
-    [[nodiscard]] static Grid fromAxes(const GridAxes& axes, const Cell& defaults);
-
-    /// Parses the JSON schema described above.  Throws std::runtime_error
-    /// with a position-annotated message on malformed input, unknown keys,
-    /// or out-of-range values.
+    /// Parses the JSON schema described above and expands it into cells:
+    /// the Cartesian product over `axes()`, in their order.  Axes the file
+    /// leaves out take their value from `defaults`.  Throws
+    /// std::runtime_error with a position-annotated message on malformed
+    /// input, and on unknown keys, empty value lists and out-of-bounds
+    /// values.
     [[nodiscard]] static Grid parse(const std::string& json, const Cell& defaults);
 
     /// `parse` over a file's contents.

@@ -80,6 +80,13 @@ double expectedObservedHours(const FleetConfig& config) {
     return total;
 }
 
+void setCampaignDays(FleetConfig& config, long long days) {
+    config.campaign = sim::Duration::days(days);
+    if (config.enrollmentWindow > config.campaign) {
+        config.enrollmentWindow = config.campaign / 2;
+    }
+}
+
 faults::StudyPlan derivePlan(const FleetConfig& config) {
     const double wallHours = expectedObservedHours(config);
     const double onHours = wallHours * kAssumedOnFraction;

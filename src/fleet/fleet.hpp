@@ -161,6 +161,11 @@ struct FleetResult {
 /// enrollment.
 [[nodiscard]] double expectedObservedHours(const FleetConfig& config);
 
+/// Sets the campaign length to `days`.  An enrollment window longer than
+/// the campaign shrinks to half of it, so a short campaign still
+/// staggers its phones.
+void setCampaignDays(FleetConfig& config, long long days);
+
 /// Runs the whole campaign; deterministic for a given config.
 [[nodiscard]] FleetResult runCampaign(const FleetConfig& config);
 

@@ -5,7 +5,7 @@
 #include <utility>
 
 #include "obs/provenance.hpp"
-#include "obs/trace.hpp"  // appendJsonEscaped
+#include "obs/trace.hpp"  // jsonNum, jsonString
 
 namespace symfail::monitor {
 namespace {
@@ -16,21 +16,11 @@ void appendf(std::string& out, const char* format, auto... args) {
     out += buf;
 }
 
-void appendNumber(std::string& out, double value) {
-    appendf(out, "%.10g", value);
-}
-
-void appendQuoted(std::string& out, std::string_view s) {
-    out += '"';
-    obs::appendJsonEscaped(out, s);
-    out += '"';
-}
-
 void appendStringArray(std::string& out, const std::vector<std::string>& items) {
     out += '[';
     for (std::size_t i = 0; i < items.size(); ++i) {
         if (i > 0) out += ',';
-        appendQuoted(out, items[i]);
+        out += obs::jsonString(items[i]);
     }
     out += ']';
 }
@@ -426,7 +416,7 @@ std::string FleetMonitor::snapshotsJsonl() const {
     std::string out;
     for (const Snapshot& s : snapshots_) {
         appendf(out, "{\"t_hours\":");
-        appendNumber(out, (s.at - sim::TimePoint::origin()).asHoursF());
+        out += obs::jsonNum((s.at - sim::TimePoint::origin()).asHoursF(), 10);
         appendf(out, ",\"records\":%llu,\"frames\":%llu,\"malformed\":%llu",
                 static_cast<unsigned long long>(s.records),
                 static_cast<unsigned long long>(s.frames),
@@ -442,21 +432,21 @@ std::string FleetMonitor::snapshotsJsonl() const {
                 static_cast<unsigned long long>(s.window.reboots),
                 static_cast<unsigned long long>(s.window.panics),
                 static_cast<unsigned long long>(s.window.multiBursts));
-        appendNumber(out, s.window.observedHours);
+        out += obs::jsonNum(s.window.observedHours, 10);
         appendf(out, ",\"dumps\":%llu,\"crash_families\":%llu,"
                      "\"top_family_dumps\":%llu,\"top_family\":",
                 static_cast<unsigned long long>(s.window.dumps),
                 static_cast<unsigned long long>(s.window.crashFamilies),
                 static_cast<unsigned long long>(s.window.topFamilyDumps));
-        appendQuoted(out, s.window.topFamilyId);
+        out += obs::jsonString(s.window.topFamilyId);
         out += ",\"mtbf_any_hours\":";
-        appendNumber(out, s.window.mtbfAnyHours);
+        out += obs::jsonNum(s.window.mtbfAnyHours, 10);
         out += ",\"failure_rate_per_khour\":";
-        appendNumber(out, s.window.failureRatePerKiloHour);
+        out += obs::jsonNum(s.window.failureRatePerKiloHour, 10);
         out += ",\"laplace_trend\":";
-        appendNumber(out, s.window.laplaceTrend);
+        out += obs::jsonNum(s.window.laplaceTrend, 10);
         out += ",\"forecast_next_window\":";
-        appendNumber(out, s.window.forecastNextWindowFailures);
+        out += obs::jsonNum(s.window.forecastNextWindowFailures, 10);
         out += "},\"totals\":{";
         appendf(out, "\"boots\":%llu,\"panics\":%llu,\"freezes\":%llu,"
                      "\"self_shutdowns\":%llu,\"user_shutdowns\":%llu,"
@@ -498,7 +488,7 @@ std::string FleetMonitor::renderAlertLog() const {
             out += event.phone;
         }
         out += event.firing ? " FIRING value=" : " CLEARED value=";
-        appendNumber(out, event.value);
+        out += obs::jsonNum(event.value, 10);
         out += '\n';
     }
     return out;

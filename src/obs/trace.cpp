@@ -14,18 +14,6 @@ void appendInt(std::string& out, std::int64_t v) {
     out += buf;
 }
 
-void appendDouble(std::string& out, double v) {
-    char buf[48];
-    std::snprintf(buf, sizeof buf, "%.10g", v);
-    out += buf;
-}
-
-void appendQuoted(std::string& out, std::string_view s) {
-    out += '"';
-    appendJsonEscaped(out, s);
-    out += '"';
-}
-
 }  // namespace
 
 void appendJsonEscaped(std::string& out, std::string_view s) {
@@ -91,12 +79,12 @@ void ChromeTraceWriter::appendArgs(std::string& out, TraceArgs args) {
     for (const TraceArg& arg : args) {
         if (!first) out += ',';
         first = false;
-        appendQuoted(out, arg.key);
+        out += jsonString(arg.key);
         out += ':';
         switch (arg.kind) {
-            case TraceArg::Kind::Str: appendQuoted(out, arg.str); break;
+            case TraceArg::Kind::Str: out += jsonString(arg.str); break;
             case TraceArg::Kind::Int: appendInt(out, arg.i64); break;
-            case TraceArg::Kind::Float: appendDouble(out, arg.f64); break;
+            case TraceArg::Kind::Float: out += jsonNum(arg.f64, 10); break;
             case TraceArg::Kind::Bool: out += arg.i64 != 0 ? "true" : "false"; break;
         }
     }
@@ -112,9 +100,9 @@ void ChromeTraceWriter::instant(std::uint32_t track, std::string_view category,
     event += ",\"ts\":";
     appendInt(event, at.micros());
     event += ",\"cat\":";
-    appendQuoted(event, category);
+    event += jsonString(category);
     event += ",\"name\":";
-    appendQuoted(event, name);
+    event += jsonString(name);
     if (!args.empty()) appendArgs(event, args);
     event += '}';
     events_.push_back(std::move(event));
@@ -131,9 +119,9 @@ void ChromeTraceWriter::span(std::uint32_t track, std::string_view category,
     event += ",\"dur\":";
     appendInt(event, duration.totalMicros());
     event += ",\"cat\":";
-    appendQuoted(event, category);
+    event += jsonString(category);
     event += ",\"name\":";
-    appendQuoted(event, name);
+    event += jsonString(name);
     if (!args.empty()) appendArgs(event, args);
     event += '}';
     events_.push_back(std::move(event));
@@ -147,9 +135,9 @@ void ChromeTraceWriter::counter(std::uint32_t track, std::string_view name,
     event += ",\"ts\":";
     appendInt(event, at.micros());
     event += ",\"name\":";
-    appendQuoted(event, name);
+    event += jsonString(name);
     event += ",\"args\":{\"value\":";
-    appendDouble(event, value);
+    event += jsonNum(value, 10);
     event += "}}";
     events_.push_back(std::move(event));
 }
@@ -180,9 +168,9 @@ void ChromeTraceWriter::appendFlow(char phase, std::uint32_t track,
     event += ",\"ts\":";
     appendInt(event, at.micros());
     event += ",\"cat\":";
-    appendQuoted(event, category);
+    event += jsonString(category);
     event += ",\"name\":";
-    appendQuoted(event, name);
+    event += jsonString(name);
     if (!args.empty()) appendArgs(event, args);
     event += '}';
     events_.push_back(std::move(event));

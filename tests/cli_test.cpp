@@ -1,9 +1,11 @@
 // Tests for the symfail CLI and the disk log I/O it builds on.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -104,10 +106,10 @@ TEST(Cli, RejectsPartiallyNumericOptions) {
               1);
 }
 
-// The `--phones/--days/--seed` parsing is shared via parseFleetOptions():
-// every campaign-shaped subcommand must reject the same malformed inputs
-// the same way, so a fifth subcommand can't quietly regress to partial
-// parses.
+// The `--phones/--days/--seed` parsing is shared via campaignCell() and
+// one number parser: every campaign-shaped subcommand must reject the
+// same malformed inputs the same way, so a fifth subcommand can't
+// quietly regress to partial parses.
 TEST(Cli, FleetOptionParsingParityAcrossSubcommands) {
     for (const char* command :
          {"campaign", "transport", "obs", "sweep", "monitor", "osfault",
@@ -121,7 +123,67 @@ TEST(Cli, FleetOptionParsingParityAcrossSubcommands) {
         EXPECT_EQ(cli::runCli({command, "--phones", "0"}), 1) << command;
         EXPECT_EQ(cli::runCli({command, "--days", "0"}), 1) << command;
         EXPECT_EQ(cli::runCli({command, "--days", "-7"}), 1) << command;
+        // --days takes the grid's range, [1, 36500].
+        EXPECT_EQ(cli::runCli({command, "--phones", "1", "--days", "40000"}), 1)
+            << command;
+        EXPECT_EQ(cli::runCli({command, "--seed", "nan"}), 1) << command;
+        // A negative seed used to wrap to 2^64 - 1.
+        EXPECT_EQ(cli::runCli({command, "--phones", "1", "--days", "2", "--seed", "-1"}),
+                  1)
+            << command;
     }
+}
+
+// Every axis flag reads its value exactly like its grid key: both accept
+// the bounds and reject values just outside them, nan and inf, and the
+// integer axes reject fractions.
+TEST(Cli, AxisFlagsMatchGridKeys) {
+    const auto token = [](double value) {
+        char buf[40];
+        std::snprintf(buf, sizeof buf, "%.17g", value);
+        return std::string{buf};
+    };
+    for (const experiment::Axis& axis : experiment::axes()) {
+        if (axis.flag.empty()) continue;
+        const std::string key{axis.key};
+        const auto flagReads = [&](const std::string& value) -> std::optional<double> {
+            std::vector<std::string> args{std::string{axis.flag}, value};
+            if (axis.flag == "--outage-days") {
+                args.insert(args.end(), {"--outage-day", "0"});
+            }
+            try {
+                return axis.get(cli::campaignCell(args, {}));
+            } catch (const std::runtime_error&) {
+                return std::nullopt;
+            }
+        };
+        const auto gridReads = [&](const std::string& value) -> std::optional<double> {
+            try {
+                const auto grid =
+                    experiment::Grid::parse("{\"" + key + "\": " + value + "}", {});
+                return axis.get(grid.cells().front());
+            } catch (const std::runtime_error&) {
+                return std::nullopt;
+            }
+        };
+        const double lo = axis.bounds.lo;
+        const double hi = axis.bounds.hi;
+        for (const double value : {lo, hi}) {
+            EXPECT_EQ(flagReads(token(value)), value) << axis.flag << " " << value;
+            EXPECT_EQ(gridReads(token(value)), value) << key << " " << value;
+        }
+        const double step = axis.bounds.integer ? 1.0 : 1e-6 * (hi - lo);
+        std::vector<std::string> rejected{token(lo - step), token(hi + step), "nan",
+                                          "inf", "-inf"};
+        if (axis.bounds.integer) rejected.push_back("2.5");
+        for (const std::string& value : rejected) {
+            EXPECT_EQ(flagReads(value), std::nullopt) << axis.flag << " " << value;
+            EXPECT_EQ(gridReads(value), std::nullopt) << key << " " << value;
+        }
+    }
+    // Both read exponents, so an integer flag takes 1e3.
+    EXPECT_EQ(cli::campaignCell({"--phones", "1e3"}, {}).phones, 1000);
+    EXPECT_EQ(experiment::Grid::parse(R"({"phones": 1e3})", {}).cells()[0].phones, 1000);
 }
 
 // Every subcommand rejects, before anything runs, a flag it does not read
@@ -322,6 +384,21 @@ TEST(Cli, SweepRejectsBadOptions) {
     EXPECT_EQ(cli::runCli({"sweep", "--trials", "2x"}), 1);
     EXPECT_EQ(cli::runCli({"sweep", "--trials", "0"}), 1);
     EXPECT_EQ(cli::runCli({"sweep", "--jobs", "0"}), 1);
+    // Range checks run before narrowing: these used to run 1 trial and 2
+    // workers.
+    EXPECT_EQ(cli::runCli({"sweep", "--trials", "4294967297", "--phones", "1", "--days",
+                           "2"}),
+              1);
+    EXPECT_EQ(cli::runCli({"sweep", "--trials", "1", "--jobs", "4294967298", "--phones",
+                           "1", "--days", "2"}),
+              1);
+    // --bootstrap is bounded; 0 disables it.
+    EXPECT_EQ(cli::runCli({"sweep", "--trials", "1", "--bootstrap", "-1", "--phones", "1",
+                           "--days", "2"}),
+              1);
+    EXPECT_EQ(cli::runCli({"sweep", "--trials", "1", "--bootstrap", "1e7", "--phones",
+                           "1", "--days", "2"}),
+              1);
     EXPECT_EQ(cli::runCli({"sweep", "--grid", "/definitely/not/there.json"}), 1);
 }
 
@@ -400,6 +477,13 @@ TEST(Cli, SrgmCheckGatesOnBounds) {
               1);
     EXPECT_EQ(cli::runCli({"srgm", "--phones", "2", "--days", "2", "--check",
                            "--max-count-err", "abc"}),
+              1);
+    // NaN passes no bound: it used to disable the KS gate (this run passed
+    // the check) and to split the holdout at nan.
+    EXPECT_EQ(cli::runCli({"srgm", "--phones", "4", "--days", "60", "--seed", "5",
+                           "--fleet-only", "--check", "--max-ks", "nan"}),
+              1);
+    EXPECT_EQ(cli::runCli({"srgm", "--phones", "2", "--days", "2", "--holdout", "nan"}),
               1);
 }
 
@@ -512,6 +596,13 @@ TEST(Cli, OsfaultPlaneFlagsAreAcceptedAndBounded) {
     EXPECT_EQ(cli::runCli({"sweep", "--trials", "1", "--phones", "1", "--days",
                            "2", "--radio-fault", "1x"}),
               1);
+    // Non-finite rates used to stamp every BOOT record 0 and exit 0.
+    EXPECT_EQ(cli::runCli({"campaign", "--phones", "2", "--days", "2", "--clock-skew",
+                           "nan"}),
+              1);
+    EXPECT_EQ(cli::runCli({"campaign", "--phones", "2", "--days", "2", "--flash-fault",
+                           "inf"}),
+              1);
 }
 
 TEST(Cli, OsfaultSubcommandRunsAndChecks) {
@@ -533,6 +624,12 @@ TEST(Cli, OsfaultSubcommandRunsAndChecks) {
                            "5", "--flash-fault", "80", "--mem-pressure", "20",
                            "--radio-fault", "30", "--check", "--min-precision",
                            "1", "--min-recall", "1", "--min-capture", "1"}),
+              1);
+    // NaN bounds used to pass that same run with "osfault check: OK".
+    EXPECT_EQ(cli::runCli({"osfault", "--phones", "3", "--days", "30", "--seed",
+                           "5", "--flash-fault", "80", "--mem-pressure", "20",
+                           "--radio-fault", "30", "--check", "--min-precision",
+                           "nan", "--min-recall", "nan", "--min-capture", "nan"}),
               1);
 }
 

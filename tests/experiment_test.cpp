@@ -226,6 +226,12 @@ TEST(ExperimentGrid, RejectsMalformedInput) {
                  std::runtime_error);
     EXPECT_THROW((void)experiment::Grid::parse(R"({"loss_pct": 150})", defaults),
                  std::runtime_error);
+    // An empty list would silently sweep the default.
+    EXPECT_THROW((void)experiment::Grid::parse(R"({"loss_pct": []})", defaults),
+                 std::runtime_error);
+    EXPECT_THROW(
+        (void)experiment::Grid::parse(R"({"phones": [2], "days": []})", defaults),
+        std::runtime_error);
 }
 
 TEST(ExperimentGrid, CellMaterializesStudyConfig) {
@@ -333,10 +339,8 @@ TEST(ExperimentRunner, TrialsNeverShareSubstreams) {
     options.trialFn = syntheticTrial;
     const experiment::Runner runner{options};
 
-    experiment::GridAxes axes;
-    axes.phones = {2, 3, 4};
-    const auto summary =
-        runner.run(experiment::Grid::fromAxes(axes, experiment::Cell{}));
+    const auto summary = runner.run(
+        experiment::Grid::parse(R"({"phones": [2, 3, 4]})", experiment::Cell{}));
     std::set<std::uint64_t> seeds;
     for (const auto& trial : summary.trials) seeds.insert(trial.seed);
     EXPECT_EQ(seeds.size(), summary.trials.size());
@@ -356,10 +360,8 @@ TEST(ExperimentRunner, ThrowingTrialDoesNotPoisonSiblings) {
     };
     const experiment::Runner runner{options};
 
-    experiment::GridAxes axes;
-    axes.days = {10, 20};
     const auto summary =
-        runner.run(experiment::Grid::fromAxes(axes, experiment::Cell{}));
+        runner.run(experiment::Grid::parse(R"({"days": [10, 20]})", experiment::Cell{}));
     ASSERT_EQ(summary.cells.size(), 2u);
     EXPECT_EQ(summary.cells[0].failedCount, 1u);
     EXPECT_EQ(summary.cells[1].failedCount, 0u);
@@ -375,6 +377,27 @@ TEST(ExperimentRunner, ThrowingTrialDoesNotPoisonSiblings) {
     const auto* sibling = summary.cells[1].find("seed_lo");
     ASSERT_NE(sibling, nullptr);
     EXPECT_EQ(sibling->n, 4u);
+}
+
+// The sweep JSON `params` list the axis table: a swept plane axis shows
+// in them, and a cell with every plane at rest writes the params it wrote
+// before the plane axes existed.
+TEST(ExperimentRunner, SweepParamsFollowTheAxisTable) {
+    experiment::RunnerOptions options;
+    options.trials = 1;
+    options.bootstrapResamples = 0;
+    options.trialFn = syntheticTrial;
+    const experiment::Runner runner{options};
+    const auto json = experiment::sweepToJson(runner.run(experiment::Grid::parse(
+        R"({"flash_fault_per_khour": [0, 20]})", experiment::Cell{})));
+    const std::string defaults =
+        R"("phones":5,"days":60,"loss_pct":5,"dup_pct":2,"reorder_pct":10,)"
+        R"("outage_day":-1,"outage_days":3,"heartbeat_seconds":60,)"
+        R"("self_shutdown_threshold_seconds":360)";
+    EXPECT_NE(json.find(R"("params":{)" + defaults + "}"), std::string::npos) << json;
+    EXPECT_NE(json.find(R"("params":{)" + defaults + R"(,"flash_fault_per_khour":20})"),
+              std::string::npos)
+        << json;
 }
 
 TEST(ExperimentRunner, RejectsInvalidOptions) {
@@ -476,9 +499,7 @@ experiment::Grid tinyRealGrid() {
     experiment::Cell defaults;
     defaults.phones = 2;
     defaults.days = 8;
-    experiment::GridAxes axes;
-    axes.lossPct = {0.0, 20.0};
-    return experiment::Grid::fromAxes(axes, defaults);
+    return experiment::Grid::parse(R"({"loss_pct": [0, 20]})", defaults);
 }
 
 experiment::Summary runTinySweep(int jobs) {
@@ -526,9 +547,8 @@ TEST(ExperimentDeterminism, OsfaultSweepIsByteIdenticalAcrossJobCounts) {
     defaults.phones = 2;
     defaults.days = 8;
     defaults.memPressurePerKHour = 8.0;
-    experiment::GridAxes axes;
-    axes.flashFaultPerKHour = {0.0, 60.0};
-    const auto grid = experiment::Grid::fromAxes(axes, defaults);
+    const auto grid =
+        experiment::Grid::parse(R"({"flash_fault_per_khour": [0, 60]})", defaults);
     experiment::RunnerOptions options;
     options.trials = 2;
     options.masterSeed = 77;

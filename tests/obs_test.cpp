@@ -226,8 +226,14 @@ TEST(Trace, ChromeWriterProducesTraceEventsDocument) {
     EXPECT_NE(json.find("\"boot\":2"), std::string::npos);
     EXPECT_NE(json.find("\"ts\":1500"), std::string::npos);
     EXPECT_NE(json.find("\"dur\":1000000"), std::string::npos);
+    EXPECT_NE(json.find("\"args\":{\"value\":88}"), std::string::npos);
     EXPECT_EQ(writer.eventCount(), 3u);
     EXPECT_EQ(writer.droppedEvents(), 0u);
+
+    // A counter that is not a number writes null: no JSON parser reads nan.
+    writer.counter(track, "battery", sim::TimePoint::fromMicros(3000),
+                   std::numeric_limits<double>::quiet_NaN());
+    EXPECT_NE(writer.json().find("\"args\":{\"value\":null}"), std::string::npos);
 }
 
 TEST(Trace, HostileArgPayloadsAreEscaped) {

@@ -184,30 +184,36 @@ void requireKnownFlags(const std::vector<std::string>& args,
 
 /// Pulls `--name value` from args; returns nullopt when absent.
 std::optional<std::string> option(const std::vector<std::string>& args,
-                                  const std::string& name) {
+                                  std::string_view name) {
     for (std::size_t i = 0; i + 1 < args.size(); ++i) {
         if (args[i] == name) return args[i + 1];
     }
     return std::nullopt;
 }
 
-long long numericOption(const std::vector<std::string>& args, const std::string& name,
-                        long long fallback) {
+/// `--name value` as a number within `bounds`, or `fallback` when the
+/// flag is absent.  The token rule and the bounds check are the sweep
+/// grid's, so a flag accepts exactly the numbers a grid file does:
+/// trailing junk, hex, nan and inf fail, and the range is checked before
+/// the caller narrows the value.
+double numberOption(const std::vector<std::string>& args, std::string_view name,
+                    double fallback, const experiment::Bounds& bounds) {
     const auto value = option(args, name);
     if (!value) return fallback;
-    try {
-        // std::stoll accepts partial parses ("25x" -> 25); demand that the
-        // whole token was consumed so typos fail loudly instead of running
-        // a different campaign than the one asked for.
-        std::size_t consumed = 0;
-        const long long parsed = std::stoll(*value, &consumed);
-        if (consumed != value->size()) {
-            throw std::invalid_argument{"trailing characters"};
-        }
-        return parsed;
-    } catch (const std::exception&) {
-        throw std::runtime_error("invalid value for " + name + ": " + *value);
+    const auto parsed = experiment::parseNumber(*value);
+    if (!parsed) {
+        throw std::runtime_error("invalid value for " + std::string{name} + ": " +
+                                 *value);
     }
+    return bounds.check(name, *parsed);
+}
+
+/// `--seed`: an integer below 2^53, so the parsed double holds the
+/// seed typed, not a neighbour it rounded to.
+std::uint64_t seedOption(const std::vector<std::string>& args, std::uint64_t fallback) {
+    return static_cast<std::uint64_t>(numberOption(args, "--seed",
+                                                   static_cast<double>(fallback),
+                                                   {0.0, 9'007'199'254'740'991.0, true}));
 }
 
 bool hasFlag(const std::vector<std::string>& args, const std::string& name) {
@@ -217,54 +223,16 @@ bool hasFlag(const std::vector<std::string>& args, const std::string& name) {
     return false;
 }
 
-double percentOption(const std::vector<std::string>& args, const std::string& name,
-                     double fallbackPercent) {
-    const auto value = option(args, name);
-    if (!value) return fallbackPercent;
-    double percent = 0.0;
-    try {
-        std::size_t consumed = 0;
-        percent = std::stod(*value, &consumed);
-        if (consumed != value->size()) {
-            throw std::invalid_argument{"trailing characters"};
-        }
-    } catch (const std::exception&) {
-        throw std::runtime_error("invalid value for " + name + ": " + *value);
+/// The study a campaign-shaped subcommand runs for `cell`: seeded by
+/// --seed, with retries off under --no-retries.
+core::StudyConfig studyConfig(const std::vector<std::string>& args,
+                              const experiment::Cell& cell) {
+    core::StudyConfig config =
+        cell.toStudyConfig(seedOption(args, fleet::FleetConfig{}.seed));
+    if (hasFlag(args, "--no-retries")) {
+        config.fleetConfig.transport.policy.retriesEnabled = false;
     }
-    if (percent < 0.0 || percent > 100.0) {
-        throw std::runtime_error(name + " must be a percentage in [0, 100], got " +
-                                 *value);
-    }
-    return percent;
-}
-
-/// Shared `--phones/--days/--seed` parsing for every campaign-shaped
-/// subcommand (campaign/obs/transport/sweep), so the flags parse — and
-/// reject malformed values — identically everywhere.  `--phones` falls
-/// back to the preset `config.phoneCount`, `--days` to `defaultDays`
-/// (subcommands default to different campaign lengths), `--seed` to the
-/// preset `config.seed`.  Returns the campaign length in days for banner
-/// printing.
-long long parseFleetOptions(const std::vector<std::string>& args,
-                            fleet::FleetConfig& config, long long defaultDays) {
-    const auto phones = numericOption(args, "--phones", config.phoneCount);
-    if (phones < 1 || phones > 100000) {
-        throw std::runtime_error("--phones must be in [1, 100000], got " +
-                                 std::to_string(phones));
-    }
-    config.phoneCount = static_cast<int>(phones);
-    const auto days = numericOption(args, "--days", defaultDays);
-    if (days < 1 || days > 100000) {
-        throw std::runtime_error("--days must be in [1, 100000], got " +
-                                 std::to_string(days));
-    }
-    config.campaign = sim::Duration::days(days);
-    if (config.enrollmentWindow > config.campaign) {
-        config.enrollmentWindow = config.campaign / 2;
-    }
-    config.seed = static_cast<std::uint64_t>(
-        numericOption(args, "--seed", static_cast<long long>(config.seed)));
-    return days;
+    return config;
 }
 
 /// Fails fast when an output *file* path cannot be created: rejects
@@ -390,86 +358,6 @@ struct ObsAttachment {
     }
 };
 
-/// `--name value` as a bounded real number (used by the osfault knobs,
-/// whose rates are not percentages).
-double realOption(const std::vector<std::string>& args, const std::string& name,
-                  double fallback, double lo, double hi) {
-    const auto value = option(args, name);
-    if (!value) return fallback;
-    double parsed = 0.0;
-    try {
-        std::size_t consumed = 0;
-        parsed = std::stod(*value, &consumed);
-        if (consumed != value->size()) {
-            throw std::invalid_argument{"trailing characters"};
-        }
-    } catch (const std::exception&) {
-        throw std::runtime_error("invalid value for " + name + ": " + *value);
-    }
-    if (parsed < lo || parsed > hi) {
-        throw std::runtime_error(name + " must be in [" + std::to_string(lo) +
-                                 ", " + std::to_string(hi) + "], got " + *value);
-    }
-    return parsed;
-}
-
-/// Applies the OS-interface fault-plane knobs.  Rates are faults per 1000
-/// simulated hours (the paper's failure-rate unit); skew is in ppm.  All
-/// default to zero, which attaches no planes at all.
-void applyOsfaultOptions(const std::vector<std::string>& args,
-                         fleet::FleetConfig& config) {
-    auto& osfault = config.osfault;
-    osfault.flash.faultsPerKHour =
-        realOption(args, "--flash-fault", osfault.flash.faultsPerKHour, 0.0, 100'000.0);
-    osfault.memory.episodesPerKHour = realOption(
-        args, "--mem-pressure", osfault.memory.episodesPerKHour, 0.0, 100'000.0);
-    osfault.clock.skewPpm =
-        realOption(args, "--clock-skew", osfault.clock.skewPpm, -10'000.0, 10'000.0);
-    osfault.radio.faultsPerKHour =
-        realOption(args, "--radio-fault", osfault.radio.faultsPerKHour, 0.0, 100'000.0);
-}
-
-/// Applies the shared transport knobs (--loss/--dup/--reorder as percent,
-/// --no-retries, --outage-day/--outage-days) to a fleet config.
-void applyTransportOptions(const std::vector<std::string>& args,
-                           fleet::FleetConfig& config) {
-    auto& transportOptions = config.transport;
-    const double loss = percentOption(
-        args, "--loss", 100.0 * transportOptions.dataChannel.lossProb);
-    const double dup =
-        percentOption(args, "--dup", 100.0 * transportOptions.dataChannel.dupProb);
-    const double reorder = percentOption(
-        args, "--reorder", 100.0 * transportOptions.dataChannel.reorderProb);
-    transportOptions.dataChannel.lossProb = loss / 100.0;
-    transportOptions.dataChannel.dupProb = dup / 100.0;
-    transportOptions.dataChannel.reorderProb = reorder / 100.0;
-    transportOptions.ackChannel.lossProb = loss / 100.0;
-    if (hasFlag(args, "--no-retries")) {
-        transportOptions.policy.retriesEnabled = false;
-    }
-    // The sweep grid's ranges: day -1 means no outage.
-    const auto outageDay = numericOption(args, "--outage-day", -1);
-    if (outageDay < -1 || outageDay > 36'500) {
-        throw std::runtime_error("--outage-day must be in [-1, 36500], got " +
-                                 std::to_string(outageDay));
-    }
-    const auto outageDays = numericOption(args, "--outage-days", 3);
-    if (outageDays < 0 || outageDays > 36'500) {
-        throw std::runtime_error("--outage-days must be in [0, 36500], got " +
-                                 std::to_string(outageDays));
-    }
-    if (option(args, "--outage-days") && !option(args, "--outage-day")) {
-        throw std::runtime_error("--outage-days requires --outage-day");
-    }
-    if (outageDay >= 0) {
-        const auto start = sim::TimePoint::origin() + sim::Duration::days(outageDay);
-        const transport::OutageWindow window{start,
-                                             start + sim::Duration::days(outageDays)};
-        transportOptions.dataChannel.outages.push_back(window);
-        transportOptions.ackChannel.outages.push_back(window);
-    }
-}
-
 void printFieldResults(const core::FieldStudyResults& results, bool withEvaluation) {
     std::printf("%s\n", core::renderHeadline(results).c_str());
     std::printf("%s\n", core::renderFig2(results).c_str());
@@ -491,16 +379,13 @@ int runCampaign(const std::vector<std::string>& args) {
                              "--no-transport --logs= --csv= --json= --trace= "
                              "--metrics="});
     validateOutputPaths(args);
-    core::StudyConfig config;
-    const auto days = parseFleetOptions(args, config.fleetConfig, 425);
+    const auto cell = campaignCell(args, {.phones = 25, .days = 425});
+    core::StudyConfig config = studyConfig(args, cell);
     if (hasFlag(args, "--no-transport")) config.fleetConfig.transport.enabled = false;
-    applyTransportOptions(args, config.fleetConfig);
-    applyOsfaultOptions(args, config.fleetConfig);
     ObsAttachment obsFiles;
     obsFiles.attach(args, config.fleetConfig);
 
-    std::printf("campaign: %d phones, %lld days, seed %llu\n\n",
-                config.fleetConfig.phoneCount, static_cast<long long>(days),
+    std::printf("campaign: %d phones, %lld days, seed %llu\n\n", cell.phones, cell.days,
                 static_cast<unsigned long long>(config.fleetConfig.seed));
     const core::FailureStudy study{config};
     const auto results = study.runFieldStudy();
@@ -526,9 +411,8 @@ int runCampaign(const std::vector<std::string>& args) {
 int runObs(const std::vector<std::string>& args) {
     requireKnownFlags(args, {kFleetFlags, kTransportFlags, "--trace= --metrics="});
     validateOutputPaths(args);
-    core::StudyConfig config;
-    const auto days = parseFleetOptions(args, config.fleetConfig, 60);
-    applyTransportOptions(args, config.fleetConfig);
+    const auto cell = campaignCell(args, {.phones = 25, .days = 60});
+    core::StudyConfig config = studyConfig(args, cell);
 
     // Always profile and collect metrics; trace only when asked (traces of
     // long campaigns are large).
@@ -546,7 +430,7 @@ int runObs(const std::vector<std::string>& args) {
     config.fleetConfig.obs.provenance = &provenance;
 
     std::printf("instrumented campaign: %d phones, %lld days, seed %llu\n\n",
-                config.fleetConfig.phoneCount, static_cast<long long>(days),
+                cell.phones, cell.days,
                 static_cast<unsigned long long>(config.fleetConfig.seed));
     const auto campaign = fleet::runCampaign(config.fleetConfig);
     (void)campaign;
@@ -562,9 +446,8 @@ int runTrace(const std::vector<std::string>& args) {
     requireKnownFlags(args, {kFleetFlags, kTransportFlags,
                              "--record= --lost --flow-all --trace= --json= --metrics="});
     validateOutputPaths(args);
-    core::StudyConfig config;
-    const auto days = parseFleetOptions(args, config.fleetConfig, 120);
-    applyTransportOptions(args, config.fleetConfig);
+    const auto cell = campaignCell(args, {.phones = 25, .days = 120});
+    core::StudyConfig config = studyConfig(args, cell);
 
     // --record PHONE#ID parses before the campaign runs.
     std::optional<std::pair<std::string, std::uint64_t>> record;
@@ -595,9 +478,8 @@ int runTrace(const std::vector<std::string>& args) {
     monitor::FleetMonitor fleetMonitor;
     config.fleetConfig.obs.monitor = &fleetMonitor;
 
-    std::printf("provenance trace: %d phones, %lld days, seed %llu\n\n",
-                config.fleetConfig.phoneCount, static_cast<long long>(days),
-                static_cast<unsigned long long>(config.fleetConfig.seed));
+    std::printf("provenance trace: %d phones, %lld days, seed %llu\n\n", cell.phones,
+                cell.days, static_cast<unsigned long long>(config.fleetConfig.seed));
     const auto campaign = fleet::runCampaign(config.fleetConfig);
     (void)campaign;
 
@@ -641,17 +523,14 @@ int runTrace(const std::vector<std::string>& args) {
 
 int runTransport(const std::vector<std::string>& args) {
     requireKnownFlags(args, {kFleetFlags, kTransportFlags});
-    core::StudyConfig config;
-    const auto days = parseFleetOptions(args, config.fleetConfig, 120);
-    config.fleetConfig.transport.enabled = true;
-    applyTransportOptions(args, config.fleetConfig);
+    const auto cell = campaignCell(args, {.phones = 25, .days = 120});
+    const core::StudyConfig config = studyConfig(args, cell);
 
     const auto& channel = config.fleetConfig.transport.dataChannel;
     std::printf(
         "transport study: %d phones, %lld days, seed %llu\n"
         "channel: loss %.1f%%, dup %.1f%%, reorder %.1f%%, retries %s\n\n",
-        config.fleetConfig.phoneCount, static_cast<long long>(days),
-        static_cast<unsigned long long>(config.fleetConfig.seed),
+        cell.phones, cell.days, static_cast<unsigned long long>(config.fleetConfig.seed),
         100.0 * channel.lossProb, 100.0 * channel.dupProb, 100.0 * channel.reorderProb,
         config.fleetConfig.transport.policy.retriesEnabled ? "on" : "OFF");
 
@@ -683,34 +562,19 @@ int runSweep(const std::vector<std::string>& args) {
                              "--trials= --jobs= --bootstrap= --grid= --json= --csv= "
                              "--metrics="});
     validateOutputPaths(args);
-    // The --phones/--days/--seed flags set the *default cell*; a grid
-    // file's axes override them per cell.  --seed is the sweep's master
-    // seed — every trial seed derives from it.
-    fleet::FleetConfig defaults;
-    defaults.phoneCount = 5;
-    const auto days = parseFleetOptions(args, defaults, 60);
-    experiment::Cell defaultCell;
-    defaultCell.phones = defaults.phoneCount;
-    defaultCell.days = days;
-    // Osfault flags set the default cell too; grid axes override per cell.
-    applyOsfaultOptions(args, defaults);
-    defaultCell.flashFaultPerKHour = defaults.osfault.flash.faultsPerKHour;
-    defaultCell.memPressurePerKHour = defaults.osfault.memory.episodesPerKHour;
-    defaultCell.clockSkewPpm = defaults.osfault.clock.skewPpm;
-    defaultCell.radioFaultPerKHour = defaults.osfault.radio.faultsPerKHour;
+    // The axis flags (--phones/--days and the plane rates) set the
+    // *default cell*; a grid file's axes override them per cell.  --seed
+    // is the sweep's master seed — every trial seed derives from it.
+    const auto defaultCell = campaignCell(args, {});
 
     experiment::RunnerOptions options;
-    options.masterSeed = defaults.seed;
-    options.trials = static_cast<int>(numericOption(args, "--trials", 5));
-    options.jobs = static_cast<int>(numericOption(args, "--jobs", 1));
-    options.bootstrapResamples =
-        static_cast<int>(numericOption(args, "--bootstrap", 1000));
-    if (options.trials < 1 || options.trials > 100'000) {
-        throw std::runtime_error("--trials must be in [1, 100000]");
-    }
-    if (options.jobs < 1 || options.jobs > 1024) {
-        throw std::runtime_error("--jobs must be in [1, 1024]");
-    }
+    options.masterSeed = seedOption(args, fleet::FleetConfig{}.seed);
+    options.trials =
+        static_cast<int>(numberOption(args, "--trials", 5, {1.0, 100'000.0, true}));
+    options.jobs = static_cast<int>(numberOption(args, "--jobs", 1, {1.0, 1024.0, true}));
+    // 0 disables the bootstrap interval.
+    options.bootstrapResamples = static_cast<int>(
+        numberOption(args, "--bootstrap", 1000, {0.0, 1'000'000.0, true}));
     obs::MetricsRegistry registry;
     const auto metricsPath = option(args, "--metrics");
     if (metricsPath) options.metrics = &registry;
@@ -743,18 +607,21 @@ int runSweep(const std::vector<std::string>& args) {
 int runOsfault(const std::vector<std::string>& args) {
     requireKnownFlags(args, {kFleetFlags, kTransportFlags, kOsfaultFlags,
                              "--check --min-precision= --min-recall= --min-capture="});
-    core::StudyConfig config;
-    const auto days = parseFleetOptions(args, config.fleetConfig, 120);
-    applyTransportOptions(args, config.fleetConfig);
-    applyOsfaultOptions(args, config.fleetConfig);
+    const auto cell = campaignCell(args, {.phones = 25, .days = 120});
+    const core::StudyConfig config = studyConfig(args, cell);
     const auto& planes = config.fleetConfig.osfault;
+    // The --check bounds parse before the campaign runs.  They default to
+    // 0 (always pass); the CI smoke job pins calibrated values per plane.
+    constexpr experiment::Bounds kRatio{0.0, 1.0};
+    const double precision = numberOption(args, "--min-precision", 0.0, kRatio);
+    const double recall = numberOption(args, "--min-recall", 0.0, kRatio);
+    const double capture = numberOption(args, "--min-capture", 0.0, kRatio);
 
     std::printf(
         "osfault: %d phones, %lld days, seed %llu\n"
         "planes: flash %.3g/kh, mem-pressure %.3g/kh, clock-skew %.3g ppm, "
         "radio %.3g/kh\n\n",
-        config.fleetConfig.phoneCount, static_cast<long long>(days),
-        static_cast<unsigned long long>(config.fleetConfig.seed),
+        cell.phones, cell.days, static_cast<unsigned long long>(config.fleetConfig.seed),
         planes.flash.faultsPerKHour, planes.memory.episodesPerKHour,
         planes.clock.skewPpm, planes.radio.faultsPerKHour);
 
@@ -770,16 +637,12 @@ int runOsfault(const std::vector<std::string>& args) {
                 static_cast<unsigned long long>(results.fleet.loggerDaemonDeaths));
 
     if (hasFlag(args, "--check")) {
-        // Bounds default to 0 (always pass); the CI smoke job pins real
-        // calibrated values per plane.
         osfault::ValidityBounds bounds;
-        const double precision = realOption(args, "--min-precision", 0.0, 0.0, 1.0);
-        const double recall = realOption(args, "--min-recall", 0.0, 0.0, 1.0);
         bounds.minFreezePrecision = precision;
         bounds.minSelfShutdownPrecision = precision;
         bounds.minFreezeRecall = recall;
         bounds.minSelfShutdownRecall = recall;
-        bounds.minPanicCaptureRate = realOption(args, "--min-capture", 0.0, 0.0, 1.0);
+        bounds.minPanicCaptureRate = capture;
         const std::string violation = osfault::firstViolation(report, bounds);
         if (!violation.empty()) {
             std::printf("osfault check: FAIL (%s)\n", violation.c_str());
@@ -803,32 +666,24 @@ int runMonitor(const std::vector<std::string>& args) {
                              "--replay --tick-hours= --silence-hours= --snapshots= "
                              "--alerts= --metrics="});
     validateOutputPaths(args);
-    core::StudyConfig config;
-    const auto days = parseFleetOptions(args, config.fleetConfig, 120);
-    applyTransportOptions(args, config.fleetConfig);
+    const auto cell = campaignCell(args, {.phones = 25, .days = 120});
+    core::StudyConfig config = studyConfig(args, cell);
 
     monitor::MonitorConfig monitorConfig;
-    const auto tickHours = numericOption(args, "--tick-hours", 6);
-    if (tickHours < 1 || tickHours > 10000) {
-        throw std::runtime_error("--tick-hours must be in [1, 10000]");
-    }
+    const auto tickHours = static_cast<long long>(
+        numberOption(args, "--tick-hours", 6, {1.0, 10'000.0, true}));
     monitorConfig.tick = sim::Duration::hours(tickHours);
-    const auto silenceHours = numericOption(
-        args, "--silence-hours",
-        static_cast<long long>(monitorConfig.silenceHours));
-    if (silenceHours < 1 || silenceHours > 100000) {
-        throw std::runtime_error("--silence-hours must be in [1, 100000]");
-    }
-    monitorConfig.silenceHours = static_cast<double>(silenceHours);
+    monitorConfig.silenceHours = numberOption(args, "--silence-hours",
+                                              monitorConfig.silenceHours,
+                                              {1.0, 100'000.0, true});
     monitor::FleetMonitor fleetMonitor{monitorConfig};
 
     const bool replayMode = hasFlag(args, "--replay");
     if (!replayMode) config.fleetConfig.obs.monitor = &fleetMonitor;
 
     std::printf("monitor: %d phones, %lld days, seed %llu, tick %lld h, %s\n\n",
-                config.fleetConfig.phoneCount, static_cast<long long>(days),
-                static_cast<unsigned long long>(config.fleetConfig.seed),
-                static_cast<long long>(tickHours),
+                cell.phones, cell.days,
+                static_cast<unsigned long long>(config.fleetConfig.seed), tickHours,
                 replayMode ? "replaying the collected dataset"
                            : "live on the ingest path");
     const auto campaign = fleet::runCampaign(config.fleetConfig);
@@ -993,7 +848,7 @@ int runSrgm(const std::vector<std::string>& args) {
     validateOutputPaths(args);
 
     srgm::SrgmOptions options;
-    options.holdoutSplit = realOption(args, "--holdout", 0.7, 0.05, 0.95);
+    options.holdoutSplit = numberOption(args, "--holdout", 0.7, {0.05, 0.95});
     if (hasFlag(args, "--fleet-only")) {
         options.perPhone = false;
         options.perVersion = false;
@@ -1001,11 +856,10 @@ int runSrgm(const std::vector<std::string>& args) {
     // Check bounds parse up front so a malformed knob fails before the
     // campaign burns minutes.  They default to permissive values; the CI
     // smoke job pins calibrated ones for the paper-scale campaign.
-    const double maxCountErr = realOption(args, "--max-count-err", 1.0, 0.0, 100.0);
-    const double minPreqGain = realOption(args, "--min-preq-gain", 0.0, -1e9, 1e9);
-    const double maxKs = realOption(args, "--max-ks", 1.0, 0.0, 1.0);
+    const double maxCountErr = numberOption(args, "--max-count-err", 1.0, {0.0, 100.0});
+    const double minPreqGain = numberOption(args, "--min-preq-gain", 0.0, {-1e9, 1e9});
+    const double maxKs = numberOption(args, "--max-ks", 1.0, {0.0, 1.0});
 
-    core::StudyConfig config;
     std::optional<core::FieldStudyResults> results;
     if (fromLogs) {
         const auto logs = core::loadLogs(args[0]);
@@ -1015,13 +869,13 @@ int runSrgm(const std::vector<std::string>& args) {
         }
         std::printf("loaded %zu phone logs from %s\n\n", logs.size(),
                     args[0].c_str());
-        const core::FailureStudy study{config};
+        const core::FailureStudy study{core::StudyConfig{}};
         results = study.analyzeLogs(logs);
     } else {
-        const auto days = parseFleetOptions(args, config.fleetConfig, 425);
-        applyTransportOptions(args, config.fleetConfig);
+        const auto cell = campaignCell(args, {.phones = 25, .days = 425});
+        const core::StudyConfig config = studyConfig(args, cell);
         std::printf("srgm: %d phones, %lld days, seed %llu, holdout %.2f\n\n",
-                    config.fleetConfig.phoneCount, static_cast<long long>(days),
+                    cell.phones, cell.days,
                     static_cast<unsigned long long>(config.fleetConfig.seed),
                     options.holdoutSplit);
         const core::FailureStudy study{config};
@@ -1077,37 +931,25 @@ int runSrgm(const std::vector<std::string>& args) {
     return 0;
 }
 
-/// Parses `--fleet-sizes N,M,...` as a strict comma list of phone counts.
+/// Parses `--fleet-sizes N,M,...` as a strict comma list of phone counts,
+/// each read like `--phones`.
 std::vector<int> fleetSizesOption(const std::vector<std::string>& args,
                                   std::vector<int> fallback) {
     const auto value = option(args, "--fleet-sizes");
     if (!value) return fallback;
     std::vector<int> sizes;
-    std::size_t start = 0;
-    while (start <= value->size()) {
-        const std::size_t comma = value->find(',', start);
-        const std::string token =
-            value->substr(start, comma == std::string::npos ? std::string::npos
-                                                            : comma - start);
-        long long parsed = 0;
-        try {
-            std::size_t consumed = 0;
-            parsed = std::stoll(token, &consumed);
-            if (consumed != token.size()) {
-                throw std::invalid_argument{"trailing characters"};
-            }
-        } catch (const std::exception&) {
+    for (std::size_t start = 0;;) {
+        const std::size_t comma = std::min(value->find(',', start), value->size());
+        const auto parsed = experiment::parseNumber(
+            std::string_view{*value}.substr(start, comma - start));
+        if (!parsed) {
             throw std::runtime_error("invalid value for --fleet-sizes: " + *value);
         }
-        if (parsed < 1 || parsed > 100000) {
-            throw std::runtime_error(
-                "--fleet-sizes entries must be in [1, 100000], got " + token);
-        }
-        sizes.push_back(static_cast<int>(parsed));
-        if (comma == std::string::npos) break;
+        sizes.push_back(static_cast<int>(
+            experiment::axis("phones").bounds.check("--fleet-sizes", *parsed)));
+        if (comma == value->size()) return sizes;
         start = comma + 1;
     }
-    return sizes;
 }
 
 int runPerf(const std::vector<std::string>& args) {
@@ -1120,29 +962,23 @@ int runPerf(const std::vector<std::string>& args) {
     // --phones/--days/--seed parse (and reject malformed values) exactly
     // like every other campaign subcommand; --phones collapses the ladder
     // to one rung unless --fleet-sizes overrides it.
-    const bool phonesGiven = option(args, "--phones").has_value();
-    options.days = parseFleetOptions(args, options.base, options.days);
-    options.seed = options.base.seed;
+    const auto campaign = campaignCell(args, {.days = options.days});
+    options.days = campaign.days;
+    options.seed = seedOption(args, options.seed);
     options.fleetSizes = fleetSizesOption(
-        args, phonesGiven ? std::vector<int>{options.base.phoneCount}
-                          : options.fleetSizes);
-    const auto sampleHours = numericOption(args, "--sample-hours", 6);
-    if (sampleHours < 1 || sampleHours > 10000) {
-        throw std::runtime_error("--sample-hours must be in [1, 10000]");
-    }
-    options.sampleHours = sampleHours;
-    const auto stride = numericOption(args, "--stride", 64);
-    if (stride < 1 || stride > 1'000'000) {
-        throw std::runtime_error("--stride must be in [1, 1000000]");
-    }
-    options.samplingStride = static_cast<std::uint64_t>(stride);
+        args, option(args, "--phones") ? std::vector<int>{campaign.phones}
+                                       : options.fleetSizes);
+    options.sampleHours = static_cast<long long>(
+        numberOption(args, "--sample-hours", 6, {1.0, 10'000.0, true}));
+    options.samplingStride = static_cast<std::uint64_t>(
+        numberOption(args, "--stride", 64, {1.0, 1'000'000.0, true}));
     // Bounds parse up front so a malformed knob fails before the ladder
     // burns minutes; 0 disables a bound (the CI smoke job pins calibrated
     // values).
     const double maxBytesPerPhone =
-        realOption(args, "--max-bytes-per-phone", 0.0, 0.0, 1e15);
+        numberOption(args, "--max-bytes-per-phone", 0.0, {0.0, 1e15});
     const double minPhoneHoursPerSec =
-        realOption(args, "--min-phone-hours-per-sec", 0.0, 0.0, 1e15);
+        numberOption(args, "--min-phone-hours-per-sec", 0.0, {0.0, 1e15});
 
     std::string sizesLabel;
     for (const int phones : options.fleetSizes) {
@@ -1201,15 +1037,10 @@ int runPerf(const std::vector<std::string>& args) {
 int runForum(const std::vector<std::string>& args) {
     requireKnownFlags(args, {"--reports= --seed="});
     core::StudyConfig config;
-    const auto reports =
-        numericOption(args, "--reports", config.forumConfig.failureReports);
-    if (reports < 1 || reports > 100'000) {
-        throw std::runtime_error("--reports must be in [1, 100000], got " +
-                                 std::to_string(reports));
-    }
-    config.forumConfig.failureReports = static_cast<int>(reports);
-    config.forumSeed = static_cast<std::uint64_t>(
-        numericOption(args, "--seed", static_cast<long long>(config.forumSeed)));
+    config.forumConfig.failureReports = static_cast<int>(
+        numberOption(args, "--reports", config.forumConfig.failureReports,
+                     {1.0, 100'000.0, true}));
+    config.forumSeed = seedOption(args, config.forumSeed);
     const core::FailureStudy study{config};
     const auto result = study.runForumStudy();
     std::printf("%s\n%s", core::renderTable1(result).c_str(),
@@ -1236,6 +1067,19 @@ int runTables(const std::vector<std::string>& args) {
 }
 
 }  // namespace
+
+experiment::Cell campaignCell(const std::vector<std::string>& args,
+                              experiment::Cell defaults) {
+    for (const experiment::Axis& axis : experiment::axes()) {
+        if (axis.flag.empty()) continue;
+        axis.set(defaults,
+                 numberOption(args, axis.flag, axis.get(defaults), axis.bounds));
+    }
+    if (option(args, "--outage-days") && !option(args, "--outage-day")) {
+        throw std::runtime_error("--outage-days requires --outage-day");
+    }
+    return defaults;
+}
 
 int runCli(const std::vector<std::string>& args) {
     if (args.empty() || args[0] == "help" || args[0] == "--help") {

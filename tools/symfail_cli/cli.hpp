@@ -13,10 +13,19 @@
 #include <string>
 #include <vector>
 
+#include "experiment/grid.hpp"
+
 namespace symfail::cli {
 
 /// Executes the tool.  `args` excludes the program name.  Output goes to
 /// stdout/stderr; the return value is the process exit code.
 int runCli(const std::vector<std::string>& args);
+
+/// The campaign cell a subcommand runs: `defaults` (the subcommand's own
+/// fleet size and length) with every axis flag in `args` applied, each
+/// read with the bounds of its grid key (`experiment::axes()`).  Throws
+/// std::runtime_error on a malformed or out-of-bounds value.
+[[nodiscard]] experiment::Cell campaignCell(const std::vector<std::string>& args,
+                                            experiment::Cell defaults);
 
 }  // namespace symfail::cli
