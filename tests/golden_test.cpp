@@ -6,7 +6,10 @@
 // campaigns, plus one of what the collection server holds at campaign
 // end, so any drift in what the pipeline computes fails tier-1.  The JSON
 // digest equals the FNV-1a of the file `symfail campaign ... --json`
-// writes for the command quoted on each test.
+// writes for the command quoted on each test.  The monitor and provenance
+// pins do the same for the files `symfail monitor` and `symfail trace`
+// write: snapshots, alert log, dashboard and metrics; provenance JSON,
+// report and flow trace.
 //
 // The digests hold for one toolchain: gcc 12.2.0, the compiler
 // perfbench/pinned.json is pinned for.  Floating-point formatting and libm
@@ -18,9 +21,16 @@
 #include <cstdio>
 #include <string>
 #include <string_view>
+#include <utility>
+#include <vector>
 
 #include "core/export.hpp"
 #include "core/study.hpp"
+#include "experiment/grid.hpp"
+#include "monitor/monitor.hpp"
+#include "obs/metrics.hpp"
+#include "obs/provenance.hpp"
+#include "obs/trace.hpp"
 
 namespace symfail {
 namespace {
@@ -108,6 +118,85 @@ TEST(GoldenDigest, CampaignWithLossyTransportAndAllFaultPlanes) {
     planes.clock.skewPpm = 200.0;
     planes.radio.faultsPerKHour = 10.0;
     expectDigests(config, 0x9d1e74e9bb68a609ULL, 0xf1f01e76ed1d7ac0ULL);
+}
+
+/// A pinned list of (what, computed, expected) digests: skips off the
+/// pinned toolchain and prints what it computed.
+void expectPinned(const std::vector<std::pair<std::string, std::uint64_t>>& computed,
+                  const std::vector<std::uint64_t>& expected) {
+    ASSERT_EQ(computed.size(), expected.size());
+    if (!kPinnedToolchain) {
+        std::string printed;
+        for (const auto& [what, digest] : computed) printed += " " + what + " " + hex(digest);
+        GTEST_SKIP() << "digests are pinned for gcc 12.2.0; this toolchain computed"
+                     << printed;
+    }
+    for (std::size_t i = 0; i < computed.size(); ++i) {
+        EXPECT_EQ(hex(computed[i].second), hex(expected[i])) << computed[i].first;
+    }
+}
+
+/// Runs `symfail monitor` live for `cell` at seed 11 and pins its four files.
+void expectMonitorDigests(const experiment::Cell& cell,
+                          const std::vector<std::uint64_t>& expected) {
+    core::StudyConfig config = cell.toStudyConfig(11);
+    monitor::FleetMonitor fleetMonitor;
+    config.fleetConfig.obs.monitor = &fleetMonitor;
+    (void)fleet::runCampaign(config.fleetConfig);
+    obs::MetricsRegistry registry;
+    fleetMonitor.publishMetrics(registry);
+    expectPinned({{"snapshots", fnv1a64(fleetMonitor.snapshotsJsonl())},
+                  {"alerts", fnv1a64(fleetMonitor.renderAlertLog())},
+                  {"dashboard", fnv1a64(fleetMonitor.renderDashboard())},
+                  {"metrics", fnv1a64(registry.renderPrometheus())}},
+                 expected);
+}
+
+TEST(GoldenDigest, MonitorDefaultCampaign) {
+    // symfail monitor --seed 11 (25 phones x 120 days): every rule but
+    // phone-outage fires.
+    experiment::Cell cell;
+    cell.phones = 25;
+    cell.days = 120;
+    expectMonitorDigests(cell, {0xd9adb5023a368e89ULL, 0xce07ef17df521a6bULL,
+                                0x5665881f2be8cd7dULL, 0x3b75da2a864bd062ULL});
+}
+
+TEST(GoldenDigest, MonitorOutageCampaign) {
+    // symfail monitor --phones 4 --days 40 --seed 11 --outage-day 12
+    //     --outage-days 5 --snapshots FILE --alerts FILE --metrics FILE
+    experiment::Cell cell;
+    cell.phones = 4;
+    cell.days = 40;
+    cell.outageDay = 12;
+    cell.outageDays = 5;
+    expectMonitorDigests(cell, {0xacfde92778d10d94ULL, 0x0bb13bd0b65c44deULL,
+                                0x3d289b830a2ea45cULL, 0x2a9411e5c91420a8ULL});
+}
+
+TEST(GoldenDigest, ProvenanceTrace) {
+    // symfail trace --phones 4 --days 40 --seed 11 --loss 25 --outage-day 12
+    //     --outage-days 5 --flow-all --json FILE --trace FILE
+    experiment::Cell cell;
+    cell.phones = 4;
+    cell.days = 40;
+    cell.lossPct = 25.0;
+    cell.outageDay = 12;
+    cell.outageDays = 5;
+    core::StudyConfig config = cell.toStudyConfig(11);
+    obs::ProvenanceTracker provenance;
+    provenance.setFlowAllRecords(true);
+    obs::ChromeTraceWriter trace;
+    monitor::FleetMonitor fleetMonitor;
+    config.fleetConfig.obs.provenance = &provenance;
+    config.fleetConfig.obs.trace = &trace;
+    config.fleetConfig.obs.monitor = &fleetMonitor;
+    (void)fleet::runCampaign(config.fleetConfig);
+    ASSERT_TRUE(provenance.summary().conserved());
+    expectPinned({{"json", fnv1a64(provenance.renderJson())},
+                  {"report", fnv1a64(provenance.renderReport())},
+                  {"trace", fnv1a64(trace.json())}},
+                 {0x7c8ad2ba83e477fbULL, 0x6e2eeeea11d619e2ULL, 0x33c333e4da26ad88ULL});
 }
 
 }  // namespace
