@@ -52,7 +52,6 @@ std::vector<AppTotalRow> appTotals(const LogDataset& dataset) {
     for (const auto& [app, count] : counts) {
         AppTotalRow row;
         row.app = app;
-        row.count = count;
         row.percentOfAllPanics =
             total > 0.0 ? 100.0 * static_cast<double>(count) / total : 0.0;
         rows.push_back(std::move(row));

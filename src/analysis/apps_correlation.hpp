@@ -38,7 +38,6 @@ struct AppCorrelationRow {
 /// Per-application totals across all categories (Table 4's "Total" row).
 struct AppTotalRow {
     std::string app;
-    std::size_t count{0};
     double percentOfAllPanics{0.0};
 };
 [[nodiscard]] std::vector<AppTotalRow> appTotals(const LogDataset& dataset);

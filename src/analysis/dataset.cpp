@@ -5,9 +5,7 @@ namespace symfail::analysis {
 LogDataset LogDataset::build(const std::vector<PhoneLog>& logs) {
     LogDataset ds;
     for (const PhoneLog& log : logs) {
-        std::size_t malformed = 0;
-        const auto entries = logger::parseLogFile(log.logFileContent, &malformed);
-        ds.malformed_ += malformed;
+        const auto entries = logger::parseLogFile(log.logFileContent);
         if (log.coverage < 1.0) ds.coverageLoss_[log.phoneName] = log.coverage;
         if (entries.empty()) continue;
 
@@ -51,8 +49,8 @@ LogDataset LogDataset::build(const std::vector<PhoneLog>& logs) {
                 case logger::PriorShutdown::None:
                     break;
                 case logger::PriorShutdown::Freeze:
-                    ds.freezes_.push_back(FreezeObservation{
-                        log.phoneName, entry.boot.lastBeatAt, entry.boot.time});
+                    ds.freezes_.push_back(
+                        FreezeObservation{log.phoneName, entry.boot.lastBeatAt});
                     break;
                 case logger::PriorShutdown::Reboot:
                 case logger::PriorShutdown::LowBattery:
@@ -61,7 +59,6 @@ LogDataset LogDataset::build(const std::vector<PhoneLog>& logs) {
                                             entry.boot.time, entry.boot.prior});
                     break;
                 case logger::PriorShutdown::ManualOff:
-                    ++ds.manualOffBoots_;
                     break;
             }
         }

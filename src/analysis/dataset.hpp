@@ -43,7 +43,6 @@ struct FreezeObservation {
     /// Last ALIVE heartbeat: the freeze happened within one heartbeat
     /// period after this.
     sim::TimePoint lastAliveAt;
-    sim::TimePoint bootAt;
 };
 
 /// A recorded panic.
@@ -101,10 +100,7 @@ public:
     [[nodiscard]] const std::map<std::string, double>& coverageLoss() const {
         return coverageLoss_;
     }
-    [[nodiscard]] std::size_t malformedLines() const { return malformed_; }
     [[nodiscard]] std::size_t bootCount() const { return boots_; }
-    /// Boots following a MAOFF marker (no failure inference possible).
-    [[nodiscard]] std::size_t manualOffBoots() const { return manualOffBoots_; }
 
     /// Total observed wall-clock phone-time (sum of spans).
     [[nodiscard]] sim::Duration totalObservedTime() const;
@@ -122,9 +118,7 @@ private:
     std::vector<PhoneSpan> spans_;
     std::map<std::string, std::string> versions_;
     std::map<std::string, double> coverageLoss_;
-    std::size_t malformed_{0};
     std::size_t boots_{0};
-    std::size_t manualOffBoots_{0};
 };
 
 }  // namespace symfail::analysis

@@ -6,7 +6,6 @@ namespace symfail::analysis {
 
 ShutdownClassification ShutdownDiscriminator::classify(const LogDataset& dataset) const {
     ShutdownClassification out;
-    std::vector<double> selfDurations;
     for (const auto& s : dataset.shutdowns()) {
         if (s.prior == logger::PriorShutdown::LowBattery) {
             out.lowBattery.push_back(s);
@@ -15,16 +14,9 @@ ShutdownClassification ShutdownDiscriminator::classify(const LogDataset& dataset
         const double seconds = s.offDuration().asSecondsF();
         if (seconds < threshold_) {
             out.selfShutdowns.push_back(s);
-            selfDurations.push_back(seconds);
         } else {
             out.userShutdowns.push_back(s);
         }
-    }
-    if (!selfDurations.empty()) {
-        auto mid = selfDurations.begin() +
-                   static_cast<std::ptrdiff_t>(selfDurations.size() / 2);
-        std::nth_element(selfDurations.begin(), mid, selfDurations.end());
-        out.selfMedianSeconds = *mid;
     }
     return out;
 }

@@ -20,8 +20,6 @@ struct ShutdownClassification {
     std::vector<ShutdownObservation> selfShutdowns;
     std::vector<ShutdownObservation> userShutdowns;
     std::vector<ShutdownObservation> lowBattery;  ///< LOWBT: excluded from both
-    /// Median off-duration of the classified self-shutdowns, seconds.
-    double selfMedianSeconds{0.0};
     [[nodiscard]] std::size_t totalRebootEvents() const {
         return selfShutdowns.size() + userShutdowns.size();
     }

@@ -277,15 +277,19 @@ Grid Grid::single(const Cell& cell) {
 Grid Grid::parse(const std::string& json, const Cell& defaults) {
     const auto table = axes();
     // One value list per axis; an axis the file leaves out keeps its
-    // default, and a repeated key keeps its last list.
+    // default, and a key may appear only once.
     std::vector<std::vector<double>> values(table.size());
     for (std::size_t i = 0; i < table.size(); ++i) values[i] = {table[i].get(defaults)};
+    std::vector<bool> seen(table.size(), false);
     for (auto& [key, list] : GridJsonReader{json}.read()) {
         const Axis& entry = axis(key);
+        const auto index = static_cast<std::size_t>(&entry - table.data());
         const std::string name = "grid axis '" + key + "'";
+        if (seen[index]) throw std::runtime_error(name + " appears more than once");
+        seen[index] = true;
         if (list.empty()) throw std::runtime_error(name + " has an empty value list");
         for (const double value : list) entry.bounds.check(name, value);
-        values[static_cast<std::size_t>(&entry - table.data())] = std::move(list);
+        values[index] = std::move(list);
     }
     // The Cartesian product as an odometer: the last axis turns fastest.
     Grid grid;

@@ -157,7 +157,6 @@ Summary Runner::run(const Grid& grid) const {
     Summary summary;
     summary.masterSeed = options_.masterSeed;
     summary.trialsPerCell = options_.trials;
-    summary.jobs = options_.jobs;
 
     const auto trials = static_cast<std::size_t>(options_.trials);
     const std::size_t taskCount = grid.size() * trials;
@@ -170,8 +169,6 @@ Summary Runner::run(const Grid& grid) const {
         const std::size_t cellIndex = index / trials;
         const std::size_t trialIndex = index % trials;
         TrialResult& slot = summary.trials[index];
-        slot.cellIndex = cellIndex;
-        slot.trialIndex = trialIndex;
         slot.seed = deriveTrialSeed(options_.masterSeed, cellIndex, trialIndex);
         try {
             slot.metrics = options_.trialFn(grid.cells()[cellIndex], slot.seed);
@@ -191,7 +188,6 @@ Summary Runner::run(const Grid& grid) const {
     for (std::size_t cellIndex = 0; cellIndex < grid.size(); ++cellIndex) {
         CellSummary cell;
         cell.cell = grid.cells()[cellIndex];
-        cell.trialCount = trials;
 
         std::vector<std::string> metricOrder;
         std::vector<std::vector<double>> samples;

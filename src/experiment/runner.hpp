@@ -28,8 +28,6 @@ using TrialMetrics = std::vector<std::pair<std::string, double>>;
 /// One trial's outcome.  A trial that throws is recorded here — with the
 /// exception text — without poisoning its siblings.
 struct TrialResult {
-    std::size_t cellIndex{0};
-    std::size_t trialIndex{0};
     std::uint64_t seed{0};
     bool ok{false};
     std::string error;  ///< Exception text when !ok.
@@ -39,7 +37,6 @@ struct TrialResult {
 /// Aggregated replication statistics for one grid cell.
 struct CellSummary {
     Cell cell;
-    std::size_t trialCount{0};
     std::size_t failedCount{0};
     /// Per-metric summaries in first-seen metric order.
     std::vector<std::pair<std::string, SummaryStats>> metrics;
@@ -54,7 +51,6 @@ struct CellSummary {
 struct Summary {
     std::uint64_t masterSeed{0};
     int trialsPerCell{0};
-    int jobs{0};  ///< Informational only; never affects the numbers.
     std::vector<CellSummary> cells;
     std::vector<TrialResult> trials;  ///< All trials, (cell, trial)-ordered.
 

@@ -91,7 +91,6 @@ void FaultInjector::onActivity(ActivityKind kind, bool started) {
 
 void FaultInjector::activate(std::size_t classIdx) {
     if (!device_->isOn()) return;
-    ++stats_.activations;
     const auto& spec = rates_.classes[classIdx].spec;
 
     // A burst: zero or more harmless secondary panics (error propagation
@@ -119,8 +118,7 @@ void FaultInjector::executePrimary(std::size_t classIdx) {
     const OutcomeKind outcome = drawOutcome(spec);
     const ProcessId victim = victimFor(spec, outcome);
     if (victim == 0) return;
-    device_->groundTruth().record(device_->simulator().now(), TruthKind::PanicInjected,
-                                  toString(spec.panic));
+    device_->groundTruth().record(device_->simulator().now(), TruthKind::PanicInjected);
     ++stats_.primaryPanics;
     driveMechanism(*device_, victim, spec.panic, bag_);
 }
@@ -137,8 +135,7 @@ void FaultInjector::executeSecondary() {
     const auto& spec = rates_.classes[pick].spec;
     const ProcessId victim = harmlessVictim();
     if (victim == 0) return;
-    device_->groundTruth().record(device_->simulator().now(), TruthKind::PanicInjected,
-                                  toString(spec.panic));
+    device_->groundTruth().record(device_->simulator().now(), TruthKind::PanicInjected);
     ++stats_.secondaryPanics;
     driveMechanism(*device_, victim, spec.panic, bag_);
 }
@@ -146,8 +143,7 @@ void FaultInjector::executeSecondary() {
 void FaultInjector::executeHang() {
     if (!device_->isOn()) return;
     ++stats_.hangs;
-    device_->groundTruth().record(device_->simulator().now(), TruthKind::HangInjected,
-                                  "deadlock in UI pipeline");
+    device_->groundTruth().record(device_->simulator().now(), TruthKind::HangInjected);
     device_->freeze("hang");
 }
 
@@ -155,8 +151,7 @@ void FaultInjector::executeSpontaneousReboot() {
     if (!device_->isOn()) return;
     ++stats_.spontaneousReboots;
     device_->groundTruth().record(device_->simulator().now(),
-                                  TruthKind::SpontaneousReboot,
-                                  "firmware watchdog reset");
+                                  TruthKind::SpontaneousReboot);
     device_->selfReboot("spontaneous");
 }
 

@@ -30,7 +30,6 @@ namespace symfail::faults {
 class FaultInjector {
 public:
     struct Stats {
-        std::uint64_t activations{0};
         std::uint64_t primaryPanics{0};
         std::uint64_t secondaryPanics{0};
         std::uint64_t hangs{0};

@@ -158,7 +158,6 @@ FleetResult runCampaign(const FleetConfig& config) {
     }
 
     FleetResult result;
-    result.derivedRates = rates;
 
     for (int i = 0; i < config.phoneCount; ++i) {
         phone::PhoneDevice::Config deviceConfig;

@@ -121,7 +121,6 @@ struct FleetResult {
     std::vector<analysis::PhoneLog> logs;
     std::vector<std::string> phoneNames;
     std::vector<phone::GroundTruth> truths;  ///< parallel to phoneNames
-    faults::FaultRates derivedRates;
 
     /// What the collection server holds at campaign end (per-phone best
     /// copy, with coverage attached); empty when transport is disabled.

@@ -189,7 +189,6 @@ std::vector<ForumReport> generateCorpus(const CorpusConfig& config, std::uint64_
         ForumReport report;
         report.smartPhone = rng.bernoulli(kSmartPhoneShare);
         const auto& vendor = pickVendor(report.smartPhone);
-        report.vendor = vendor.vendor;
         report.model = std::string{vendor.vendor} + " " +
                        std::string{pickPhrase(rng, vendor.models)};
         report.year = static_cast<int>(rng.uniformInt(2003, 2006));
@@ -218,17 +217,13 @@ std::vector<ForumReport> generateCorpus(const CorpusConfig& config, std::uint64_
         const double r = rng.uniform01();
         std::string_view context;
         if (r < kVoiceCallShare) {
-            report.label.activity = ReportedActivity::VoiceCall;
             context = pickPhrase(rng, kVoiceCallContexts);
         } else if (r < kVoiceCallShare + kTextMessageShare) {
-            report.label.activity = ReportedActivity::TextMessage;
             context = pickPhrase(rng, kTextMessageContexts);
         } else if (r < kVoiceCallShare + kTextMessageShare + kBluetoothShare) {
-            report.label.activity = ReportedActivity::Bluetooth;
             context = pickPhrase(rng, kBluetoothContexts);
         } else if (r < kVoiceCallShare + kTextMessageShare + kBluetoothShare +
                            kImagesShare) {
-            report.label.activity = ReportedActivity::Images;
             context = pickPhrase(rng, kImagesContexts);
         }
 
@@ -263,7 +258,6 @@ std::vector<ForumReport> generateCorpus(const CorpusConfig& config, std::uint64_
         ForumReport report;
         report.smartPhone = rng.bernoulli(0.2);
         const auto& vendor = pickVendor(report.smartPhone);
-        report.vendor = vendor.vendor;
         report.model = std::string{vendor.vendor} + " " +
                        std::string{pickPhrase(rng, vendor.models)};
         report.year = static_cast<int>(rng.uniformInt(2003, 2006));

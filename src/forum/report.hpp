@@ -14,13 +14,11 @@ struct ReportLabel {
     bool isFailureReport{false};
     FailureType type{FailureType::Freeze};
     RecoveryAction recovery{RecoveryAction::Unreported};
-    ReportedActivity activity{ReportedActivity::Unspecified};
 };
 
 /// One post.
 struct ForumReport {
-    std::string vendor;
-    std::string model;
+    std::string model;  ///< "<vendor> <model>".
     bool smartPhone{false};
     int year{2004};
     std::string text;

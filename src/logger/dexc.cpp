@@ -13,7 +13,6 @@ DExcTool::DExcTool(phone::PhoneDevice& device) : device_{&device} {
             kDexcFile, "DEXC|" + std::to_string(event.time.micros()) + "|" +
                            std::string{symbos::toString(event.id.category)} + "|" +
                            std::to_string(event.id.type));
-        ++captured_;
     });
 }
 
@@ -21,8 +20,8 @@ const std::string& DExcTool::logContent() const {
     return device_->flash().content(kDexcFile);
 }
 
-std::vector<DExcTool::Entry> DExcTool::parse(std::string_view content) {
-    std::vector<Entry> out;
+std::vector<symbos::PanicId> DExcTool::parse(std::string_view content) {
+    std::vector<symbos::PanicId> out;
     std::size_t start = 0;
     while (start < content.size()) {
         std::size_t nl = content.find('\n', start);
@@ -38,13 +37,9 @@ std::vector<DExcTool::Entry> DExcTool::parse(std::string_view content) {
         const auto r2 = std::from_chars(fields[3].data(),
                                         fields[3].data() + fields[3].size(), type);
         if (r1.ec != std::errc{} || r2.ec != std::errc{}) continue;
-        Entry entry;
-        entry.time = sim::TimePoint::fromMicros(us);
         const auto category = symbos::parsePanicCategory(fields[2]);
         if (!category) continue;
-        entry.panic.category = *category;
-        entry.panic.type = static_cast<int>(type);
-        out.push_back(entry);
+        out.push_back(symbos::PanicId{*category, static_cast<int>(type)});
     }
     return out;
 }

@@ -30,20 +30,14 @@ public:
     DExcTool(const DExcTool&) = delete;
     DExcTool& operator=(const DExcTool&) = delete;
 
-    [[nodiscard]] std::uint64_t panicsCaptured() const { return captured_; }
     [[nodiscard]] const std::string& logContent() const;
 
-    /// One captured panic.
-    struct Entry {
-        sim::TimePoint time;
-        symbos::PanicId panic;
-    };
-    /// Parses a D_EXC log; malformed lines are skipped.
-    [[nodiscard]] static std::vector<Entry> parse(std::string_view content);
+    /// Parses a D_EXC log into the captured panics, in log order;
+    /// malformed lines are skipped.
+    [[nodiscard]] static std::vector<symbos::PanicId> parse(std::string_view content);
 
 private:
     phone::PhoneDevice* device_;
-    std::uint64_t captured_{0};
 };
 
 }  // namespace symfail::logger

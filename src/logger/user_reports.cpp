@@ -10,7 +10,6 @@ UserReportChannel::UserReportChannel(phone::PhoneDevice& device,
                                      UserReportConfig config, std::uint64_t seed)
     : device_{&device}, config_{config}, rng_{seed} {
     device_->addOutputFailureHook([this](const std::string& symptom) {
-        ++seen_;
         if (!rng_.bernoulli(config_.reportProbability)) return;
         const auto delay =
             rng_.lognormalDuration(kReportDelayMedian, kReportDelaySigma);

@@ -39,14 +39,12 @@ public:
     UserReportChannel& operator=(const UserReportChannel&) = delete;
 
     [[nodiscard]] std::uint64_t reportsFiled() const { return filed_; }
-    [[nodiscard]] std::uint64_t failuresSeen() const { return seen_; }
 
 private:
     phone::PhoneDevice* device_;
     UserReportConfig config_;
     sim::Rng rng_;
     std::uint64_t filed_{0};
-    std::uint64_t seen_{0};
 };
 
 }  // namespace symfail::logger

@@ -15,21 +15,23 @@ std::string_view toString(Severity severity) {
 
 AlertEngine::AlertEngine(std::vector<AlertRule> rules) : rules_{std::move(rules)} {}
 
-bool AlertEngine::satisfies(Comparison op, double value, double threshold) {
+namespace {
+
+bool satisfies(Comparison op, double value, double threshold) {
     switch (op) {
         case Comparison::GreaterThan: return value > threshold;
         case Comparison::GreaterOrEqual: return value >= threshold;
         case Comparison::LessThan: return value < threshold;
-        case Comparison::LessOrEqual: return value <= threshold;
     }
     return false;
 }
 
-void AlertEngine::evaluateOne(sim::TimePoint now, const AlertRule& rule,
-                              std::size_t ruleIdx, const std::string& phone,
-                              const MetricFn& metric) {
+}  // namespace
+
+void AlertEngine::evaluateOne(sim::TimePoint now, std::size_t ruleIdx,
+                              const std::string& phone, std::optional<double> value) {
+    const AlertRule& rule = rules_[ruleIdx];
     bool& firing = state_[{ruleIdx, phone}];
-    const auto value = metric(rule.metric, phone);
     bool condition = false;
     if (value) {
         // Hysteresis: an already-firing alert is held against the clear
@@ -45,21 +47,20 @@ void AlertEngine::evaluateOne(sim::TimePoint now, const AlertRule& rule,
     } else {
         ++cleared_;
     }
-    log_.push_back(AlertEvent{now, rule.name, phone, condition,
-                              value.value_or(0.0), rule.severity});
+    log_.push_back(AlertEvent{now, rule.name, phone, condition, value.value_or(0.0),
+                              rule.severity});
 }
 
-void AlertEngine::evaluate(sim::TimePoint now,
-                           const std::vector<std::string>& phones,
-                           const MetricFn& metric) {
+void AlertEngine::evaluate(sim::TimePoint now, const WindowStats& window,
+                           const std::vector<PhoneSilence>& phones) {
     for (std::size_t i = 0; i < rules_.size(); ++i) {
         const AlertRule& rule = rules_[i];
-        if (!rule.perPhone) {
-            evaluateOne(now, rule, i, {}, metric);
+        if (rule.fleetValue != nullptr) {
+            evaluateOne(now, i, {}, rule.fleetValue(window));
             continue;
         }
-        for (const auto& phone : phones) {
-            evaluateOne(now, rule, i, phone, metric);
+        for (const PhoneSilence& phone : phones) {
+            evaluateOne(now, i, phone.name, rule.phoneValue(phone));
         }
     }
 }

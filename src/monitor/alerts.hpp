@@ -1,17 +1,16 @@
-// Declarative alert rules over monitor metrics.
+// Alert rules over the monitor's tick.
 //
-// A rule names a metric (fleet-wide, or evaluated per phone), a threshold
-// comparison, and a severity.  The engine evaluates all rules at each
-// monitor tick against a metric lookup and keeps firing/clearing state:
-// one FIRING event when the condition first holds, one CLEARED event when
-// it stops (optionally with a separate clear threshold for hysteresis, so
-// a metric hovering at the line does not flap).  A metric the lookup
-// cannot produce (e.g. windowed MTBF with no failures in the window)
-// counts as "condition not met" and clears.
+// A rule computes its own value at each monitor tick — fleet-wide from the
+// tick's windowed counts, or once per registered phone from that phone's
+// upload silence — and compares it against a threshold.  The engine keeps
+// firing/clearing state: one FIRING event when the condition first holds,
+// one CLEARED event when it stops (optionally with a separate clear
+// threshold for hysteresis, so a value hovering at the line does not
+// flap).  A value the rule cannot compute (e.g. windowed MTBF with no
+// failures in the window) counts as "condition not met" and clears.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <optional>
 #include <string>
@@ -19,6 +18,7 @@
 #include <utility>
 #include <vector>
 
+#include "monitor/health.hpp"
 #include "simkernel/time.hpp"
 
 namespace symfail::monitor {
@@ -26,22 +26,32 @@ namespace symfail::monitor {
 enum class Severity : std::uint8_t { Info, Warning, Critical };
 [[nodiscard]] std::string_view toString(Severity severity);
 
-enum class Comparison : std::uint8_t {
-    GreaterThan,
-    GreaterOrEqual,
-    LessThan,
-    LessOrEqual,
+enum class Comparison : std::uint8_t { GreaterThan, GreaterOrEqual, LessThan };
+
+/// One registered phone's upload silence at a tick.
+struct PhoneSilence {
+    std::string name;
+    /// Hours since the phone's last ingest or its enrollment, whichever is
+    /// later; nullopt before the phone enrolls.
+    std::optional<double> hours;
+    /// The phone's upload path is in a known transport outage window.
+    bool inOutage{false};
 };
 
-/// One declarative rule.
+/// A rule's value at one tick; nullopt when it is undefined.
+using FleetValue = std::optional<double> (*)(const WindowStats& window);
+using PhoneValue = std::optional<double> (*)(const PhoneSilence& phone);
+
+/// One rule.  Exactly one of `fleetValue` and `phoneValue` is set: a
+/// fleet rule is evaluated once per tick, a phone rule once per
+/// registered phone.
 struct AlertRule {
     std::string name;
-    std::string metric;
+    FleetValue fleetValue{nullptr};
+    PhoneValue phoneValue{nullptr};
     Comparison op{Comparison::GreaterThan};
     double threshold{0.0};
     Severity severity{Severity::Warning};
-    /// Evaluate once per registered phone instead of once fleet-wide.
-    bool perPhone{false};
     /// Hysteresis: once firing, the alert clears only when the value stops
     /// satisfying `op` against this threshold (defaults to `threshold`).
     std::optional<double> clearThreshold;
@@ -60,16 +70,12 @@ struct AlertEvent {
 /// Rule evaluation with firing/clearing state.
 class AlertEngine {
 public:
-    /// Lookup for metric values; returns nullopt when the metric is
-    /// undefined at this instant.  `phone` is empty for fleet scope.
-    using MetricFn = std::function<std::optional<double>(
-        const std::string& metric, const std::string& phone)>;
-
     explicit AlertEngine(std::vector<AlertRule> rules = {});
 
-    /// Evaluates every rule (per-phone rules once per name in `phones`).
-    void evaluate(sim::TimePoint now, const std::vector<std::string>& phones,
-                  const MetricFn& metric);
+    /// Evaluates every rule in order: a fleet rule on `window`, a phone
+    /// rule on each entry of `phones`.
+    void evaluate(sim::TimePoint now, const WindowStats& window,
+                  const std::vector<PhoneSilence>& phones);
 
     [[nodiscard]] const std::vector<AlertEvent>& log() const { return log_; }
     [[nodiscard]] std::uint64_t fired() const { return fired_; }
@@ -79,11 +85,8 @@ public:
     [[nodiscard]] std::vector<std::string> activeLabels() const;
 
 private:
-    void evaluateOne(sim::TimePoint now, const AlertRule& rule,
-                     std::size_t ruleIdx, const std::string& phone,
-                     const MetricFn& metric);
-    [[nodiscard]] static bool satisfies(Comparison op, double value,
-                                        double threshold);
+    void evaluateOne(sim::TimePoint now, std::size_t ruleIdx, const std::string& phone,
+                     std::optional<double> value);
 
     std::vector<AlertRule> rules_;
     /// (rule index, phone) -> currently firing.

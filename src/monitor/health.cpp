@@ -20,10 +20,6 @@ void trimBefore(std::deque<sim::TimePoint>& events, sim::TimePoint cutoff) {
     while (!events.empty() && events.front() <= cutoff) events.pop_front();
 }
 
-double safeRatio(double hours, std::uint64_t failures) {
-    return failures == 0 ? 0.0 : hours / static_cast<double>(failures);
-}
-
 }  // namespace
 
 HealthEngine::HealthEngine(double selfShutdownThresholdSeconds,
@@ -35,13 +31,12 @@ sim::TimePoint HealthEngine::windowCutoff(sim::TimePoint now) const {
     return now - kRateWindow;
 }
 
-void HealthEngine::addHl(PhoneState& state, sim::TimePoint time,
-                         analysis::PanicRelation kind) {
+void HealthEngine::addHl(PhoneState& state, sim::TimePoint time) {
     // HL reveal order follows event order per phone, so this append keeps
     // the list time-sorted (matching the batch pipeline's sort).
     auto it = state.hls.end();
     while (it != state.hls.begin() && std::prev(it)->time > time) --it;
-    state.hls.insert(it, HlEvent{time, kind, false});
+    state.hls.insert(it, HlEvent{time, false});
 }
 
 void HealthEngine::feedPanic(PhoneState& state, sim::TimePoint time) {
@@ -65,49 +60,37 @@ void HealthEngine::closeBurst(PhoneState& state) {
     state.burstLen = 0;
 }
 
-void HealthEngine::resolvePanic(PhoneState& state, const PendingPanic& panic) {
+void HealthEngine::resolvePanic(PhoneState& state, sim::TimePoint panicAt) {
     // Mirrors analysis::coalesce: nearest HL event within the window wins,
     // later equal-gap events replacing earlier ones.
-    auto relation = analysis::PanicRelation::Isolated;
     double best = analysis::kCoalescenceWindowSeconds;
     std::size_t bestIdx = state.hls.size();
     for (std::size_t i = 0; i < state.hls.size(); ++i) {
-        const double gap = std::abs((state.hls[i].time - panic.time).asSecondsF());
+        const double gap = std::abs((state.hls[i].time - panicAt).asSecondsF());
         if (gap <= best) {
             best = gap;
             bestIdx = i;
         }
     }
     if (bestIdx < state.hls.size()) {
-        relation = state.hls[bestIdx].kind;
+        ++relatedCount_;
         if (!state.hls[bestIdx].matched) {
             state.hls[bestIdx].matched = true;
             ++hlMatched_;
         }
     }
-
-    auto& row = byCategory_[panic.category];
-    row.category = panic.category;
-    ++row.total;
-    if (relation == analysis::PanicRelation::Freeze) {
-        ++row.toFreeze;
-        ++relatedCount_;
-    } else if (relation == analysis::PanicRelation::SelfShutdown) {
-        ++row.toSelfShutdown;
-        ++relatedCount_;
-    }
     ++panicsResolved_;
 }
 
-void HealthEngine::resolveReady(const std::string& /*phone*/, PhoneState& state) {
+void HealthEngine::resolveReady(PhoneState& state) {
     // A pending panic is safe to resolve once no future record of this
     // phone can reveal an HL event inside its coalescence window: an
     // unrevealed HL is later than watermark - heartbeatPeriod.
     const auto window = sim::Duration::fromSecondsF(analysis::kCoalescenceWindowSeconds);
-    while (!state.pending.empty() &&
-           state.watermark > state.pending.front().time + window + heartbeatPeriod_) {
-        resolvePanic(state, state.pending.front());
-        state.pending.pop_front();
+    while (!state.pendingPanics.empty() &&
+           state.watermark > state.pendingPanics.front() + window + heartbeatPeriod_) {
+        resolvePanic(state, state.pendingPanics.front());
+        state.pendingPanics.pop_front();
     }
 }
 
@@ -128,7 +111,6 @@ void HealthEngine::onRecord(const std::string& phone,
         state.watermark = t;
     }
     state.watermark = std::max(state.watermark, t);
-    ++totals_.records;
 
     switch (entry.type) {
         case logger::LogFileEntry::Type::Meta:
@@ -147,15 +129,13 @@ void HealthEngine::onRecord(const std::string& phone,
             break;
         case logger::LogFileEntry::Type::Panic: {
             ++totals_.panics;
-            ++state.panics;
             insertSorted(state.windowPanics, t);
             feedPanic(state, t);
-            state.pending.push_back(PendingPanic{t, entry.panic.panic.category});
+            state.pendingPanics.push_back(t);
             break;
         }
         case logger::LogFileEntry::Type::Boot: {
             ++totals_.boots;
-            ++state.reboots;
             insertSorted(state.windowBoots, t);
             const auto& boot = entry.boot;
             switch (boot.prior) {
@@ -163,9 +143,8 @@ void HealthEngine::onRecord(const std::string& phone,
                     break;
                 case logger::PriorShutdown::Freeze:
                     ++totals_.freezes;
-                    ++state.freezes;
                     insertSorted(state.windowFreezes, boot.lastBeatAt);
-                    addHl(state, boot.lastBeatAt, analysis::PanicRelation::Freeze);
+                    addHl(state, boot.lastBeatAt);
                     break;
                 case logger::PriorShutdown::Reboot: {
                     // The paper's discriminator: off-durations under the
@@ -173,10 +152,8 @@ void HealthEngine::onRecord(const std::string& phone,
                     const double off = (boot.time - boot.lastBeatAt).asSecondsF();
                     if (off < selfShutdownThresholdSeconds_) {
                         ++totals_.selfShutdowns;
-                        ++state.selfShutdowns;
                         insertSorted(state.windowSelf, boot.lastBeatAt);
-                        addHl(state, boot.lastBeatAt,
-                              analysis::PanicRelation::SelfShutdown);
+                        addHl(state, boot.lastBeatAt);
                     } else {
                         ++totals_.userShutdowns;
                     }
@@ -192,7 +169,7 @@ void HealthEngine::onRecord(const std::string& phone,
             break;
         }
     }
-    resolveReady(phone, state);
+    resolveReady(state);
 }
 
 void HealthEngine::trimTo(sim::TimePoint now) {
@@ -214,9 +191,9 @@ void HealthEngine::finalize() {
     if (finalized_) return;
     finalized_ = true;
     for (auto& [name, state] : phones_) {
-        while (!state.pending.empty()) {
-            resolvePanic(state, state.pending.front());
-            state.pending.pop_front();
+        while (!state.pendingPanics.empty()) {
+            resolvePanic(state, state.pendingPanics.front());
+            state.pendingPanics.pop_front();
         }
         closeBurst(state);
     }
@@ -262,10 +239,10 @@ WindowStats HealthEngine::windowStats(sim::TimePoint now) const {
             stats.topFamilyId = familyId;
         }
     }
-    stats.mtbfFreezeHours = safeRatio(stats.observedHours, stats.freezes);
-    stats.mtbfSelfShutdownHours = safeRatio(stats.observedHours, stats.selfShutdowns);
     const std::uint64_t failures = stats.freezes + stats.selfShutdowns;
-    stats.mtbfAnyHours = safeRatio(stats.observedHours, failures);
+    stats.mtbfAnyHours = failures == 0
+                             ? 0.0
+                             : stats.observedHours / static_cast<double>(failures);
     stats.failureRatePerKiloHour =
         stats.observedHours <= 0.0
             ? 0.0
@@ -293,40 +270,10 @@ CoalescenceCounts HealthEngine::coalescence() const {
     counts.relatedCount = relatedCount_;
     counts.hlWithPanic = hlMatched_;
     for (const auto& [name, state] : phones_) {
-        counts.pendingPanics += state.pending.size();
+        counts.pendingPanics += state.pendingPanics.size();
         counts.hlTotal += state.hls.size();
     }
-    counts.byCategory.reserve(byCategory_.size());
-    for (const auto& [category, row] : byCategory_) counts.byCategory.push_back(row);
     return counts;
-}
-
-std::vector<PhoneHealthView> HealthEngine::phones(sim::TimePoint now) const {
-    std::vector<PhoneHealthView> views;
-    views.reserve(phones_.size());
-    const auto cutoff = windowCutoff(now);
-    for (const auto& [name, state] : phones_) {
-        PhoneHealthView view;
-        view.name = name;
-        view.freezes = state.freezes;
-        view.selfShutdowns = state.selfShutdowns;
-        view.panics = state.panics;
-        view.reboots = state.reboots;
-        view.windowFreezes = state.windowFreezes.size();
-        view.windowSelfShutdowns = state.windowSelf.size();
-        view.windowPanics = state.windowPanics.size();
-        if (state.heard) {
-            const auto lo = std::max(state.firstRecordAt, cutoff);
-            const auto hi = std::min(state.watermark, now);
-            if (hi > lo) view.windowObservedHours = (hi - lo).asHoursF();
-        }
-        view.windowMtbfAnyHours = safeRatio(
-            view.windowObservedHours, view.windowFreezes + view.windowSelfShutdowns);
-        view.openBurstLen = state.burstLen;
-        view.lastRecordAt = state.watermark;
-        views.push_back(std::move(view));
-    }
-    return views;
 }
 
 std::size_t HealthEngine::approxMemoryBytes() const {
@@ -335,14 +282,11 @@ std::size_t HealthEngine::approxMemoryBytes() const {
     for (const auto& [phone, state] : phones_) {
         total += phone.size() + sizeof(std::string) + sizeof(PhoneState) + mapNode;
         total += state.hls.capacity() * sizeof(HlEvent);
-        total += state.pending.size() * sizeof(PendingPanic);
+        total += state.pendingPanics.size() * sizeof(sim::TimePoint);
         total += (state.windowFreezes.size() + state.windowSelf.size() +
                   state.windowBoots.size() + state.windowPanics.size()) *
                  sizeof(sim::TimePoint);
     }
-    total += byCategory_.size() *
-             (sizeof(symbos::PanicCategory) +
-              sizeof(analysis::CategoryRelationRow) + mapNode);
     total += windowMultiBursts_.size() * sizeof(sim::TimePoint);
     for (const auto& [family, window] : windowFamilies_) {
         total += family.size() + sizeof(std::string) + mapNode +

@@ -27,7 +27,6 @@
 #include <cstdint>
 #include <deque>
 #include <map>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -57,8 +56,6 @@ struct WindowStats {
     std::string topFamilyId;          ///< "" when the window holds no dump.
     double observedHours{0.0};     ///< Phone-time overlapping the window.
     /// Observed hours per failure; 0 when the window holds no failure.
-    double mtbfFreezeHours{0.0};
-    double mtbfSelfShutdownHours{0.0};
     double mtbfAnyHours{0.0};
     /// (freezes + self-shutdowns) per 1000 observed hours.
     double failureRatePerKiloHour{0.0};
@@ -75,7 +72,6 @@ struct WindowStats {
 
 /// Lifetime tallies across the fed stream.
 struct HealthTotals {
-    std::uint64_t records{0};
     std::uint64_t boots{0};
     std::uint64_t panics{0};
     std::uint64_t freezes{0};
@@ -94,30 +90,11 @@ struct CoalescenceCounts {
     std::size_t pendingPanics{0};
     std::size_t hlWithPanic{0};
     std::size_t hlTotal{0};
-    std::vector<analysis::CategoryRelationRow> byCategory;  ///< Category-sorted.
     [[nodiscard]] double relatedFraction() const {
         return panicsResolved == 0 ? 0.0
                                    : static_cast<double>(relatedCount) /
                                          static_cast<double>(panicsResolved);
     }
-};
-
-/// One phone as the dashboard and the alert engine see it.
-struct PhoneHealthView {
-    std::string name;
-    std::uint64_t freezes{0};
-    std::uint64_t selfShutdowns{0};
-    std::uint64_t panics{0};
-    std::uint64_t reboots{0};
-    std::uint64_t windowFreezes{0};
-    std::uint64_t windowSelfShutdowns{0};
-    std::uint64_t windowPanics{0};
-    double windowObservedHours{0.0};
-    /// Observed hours per windowed failure; 0 when the window is clean.
-    double windowMtbfAnyHours{0.0};
-    /// Length of the burst still open at the last fed panic.
-    std::size_t openBurstLen{0};
-    sim::TimePoint lastRecordAt;
 };
 
 /// Streaming analytics over per-phone record streams.  The coalescence
@@ -151,21 +128,16 @@ public:
     [[nodiscard]] CoalescenceCounts coalescence() const;
     [[nodiscard]] const HealthTotals& totals() const { return totals_; }
     [[nodiscard]] std::uint64_t malformedLines() const { return malformedLines_; }
-    [[nodiscard]] std::vector<PhoneHealthView> phones(sim::TimePoint now) const;
 
     /// Approximate heap footprint of the per-phone streaming state and
     /// fleet-wide windows; deterministic for identical record streams.
     [[nodiscard]] std::size_t approxMemoryBytes() const;
 
 private:
+    /// A revealed freeze or self-shutdown.
     struct HlEvent {
         sim::TimePoint time;
-        analysis::PanicRelation kind;  ///< Freeze or SelfShutdown.
         bool matched{false};
-    };
-    struct PendingPanic {
-        sim::TimePoint time;
-        symbos::PanicCategory category;
     };
     struct PhoneState {
         // Stream position.
@@ -174,7 +146,7 @@ private:
         bool heard{false};
         // Coalescence.
         std::vector<HlEvent> hls;
-        std::deque<PendingPanic> pending;
+        std::deque<sim::TimePoint> pendingPanics;  ///< Unresolved panic times.
         // Bursts.
         std::size_t burstLen{0};
         sim::TimePoint prevPanicAt;
@@ -183,25 +155,19 @@ private:
         std::deque<sim::TimePoint> windowSelf;
         std::deque<sim::TimePoint> windowBoots;
         std::deque<sim::TimePoint> windowPanics;
-        // Lifetime tallies.
-        std::uint64_t freezes{0};
-        std::uint64_t selfShutdowns{0};
-        std::uint64_t panics{0};
-        std::uint64_t reboots{0};
     };
 
-    void addHl(PhoneState& state, sim::TimePoint time, analysis::PanicRelation kind);
+    void addHl(PhoneState& state, sim::TimePoint time);
     void feedPanic(PhoneState& state, sim::TimePoint time);
     /// Resolves pending panics whose relation can no longer change.
-    void resolveReady(const std::string& phone, PhoneState& state);
-    void resolvePanic(PhoneState& state, const PendingPanic& panic);
+    void resolveReady(PhoneState& state);
+    void resolvePanic(PhoneState& state, sim::TimePoint panicAt);
     void closeBurst(PhoneState& state);
     [[nodiscard]] sim::TimePoint windowCutoff(sim::TimePoint now) const;
 
     double selfShutdownThresholdSeconds_;
     sim::Duration heartbeatPeriod_;
     std::map<std::string, PhoneState> phones_;
-    std::map<symbos::PanicCategory, analysis::CategoryRelationRow> byCategory_;
     sim::FreqCounter bursts_;
     std::uint64_t multiBursts_{0};
     /// Close times of multi-panic bursts, for the windowed count.

@@ -76,40 +76,89 @@ std::vector<AlertRule> defaultRules(const MonitorConfig& config) {
     std::vector<AlertRule> rules;
     // Fleet failure rate: the paper's steady state is ~7 failures per 1000
     // observed hours (MTBFr 313 h + MTBS 250 h); twice that is a spike.
-    rules.push_back(AlertRule{"fleet-failure-rate-high",
-                              "window_failure_rate_per_khour",
-                              Comparison::GreaterThan, 15.0, Severity::Warning,
-                              false, 12.0});
+    rules.push_back(AlertRule{
+        .name = "fleet-failure-rate-high",
+        .fleetValue = [](const WindowStats& w) -> std::optional<double> {
+            if (w.observedHours <= 0.0) return std::nullopt;
+            return w.failureRatePerKiloHour;
+        },
+        .op = Comparison::GreaterThan,
+        .threshold = 15.0,
+        .severity = Severity::Warning,
+        .clearThreshold = 12.0});
     // Windowed MTBF floor: combined paper MTBF is ~139 h; below 60 h the
     // fleet is failing at better than twice the expected pace.
-    rules.push_back(AlertRule{"fleet-mtbf-low", "windowed_mtbf_any_hours",
-                              Comparison::LessThan, 60.0, Severity::Critical,
-                              false, 75.0});
-    // Upload silence, attributed: dead device vs transport outage.
-    rules.push_back(AlertRule{"phone-silent", "silence_hours",
-                              Comparison::GreaterThan, config.silenceHours,
-                              Severity::Critical, true, {}});
-    rules.push_back(AlertRule{"phone-outage", "outage_silence_hours",
-                              Comparison::GreaterThan, config.silenceHours,
-                              Severity::Warning, true, {}});
+    rules.push_back(AlertRule{
+        .name = "fleet-mtbf-low",
+        .fleetValue = [](const WindowStats& w) -> std::optional<double> {
+            if (w.freezes + w.selfShutdowns == 0) return std::nullopt;
+            return w.mtbfAnyHours;
+        },
+        .op = Comparison::LessThan,
+        .threshold = 60.0,
+        .severity = Severity::Critical,
+        .clearThreshold = 75.0});
+    // Upload silence, attributed: while the upload path is in a known
+    // outage window the device cannot be blamed, and vice versa.
+    rules.push_back(AlertRule{
+        .name = "phone-silent",
+        .phoneValue = [](const PhoneSilence& p) -> std::optional<double> {
+            if (p.inOutage) return std::nullopt;
+            return p.hours;
+        },
+        .op = Comparison::GreaterThan,
+        .threshold = config.silenceHours,
+        .severity = Severity::Critical,
+        .clearThreshold = std::nullopt});
+    rules.push_back(AlertRule{
+        .name = "phone-outage",
+        .phoneValue = [](const PhoneSilence& p) -> std::optional<double> {
+            if (!p.inOutage) return std::nullopt;
+            return p.hours;
+        },
+        .op = Comparison::GreaterThan,
+        .threshold = config.silenceHours,
+        .severity = Severity::Warning,
+        .clearThreshold = std::nullopt});
     // Reliability regressing: the windowed Laplace trend is ~N(0,1)
     // under a constant failure rate, so a sustained value above 2 means
     // failures are clustering late in the window — the fitted intensity
-    // trend has inverted from growth to degradation.
-    rules.push_back(AlertRule{"reliability-regressing", "window_laplace_trend",
-                              Comparison::GreaterThan, 2.0, Severity::Warning,
-                              false, 1.0});
+    // trend has inverted from growth to degradation.  The normal
+    // approximation is unusable on a handful of events; stay silent until
+    // the window holds a real sample.
+    rules.push_back(AlertRule{
+        .name = "reliability-regressing",
+        .fleetValue = [](const WindowStats& w) -> std::optional<double> {
+            if (w.freezes + w.selfShutdowns < 6) return std::nullopt;
+            return w.laplaceTrend;
+        },
+        .op = Comparison::GreaterThan,
+        .threshold = 2.0,
+        .severity = Severity::Warning,
+        .clearThreshold = 1.0});
     // Burst activity: multi-panic bursts are normal (~25% of bursts), so
     // only an elevated windowed count is noteworthy.
-    rules.push_back(AlertRule{"panic-burst-activity", "window_multi_bursts",
-                              Comparison::GreaterOrEqual, 3.0, Severity::Info,
-                              false, 2.0});
+    rules.push_back(AlertRule{
+        .name = "panic-burst-activity",
+        .fleetValue = [](const WindowStats& w) -> std::optional<double> {
+            return static_cast<double>(w.multiBursts);
+        },
+        .op = Comparison::GreaterOrEqual,
+        .threshold = 3.0,
+        .severity = Severity::Info,
+        .clearThreshold = 2.0});
     // Family-scoped burst: at the paper's rates the busiest crash family
     // collects ~4 dumps per weekly window; ten means one failure mechanism
     // is running hot across the fleet.
-    rules.push_back(AlertRule{"crash-family-burst", "window_top_family_dumps",
-                              Comparison::GreaterOrEqual, 10.0, Severity::Info,
-                              false, 8.0});
+    rules.push_back(AlertRule{
+        .name = "crash-family-burst",
+        .fleetValue = [](const WindowStats& w) -> std::optional<double> {
+            return static_cast<double>(w.topFamilyDumps);
+        },
+        .op = Comparison::GreaterOrEqual,
+        .threshold = 10.0,
+        .severity = Severity::Info,
+        .clearThreshold = 8.0});
     return rules;
 }
 
@@ -259,86 +308,6 @@ void FleetMonitor::replay(const std::vector<analysis::PhoneLog>& logs) {
     tick(lastEventAt_);
 }
 
-std::optional<double> FleetMonitor::metricValue(
-    const std::string& metric, const std::string& phone, sim::TimePoint now,
-    const WindowStats& window,
-    const std::map<std::string, PhoneHealthView>& views) const {
-    if (phone.empty()) {
-        if (metric == "window_failure_rate_per_khour") {
-            if (window.observedHours <= 0.0) return std::nullopt;
-            return window.failureRatePerKiloHour;
-        }
-        if (metric == "windowed_mtbf_any_hours") {
-            if (window.freezes + window.selfShutdowns == 0) return std::nullopt;
-            return window.mtbfAnyHours;
-        }
-        if (metric == "window_freezes") return static_cast<double>(window.freezes);
-        if (metric == "window_self_shutdowns") {
-            return static_cast<double>(window.selfShutdowns);
-        }
-        if (metric == "window_reboots") return static_cast<double>(window.reboots);
-        if (metric == "window_panics") return static_cast<double>(window.panics);
-        if (metric == "window_multi_bursts") {
-            return static_cast<double>(window.multiBursts);
-        }
-        if (metric == "window_dumps") return static_cast<double>(window.dumps);
-        if (metric == "window_crash_families") {
-            return static_cast<double>(window.crashFamilies);
-        }
-        if (metric == "window_top_family_dumps") {
-            return static_cast<double>(window.topFamilyDumps);
-        }
-        if (metric == "window_laplace_trend") {
-            // The normal approximation is unusable on a handful of
-            // events; stay silent until the window holds a real sample.
-            if (window.freezes + window.selfShutdowns < 6) return std::nullopt;
-            return window.laplaceTrend;
-        }
-        if (metric == "window_forecast_failures") {
-            return window.forecastNextWindowFailures;
-        }
-        if (metric == "window_observed_hours") return window.observedHours;
-        if (metric == "phones_silent") {
-            std::size_t silent = 0;
-            for (const auto& [name, presence] : presence_) {
-                if (presence.liveness == Liveness::SilentOutage ||
-                    presence.liveness == Liveness::SilentSuspect) {
-                    ++silent;
-                }
-            }
-            return static_cast<double>(silent);
-        }
-        return std::nullopt;
-    }
-
-    if (metric == "silence_hours" || metric == "outage_silence_hours") {
-        const auto it = presence_.find(phone);
-        if (it == presence_.end() || now < it->second.enrollAt) return std::nullopt;
-        const Presence& presence = it->second;
-        const bool inOutage = presence.probe && presence.probe(now);
-        // Silence is attributed: while the upload path is in a known
-        // outage window the device cannot be blamed, and vice versa.
-        if ((metric == "outage_silence_hours") != inOutage) return std::nullopt;
-        const auto last = std::max(presence.lastIngestAt, presence.enrollAt);
-        return (now - last).asHoursF();
-    }
-
-    const auto it = views.find(phone);
-    if (it == views.end()) return std::nullopt;
-    const PhoneHealthView& view = it->second;
-    if (metric == "window_panics") return static_cast<double>(view.windowPanics);
-    if (metric == "window_freezes") return static_cast<double>(view.windowFreezes);
-    if (metric == "window_self_shutdowns") {
-        return static_cast<double>(view.windowSelfShutdowns);
-    }
-    if (metric == "window_mtbf_any_hours") {
-        if (view.windowFreezes + view.windowSelfShutdowns == 0) return std::nullopt;
-        return view.windowMtbfAnyHours;
-    }
-    if (metric == "open_burst_len") return static_cast<double>(view.openBurstLen);
-    return std::nullopt;
-}
-
 void FleetMonitor::tick(sim::TimePoint now) {
     // Live mode: settle-timeout releases first, so this tick sees them.
     if (!finalized_ && simulator_ != nullptr) {
@@ -348,31 +317,28 @@ void FleetMonitor::tick(sim::TimePoint now) {
     }
     health_.trimTo(now);
     const WindowStats window = health_.windowStats(now);
-    std::map<std::string, PhoneHealthView> views;
-    for (auto& view : health_.phones(now)) {
-        views.emplace(view.name, std::move(view));
-    }
 
-    std::vector<std::string> phoneNames;
-    phoneNames.reserve(presence_.size());
+    std::vector<PhoneSilence> silences;
+    silences.reserve(presence_.size());
     std::vector<std::string> silentPhones;
     std::size_t suspect = 0;
     std::size_t outage = 0;
     std::size_t heard = 0;
     for (auto& [name, presence] : presence_) {
-        phoneNames.push_back(name);
+        PhoneSilence& silence = silences.emplace_back();
+        silence.name = name;
         if (presence.heard) ++heard;
         if (now < presence.enrollAt) {
             presence.liveness = Liveness::NotEnrolled;
             continue;
         }
         const auto last = std::max(presence.lastIngestAt, presence.enrollAt);
-        const double silenceH = (now - last).asHoursF();
-        if (silenceH > config_.silenceHours) {
-            const bool inOutage = presence.probe && presence.probe(now);
+        silence.hours = (now - last).asHoursF();
+        silence.inOutage = presence.probe && presence.probe(now);
+        if (*silence.hours > config_.silenceHours) {
             presence.liveness =
-                inOutage ? Liveness::SilentOutage : Liveness::SilentSuspect;
-            if (inOutage) {
+                silence.inOutage ? Liveness::SilentOutage : Liveness::SilentSuspect;
+            if (silence.inOutage) {
                 ++outage;
             } else {
                 ++suspect;
@@ -383,10 +349,7 @@ void FleetMonitor::tick(sim::TimePoint now) {
         }
     }
 
-    alerts_.evaluate(now, phoneNames,
-                     [&](const std::string& metric, const std::string& phone) {
-                         return metricValue(metric, phone, now, window, views);
-                     });
+    alerts_.evaluate(now, window, silences);
 
     const auto coalescence = health_.coalescence();
     Snapshot snapshot;

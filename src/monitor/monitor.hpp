@@ -58,7 +58,8 @@ struct MonitorConfig {
 };
 
 /// The built-in rule set: fleet failure-rate spike, windowed-MTBF floor,
-/// per-phone upload silence (suspect/outage) and panic-burst activity.
+/// per-phone upload silence (suspect/outage), reliability trend, panic-burst
+/// activity and crash-family burst.
 [[nodiscard]] std::vector<AlertRule> defaultRules(const MonitorConfig& config);
 
 /// Per-phone liveness as classified at the last tick.
@@ -146,10 +147,6 @@ private:
     /// log fully consumed as complete records) to the provenance tracker.
     void stampProvenance(const std::string& phoneName, const PhoneStream& stream);
     void tick(sim::TimePoint now);
-    [[nodiscard]] std::optional<double> metricValue(
-        const std::string& metric, const std::string& phone, sim::TimePoint now,
-        const WindowStats& window,
-        const std::map<std::string, PhoneHealthView>& views) const;
 
     MonitorConfig config_;
     HealthEngine health_;

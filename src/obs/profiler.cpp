@@ -41,7 +41,6 @@ void CampaignProfiler::noteEvent(const char* category, double hostSeconds,
     Bucket& bucket =
         it != categories_.end() ? it->second : categories_[std::string{key}];
     ++bucket.events;
-    ++bucket.sampledEvents;
     bucket.hostSeconds += hostSeconds;
     ++events_;
     ++sampledEvents_;
@@ -69,8 +68,7 @@ std::vector<CampaignProfiler::CategoryProfile> CampaignProfiler::byCategory() co
     std::vector<CategoryProfile> profiles;
     profiles.reserve(categories_.size());
     for (const auto& [category, bucket] : categories_) {
-        profiles.push_back(
-            {category, bucket.events, bucket.sampledEvents, bucket.hostSeconds * scale});
+        profiles.push_back({category, bucket.events, bucket.hostSeconds * scale});
     }
     std::sort(profiles.begin(), profiles.end(),
               [](const CategoryProfile& a, const CategoryProfile& b) {

@@ -57,9 +57,8 @@ public:
 
     struct CategoryProfile {
         std::string category;
-        std::uint64_t events{0};         ///< Exact dispatch count.
-        std::uint64_t sampledEvents{0};  ///< Dispatches actually timed.
-        double hostSeconds{0.0};         ///< Estimated: timed seconds x stride.
+        std::uint64_t events{0};  ///< Exact dispatch count.
+        double hostSeconds{0.0};  ///< Estimated: timed seconds x stride.
     };
 
     struct PhaseProfile {
@@ -92,7 +91,6 @@ public:
 private:
     struct Bucket {
         std::uint64_t events{0};
-        std::uint64_t sampledEvents{0};
         double hostSeconds{0.0};  ///< Raw timed seconds (unscaled).
     };
     std::map<std::string, Bucket, std::less<>> categories_;

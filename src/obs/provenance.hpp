@@ -148,8 +148,6 @@ public:
     /// A copy of segment `seq` was dropped (`outage`: while out of coverage).
     void frameLost(const std::string& phone, std::uint32_t seq, bool outage,
                    sim::TimePoint at);
-    /// The channel spawned a duplicate copy of segment `seq`.
-    void frameDuplicated(const std::string& phone, std::uint32_t seq);
     /// A copy of segment `seq` (first `payloadBytes` of its range) reached
     /// the receiver.
     void frameDelivered(const std::string& phone, std::uint32_t seq,
@@ -208,15 +206,9 @@ public:
 
 private:
     struct SegmentState {
-        std::uint64_t offset{0};        ///< Log offset the segment starts at.
-        std::uint64_t payloadBytes{0};  ///< Largest payload sent under this seq.
-        std::uint32_t sends{0};
+        std::uint64_t offset{0};  ///< Log offset the segment starts at.
         std::uint32_t wireLost{0};
         std::uint32_t outageLost{0};
-        std::uint32_t dupSpawns{0};
-        std::uint32_t deliveredCopies{0};
-        std::uint32_t duplicateCopies{0};  ///< Copies the server discarded.
-        bool everSent{false};
     };
 
     struct PhoneState {

@@ -33,8 +33,6 @@ struct ClockPlaneStats {
     std::uint64_t backwardJumps{0};
     /// Reads that returned a time earlier than a previous read.
     std::uint64_t monotonicityViolations{0};
-    /// Current total offset from true time, in microseconds.
-    std::int64_t offsetMicros{0};
 };
 
 class ClockPlane final : public FaultPlane, public phone::DeviceClock {
@@ -43,8 +41,7 @@ public:
                ClockPlaneConfig config, std::uint64_t seed);
 
     [[nodiscard]] ClockPlaneStats stats() const {
-        return {activations(), backwardJumps_, monotonicityViolations_,
-                offset_.totalMicros()};
+        return {activations(), backwardJumps_, monotonicityViolations_};
     }
 
     // phone::DeviceClock

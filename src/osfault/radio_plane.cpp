@@ -48,12 +48,9 @@ void RadioPlane::activate(sim::Rng& rng) {
             const sim::Duration hold =
                 rng.lognormalDuration(kLinkDropMedian, kLinkDropSigma);
             modem.beginLinkDrop();
-            modem.setSignalBars(0);
             pushOutage(now, now + hold);
             simulator().scheduleAfter(hold, "osfault.radio.reattach", [this]() {
-                phone::RadioModem& m = device_->radio();
-                m.endLinkDrop();
-                m.setSignalBars(4);
+                device_->radio().endLinkDrop();
             });
             break;
         }

@@ -5,8 +5,8 @@
 // an OutageWindow onto the phone's data and ack channels, so the frames
 // lost to radio trouble land in the same outageDrops accounting — and the
 // same provenance lost-outage bucket — as a scheduled blackout.  The
-// stale-signal fault touches only the modem's reported bars (a value
-// failure in the paper's taxonomy); it costs no frames.
+// stale-signal fault (a value failure in the paper's taxonomy) only opens
+// a counted window on the modem; it costs no frames.
 #pragma once
 
 #include <cstdint>

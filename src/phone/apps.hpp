@@ -24,8 +24,6 @@ struct AppInfo {
     double launchWeight;
     /// Median foreground session length.
     sim::Duration sessionMedian;
-    /// True for apps that start at boot and stay resident.
-    bool residentAtBoot;
 };
 
 /// The full catalog.  Telephone and Messages are resident core apps; the

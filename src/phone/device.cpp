@@ -141,7 +141,7 @@ void PhoneDevice::requestShutdown(ShutdownKind kind, std::string detail) {
         const obs::TraceArg args[] = {{"kind", toString(kind)}, {"detail", detail}};
         trace->instant(traceTrack_, "phone", "shutdown", simulator_->now(), args);
     }
-    truth_.record(simulator_->now(), truthKind, std::move(detail));
+    truth_.record(simulator_->now(), truthKind);
     tearDown(true, kind);
 }
 
@@ -157,7 +157,7 @@ void PhoneDevice::freeze(std::string cause) {
         const obs::TraceArg args[] = {{"cause", cause}};
         trace->instant(traceTrack_, "phone", "freeze", simulator_->now(), args);
     }
-    truth_.record(simulator_->now(), TruthKind::Freeze, std::move(cause));
+    truth_.record(simulator_->now(), TruthKind::Freeze);
     state_ = PowerState::Frozen;
     ++bootEpoch_;  // invalidates all in-flight behaviour
     kernel_->setSuspended(true);
@@ -257,7 +257,7 @@ void PhoneDevice::outputFailureOccurred(std::string symptom) {
         const obs::TraceArg args[] = {{"symptom", symptom}};
         trace->instant(traceTrack_, "phone", "output-failure", simulator_->now(), args);
     }
-    truth_.record(simulator_->now(), TruthKind::OutputFailureInjected, symptom);
+    truth_.record(simulator_->now(), TruthKind::OutputFailureInjected);
     for (const auto& hook : outputFailureHooks_) hook(symptom);
 }
 

@@ -5,63 +5,41 @@
 namespace symfail::phone {
 
 void FlashStore::appendLine(std::string_view file, std::string_view line) {
+    write(file, line, /*replace=*/false);
+}
+
+void FlashStore::replaceWithLine(std::string_view file, std::string_view line) {
+    write(file, line, /*replace=*/true);
+}
+
+void FlashStore::write(std::string_view file, std::string_view line, bool replace) {
     FlashFaultInjector::Verdict verdict;
     if (injector_ != nullptr) verdict = injector_->onWrite(file, line);
-    if (verdict.kind == FlashFaultInjector::Kind::Drop) {
-        ++droppedWrites_;
-        return;
-    }
+    if (verdict.kind == FlashFaultInjector::Kind::Drop) return;
     auto it = files_.find(file);
     if (it == files_.end()) {
         it = files_.emplace(std::string{file}, std::string{}).first;
     }
-    const std::uint64_t offset = it->second.size();
-    it->second.append(line);
-    it->second.push_back('\n');
-    ++writes_;
-    if (observer_ != nullptr) {
-        observer_->onAppend(file, offset, static_cast<std::uint32_t>(line.size() + 1),
-                            line);
+    std::string& text = it->second;
+    const std::uint64_t oldSize = text.size();
+    if (replace) {
+        text.assign(line);
+    } else {
+        text.append(line);
     }
-    if (rotateLimit_ != 0 && it->second.size() > rotateLimit_) {
-        std::string& text = it->second;
+    text.push_back('\n');
+    if (observer_ != nullptr) {
+        if (replace && oldSize != 0) observer_->onRotate(file, oldSize);
+        observer_->onAppend(file, replace ? 0 : oldSize,
+                            static_cast<std::uint32_t>(line.size() + 1), line);
+    }
+    if (!replace && rotateLimit_ != 0 && text.size() > rotateLimit_) {
         std::size_t cut = text.find('\n', text.size() / 2);
         cut = cut == std::string::npos ? text.size() : cut + 1;
         text.erase(0, cut);
         if (observer_ != nullptr) observer_->onRotate(file, cut);
     }
     if (verdict.kind == FlashFaultInjector::Kind::Torn) {
-        ++tornWrites_;
-        const std::size_t written = line.size() + 1;
-        // A torn write always loses at least the trailing '\n'.
-        const std::size_t keep =
-            verdict.keepBytes < written ? verdict.keepBytes : written - 1;
-        tearTail(file, written - keep);
-    }
-}
-
-void FlashStore::replaceWithLine(std::string_view file, std::string_view line) {
-    FlashFaultInjector::Verdict verdict;
-    if (injector_ != nullptr) verdict = injector_->onWrite(file, line);
-    if (verdict.kind == FlashFaultInjector::Kind::Drop) {
-        ++droppedWrites_;
-        return;
-    }
-    auto it = files_.find(file);
-    if (it == files_.end()) {
-        it = files_.emplace(std::string{file}, std::string{}).first;
-    }
-    const std::uint64_t oldSize = it->second.size();
-    it->second.assign(line);
-    it->second.push_back('\n');
-    ++writes_;
-    if (observer_ != nullptr) {
-        if (oldSize != 0) observer_->onRotate(file, oldSize);
-        observer_->onAppend(file, 0, static_cast<std::uint32_t>(line.size() + 1),
-                            line);
-    }
-    if (verdict.kind == FlashFaultInjector::Kind::Torn) {
-        ++tornWrites_;
         const std::size_t written = line.size() + 1;
         // A torn write always loses at least the trailing '\n'.
         const std::size_t keep =
@@ -128,7 +106,6 @@ bool FlashStore::corruptByte(std::string_view file, std::size_t offset,
         static_cast<std::uint8_t>(byte) ^ mask);
     if (flipped == '\n') return false;
     byte = flipped;
-    ++corruptedBytes_;
     return true;
 }
 

@@ -114,7 +114,6 @@ public:
     /// identical write sequences yield identical values (the resource
     /// accountant's determinism contract).
     [[nodiscard]] std::size_t approxMemoryBytes() const;
-    [[nodiscard]] std::uint64_t writeCount() const { return writes_; }
 
     /// Attaches a mutation observer (nullptr detaches).  Not owned.
     void setWriteObserver(FlashWriteObserver* observer) { observer_ = observer; }
@@ -128,23 +127,16 @@ public:
     using ReadHook = std::function<void(std::string_view file)>;
     void setReadHook(ReadHook hook) { readHook_ = std::move(hook); }
 
-    /// Writes swallowed by an injector Drop verdict (transient I/O errors).
-    [[nodiscard]] std::uint64_t droppedWrites() const { return droppedWrites_; }
-    /// Writes truncated by an injector Torn verdict.
-    [[nodiscard]] std::uint64_t tornWrites() const { return tornWrites_; }
-    /// Bytes flipped via corruptByte (bit-rot events that landed).
-    [[nodiscard]] std::uint64_t corruptedBytes() const { return corruptedBytes_; }
-
 private:
+    /// One line written through the injector's verdict: appended, or
+    /// replacing the file's content.
+    void write(std::string_view file, std::string_view line, bool replace);
+
     std::map<std::string, std::string, std::less<>> files_;
-    std::uint64_t writes_{0};
     std::size_t rotateLimit_{8 * 1024 * 1024};
     FlashWriteObserver* observer_{nullptr};
     FlashFaultInjector* injector_{nullptr};
     ReadHook readHook_;
-    std::uint64_t droppedWrites_{0};
-    std::uint64_t tornWrites_{0};
-    std::uint64_t corruptedBytes_{0};
 };
 
 }  // namespace symfail::phone

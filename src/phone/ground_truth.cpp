@@ -4,8 +4,8 @@
 
 namespace symfail::phone {
 
-void GroundTruth::record(sim::TimePoint time, TruthKind kind, std::string detail) {
-    events_.push_back(TruthEvent{time, kind, std::move(detail)});
+void GroundTruth::record(sim::TimePoint time, TruthKind kind) {
+    events_.push_back(TruthEvent{time, kind});
 }
 
 std::size_t GroundTruth::countOf(TruthKind kind) const {

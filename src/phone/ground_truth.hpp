@@ -38,20 +38,18 @@ enum class TruthKind : std::uint8_t {
 struct TruthEvent {
     sim::TimePoint time;
     TruthKind kind;
-    std::string detail;
 };
 
 /// Per-device ground-truth journal.
 class GroundTruth {
 public:
-    void record(sim::TimePoint time, TruthKind kind, std::string detail = {});
+    void record(sim::TimePoint time, TruthKind kind);
 
     [[nodiscard]] std::size_t countOf(TruthKind kind) const;
     /// Events of one kind, in time order.
     [[nodiscard]] std::vector<TruthEvent> eventsOf(TruthKind kind) const;
 
-    /// Approximate heap footprint of the journal (event vector capacity;
-    /// detail strings beyond the inline buffer are not chased).
+    /// Approximate heap footprint of the journal (event vector capacity).
     [[nodiscard]] std::size_t approxMemoryBytes() const {
         return sizeof *this + events_.capacity() * sizeof(TruthEvent);
     }

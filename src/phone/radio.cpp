@@ -30,11 +30,4 @@ void RadioModem::beginStaleSignal() {
 
 void RadioModem::endStaleSignal() { signalStale_ = false; }
 
-void RadioModem::setSignalBars(int bars) {
-    if (signalStale_) return;
-    if (bars < 0) bars = 0;
-    if (bars > 5) bars = 5;
-    signalBars_ = bars;
-}
-
 }  // namespace symfail::phone

@@ -3,7 +3,7 @@
 // Real Symbian phones expose the cellular modem through ETel; the logger's
 // uploads ride whatever bearer the modem provides.  This model keeps just
 // enough state for the osfault radio plane to act on — registration state,
-// a signal-strength reading that can go stale, and reset counters — while
+// stale-signal windows, and reset counters — while
 // the *effect* of radio faults (lost upload frames) flows through the
 // transport layer's existing outage model rather than bypassing it: the
 // radio plane translates modem events into `transport::OutageWindow`s on
@@ -27,9 +27,9 @@ enum class RadioState : std::uint8_t {
 class RadioModem {
 public:
     [[nodiscard]] RadioState state() const { return state_; }
-    [[nodiscard]] int signalBars() const { return signalBars_; }
-    /// True while the signal reading is stuck at a stale value (the
-    /// paper-family "wrong indicator" output failure, radio edition).
+    /// True inside a stale-signal window (the paper-family "wrong
+    /// indicator" output failure, radio edition).  The model keeps no
+    /// signal reading: a window only counts, and loses no frames.
     [[nodiscard]] bool signalStale() const { return signalStale_; }
 
     /// Link drop: registration lost until `endLinkDrop`.
@@ -41,13 +41,9 @@ public:
     void beginReset();
     void endReset();
 
-    /// Stale-signal window: the reported bars freeze at their current
-    /// value regardless of `setSignalBars` until the window ends.
+    /// Stale-signal window.
     void beginStaleSignal();
     void endStaleSignal();
-
-    /// Normal signal update (ignored while stale).
-    void setSignalBars(int bars);
 
     // -- Statistics (ground truth for the radio plane) ---------------------
     [[nodiscard]] std::uint64_t linkDrops() const { return linkDrops_; }
@@ -56,7 +52,6 @@ public:
 
 private:
     RadioState state_{RadioState::Registered};
-    int signalBars_{4};
     bool signalStale_{false};
     std::uint64_t linkDrops_{0};
     std::uint64_t modemResets_{0};

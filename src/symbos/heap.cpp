@@ -23,10 +23,7 @@ HeapCell HeapModel::allocL(const ExecContext& ctx, std::size_t size) {
 
 void HeapModel::free(HeapCell cell) {
     const auto it = find(cell);
-    if (it == cells_.end()) {
-        ++doubleFrees_;
-        return;
-    }
+    if (it == cells_.end()) return;
     bytesInUse_ -= it->size;
     cells_.erase(it);
 }

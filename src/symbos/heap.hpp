@@ -26,15 +26,12 @@ public:
     /// scheduled failure triggers or the configured capacity is exceeded.
     HeapCell allocL(const ExecContext& ctx, std::size_t size);
 
-    /// Frees a cell; freeing an unknown or already-freed cell is a no-op
-    /// that increments the double-free counter (real double frees corrupt
-    /// the heap silently; the counter lets tests detect them).
+    /// Frees a cell; freeing an unknown or already-freed cell is a no-op.
     void free(HeapCell cell);
 
     [[nodiscard]] bool live(HeapCell cell) const;
     [[nodiscard]] std::size_t liveCount() const { return cells_.size(); }
     [[nodiscard]] std::size_t bytesInUse() const { return bytesInUse_; }
-    [[nodiscard]] std::uint64_t doubleFrees() const { return doubleFrees_; }
     [[nodiscard]] std::uint64_t totalAllocs() const { return totalAllocs_; }
 
     /// The next `after`-th allocation leaves with KErrNoMemory
@@ -58,7 +55,6 @@ private:
     std::size_t bytesInUse_{0};
     std::size_t capacity_{SIZE_MAX};
     std::uint64_t failCountdown_{0};
-    std::uint64_t doubleFrees_{0};
     std::uint64_t totalAllocs_{0};
 };
 

@@ -37,7 +37,6 @@ void AudioClientModel::setVolume(const ExecContext& ctx, int volume) {
         ctx.panic(kMmfAudioBadVolume,
                   "SetVolume(" + std::to_string(volume) + ") out of range");
     }
-    volume_ = volume;
 }
 
 }  // namespace symfail::symbos

@@ -54,12 +54,8 @@ class AudioClientModel {
 public:
     /// Valid volume range is 0..9; a value of 10 or more panics
     /// MMFAudioClient 4 (as Table 2 documents for SetVolume(TInt)).
+    /// The model keeps no volume: only the range check matters here.
     void setVolume(const ExecContext& ctx, int volume);
-
-    [[nodiscard]] int volume() const { return volume_; }
-
-private:
-    int volume_{5};
 };
 
 }  // namespace symfail::symbos

@@ -62,7 +62,6 @@ bool Channel::inOutage(sim::TimePoint t) const {
 }
 
 void Channel::send(std::string bytes) {
-    ++stats_.framesOffered;
     stats_.bytesOffered += bytes.size();
 
     if (inOutage(simulator_->now()) && rng_.bernoulli(kOutageLossProb)) {
@@ -111,11 +110,6 @@ void Channel::send(std::string bytes) {
     };
 
     const bool duplicated = rng_.bernoulli(config_.dupProb);
-    if (duplicated && provenance_ != nullptr) {
-        if (const auto header = parseFrameHeader(bytes)) {
-            provenance_->frameDuplicated(std::string{header->phone}, header->seq);
-        }
-    }
     deliverAfter(bytes, drawLatency());
     if (duplicated) {
         ++stats_.framesDuplicated;

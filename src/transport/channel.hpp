@@ -61,7 +61,6 @@ struct ChannelConfig {
 
 /// Wire accounting for one channel.
 struct ChannelStats {
-    std::uint64_t framesOffered{0};
     std::uint64_t framesLost{0};
     std::uint64_t framesDuplicated{0};
     std::uint64_t framesDelivered{0};
@@ -89,8 +88,8 @@ public:
     /// track; 0 — the "sim" track — when never set).
     void setTraceTrack(std::uint32_t track) { traceTrack_ = track; }
 
-    /// Attaches provenance tracking: SEGv1 frames report loss, duplication
-    /// and delivery per segment (acks and malformed bytes are ignored).
+    /// Attaches provenance tracking: SEGv1 frames report loss and delivery
+    /// per segment (acks and malformed bytes are ignored).
     /// nullptr detaches; the tracker is not owned.
     void setProvenance(obs::ProvenanceTracker* tracker) { provenance_ = tracker; }
 

@@ -5,7 +5,6 @@
 namespace symfail::transport {
 
 IngestResult Reassembler::ingest(std::string_view bytes) {
-    ++stats_.framesReceived;
     IngestResult result;
     auto frame = decodeFrame(bytes);
     if (!frame) {
@@ -27,7 +26,6 @@ IngestResult Reassembler::ingest(std::string_view bytes) {
         // The open tail segment grew since we last saw it; the longer copy
         // strictly extends the shorter one (append-only chunking).
         it->second = std::move(frame->payload);
-        ++stats_.segmentsExtended;
     } else {
         ++stats_.duplicates;
         result.duplicate = true;

@@ -22,11 +22,9 @@ namespace symfail::transport {
 
 /// Ingestion accounting across all phones.
 struct ReassemblyStats {
-    std::uint64_t framesReceived{0};   ///< Raw arrivals, valid or not.
-    std::uint64_t framesRejected{0};   ///< CRC mismatch / malformed framing.
-    std::uint64_t duplicates{0};       ///< Segment already held (no new bytes).
-    std::uint64_t segmentsStored{0};   ///< New segments added to chunk maps.
-    std::uint64_t segmentsExtended{0}; ///< Open tail segment grew in place.
+    std::uint64_t framesRejected{0};  ///< CRC mismatch / malformed framing.
+    std::uint64_t duplicates{0};      ///< Segment already held (no new bytes).
+    std::uint64_t segmentsStored{0};  ///< New segments added to chunk maps.
 };
 
 /// Outcome of one frame ingestion, rich enough for a streaming consumer

@@ -232,6 +232,13 @@ TEST(ExperimentGrid, RejectsMalformedInput) {
     EXPECT_THROW(
         (void)experiment::Grid::parse(R"({"phones": [2], "days": []})", defaults),
         std::runtime_error);
+    // A repeated key would silently drop all but its last list.
+    try {
+        (void)experiment::Grid::parse(R"({"days": [2, 3], "days": 2})", defaults);
+        ADD_FAILURE() << "a repeated grid key was accepted";
+    } catch (const std::runtime_error& error) {
+        EXPECT_STREQ(error.what(), "grid axis 'days' appears more than once");
+    }
 }
 
 TEST(ExperimentGrid, CellMaterializesStudyConfig) {

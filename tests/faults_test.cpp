@@ -280,8 +280,9 @@ TEST(Injector, NoActivityWhileOff) {
     FaultInjector injector{device, deriveRates(plan), 33};
     // Never powered on: nothing can be injected.
     simulator.runUntil(sim::TimePoint::origin() + sim::Duration::days(3));
-    EXPECT_EQ(injector.stats().activations, 0u);
+    EXPECT_EQ(injector.stats().primaryPanics, 0u);
     EXPECT_EQ(injector.stats().hangs, 0u);
+    EXPECT_EQ(device.groundTruth().countOf(phone::TruthKind::PanicInjected), 0u);
 }
 
 }  // namespace

@@ -72,7 +72,7 @@ TEST(Generator, CorpusShape) {
     std::size_t failures = 0;
     for (const auto& report : corpus) {
         EXPECT_FALSE(report.text.empty());
-        EXPECT_FALSE(report.vendor.empty());
+        EXPECT_FALSE(report.model.empty());
         EXPECT_GE(report.year, 2003);
         EXPECT_LE(report.year, 2006);
         if (report.label.isFailureReport) ++failures;

@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/study.hpp"
@@ -95,21 +97,35 @@ TEST(LineBuffer, EmitsOnlyCompleteLines) {
 
 // -- AlertEngine -------------------------------------------------------------
 
-monitor::AlertEngine::MetricFn constantMetric(std::optional<double> value) {
-    return [value](const std::string&, const std::string&) { return value; };
+/// A one-rule engine whose fleet value the test sets before each tick.
+std::optional<double> gValue;
+
+monitor::AlertRule fleetRule(const char* name, monitor::Comparison op, double threshold,
+                             std::optional<double> clearThreshold) {
+    return monitor::AlertRule{
+        .name = name,
+        .fleetValue = [](const monitor::WindowStats&) { return gValue; },
+        .op = op,
+        .threshold = threshold,
+        .clearThreshold = clearThreshold};
+}
+
+void evaluateAt(monitor::AlertEngine& engine, sim::TimePoint at,
+                std::optional<double> value) {
+    gValue = value;
+    engine.evaluate(at, monitor::WindowStats{}, {});
 }
 
 TEST(AlertEngine, FiresAndClearsWithHysteresis) {
-    monitor::AlertRule rule{"rate-high", "rate", monitor::Comparison::GreaterThan,
-                            10.0, monitor::Severity::Warning, false, 5.0};
-    monitor::AlertEngine engine{{rule}};
-    engine.evaluate(kT0, {}, constantMetric(12.0));
+    monitor::AlertEngine engine{
+        {fleetRule("rate-high", monitor::Comparison::GreaterThan, 10.0, 5.0)}};
+    evaluateAt(engine, kT0, 12.0);
     EXPECT_EQ(engine.fired(), 1u);
     EXPECT_EQ(engine.activeCount(), 1u);
     // 7 is below the firing threshold but above the clear threshold: held.
-    engine.evaluate(kT0 + sim::Duration::hours(1), {}, constantMetric(7.0));
+    evaluateAt(engine, kT0 + sim::Duration::hours(1), 7.0);
     EXPECT_EQ(engine.activeCount(), 1u);
-    engine.evaluate(kT0 + sim::Duration::hours(2), {}, constantMetric(4.0));
+    evaluateAt(engine, kT0 + sim::Duration::hours(2), 4.0);
     EXPECT_EQ(engine.cleared(), 1u);
     EXPECT_EQ(engine.activeCount(), 0u);
     ASSERT_EQ(engine.log().size(), 2u);
@@ -118,23 +134,26 @@ TEST(AlertEngine, FiresAndClearsWithHysteresis) {
 }
 
 TEST(AlertEngine, UndefinedMetricClearsAFiringAlert) {
-    monitor::AlertRule rule{"mtbf-low", "mtbf", monitor::Comparison::LessThan,
-                            60.0, monitor::Severity::Critical, false, {}};
-    monitor::AlertEngine engine{{rule}};
-    engine.evaluate(kT0, {}, constantMetric(30.0));
+    monitor::AlertEngine engine{
+        {fleetRule("mtbf-low", monitor::Comparison::LessThan, 60.0, std::nullopt)}};
+    evaluateAt(engine, kT0, 30.0);
     EXPECT_EQ(engine.activeCount(), 1u);
-    engine.evaluate(kT0 + sim::Duration::hours(1), {}, constantMetric(std::nullopt));
+    evaluateAt(engine, kT0 + sim::Duration::hours(1), std::nullopt);
     EXPECT_EQ(engine.activeCount(), 0u);
 }
 
 TEST(AlertEngine, PerPhoneRulesTrackEachPhoneSeparately) {
-    monitor::AlertRule rule{"silent", "silence", monitor::Comparison::GreaterThan,
-                            0.5, monitor::Severity::Critical, true, {}};
+    monitor::AlertRule rule{
+        .name = "silent",
+        .phoneValue = [](const monitor::PhoneSilence& phone) { return phone.hours; },
+        .op = monitor::Comparison::GreaterThan,
+        .threshold = 0.5,
+        .severity = monitor::Severity::Critical,
+        .clearThreshold = std::nullopt};
     monitor::AlertEngine engine{{rule}};
-    const auto metric = [](const std::string&, const std::string& phone) {
-        return std::optional<double>{phone == "a" ? 1.0 : 0.0};
-    };
-    engine.evaluate(kT0, {"a", "b"}, metric);
+    engine.evaluate(kT0, monitor::WindowStats{},
+                    {{.name = "a", .hours = 1.0, .inOutage = false},
+                     {.name = "b", .hours = 0.0, .inOutage = false}});
     EXPECT_EQ(engine.fired(), 1u);
     const auto labels = engine.activeLabels();
     ASSERT_EQ(labels.size(), 1u);
@@ -170,15 +189,6 @@ void expectMatchesBatch(const monitor::FleetMonitor& fleetMonitor,
     EXPECT_EQ(online.hlWithPanic, offline.hlWithPanic);
     EXPECT_EQ(online.hlTotal, offline.hlTotal);
     EXPECT_EQ(online.pendingPanics, 0u);
-    // Per-category rows, in the same (category-sorted) order.
-    ASSERT_EQ(online.byCategory.size(), offline.byCategory.size());
-    for (std::size_t i = 0; i < online.byCategory.size(); ++i) {
-        EXPECT_EQ(online.byCategory[i].category, offline.byCategory[i].category);
-        EXPECT_EQ(online.byCategory[i].total, offline.byCategory[i].total);
-        EXPECT_EQ(online.byCategory[i].toFreeze, offline.byCategory[i].toFreeze);
-        EXPECT_EQ(online.byCategory[i].toSelfShutdown,
-                  offline.byCategory[i].toSelfShutdown);
-    }
     EXPECT_EQ(fleetMonitor.health().burstLengths().entries(),
               batch.fig3BurstLengths.entries());
     EXPECT_EQ(fleetMonitor.health().multiBursts(),
@@ -433,16 +443,75 @@ TEST(WindowTrend, UniformFailuresReadAsSteady) {
     EXPECT_EQ(clean.forecastNextWindowFailures, 0.0);
 }
 
-TEST(WindowTrend, ReliabilityRegressingRuleShipsByDefault) {
-    const auto rules = monitor::defaultRules(monitor::MonitorConfig{});
-    bool found = false;
-    for (const auto& rule : rules) {
-        if (rule.name != "reliability-regressing") continue;
-        found = true;
-        EXPECT_EQ(rule.metric, "window_laplace_trend");
-        EXPECT_FALSE(rule.perPhone);
+/// The default rule named `name`.
+monitor::AlertRule defaultRule(std::string_view name) {
+    for (auto& rule : monitor::defaultRules(monitor::MonitorConfig{})) {
+        if (rule.name == name) return rule;
     }
-    EXPECT_TRUE(found);
+    ADD_FAILURE() << "no default rule " << name;
+    return {};
+}
+
+TEST(WindowTrend, ReliabilityRegressingRuleShipsByDefault) {
+    const auto rule = defaultRule("reliability-regressing");
+    ASSERT_NE(rule.fleetValue, nullptr);
+    EXPECT_EQ(rule.phoneValue, nullptr);
+    monitor::WindowStats window;
+    window.laplaceTrend = 2.5;
+    window.freezes = 4;
+    window.selfShutdowns = 2;
+    EXPECT_EQ(rule.fleetValue(window), 2.5);
+    // Fewer than six windowed failures: the trend is undefined.
+    window.selfShutdowns = 1;
+    EXPECT_EQ(rule.fleetValue(window), std::nullopt);
+}
+
+TEST(AlertRules, DefaultRulesComputeTheirValuesInLogOrder) {
+    const auto rules = monitor::defaultRules(monitor::MonitorConfig{});
+    std::vector<std::string> names;
+    for (const auto& rule : rules) {
+        names.push_back(rule.name);
+        EXPECT_NE(rule.fleetValue == nullptr, rule.phoneValue == nullptr) << rule.name;
+    }
+    EXPECT_EQ(names, (std::vector<std::string>{
+                         "fleet-failure-rate-high", "fleet-mtbf-low", "phone-silent",
+                         "phone-outage", "reliability-regressing",
+                         "panic-burst-activity", "crash-family-burst"}));
+
+    monitor::WindowStats empty;
+    monitor::WindowStats window;
+    window.observedHours = 200.0;
+    window.freezes = 3;
+    window.selfShutdowns = 1;
+    window.failureRatePerKiloHour = 20.0;
+    window.mtbfAnyHours = 50.0;
+    window.multiBursts = 4;
+    window.topFamilyDumps = 11;
+    const auto rate = defaultRule("fleet-failure-rate-high").fleetValue;
+    EXPECT_EQ(rate(window), 20.0);
+    EXPECT_EQ(rate(empty), std::nullopt);  // no observed hours
+    const auto mtbf = defaultRule("fleet-mtbf-low").fleetValue;
+    EXPECT_EQ(mtbf(window), 50.0);
+    EXPECT_EQ(mtbf(empty), std::nullopt);  // no failure in the window
+    EXPECT_EQ(defaultRule("panic-burst-activity").fleetValue(window), 4.0);
+    EXPECT_EQ(defaultRule("panic-burst-activity").fleetValue(empty), 0.0);
+    EXPECT_EQ(defaultRule("crash-family-burst").fleetValue(window), 11.0);
+    EXPECT_EQ(defaultRule("crash-family-burst").fleetValue(empty), 0.0);
+
+    // Silence is attributed: a phone in an outage window feeds only
+    // phone-outage, any other enrolled phone only phone-silent, and a
+    // phone before enrollment neither.
+    const auto silent = defaultRule("phone-silent").phoneValue;
+    const auto outage = defaultRule("phone-outage").phoneValue;
+    const monitor::PhoneSilence quiet{.name = "p", .hours = 80.0, .inOutage = false};
+    const monitor::PhoneSilence cutOff{.name = "p", .hours = 80.0, .inOutage = true};
+    const monitor::PhoneSilence unenrolled{.name = "p", .hours = std::nullopt, .inOutage = false};
+    EXPECT_EQ(silent(quiet), 80.0);
+    EXPECT_EQ(outage(quiet), std::nullopt);
+    EXPECT_EQ(silent(cutOff), std::nullopt);
+    EXPECT_EQ(outage(cutOff), 80.0);
+    EXPECT_EQ(silent(unenrolled), std::nullopt);
+    EXPECT_EQ(outage(unenrolled), std::nullopt);
 }
 
 TEST(WindowTrend, SnapshotsAndMetricsCarryTheTrend) {

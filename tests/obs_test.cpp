@@ -555,7 +555,6 @@ TEST(Profiler, StrideSamplingKeepsCountsExact) {
     const auto profile = profiler.byCategory();
     ASSERT_EQ(profile.size(), 1u);
     EXPECT_EQ(profile[0].events, static_cast<std::uint64_t>(kEvents));
-    EXPECT_EQ(profile[0].sampledEvents, static_cast<std::uint64_t>(kEvents / 4));
 }
 
 TEST(Profiler, PhasesAreTimedExactly) {

@@ -193,9 +193,6 @@ TEST(FlashPlaneUnit, ArmedFaultsConsumeOnNextWrite) {
     const FlashPlaneStats stats = plane.stats();
     EXPECT_GT(stats.activations, 0u);
     EXPECT_GT(stats.tornWrites + stats.droppedWrites, 0u);
-    // The plane's own counters agree with the store's ground truth.
-    EXPECT_EQ(stats.tornWrites, flash.tornWrites());
-    EXPECT_EQ(stats.droppedWrites, flash.droppedWrites());
 }
 
 // Measurement-validity acceptance: with each plane at its calibrated

@@ -90,7 +90,7 @@ TEST_P(InjectorDeterminism, SameSeedSameStats) {
         faults::FaultInjector injector{device, faults::deriveRates(plan), seed};
         device.powerOn();
         simulator.runUntil(sim::TimePoint::origin() + sim::Duration::days(10));
-        return std::tuple{injector.stats().activations, injector.stats().primaryPanics,
+        return std::tuple{injector.stats().secondaryPanics, injector.stats().primaryPanics,
                           injector.stats().hangs, loggerApp.logFileContent()};
     };
     const auto a = run(GetParam());

@@ -219,7 +219,6 @@ TEST(ProvenanceUnit, DuplicateCopiesAreNotAnOutcomeBucket) {
     tracker.recordCreated("p", 0, 10, "PANIC", at(1));
     tracker.snapshotEnqueued("p", 10, at(2));
     tracker.segmentSent("p", 0, 0, 10, false, at(3));
-    tracker.frameDuplicated("p", 0);
     tracker.frameDelivered("p", 0, 10, at(4));
     tracker.frameDelivered("p", 0, 10, at(4));
     tracker.segmentReconciled("p", 0, 10, false, at(5));
