@@ -1,48 +1,12 @@
 #include "crash/dump.hpp"
 
-#include <charconv>
+#include "crash/fields.hpp"
+#include "obs/fnv.hpp"
 
 namespace symfail::crash {
 namespace {
 
 using symbos::PanicId;
-
-/// Local field splitter (the logger's splitFields lives above this layer).
-std::vector<std::string_view> split(std::string_view line, char delim) {
-    std::vector<std::string_view> out;
-    std::size_t start = 0;
-    while (true) {
-        const std::size_t pos = line.find(delim, start);
-        if (pos == std::string_view::npos) {
-            out.push_back(line.substr(start));
-            return out;
-        }
-        out.push_back(line.substr(start, pos - start));
-        start = pos + 1;
-    }
-}
-
-std::optional<std::uint64_t> parseU64(std::string_view s) {
-    std::uint64_t value = 0;
-    const auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), value);
-    if (ec != std::errc{} || ptr != s.data() + s.size()) return std::nullopt;
-    return value;
-}
-
-std::optional<std::int64_t> parseI64(std::string_view s) {
-    std::int64_t value = 0;
-    const auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), value);
-    if (ec != std::errc{} || ptr != s.data() + s.size()) return std::nullopt;
-    return value;
-}
-
-std::optional<std::uint32_t> parseHex32(std::string_view s) {
-    std::uint32_t value = 0;
-    const auto [ptr, ec] =
-        std::from_chars(s.data(), s.data() + s.size(), value, 16);
-    if (ec != std::errc{} || ptr != s.data() + s.size()) return std::nullopt;
-    return value;
-}
 
 std::string toHex32(std::uint32_t v) {
     static constexpr char kDigits[] = "0123456789abcdef";
@@ -64,14 +28,6 @@ std::string sanitize(std::string_view text, std::string_view forbidden) {
         }
     }
     return clean;
-}
-
-std::uint64_t fnv1a64(std::string_view data, std::uint64_t h = 14695981039346656037ull) {
-    for (const char c : data) {
-        h ^= static_cast<unsigned char>(c);
-        h *= 1099511628211ull;
-    }
-    return h;
 }
 
 }  // namespace
@@ -165,9 +121,9 @@ CrashDump makeDump(const symbos::PanicEvent& event,
     // The numeric pid is deliberately left out: pid allocation order shifts
     // when unrelated processes (e.g. the transport stack) exist, and the
     // dump content must not depend on that.
-    std::uint64_t h = fnv1a64(event.processName);
-    h = fnv1a64(std::to_string(event.time.micros()), h);
-    h = fnv1a64(symbos::toString(event.id), h);
+    std::uint64_t h = obs::fnv1a64(event.processName);
+    h = obs::fnv1a64(std::to_string(event.time.micros()), h);
+    h = obs::fnv1a64(symbos::toString(event.id), h);
     dump.faultAddress = 0x80000000u | static_cast<std::uint32_t>(h & 0x7FFFFFFFu);
     dump.processName = event.processName;
     dump.cleanupDepth = static_cast<std::uint32_t>(event.cleanupDepth);
@@ -206,15 +162,15 @@ std::string serialize(const CrashDump& dump) {
 
 std::optional<CrashDump> parseDumpFields(const std::vector<std::string_view>& f) {
     if (f.size() != 14 || f[0] != "DUMP") return std::nullopt;
-    const auto us = parseI64(f[1]);
+    const auto us = parseField<std::int64_t>(f[1]);
     const auto category = symbos::parsePanicCategory(f[2]);
-    const auto type = parseI64(f[3]);
-    const auto addr = parseHex32(f[4]);
-    const auto depth = parseU64(f[6]);
-    const auto aoCount = parseU64(f[8]);
-    const auto heapLive = parseU64(f[9]);
-    const auto heapBytes = parseU64(f[10]);
-    const auto heapAllocs = parseU64(f[11]);
+    const auto type = parseField<std::int64_t>(f[3]);
+    const auto addr = parseField<std::uint32_t>(f[4], 16);
+    const auto depth = parseField<std::uint64_t>(f[6]);
+    const auto aoCount = parseField<std::uint64_t>(f[8]);
+    const auto heapLive = parseField<std::uint64_t>(f[9]);
+    const auto heapBytes = parseField<std::uint64_t>(f[10]);
+    const auto heapAllocs = parseField<std::uint64_t>(f[11]);
     if (!us || !category || !type || !addr || !depth || !aoCount || !heapLive ||
         !heapBytes || !heapAllocs) {
         return std::nullopt;
@@ -236,12 +192,12 @@ std::optional<CrashDump> parseDumpFields(const std::vector<std::string_view>& f)
     dump.heapBytesInUse = *heapBytes;
     dump.heapTotalAllocs = *heapAllocs;
     if (!f[12].empty()) {
-        for (const auto app : split(f[12], ',')) {
+        for (const auto app : splitFields(f[12], ',')) {
             dump.runningApps.emplace_back(app);
         }
     }
     if (!f[13].empty()) {
-        const auto frames = split(f[13], ';');
+        const auto frames = splitFields(f[13], ';');
         if (frames.size() > kMaxFrames) return std::nullopt;
         for (const auto frame : frames) dump.frames.emplace_back(frame);
     }

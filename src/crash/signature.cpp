@@ -3,20 +3,14 @@
 #include <algorithm>
 #include <cctype>
 
+#include "obs/fnv.hpp"
+
 namespace symfail::crash {
 namespace {
 
 bool isHexDigit(char c) {
     return (c >= '0' && c <= '9') || (c >= 'a' && c <= 'f') ||
            (c >= 'A' && c <= 'F');
-}
-
-std::uint64_t fnv1a64(std::string_view data, std::uint64_t h = 14695981039346656037ull) {
-    for (const char c : data) {
-        h ^= static_cast<unsigned char>(c);
-        h *= 1099511628211ull;
-    }
-    return h;
 }
 
 }  // namespace
@@ -71,7 +65,7 @@ std::string CrashSignature::key() const {
 }
 
 std::uint64_t signatureHash(const CrashSignature& sig) {
-    return fnv1a64(sig.key());
+    return obs::fnv1a64(sig.key());
 }
 
 std::string familyIdFor(const CrashSignature& sig) {

@@ -7,13 +7,7 @@
 namespace symfail::logger {
 namespace {
 
-/// Parses a signed integer field; nullopt on malformed input.
-std::optional<std::int64_t> parseInt(std::string_view s) {
-    std::int64_t value = 0;
-    const auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), value);
-    if (ec != std::errc{} || ptr != s.data() + s.size()) return std::nullopt;
-    return value;
-}
+using crash::parseField;
 
 /// Appends an integer in decimal, as std::to_string would spell it.
 void appendInt(std::string& out, std::int64_t value) {
@@ -59,20 +53,6 @@ std::string_view toString(PriorShutdown p) {
         case PriorShutdown::ManualOff: return "MAOFF";
     }
     return "?";
-}
-
-std::vector<std::string_view> splitFields(std::string_view line, char delim) {
-    std::vector<std::string_view> out;
-    std::size_t start = 0;
-    while (true) {
-        const std::size_t pos = line.find(delim, start);
-        if (pos == std::string_view::npos) {
-            out.push_back(line.substr(start));
-            return out;
-        }
-        out.push_back(line.substr(start, pos - start));
-        start = pos + 1;
-    }
 }
 
 void appendBeat(std::string& out, const BeatRecord& r) {
@@ -146,7 +126,7 @@ std::string serializeActivity(sim::TimePoint t, std::string_view kind, bool inco
 std::optional<BeatRecord> parseBeat(std::string_view line) {
     const auto fields = splitFields(line, '|');
     if (fields.size() != 3 || fields[0] != "BEAT") return std::nullopt;
-    const auto us = parseInt(fields[1]);
+    const auto us = parseField<std::int64_t>(fields[1]);
     const auto kind = beatKindFromString(fields[2]);
     if (!us || !kind) return std::nullopt;
     return BeatRecord{sim::TimePoint::fromMicros(*us), *kind};
@@ -156,9 +136,9 @@ namespace {
 
 std::optional<LogFileEntry> parsePanicLine(const std::vector<std::string_view>& f) {
     if (f.size() != 7) return std::nullopt;
-    const auto us = parseInt(f[1]);
-    const auto type = parseInt(f[3]);
-    const auto battery = parseInt(f[6]);
+    const auto us = parseField<std::int64_t>(f[1]);
+    const auto type = parseField<std::int64_t>(f[3]);
+    const auto battery = parseField<std::int64_t>(f[6]);
     if (!us || !type || !battery) return std::nullopt;
     LogFileEntry entry;
     entry.type = LogFileEntry::Type::Panic;
@@ -189,8 +169,8 @@ std::optional<LogFileEntry> parsePanicLine(const std::vector<std::string_view>& 
 
 std::optional<LogFileEntry> parseBootLine(const std::vector<std::string_view>& f) {
     if (f.size() != 4) return std::nullopt;
-    const auto us = parseInt(f[1]);
-    const auto lastBeat = parseInt(f[3]);
+    const auto us = parseField<std::int64_t>(f[1]);
+    const auto lastBeat = parseField<std::int64_t>(f[3]);
     if (!us || !lastBeat) return std::nullopt;
     LogFileEntry entry;
     entry.type = LogFileEntry::Type::Boot;
@@ -239,7 +219,7 @@ std::vector<LogFileEntry> parseLogFile(std::string_view content, std::size_t* ma
             entry = parseBootLine(fields);
         } else if (fields[0] == "UREP") {
             if (fields.size() == 3) {
-                if (const auto us = parseInt(fields[1])) {
+                if (const auto us = parseField<std::int64_t>(fields[1])) {
                     LogFileEntry rep;
                     rep.type = LogFileEntry::Type::UserReport;
                     rep.userReport.time = sim::TimePoint::fromMicros(*us);
@@ -249,7 +229,7 @@ std::vector<LogFileEntry> parseLogFile(std::string_view content, std::size_t* ma
             }
         } else if (fields[0] == "META") {
             if (fields.size() == 3) {
-                if (const auto us = parseInt(fields[1])) {
+                if (const auto us = parseField<std::int64_t>(fields[1])) {
                     LogFileEntry meta;
                     meta.type = LogFileEntry::Type::Meta;
                     meta.meta.time = sim::TimePoint::fromMicros(*us);

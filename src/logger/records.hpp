@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "crash/dump.hpp"
+#include "crash/fields.hpp"
 #include "simkernel/time.hpp"
 #include "symbos/panic.hpp"
 
@@ -152,9 +153,7 @@ void appendPower(std::string& out, sim::TimePoint t, int percent, bool charging)
 [[nodiscard]] std::vector<LogFileEntry> parseLogFile(std::string_view content,
                                                      std::size_t* malformed = nullptr);
 
-/// Splits a string on a delimiter (shared by the parsers).
-[[nodiscard]] std::vector<std::string_view> splitFields(std::string_view line,
-                                                        char delim);
+using crash::splitFields;
 
 /// Leading record tag of a serialized line ("PANIC", "BOOT", "DUMP", …):
 /// everything before the first '|'.  Used by provenance tracking to label

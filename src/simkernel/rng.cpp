@@ -4,6 +4,8 @@
 #include <cmath>
 #include <numbers>
 
+#include "obs/fnv.hpp"
+
 namespace symfail::sim {
 namespace {
 
@@ -34,11 +36,7 @@ Rng Rng::substream(std::string_view salt) const {
     // FNV-1a over the salt, then fold in the current state words through
     // splitmix64.  Reads state_ without mutating it, so the parent stream
     // is untouched; distinct salts land in unrelated streams.
-    std::uint64_t h = 0xCBF29CE484222325ULL;
-    for (const char c : salt) {
-        h ^= static_cast<std::uint8_t>(c);
-        h *= 0x00000100000001B3ULL;
-    }
+    std::uint64_t h = obs::fnv1a64(salt);
     for (const std::uint64_t w : state_) {
         std::uint64_t mix = h ^ w;
         h = splitmix64(mix);

@@ -164,10 +164,9 @@ void Kernel::deliverUntrappedLeave(ProcessId pid, int code) {
 
 void Kernel::deliverPanic(ProcessId pid, const PanicId& id, std::string diagnostic) {
     Process& p = processRef(pid);
-    PanicEvent event{simulator_->now(), id, pid, p.name, std::move(diagnostic)};
+    PanicEvent event{simulator_->now(), id, p.name, std::move(diagnostic)};
     // Snapshot the execution context while the process is still intact —
     // the raw material for the logger's structured crash dumps.
-    event.kind = p.kind;
     event.cleanupDepth = p.cleanup.depth();
     event.trapActive = p.cleanup.trapActive();
     event.schedulerAoCount = p.scheduler->registeredCount();

@@ -69,11 +69,9 @@ enum class KernelAction : std::uint8_t {
 struct PanicEvent {
     sim::TimePoint time;
     PanicId id;
-    ProcessId pid{0};
     std::string processName;
     std::string diagnostic;
     // Capture context (filled by deliverPanic before hooks run).
-    ProcessKind kind{ProcessKind::UserApp};
     std::size_t cleanupDepth{0};
     bool trapActive{false};
     std::size_t schedulerAoCount{0};

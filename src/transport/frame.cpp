@@ -3,6 +3,8 @@
 #include <array>
 #include <charconv>
 
+#include "crash/fields.hpp"
+
 namespace symfail::transport {
 namespace {
 
@@ -21,22 +23,6 @@ std::array<std::uint32_t, 256> makeCrcTable() {
     return table;
 }
 
-std::optional<std::uint64_t> parseU64(std::string_view field) {
-    std::uint64_t value = 0;
-    const auto* end = field.data() + field.size();
-    const auto [ptr, ec] = std::from_chars(field.data(), end, value);
-    if (ec != std::errc{} || ptr != end) return std::nullopt;
-    return value;
-}
-
-std::optional<std::uint32_t> parseHex32(std::string_view field) {
-    std::uint32_t value = 0;
-    const auto* end = field.data() + field.size();
-    const auto [ptr, ec] = std::from_chars(field.data(), end, value, 16);
-    if (ec != std::errc{} || ptr != end) return std::nullopt;
-    return value;
-}
-
 std::string toHex(std::uint32_t value) {
     char buf[9];
     const auto [ptr, ec] = std::to_chars(buf, buf + sizeof buf, value, 16);
@@ -48,17 +34,7 @@ std::string toHex(std::uint32_t value) {
 /// field count is off (damaged delimiter, spliced frames).
 std::optional<std::vector<std::string_view>> splitExact(std::string_view header,
                                                         std::size_t n) {
-    std::vector<std::string_view> fields;
-    std::size_t start = 0;
-    while (true) {
-        const auto pos = header.find('|', start);
-        if (pos == std::string_view::npos) {
-            fields.push_back(header.substr(start));
-            break;
-        }
-        fields.push_back(header.substr(start, pos - start));
-        start = pos + 1;
-    }
+    auto fields = crash::splitFields(header, '|');
     if (fields.size() != n) return std::nullopt;
     return fields;
 }
@@ -120,10 +96,10 @@ std::optional<Frame> decodeFrame(std::string_view bytes) {
 
     Frame frame;
     frame.phone = std::string{(*fields)[1]};
-    const auto seq = parseU64((*fields)[2]);
-    const auto segCount = parseU64((*fields)[3]);
-    const auto payloadBytes = parseU64((*fields)[4]);
-    const auto crc = parseHex32((*fields)[5]);
+    const auto seq = crash::parseField<std::uint64_t>((*fields)[2]);
+    const auto segCount = crash::parseField<std::uint64_t>((*fields)[3]);
+    const auto payloadBytes = crash::parseField<std::uint64_t>((*fields)[4]);
+    const auto crc = crash::parseField<std::uint32_t>((*fields)[5], 16);
     if (!seq || !segCount || !payloadBytes || !crc) return std::nullopt;
     if (*seq > 0xFFFFFFFFull || *segCount > 0xFFFFFFFFull) return std::nullopt;
     frame.seq = static_cast<std::uint32_t>(*seq);
@@ -141,8 +117,8 @@ std::optional<FrameHeader> parseFrameHeader(std::string_view bytes) {
     if (headerEnd == std::string_view::npos) return std::nullopt;
     const auto fields = splitExact(bytes.substr(0, headerEnd), 6);
     if (!fields || (*fields)[0] != kFrameMagic) return std::nullopt;
-    const auto seq = parseU64((*fields)[2]);
-    const auto payloadBytes = parseU64((*fields)[4]);
+    const auto seq = crash::parseField<std::uint64_t>((*fields)[2]);
+    const auto payloadBytes = crash::parseField<std::uint64_t>((*fields)[4]);
     if (!seq || !payloadBytes || *seq > 0xFFFFFFFFull) return std::nullopt;
     FrameHeader header;
     header.phone = (*fields)[1];
@@ -169,9 +145,9 @@ std::optional<Ack> decodeAck(std::string_view bytes) {
     if (!fields || (*fields)[0] != kAckMagic) return std::nullopt;
     Ack ack;
     ack.phone = std::string{(*fields)[1]};
-    const auto seq = parseU64((*fields)[2]);
-    const auto payloadBytes = parseU64((*fields)[3]);
-    const auto crc = parseHex32((*fields)[4]);
+    const auto seq = crash::parseField<std::uint64_t>((*fields)[2]);
+    const auto payloadBytes = crash::parseField<std::uint64_t>((*fields)[3]);
+    const auto crc = crash::parseField<std::uint32_t>((*fields)[4], 16);
     if (!seq || !payloadBytes || !crc) return std::nullopt;
     if (*seq > 0xFFFFFFFFull || *payloadBytes > 0xFFFFFFFFull) return std::nullopt;
     ack.seq = static_cast<std::uint32_t>(*seq);

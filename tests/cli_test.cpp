@@ -230,6 +230,26 @@ TEST(Cli, RejectsUnknownFlagsAndMissingValues) {
     // Without the transport, monitor and trace would watch nothing.
     expectRejected({"monitor", "--no-transport"}, "unknown flag: --no-transport");
     expectRejected({"trace", "--no-transport"}, "unknown flag: --no-transport");
+
+    // --record is checked before the campaign runs: a signed ID (which
+    // used to read as 2^64 - 1) and a phone the campaign does not have
+    // used to fail only after the whole campaign.
+    const auto expectRejectedUpFront = [](const std::vector<std::string>& args,
+                                          const std::string& why) {
+        ::testing::internal::CaptureStdout();
+        ::testing::internal::CaptureStderr();
+        EXPECT_EQ(cli::runCli(args), 1);
+        const std::string err = ::testing::internal::GetCapturedStderr();
+        const std::string out = ::testing::internal::GetCapturedStdout();
+        EXPECT_NE(err.find(why), std::string::npos) << err;
+        EXPECT_EQ(out, "") << "the campaign ran before the check";
+    };
+    expectRejectedUpFront(
+        {"trace", "--phones", "1", "--days", "2", "--record", "phone-0#-1"},
+        "--record expects PHONE#ID with a decimal ID, got phone-0#-1");
+    expectRejectedUpFront(
+        {"trace", "--phones", "1", "--days", "2", "--record", "phone-1#0"},
+        "--record names no phone of this campaign (phone-0 .. phone-0), got phone-1#0");
 }
 
 // Output paths are validated before the campaign runs: a typo'd path must

@@ -15,6 +15,7 @@
 #include "core/perf.hpp"
 #include "core/render.hpp"
 #include "core/study.hpp"
+#include "crash/fields.hpp"
 #include "experiment/export.hpp"
 #include "experiment/grid.hpp"
 #include "experiment/runner.hpp"
@@ -449,23 +450,29 @@ int runTrace(const std::vector<std::string>& args) {
     const auto cell = campaignCell(args, {.phones = 25, .days = 120});
     core::StudyConfig config = studyConfig(args, cell);
 
-    // --record PHONE#ID parses before the campaign runs.
+    // --record PHONE#ID parses before the campaign runs: PHONE names one
+    // of the campaign's phones and ID is an unsigned decimal.
     std::optional<std::pair<std::string, std::uint64_t>> record;
     if (const auto value = option(args, "--record")) {
         const auto hash = value->find('#');
-        if (hash == std::string::npos || hash == 0 || hash + 1 == value->size()) {
-            throw std::runtime_error("--record expects PHONE#ID, got " + *value);
+        const std::string phone = value->substr(0, std::min(hash, value->size()));
+        const auto id = hash == std::string::npos
+                            ? std::nullopt
+                            : crash::parseField<std::uint64_t>(
+                                  std::string_view{*value}.substr(hash + 1));
+        if (!id) {
+            throw std::runtime_error("--record expects PHONE#ID with a decimal ID, got " +
+                                     *value);
         }
-        try {
-            std::size_t consumed = 0;
-            record.emplace(value->substr(0, hash),
-                           std::stoull(value->substr(hash + 1), &consumed));
-            if (consumed != value->size() - hash - 1) {
-                throw std::invalid_argument{"trailing characters"};
-            }
-        } catch (const std::exception&) {
-            throw std::runtime_error("--record expects PHONE#ID, got " + *value);
+        bool known = false;
+        for (int i = 0; i < cell.phones && !known; ++i) {
+            known = phone == "phone-" + std::to_string(i);
         }
+        if (!known) {
+            throw std::runtime_error("--record names no phone of this campaign (phone-0 .. phone-" +
+                                     std::to_string(cell.phones - 1) + "), got " + *value);
+        }
+        record.emplace(phone, *id);
     }
 
     obs::ProvenanceTracker provenance;
