@@ -74,7 +74,7 @@ public:
     /// !empty().
     struct Fired {
         TimePoint at;
-        EventId id;
+        EventId id;  ///< The simulator ignores it; the reference-model test matches on it.
         Action action;
         const char* category{nullptr};
     };

@@ -40,7 +40,7 @@ private:
     friend class Server;
     Message(int op, std::string payload) : op_{op}, payload_{std::move(payload)} {}
     int op_;
-    std::string payload_;
+    std::string payload_;  ///< Request body: no modelled server reads it, the IPC tests do.
     bool completed_{false};
     bool attached_{true};
     int result_{0};
