@@ -9,10 +9,8 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <limits>
 #include <new>
-#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -22,6 +20,7 @@
 #include "core/study.hpp"
 #include "logger/records.hpp"
 #include "obs/accountant.hpp"  // readPeakRssBytes
+#include "obs/file.hpp"
 #include "obs/trace.hpp"       // appendJsonEscaped
 
 namespace symfail::bench::detail {
@@ -118,9 +117,7 @@ public:
             out += buf;
         }
         out += "}}\n";
-        std::ofstream file{path_, std::ios::binary};
-        file << out;
-        if (!file) throw std::runtime_error("cannot write bench JSON: " + path_);
+        obs::writeFile(path_, out);
         std::printf("wrote bench results to %s\n", path_.c_str());
     }
 

@@ -1,26 +1,13 @@
 #include "core/export.hpp"
 
-#include <filesystem>
-#include <fstream>
-#include <stdexcept>
-
 #include "analysis/tables.hpp"
+#include "obs/file.hpp"
 #include "obs/trace.hpp"  // jsonNum, jsonString
 
 namespace symfail::core {
 namespace {
 
 using analysis::TextTable;
-
-void writeFile(const std::filesystem::path& path, const std::string& content,
-               std::vector<std::string>& written) {
-    std::ofstream out{path};
-    if (!out) {
-        throw std::runtime_error("cannot write " + path.string());
-    }
-    out << content;
-    written.push_back(path.string());
-}
 
 std::string histogramCsv(const sim::Histogram& hist) {
     TextTable table{{"bin_lo", "bin_hi", "count"}};
@@ -65,9 +52,7 @@ TextTable crashFamilyTable(const FieldStudyResults& results) {
 
 std::vector<std::string> exportFieldCsv(const FieldStudyResults& results,
                                         const std::string& directory) {
-    const std::filesystem::path dir{directory};
-    std::filesystem::create_directories(dir);
-    std::vector<std::string> written;
+    std::vector<obs::DirectoryFile> files;
 
     // Table 2.
     {
@@ -78,20 +63,19 @@ std::vector<std::string> exportFieldCsv(const FieldStudyResults& results,
                           std::to_string(row.panic.type), std::to_string(row.count),
                           TextTable::num(row.percent), TextTable::num(row.paperPercent)});
         }
-        writeFile(dir / "table2_panics.csv", table.renderCsv(), written);
+        files.push_back({"table2_panics.csv", table.renderCsv()});
     }
     // Figure 2 histograms.
-    writeFile(dir / "fig2_reboot_durations_full.csv",
-              histogramCsv(analysis::ShutdownDiscriminator::rebootDurationHistogram(
-                  results.dataset, 40'000.0, 40)),
-              written);
-    writeFile(dir / "fig2_reboot_durations_zoom.csv",
-              histogramCsv(analysis::ShutdownDiscriminator::rebootDurationHistogram(
-                  results.dataset, 500.0, 25)),
-              written);
+    using analysis::ShutdownDiscriminator;
+    files.push_back({"fig2_reboot_durations_full.csv",
+                     histogramCsv(ShutdownDiscriminator::rebootDurationHistogram(
+                         results.dataset, 40'000.0, 40))});
+    files.push_back({"fig2_reboot_durations_zoom.csv",
+                     histogramCsv(ShutdownDiscriminator::rebootDurationHistogram(
+                         results.dataset, 500.0, 25))});
     // Figure 3.
-    writeFile(dir / "fig3_burst_lengths.csv",
-              counterCsv(results.fig3BurstLengths, "burst_length"), written);
+    files.push_back(
+        {"fig3_burst_lengths.csv", counterCsv(results.fig3BurstLengths, "burst_length")});
     // Figure 5.
     {
         TextTable table{{"category", "panics", "to_freeze", "to_self_shutdown",
@@ -102,7 +86,7 @@ std::vector<std::string> exportFieldCsv(const FieldStudyResults& results,
                           std::to_string(row.toSelfShutdown),
                           std::to_string(row.isolated())});
         }
-        writeFile(dir / "fig5_coalescence.csv", table.renderCsv(), written);
+        files.push_back({"fig5_coalescence.csv", table.renderCsv()});
     }
     // Table 3.
     {
@@ -112,11 +96,11 @@ std::vector<std::string> exportFieldCsv(const FieldStudyResults& results,
                           std::to_string(row.voiceCall), std::to_string(row.message),
                           std::to_string(row.unspecified)});
         }
-        writeFile(dir / "table3_activity.csv", table.renderCsv(), written);
+        files.push_back({"table3_activity.csv", table.renderCsv()});
     }
     // Figure 6.
-    writeFile(dir / "fig6_running_apps.csv",
-              counterCsv(results.fig6AppCounts, "apps_at_panic"), written);
+    files.push_back(
+        {"fig6_running_apps.csv", counterCsv(results.fig6AppCounts, "apps_at_panic")});
     // Table 4.
     {
         TextTable table{{"category", "hl_outcome", "application", "count",
@@ -131,11 +115,10 @@ std::vector<std::string> exportFieldCsv(const FieldStudyResults& results,
                           row.app, std::to_string(row.count),
                           TextTable::num(row.percentOfAllPanics)});
         }
-        writeFile(dir / "table4_apps.csv", table.renderCsv(), written);
+        files.push_back({"table4_apps.csv", table.renderCsv()});
     }
     // Crash families.
-    writeFile(dir / "crash_families.csv", crashFamilyTable(results).renderCsv(),
-              written);
+    files.push_back({"crash_families.csv", crashFamilyTable(results).renderCsv()});
     // Headline + evaluation.
     {
         TextTable table{{"metric", "measured", "paper"}};
@@ -159,9 +142,9 @@ std::vector<std::string> exportFieldCsv(const FieldStudyResults& results,
                       TextTable::num(eval.selfShutdownDetection.recall(), 4), ""});
         table.addRow({"panic_capture_rate",
                       TextTable::num(eval.panicCaptureRate(), 4), ""});
-        writeFile(dir / "headline.csv", table.renderCsv(), written);
+        files.push_back({"headline.csv", table.renderCsv()});
     }
-    return written;
+    return obs::writeDirectory(directory, files);
 }
 
 namespace {
@@ -299,34 +282,14 @@ std::string fieldResultsToJson(const FieldStudyResults& results) {
     return json;
 }
 
-void exportFieldJson(const FieldStudyResults& results, const std::string& path) {
-    std::ofstream out{path};
-    if (!out) {
-        throw std::runtime_error("cannot write " + path);
-    }
-    out << fieldResultsToJson(results);
-}
-
 std::string crashFamiliesToJson(const FieldStudyResults& results) {
     return crashFamiliesJsonObject(results) + "\n";
 }
 
-void exportCrashJson(const FieldStudyResults& results, const std::string& path) {
-    std::ofstream out{path};
-    if (!out) {
-        throw std::runtime_error("cannot write " + path);
-    }
-    out << crashFamiliesToJson(results);
-}
-
 std::vector<std::string> exportCrashCsv(const FieldStudyResults& results,
                                         const std::string& directory) {
-    const std::filesystem::path dir{directory};
-    std::filesystem::create_directories(dir);
-    std::vector<std::string> written;
-    writeFile(dir / "crash_families.csv", crashFamilyTable(results).renderCsv(),
-              written);
-    return written;
+    return obs::writeDirectory(
+        directory, {{"crash_families.csv", crashFamilyTable(results).renderCsv()}});
 }
 
 }  // namespace symfail::core

@@ -21,21 +21,14 @@ std::vector<std::string> exportFieldCsv(const FieldStudyResults& results,
 /// consumption.
 [[nodiscard]] std::string fieldResultsToJson(const FieldStudyResults& results);
 
-/// Writes `fieldResultsToJson` to a file; throws std::runtime_error on
-/// I/O failure.
-void exportFieldJson(const FieldStudyResults& results, const std::string& path);
-
 /// Serializes just the crash-family report (the `crash_families` section
 /// of `fieldResultsToJson`) as a standalone JSON document — the payload
 /// of `symfail crash --json`.
 [[nodiscard]] std::string crashFamiliesToJson(const FieldStudyResults& results);
 
-/// Writes `crashFamiliesToJson` to a file; throws std::runtime_error on
-/// I/O failure.
-void exportCrashJson(const FieldStudyResults& results, const std::string& path);
-
 /// Writes crash_families.csv (the same file `exportFieldCsv` emits) into
-/// `directory`, created if missing.  Returns the paths written.
+/// `directory`, created if missing.  Returns the paths written.  Throws
+/// std::runtime_error on I/O failure.
 std::vector<std::string> exportCrashCsv(const FieldStudyResults& results,
                                         const std::string& directory);
 

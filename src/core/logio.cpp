@@ -5,23 +5,17 @@
 #include <fstream>
 #include <stdexcept>
 
+#include "obs/file.hpp"
+
 namespace symfail::core {
 
 std::vector<std::string> saveLogs(const std::vector<analysis::PhoneLog>& logs,
                                   const std::string& directory) {
-    const std::filesystem::path dir{directory};
-    std::filesystem::create_directories(dir);
-    std::vector<std::string> written;
+    std::vector<obs::DirectoryFile> files;
     for (const auto& log : logs) {
-        const auto path = dir / (log.phoneName + ".log");
-        std::ofstream out{path};
-        if (!out) {
-            throw std::runtime_error("cannot write " + path.string());
-        }
-        out << log.logFileContent;
-        written.push_back(path.string());
+        files.push_back({log.phoneName + ".log", log.logFileContent});
     }
-    return written;
+    return obs::writeDirectory(directory, files);
 }
 
 std::vector<analysis::PhoneLog> loadLogs(const std::string& directory) {

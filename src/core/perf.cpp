@@ -2,12 +2,10 @@
 
 #include <chrono>
 #include <cstdio>
-#include <filesystem>
-#include <fstream>
-#include <stdexcept>
 
 #include "analysis/dataset.hpp"
 #include "fleet/fleet.hpp"
+#include "obs/file.hpp"
 #include "obs/trace.hpp"  // jsonNum
 
 namespace symfail::core {
@@ -195,9 +193,6 @@ std::string perfToJson(const PerfReport& report) {
 
 std::vector<std::string> exportPerfCsv(const PerfReport& report,
                                        const std::string& directory) {
-    namespace fs = std::filesystem;
-    fs::create_directories(directory);
-    const std::string path = (fs::path{directory} / "perf_scaling.csv").string();
     std::string csv =
         "phones,days,subsystem,bytes,peak_bytes,bytes_per_phone,"
         "phone_hours_per_sec,wall_seconds,peak_rss_bytes,queue_depth_peak\n";
@@ -214,10 +209,7 @@ std::vector<std::string> exportPerfCsv(const PerfReport& report,
                "," + u64(cell.peakRssBytes) + "," +
                std::to_string(cell.queueDepthPeak) + "\n";
     }
-    std::ofstream out{path, std::ios::binary};
-    out << csv;
-    if (!out) throw std::runtime_error("cannot write " + path);
-    return {path};
+    return obs::writeDirectory(directory, {{"perf_scaling.csv", std::move(csv)}});
 }
 
 void publishPerfMetrics(const PerfReport& report, obs::MetricsRegistry& registry) {

@@ -1,10 +1,7 @@
 #include "experiment/export.hpp"
 
-#include <filesystem>
-#include <fstream>
-#include <stdexcept>
-
 #include "analysis/tables.hpp"
+#include "obs/file.hpp"
 #include "obs/trace.hpp"  // appendJsonEscaped, jsonNum
 
 namespace symfail::experiment {
@@ -32,14 +29,6 @@ void appendCellParams(std::string& out, const Cell& cell) {
         out += jsonNum(value, kDigits);
     }
     out += '}';
-}
-
-void writeFile(const std::filesystem::path& path, const std::string& content,
-               std::vector<std::string>& written) {
-    std::ofstream out{path, std::ios::binary};
-    out << content;
-    if (!out) throw std::runtime_error("cannot write " + path.string());
-    written.push_back(path.string());
 }
 
 }  // namespace
@@ -138,18 +127,9 @@ std::string sweepToJson(const Summary& summary) {
     return out;
 }
 
-void exportSweepJson(const Summary& summary, const std::string& path) {
-    std::ofstream out{path, std::ios::binary};
-    out << sweepToJson(summary);
-    if (!out) throw std::runtime_error("cannot write sweep JSON: " + path);
-}
-
 std::vector<std::string> exportSweepCsv(const Summary& summary,
                                         const std::string& directory) {
-    const std::filesystem::path dir{directory};
-    std::filesystem::create_directories(dir);
-    std::vector<std::string> written;
-
+    std::vector<obs::DirectoryFile> files;
     {
         analysis::TextTable table{{"cell", "metric", "n", "mean", "stddev", "min",
                                    "max", "ci95_lo", "ci95_hi", "bootstrap95_lo",
@@ -166,7 +146,7 @@ std::vector<std::string> exportSweepCsv(const Summary& summary,
                               jsonNum(stats.bootstrapHigh, kDigits)});
             }
         }
-        writeFile(dir / "sweep_summary.csv", table.renderCsv(), written);
+        files.push_back({"sweep_summary.csv", table.renderCsv()});
     }
     {
         analysis::TextTable table{{"cell", "trial", "seed", "status", "metric",
@@ -187,9 +167,9 @@ std::vector<std::string> exportSweepCsv(const Summary& summary,
                 }
             }
         }
-        writeFile(dir / "sweep_trials.csv", table.renderCsv(), written);
+        files.push_back({"sweep_trials.csv", table.renderCsv()});
     }
-    return written;
+    return obs::writeDirectory(directory, files);
 }
 
 std::string renderSweepReport(const Summary& summary) {

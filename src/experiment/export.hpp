@@ -16,13 +16,10 @@ namespace symfail::experiment {
 /// Student-t CI / bootstrap CI.
 [[nodiscard]] std::string sweepToJson(const Summary& summary);
 
-/// Writes `sweepToJson` to `path`; throws std::runtime_error on I/O
-/// failure.
-void exportSweepJson(const Summary& summary, const std::string& path);
-
 /// Writes `sweep_summary.csv` (one row per cell x metric) and
 /// `sweep_trials.csv` (one row per trial x metric) into `directory`,
-/// creating it if missing.  Returns the paths written.
+/// creating it if missing.  Returns the paths written.  Throws
+/// std::runtime_error on I/O failure.
 std::vector<std::string> exportSweepCsv(const Summary& summary,
                                         const std::string& directory);
 

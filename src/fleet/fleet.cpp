@@ -281,6 +281,7 @@ FleetResult runCampaign(const FleetConfig& config) {
     // which order only the sweep itself).
     obs::ResourceAccountant* accountant = config.obs.accountant;
     std::function<void()> takeAccountingSample;
+    std::function<void()> scheduleAccountingSweep;
     if (accountant != nullptr) {
         takeAccountingSample = [&simulator, &units, &server, accountant,
                                 monitor]() {
@@ -309,9 +310,14 @@ FleetResult runCampaign(const FleetConfig& config) {
                 accountant->record("monitor", monitor->approxMemoryBytes());
             }
         };
-        simulator.schedulePeriodic(
-            config.obs.accountingInterval, "obs.account",
-            [takeAccountingSample](sim::Periodic&) { takeAccountingSample(); });
+        // Each sweep schedules its successor after it runs.
+        scheduleAccountingSweep = [&]() {
+            simulator.scheduleAfter(config.obs.accountingInterval, "obs.account", [&]() {
+                takeAccountingSample();
+                scheduleAccountingSweep();
+            });
+        };
+        scheduleAccountingSweep();
     }
 
     simulator.runUntil(sim::TimePoint::origin() + config.campaign);

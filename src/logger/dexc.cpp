@@ -1,7 +1,6 @@
 #include "logger/dexc.hpp"
 
-#include <charconv>
-
+#include "crash/fields.hpp"
 #include "logger/records.hpp"
 
 namespace symfail::logger {
@@ -30,16 +29,13 @@ std::vector<symbos::PanicId> DExcTool::parse(std::string_view content) {
         start = nl + 1;
         const auto fields = splitFields(line, '|');
         if (fields.size() != 4 || fields[0] != "DEXC") continue;
-        std::int64_t us = 0;
-        std::int64_t type = 0;
-        const auto r1 =
-            std::from_chars(fields[1].data(), fields[1].data() + fields[1].size(), us);
-        const auto r2 = std::from_chars(fields[3].data(),
-                                        fields[3].data() + fields[3].size(), type);
-        if (r1.ec != std::errc{} || r2.ec != std::errc{}) continue;
+        // The time is checked, not kept: a line counts only if every
+        // field reads whole.
+        const auto us = crash::parseField<std::int64_t>(fields[1]);
+        const auto type = crash::parseField<int>(fields[3]);
         const auto category = symbos::parsePanicCategory(fields[2]);
-        if (!category) continue;
-        out.push_back(symbos::PanicId{*category, static_cast<int>(type)});
+        if (!us || !type || !category) continue;
+        out.push_back(symbos::PanicId{*category, *type});
     }
     return out;
 }

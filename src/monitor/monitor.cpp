@@ -175,9 +175,15 @@ void FleetMonitor::onCampaignBegin(sim::Simulator& simulator,
     // safety margin).
     health_ = HealthEngine{config_.selfShutdownThresholdSeconds,
                            config.loggerConfig.heartbeatPeriod};
-    tickHandle_ = simulator.schedulePeriodic(
-        config_.tick, "monitor.tick",
-        [this](sim::Periodic&) { tick(simulator_->now()); });
+    scheduleTick();
+}
+
+void FleetMonitor::scheduleTick() {
+    simulator_->scheduleAfter(config_.tick, "monitor.tick", [this]() {
+        if (finalized_) return;  // the campaign ended: no further ticks
+        tick(simulator_->now());
+        scheduleTick();
+    });
 }
 
 FleetMonitor::Presence& FleetMonitor::registerPhone(const std::string& phoneName,
@@ -250,7 +256,6 @@ void FleetMonitor::onFrameAccepted(const transport::IngestResult& frame) {
 }
 
 void FleetMonitor::onCampaignEnd(sim::TimePoint at) {
-    tickHandle_.stop();
     // The stream is closed: every held segment copy is final, so drain the
     // taps unconditionally (true gaps still hold their tails back).
     for (auto& [name, stream] : streams_) {

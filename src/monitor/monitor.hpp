@@ -146,6 +146,9 @@ private:
     /// Reports this stream's consumption watermark (bytes of the phone's
     /// log fully consumed as complete records) to the provenance tracker.
     void stampProvenance(const std::string& phoneName, const PhoneStream& stream);
+    /// Schedules the next tick one period from now; each tick schedules
+    /// its successor after it runs, until the campaign ends.
+    void scheduleTick();
     void tick(sim::TimePoint now);
 
     MonitorConfig config_;
@@ -154,7 +157,6 @@ private:
     std::map<std::string, PhoneStream> streams_;
     std::map<std::string, Presence> presence_;
     sim::Simulator* simulator_{nullptr};
-    sim::PeriodicHandle tickHandle_;
     std::vector<Snapshot> snapshots_;
     std::uint64_t framesSeen_{0};
     std::uint64_t recordsConsumed_{0};

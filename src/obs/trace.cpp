@@ -2,8 +2,6 @@
 
 #include <cmath>
 #include <cstdio>
-#include <fstream>
-#include <stdexcept>
 
 namespace symfail::obs {
 namespace {
@@ -218,14 +216,6 @@ std::string ChromeTraceWriter::json() const {
     }
     out += "\n],\"displayTimeUnit\":\"ms\"}\n";
     return out;
-}
-
-void ChromeTraceWriter::writeFile(const std::string& path) const {
-    std::ofstream file{path, std::ios::binary};
-    if (!file) throw std::runtime_error("cannot open trace file: " + path);
-    const std::string doc = json();
-    file.write(doc.data(), static_cast<std::streamsize>(doc.size()));
-    if (!file) throw std::runtime_error("failed writing trace file: " + path);
 }
 
 }  // namespace symfail::obs

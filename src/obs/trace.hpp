@@ -168,11 +168,8 @@ public:
                  std::string_view name, sim::TimePoint at,
                  std::uint64_t flowId) override;
 
-    /// The complete trace document.
+    /// The complete trace document (write it with obs::writeFile).
     [[nodiscard]] std::string json() const;
-
-    /// Writes `json()` to `path`; throws std::runtime_error on I/O failure.
-    void writeFile(const std::string& path) const;
 
     [[nodiscard]] std::size_t eventCount() const { return events_.size(); }
     [[nodiscard]] std::size_t droppedEvents() const { return dropped_; }

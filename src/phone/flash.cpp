@@ -33,7 +33,7 @@ void FlashStore::write(std::string_view file, std::string_view line, bool replac
         observer_->onAppend(file, replace ? 0 : oldSize,
                             static_cast<std::uint32_t>(line.size() + 1), line);
     }
-    if (!replace && rotateLimit_ != 0 && text.size() > rotateLimit_) {
+    if (!replace && text.size() > kRotateLimitBytes) {
         std::size_t cut = text.find('\n', text.size() / 2);
         cut = cut == std::string::npos ? text.size() : cut + 1;
         text.erase(0, cut);

@@ -93,10 +93,10 @@ public:
 
     void clear() { files_.clear(); }
 
-    /// Caps per-file size; when an append pushes a file past the limit,
-    /// the oldest half is dropped on a line boundary (log rotation, as
-    /// phones do to bound flash use).  0 disables rotation.
-    void setRotateLimit(std::size_t bytes) { rotateLimit_ = bytes; }
+    /// Per-file size cap: when an append pushes a file past it, the oldest
+    /// half is dropped on a line boundary (log rotation, as phones do to
+    /// bound flash use).
+    static constexpr std::size_t kRotateLimitBytes = 8 * 1024 * 1024;
 
     /// Truncates the file by `bytes` from the end — models a torn write
     /// after an abrupt power loss.
@@ -133,7 +133,6 @@ private:
     void write(std::string_view file, std::string_view line, bool replace);
 
     std::map<std::string, std::string, std::less<>> files_;
-    std::size_t rotateLimit_{8 * 1024 * 1024};
     FlashWriteObserver* observer_{nullptr};
     FlashFaultInjector* injector_{nullptr};
     ReadHook readHook_;

@@ -22,34 +22,6 @@ EventId Simulator::scheduleAfter(Duration delay, const char* category,
     return queue_.schedule(now_ + delay, std::move(action), category);
 }
 
-PeriodicHandle Simulator::schedulePeriodic(Duration period, PeriodicAction action) {
-    return schedulePeriodic(period, nullptr, std::move(action));
-}
-
-PeriodicHandle Simulator::schedulePeriodic(Duration period, const char* category,
-                                           PeriodicAction action) {
-    auto stopped = std::make_shared<bool>(false);
-    // The firing closure re-arms itself through a weak self-reference so
-    // that once the series stops and the last pending firing runs, the
-    // whole chain is freed (no shared_ptr cycle).
-    auto self = std::make_shared<std::function<void()>>();
-    *self = [this, period, category, action = std::move(action), stopped,
-             weak = std::weak_ptr<std::function<void()>>(self)]() {
-        if (*stopped) return;
-        Periodic control;
-        action(control);
-        if (control.stopped) {
-            *stopped = true;
-            return;
-        }
-        if (auto s = weak.lock()) {
-            scheduleAfter(period, category, [s]() { (*s)(); });
-        }
-    };
-    scheduleAfter(period, category, [self]() { (*self)(); });
-    return PeriodicHandle{stopped};
-}
-
 void Simulator::dispatch(EventQueue::Fired& fired) {
     now_ = fired.at;
     const std::size_t depth = queue_.size() + 1;  // include the popped event

@@ -7,8 +7,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <memory>
 
 #include "obs/profiler.hpp"
 #include "obs/trace.hpp"
@@ -16,32 +14,6 @@
 #include "simkernel/time.hpp"
 
 namespace symfail::sim {
-
-/// Control handle passed to each firing of a periodic action.
-struct Periodic {
-    /// Stops future firings (the current firing completes normally).
-    void stop() { stopped = true; }
-    bool stopped{false};
-};
-
-/// Handle to a periodic series; lets the owner stop it from outside.
-class PeriodicHandle {
-public:
-    PeriodicHandle() = default;
-    explicit PeriodicHandle(std::weak_ptr<bool> flag) : flag_{std::move(flag)} {}
-    /// Stops the series; pending firings become no-ops.  Safe to call
-    /// repeatedly or on a default-constructed handle.
-    void stop() {
-        if (auto f = flag_.lock()) *f = true;
-    }
-    [[nodiscard]] bool active() const {
-        auto f = flag_.lock();
-        return f && !*f;
-    }
-
-private:
-    std::weak_ptr<bool> flag_;
-};
 
 /// Discrete-event simulation engine.
 class Simulator {
@@ -61,17 +33,10 @@ public:
     EventId scheduleAt(TimePoint at, const char* category, EventQueue::Action action);
 
     /// Schedules an action `delay` after the current time; negative delays
-    /// clamp to zero.
+    /// clamp to zero.  A recurring event is an action that schedules its
+    /// successor after it runs.
     EventId scheduleAfter(Duration delay, const char* category,
                           EventQueue::Action action);
-
-    /// Schedules a repeating action with fixed period; the first firing is
-    /// one period from now.  The action may stop the series via its
-    /// `Periodic&` argument; the returned handle stops it from outside.
-    using PeriodicAction = std::function<void(Periodic&)>;
-    PeriodicHandle schedulePeriodic(Duration period, PeriodicAction action);
-    PeriodicHandle schedulePeriodic(Duration period, const char* category,
-                                    PeriodicAction action);
 
     bool cancel(EventId id) { return queue_.cancel(id); }
 

@@ -2,12 +2,10 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <filesystem>
-#include <fstream>
 #include <map>
-#include <stdexcept>
 
 #include "analysis/tables.hpp"
+#include "obs/file.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"  // jsonNum, jsonString
 
@@ -151,14 +149,6 @@ void renderGroupText(const GroupReport& g, std::string& out) {
     }
 }
 
-void writeFile(const std::filesystem::path& path, const std::string& content,
-               std::vector<std::string>& written) {
-    std::ofstream out{path};
-    if (!out) throw std::runtime_error("cannot write " + path.string());
-    out << content;
-    written.push_back(path.string());
-}
-
 /// Shortest-round-trip-ish formatting for CSV cells whose magnitude spans
 /// decades (rate parameters can be 1e-9): fixed-precision decimals would
 /// flush them to zero.
@@ -281,10 +271,6 @@ std::string srgmToJson(const SrgmReport& report) {
 
 std::vector<std::string> exportSrgmCsv(const SrgmReport& report,
                                        const std::string& directory) {
-    const std::filesystem::path dir{directory};
-    std::filesystem::create_directories(dir);
-    std::vector<std::string> written;
-
     TextTable fitsTable{{"group", "model", "events", "a", "b", "c",
                          "log_likelihood", "aic", "bic", "ks_distance",
                          "converged", "selected"}};
@@ -299,9 +285,9 @@ std::vector<std::string> exportSrgmCsv(const SrgmReport& report,
     for (const GroupReport& g : report.versions) {
         addGroupRows(g, fitsTable, holdoutTable);
     }
-    writeFile(dir / "srgm_fits.csv", fitsTable.renderCsv(), written);
-    writeFile(dir / "srgm_holdout.csv", holdoutTable.renderCsv(), written);
-    return written;
+    return obs::writeDirectory(directory,
+                               {{"srgm_fits.csv", fitsTable.renderCsv()},
+                                {"srgm_holdout.csv", holdoutTable.renderCsv()}});
 }
 
 void publishSrgmMetrics(const SrgmReport& report, obs::MetricsRegistry& registry) {

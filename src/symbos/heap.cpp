@@ -8,9 +8,6 @@
 namespace symfail::symbos {
 
 HeapCell HeapModel::allocL(const ExecContext& ctx, std::size_t size) {
-    if (failCountdown_ > 0 && --failCountdown_ == 0) {
-        ctx.leave(KErrNoMemory);
-    }
     if (bytesInUse_ + size > capacity_) {
         ctx.leave(KErrNoMemory);
     }

@@ -3,9 +3,10 @@
 // Symbian phones are memory-constrained, and the paper identifies heap
 // mismanagement as a principal failure cause.  This model tracks live
 // allocation cells so that tests and examples can assert leak-freedom of
-// the cleanup-stack and two-phase-construction protocols, and supports the
-// deterministic allocation-failure injection of Symbian's __UHEAP_FAILNEXT
-// debug facility (an allocation failure *leaves* with KErrNoMemory).
+// the cleanup-stack and two-phase-construction protocols.  A byte
+// capacity makes allocations fail (an allocation failure *leaves* with
+// KErrNoMemory); the osfault memory plane sets it during a pressure
+// episode.
 #pragma once
 
 #include <cstddef>
@@ -19,11 +20,11 @@ class ExecContext;
 /// Heap cell handle; 0 is never a valid cell.
 using HeapCell = std::uint64_t;
 
-/// Allocation tracker with failure injection.
+/// Allocation tracker with a byte capacity.
 class HeapModel {
 public:
-    /// Allocates a cell of `size` bytes; leaves with KErrNoMemory when a
-    /// scheduled failure triggers or the configured capacity is exceeded.
+    /// Allocates a cell of `size` bytes; leaves with KErrNoMemory when the
+    /// configured capacity would be exceeded.
     HeapCell allocL(const ExecContext& ctx, std::size_t size);
 
     /// Frees a cell; freeing an unknown or already-freed cell is a no-op.
@@ -34,11 +35,8 @@ public:
     [[nodiscard]] std::size_t bytesInUse() const { return bytesInUse_; }
     [[nodiscard]] std::uint64_t totalAllocs() const { return totalAllocs_; }
 
-    /// The next `after`-th allocation leaves with KErrNoMemory
-    /// (__UHEAP_FAILNEXT; after == 1 fails the very next allocation).
-    void failNext(std::uint64_t after = 1) { failCountdown_ = after; }
-
     /// Caps total bytes; further allocations leave with KErrNoMemory.
+    /// `setCapacity(bytesInUse())` fails every further non-empty allocation.
     void setCapacity(std::size_t bytes) { capacity_ = bytes; }
 
 private:
@@ -54,7 +52,6 @@ private:
     HeapCell next_{1};
     std::size_t bytesInUse_{0};
     std::size_t capacity_{SIZE_MAX};
-    std::uint64_t failCountdown_{0};
     std::uint64_t totalAllocs_{0};
 };
 

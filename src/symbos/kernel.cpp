@@ -182,7 +182,6 @@ void Kernel::deliverPanic(ProcessId pid, const PanicId& id, std::string diagnost
         };
         trace->instant(traceTrack_, "symbos", "panic", event.time, args);
     }
-    panicLog_.push_back(event);
     for (const auto& hook : panicHooks_) {
         hook(event);
     }
@@ -253,10 +252,6 @@ std::size_t Kernel::approxMemoryBytes() const {
         total += hashNode + sizeof(Process) + process->name.size();
         if (process->scheduler != nullptr) total += sizeof(ActiveScheduler);
     }
-    for (const PanicEvent& event : panicLog_) {
-        total += event.processName.size() + event.diagnostic.size();
-    }
-    total += panicLog_.capacity() * sizeof(PanicEvent);
     return total;
 }
 

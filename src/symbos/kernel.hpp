@@ -234,11 +234,8 @@ public:
     /// device layer implements them.
     void setActionHandler(ActionHook handler);
 
-    /// Every panic since construction (ground truth).
-    [[nodiscard]] const std::vector<PanicEvent>& panicLog() const { return panicLog_; }
-
-    /// Approximate heap footprint of the kernel's process table and panic
-    /// log; derived from container sizes, deterministic per campaign.
+    /// Approximate heap footprint of the kernel's process table; derived
+    /// from container sizes, deterministic per campaign.
     [[nodiscard]] std::size_t approxMemoryBytes() const;
 
 private:
@@ -261,7 +258,6 @@ private:
     std::vector<PanicHook> panicHooks_;
     std::vector<TerminationHook> terminationHooks_;
     ActionHook actionHandler_;
-    std::vector<PanicEvent> panicLog_;
     bool suspended_{false};
 };
 

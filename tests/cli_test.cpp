@@ -653,5 +653,109 @@ TEST(Cli, OsfaultSubcommandRunsAndChecks) {
               1);
 }
 
+// -- Artifacts on a full device -------------------------------------------------
+//
+// Every artifact goes through obs::writeFile.  Each case aims one at Linux
+// /dev/full, which opens and refuses every write, as a full disk does; a
+// directory artifact gets there through a file name symlinked to it.  The
+// command must exit 1 with `cannot write <path>` and never claim the file
+// with a `wrote …` line.  Before the shared writer, an artifact smaller
+// than a stream buffer vanished and the command exited 0.
+
+class FullDevice : public ::testing::Test {
+protected:
+    FullDevice()
+        : dir_{std::filesystem::temp_directory_path() /
+               (std::string{"symfail-full-"} +
+                ::testing::UnitTest::GetInstance()->current_test_info()->name())} {
+        std::filesystem::remove_all(dir_);
+        std::filesystem::create_directories(dir_);
+    }
+    ~FullDevice() override { std::filesystem::remove_all(dir_); }
+
+    /// A directory whose entry `name` is a symlink to /dev/full.
+    [[nodiscard]] std::string dirWithFullEntry(const std::string& name) const {
+        std::filesystem::create_symlink("/dev/full", dir_ / name);
+        return dir_.string();
+    }
+
+    static void expectWriteFails(const std::vector<std::string>& args,
+                                 const std::string& path) {
+        ::testing::internal::CaptureStdout();
+        ::testing::internal::CaptureStderr();
+        const int status = cli::runCli(args);
+        const std::string err = ::testing::internal::GetCapturedStderr();
+        const std::string out = ::testing::internal::GetCapturedStdout();
+        EXPECT_EQ(status, 1);
+        EXPECT_NE(err.find("cannot write " + path), std::string::npos) << err;
+        EXPECT_EQ(out.find("wrote "), std::string::npos) << out;
+    }
+
+    std::filesystem::path dir_;
+};
+
+TEST_F(FullDevice, CampaignJsonFailsTheCommand) {
+    expectWriteFails({"campaign", "--phones", "1", "--days", "2", "--json", "/dev/full"},
+                     "/dev/full");
+}
+
+TEST_F(FullDevice, CrashJsonFailsTheCommand) {
+    fleet::FleetConfig config;
+    config.phoneCount = 1;
+    config.campaign = sim::Duration::days(2);
+    config.enrollmentWindow = sim::Duration::days(1);
+    (void)core::saveLogs(fleet::runCampaign(config).logs, dir_.string());
+    expectWriteFails({"crash", dir_.string(), "--json", "/dev/full"}, "/dev/full");
+}
+
+TEST_F(FullDevice, SweepJsonFailsTheCommand) {
+    expectWriteFails({"sweep", "--trials", "1", "--phones", "1", "--days", "2",
+                      "--json", "/dev/full"},
+                     "/dev/full");
+}
+
+TEST_F(FullDevice, FieldCsvFailsTheCommand) {
+    const std::string dir = dirWithFullEntry("table2_panics.csv");
+    expectWriteFails({"campaign", "--phones", "1", "--days", "2", "--csv", dir},
+                     dir + "/table2_panics.csv");
+}
+
+TEST_F(FullDevice, PerfCsvFailsTheCommand) {
+    const std::string dir = dirWithFullEntry("perf_scaling.csv");
+    expectWriteFails({"perf", "--fleet-sizes", "1", "--days", "1", "--csv", dir},
+                     dir + "/perf_scaling.csv");
+}
+
+TEST_F(FullDevice, SavedLogFailsTheCommand) {
+    const std::string dir = dirWithFullEntry("phone-0.log");
+    expectWriteFails({"campaign", "--phones", "1", "--days", "2", "--logs", dir},
+                     dir + "/phone-0.log");
+}
+
+TEST_F(FullDevice, ChromeTraceFailsTheCommand) {
+    expectWriteFails({"campaign", "--phones", "1", "--days", "2", "--trace", "/dev/full"},
+                     "/dev/full");
+}
+
+TEST_F(FullDevice, MetricsFileFailsTheCommand) {
+    const std::string dir = dirWithFullEntry("metrics.csv");
+    fleet::FleetConfig config;
+    config.phoneCount = 1;
+    config.campaign = sim::Duration::days(2);
+    config.enrollmentWindow = sim::Duration::days(1);
+    (void)core::saveLogs(fleet::runCampaign(config).logs, dir);
+    expectWriteFails({"crash", dir, "--metrics", dir + "/metrics.csv"},
+                     dir + "/metrics.csv");
+}
+
+// The alert log of a two-day, one-phone campaign is empty: the writer
+// still issues a write, so the full device refuses it.
+TEST_F(FullDevice, TextArtifactFailsTheCommand) {
+    expectWriteFails({"monitor", "--phones", "1", "--days", "2", "--alerts", "/dev/full"},
+                     "/dev/full");
+    expectWriteFails({"trace", "--phones", "1", "--days", "2", "--json", "/dev/full"},
+                     "/dev/full");
+}
+
 }  // namespace
 }  // namespace symfail

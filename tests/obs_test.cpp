@@ -5,7 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <limits>
 #include <set>
 #include <stdexcept>
@@ -14,6 +16,7 @@
 
 #include "fleet/fleet.hpp"
 #include "obs/accountant.hpp"
+#include "obs/file.hpp"
 #include "obs/metrics.hpp"
 #include "obs/profiler.hpp"
 #include "obs/provenance.hpp"
@@ -22,6 +25,85 @@
 
 namespace symfail::obs {
 namespace {
+
+// ---------------------------------------------------------- artifact writer
+
+/// A scratch directory named after the running test, removed afterwards.
+class ArtifactWriter : public ::testing::Test {
+protected:
+    ArtifactWriter()
+        : dir_{std::filesystem::temp_directory_path() /
+               (std::string{"symfail-writer-"} +
+                ::testing::UnitTest::GetInstance()->current_test_info()->name())} {
+        std::filesystem::remove_all(dir_);
+        std::filesystem::create_directories(dir_);
+    }
+    ~ArtifactWriter() override { std::filesystem::remove_all(dir_); }
+
+    static std::string slurp(const std::filesystem::path& path) {
+        std::ifstream in{path, std::ios::binary};
+        return {std::istreambuf_iterator<char>{in}, std::istreambuf_iterator<char>{}};
+    }
+
+    /// The message writeFile threw for `path`, or "" if it did not throw.
+    static std::string failure(const std::filesystem::path& path,
+                               const std::string& content) {
+        try {
+            writeFile(path, content);
+        } catch (const std::runtime_error& error) {
+            return error.what();
+        }
+        return "";
+    }
+
+    std::filesystem::path dir_;
+};
+
+TEST_F(ArtifactWriter, ReplacesTheFileWithExactBytes) {
+    const auto path = dir_ / "out.bin";
+    writeFile(path, "an older and longer artifact\n");
+    const std::string bytes{"a\r\nb\0c", 6};
+    writeFile(path, bytes);
+    EXPECT_EQ(slurp(path), bytes);
+}
+
+// Linux /dev/full opens and refuses every write, the way a full disk
+// does.  An artifact smaller than any stream buffer used to vanish there
+// without an error; an empty one must fail too.
+TEST_F(ArtifactWriter, FullDeviceFailsEvenAnEmptyArtifact) {
+    for (const std::size_t size : {0UL, 3UL, 1UL << 20}) {
+        EXPECT_EQ(failure("/dev/full", std::string(size, 'x')), "cannot write /dev/full")
+            << size << " bytes";
+    }
+}
+
+TEST_F(ArtifactWriter, MissingParentDirectoryFails) {
+    const auto path = dir_ / "absent" / "out.json";
+    EXPECT_EQ(failure(path, "{}"), "cannot write " + path.string());
+}
+
+TEST_F(ArtifactWriter, DirectoryWriterCreatesTheDirectoryAndListsPaths) {
+    const auto sub = dir_ / "sub";
+    const auto written = writeDirectory(sub, {{"a.csv", "x,y\n1,2\n"}, {"b.csv", ""}});
+    EXPECT_EQ(written, (std::vector<std::string>{(sub / "a.csv").string(),
+                                                 (sub / "b.csv").string()}));
+    EXPECT_EQ(slurp(sub / "a.csv"), "x,y\n1,2\n");
+    EXPECT_TRUE(std::filesystem::exists(sub / "b.csv"));
+    EXPECT_EQ(std::filesystem::file_size(sub / "b.csv"), 0u);
+}
+
+TEST_F(ArtifactWriter, DirectoryWriterStopsAtTheFirstFailedFile) {
+    std::filesystem::create_symlink("/dev/full", dir_ / "b.csv");
+    try {
+        (void)writeDirectory(dir_,
+                             {{"a.csv", "1\n"}, {"b.csv", "2\n"}, {"c.csv", "3\n"}});
+        ADD_FAILURE() << "writeDirectory did not throw";
+    } catch (const std::runtime_error& error) {
+        EXPECT_EQ(std::string{error.what()}, "cannot write " + (dir_ / "b.csv").string());
+    }
+    EXPECT_EQ(slurp(dir_ / "a.csv"), "1\n");
+    EXPECT_FALSE(std::filesystem::exists(dir_ / "c.csv"));
+}
 
 // ---------------------------------------------------------------- metrics
 

@@ -66,15 +66,16 @@ TEST(Flash, TearTailTruncates) {
 
 TEST(Flash, RotationDropsOldestHalf) {
     FlashStore flash;
-    flash.setRotateLimit(100);
-    for (int i = 0; i < 30; ++i) {
-        flash.appendLine("log", "line-" + std::to_string(i));
+    // 200 lines of 64 KiB write 12.5 MiB, past the 8 MiB limit.
+    const std::string filler(64 * 1024, 'x');
+    for (int i = 0; i < 200; ++i) {
+        flash.appendLine("log", "line-" + std::to_string(i) + "-" + filler);
     }
-    EXPECT_LE(flash.content("log").size(), 110u);
+    EXPECT_LE(flash.content("log").size(), FlashStore::kRotateLimitBytes);
     // The newest line always survives rotation.
-    EXPECT_EQ(flash.lastLine("log"), "line-29");
+    EXPECT_EQ(flash.lastLine("log"), "line-199-" + filler);
     // The oldest lines are gone.
-    EXPECT_EQ(flash.content("log").find("line-0\n"), std::string::npos);
+    EXPECT_EQ(flash.content("log").find("line-0-"), std::string::npos);
 }
 
 TEST(Flash, TotalBytesAndClear) {

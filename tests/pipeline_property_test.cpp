@@ -54,16 +54,21 @@ class FlashRotation : public ::testing::TestWithParam<std::uint64_t> {};
 TEST_P(FlashRotation, NewestLinesSurvive) {
     sim::Rng rng{GetParam()};
     phone::FlashStore flash;
-    flash.setRotateLimit(512);
+    constexpr std::size_t kLimit = phone::FlashStore::kRotateLimitBytes;
     std::string lastWritten;
-    for (int i = 0; i < 500; ++i) {
+    // Lines of 0-40 KiB: about 20 MiB in all, so the file rotates
+    // several times.
+    for (int i = 0; i < 1'000; ++i) {
         lastWritten = "entry-" + std::to_string(i) + "-" +
-                      std::string(static_cast<std::size_t>(rng.uniformInt(0, 40)), 'x');
+                      std::string(static_cast<std::size_t>(rng.uniformInt(0, 40)) * 1024,
+                                  'x');
         flash.appendLine("log", lastWritten);
         // Size is bounded and the newest line is always intact.
-        EXPECT_LE(flash.content("log").size(), 512u + lastWritten.size() + 1);
+        EXPECT_LE(flash.content("log").size(), kLimit + lastWritten.size() + 1);
         EXPECT_EQ(flash.lastLine("log"), lastWritten);
     }
+    // The file did rotate: the first line is gone.
+    EXPECT_EQ(flash.content("log").find("entry-0-"), std::string::npos);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FlashRotation, ::testing::Range<std::uint64_t>(1, 9));

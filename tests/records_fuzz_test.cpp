@@ -121,6 +121,17 @@ TEST_P(RecordsTruncation, EveryPrefixParses) {
 INSTANTIATE_TEST_SUITE_P(Seeds, RecordsTruncation,
                          ::testing::Range<std::uint64_t>(1, 5));
 
+// A D_EXC line counts only when its time and type fields read whole: a
+// trailing byte, as bit rot leaves behind, or a type past int used to
+// count as a captured panic.
+TEST(DExcParse, SkipsPartialAndOutOfRangeFields) {
+    const auto ids = DExcTool::parse(
+        "DEXC|100x|USER|11\nDEXC|100|USER|2147483648\nDEXC|100|USER|11x\n"
+        "DEXC|200|USER|11\n");
+    ASSERT_EQ(ids.size(), 1u);
+    EXPECT_EQ(ids[0], symbos::kUserDesOverflow);
+}
+
 // -- Chunk-framing fuzz (the log-transport collection path) -------------------
 //
 // The transport reassembler sits between raw channel bytes and the

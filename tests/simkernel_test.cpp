@@ -13,7 +13,6 @@
 #include "simkernel/nhpp.hpp"
 #include "simkernel/rng.hpp"
 #include "simkernel/simulator.hpp"
-#include "simkernel/stats.hpp"
 #include "simkernel/time.hpp"
 
 namespace symfail::sim {
@@ -98,9 +97,9 @@ TEST(Rng, UniformIntBounds) {
 
 TEST(Rng, ExponentialMean) {
     Rng rng{11};
-    RunningStats stats;
-    for (int i = 0; i < 100'000; ++i) stats.add(rng.exponential(5.0));
-    EXPECT_NEAR(stats.mean(), 5.0, 0.1);
+    double sum = 0.0;
+    for (int i = 0; i < 100'000; ++i) sum += rng.exponential(5.0);
+    EXPECT_NEAR(sum / 100'000.0, 5.0, 0.1);
 }
 
 TEST(Rng, LognormalMedian) {
@@ -379,28 +378,6 @@ TEST(Simulator, RunUntilStopsAtBoundary) {
     EXPECT_EQ(simulator.pendingEvents(), 1u);
 }
 
-TEST(Simulator, PeriodicFiresAndStops) {
-    Simulator simulator;
-    int ticks = 0;
-    auto handle = simulator.schedulePeriodic(Duration::seconds(1), [&](Periodic& p) {
-        ++ticks;
-        if (ticks == 3) p.stop();
-    });
-    simulator.runUntil(TimePoint::origin() + Duration::seconds(100));
-    EXPECT_EQ(ticks, 3);
-    EXPECT_FALSE(handle.active());
-}
-
-TEST(Simulator, PeriodicExternalStop) {
-    Simulator simulator;
-    int ticks = 0;
-    auto handle = simulator.schedulePeriodic(Duration::seconds(1),
-                                             [&](Periodic&) { ++ticks; });
-    simulator.scheduleAfter(Duration::fromSecondsF(2.5), "test", [&]() { handle.stop(); });
-    simulator.runUntil(TimePoint::origin() + Duration::seconds(100));
-    EXPECT_EQ(ticks, 2);
-}
-
 TEST(Simulator, SchedulingInPastClamps) {
     Simulator simulator;
     bool fired = false;
@@ -482,15 +459,6 @@ TEST(FreqCounter, CountsAndMean) {
     EXPECT_EQ(counter.count(1), 3u);
     EXPECT_DOUBLE_EQ(counter.fraction(2), 0.25);
     EXPECT_DOUBLE_EQ(counter.mean(), (3.0 * 1 + 2) / 4.0);
-}
-
-TEST(RunningStats, WelfordBasics) {
-    RunningStats stats;
-    for (const double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) stats.add(x);
-    EXPECT_DOUBLE_EQ(stats.mean(), 5.0);
-    EXPECT_NEAR(stats.stddev(), 2.138, 0.001);
-    EXPECT_DOUBLE_EQ(stats.min(), 2.0);
-    EXPECT_DOUBLE_EQ(stats.max(), 9.0);
 }
 
 }  // namespace

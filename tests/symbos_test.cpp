@@ -3,6 +3,8 @@
 // timers, and the system servers.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "crash/dump.hpp"
 #include "faults/drivers.hpp"
 #include "logger/records.hpp"
@@ -30,21 +32,24 @@ class KernelFixture : public ::testing::Test {
 protected:
     KernelFixture() : kernel_{simulator_} {
         pid_ = kernel_.createProcess("TestApp", ProcessKind::UserApp);
+        kernel_.addPanicHook(
+            [this](const PanicEvent& event) { panics_.push_back(event); });
     }
 
     /// Runs body in the scratch process and returns the panic it raised,
     /// if any.
     std::optional<PanicId> runExpectPanic(const std::function<void(ExecContext&)>& body) {
-        const std::size_t before = kernel_.panicLog().size();
+        const std::size_t before = panics_.size();
         const auto outcome = kernel_.runInProcess(pid_, body);
         if (outcome != Kernel::RunOutcome::Panicked) return std::nullopt;
-        EXPECT_EQ(kernel_.panicLog().size(), before + 1);
-        return kernel_.panicLog().back().id;
+        EXPECT_EQ(panics_.size(), before + 1);
+        return panics_.back().id;
     }
 
     sim::Simulator simulator_;
     Kernel kernel_;
     ProcessId pid_{0};
+    std::vector<PanicEvent> panics_;  ///< Every panic the kernel delivered.
 };
 
 // -- Panic taxonomy ------------------------------------------------------------
@@ -346,7 +351,7 @@ TEST_F(KernelFixture, HeapTracksAllocations) {
 
 TEST_F(KernelFixture, HeapFailNextLeaves) {
     kernel_.runInProcess(pid_, [](ExecContext& ctx) {
-        ctx.heap().failNext();
+        ctx.heap().setCapacity(ctx.heap().bytesInUse());  // the next allocation fails
         const int code = trap(ctx, [](ExecContext& inner) {
             (void)inner.heap().allocL(inner, 32);
         });
@@ -373,7 +378,7 @@ TEST_F(KernelFixture, TwoPhaseConstructionDoesNotLeakOnFailure) {
         const int code = trap(ctx, [&](ExecContext& inner) {
             const auto cell = heap.allocL(inner, 256);   // first phase
             inner.cleanupStack().pushL(inner, [&heap, cell]() { heap.free(cell); });
-            heap.failNext();                             // second phase fails...
+            heap.setCapacity(heap.bytesInUse());         // second phase fails...
             (void)heap.allocL(inner, 1'024);             // ...and leaves
             inner.cleanupStack().pop(inner);             // (not reached)
         });
@@ -428,8 +433,8 @@ TEST_F(KernelFixture, StraySignalPanics46) {
     FunctionAo ao{scheduler, "stray", [](ExecContext&, int) {}};
     scheduler.complete(ao, KErrNone);  // no setActive(): stray
     simulator_.runAll();
-    ASSERT_FALSE(kernel_.panicLog().empty());
-    EXPECT_EQ(kernel_.panicLog().back().id, kCBaseStraySignal);
+    ASSERT_FALSE(panics_.empty());
+    EXPECT_EQ(panics_.back().id, kCBaseStraySignal);
     EXPECT_FALSE(kernel_.alive(pid_));
 }
 
@@ -446,8 +451,8 @@ TEST_F(KernelFixture, DoubleCompletionRunsOnceThenPanics46) {
     scheduler.complete(ao, KErrCancel);
     simulator_.runAll();
     EXPECT_EQ(statuses, std::vector<int>{KErrCancel});
-    ASSERT_EQ(kernel_.panicLog().size(), 1u);
-    EXPECT_EQ(kernel_.panicLog().back().id, kCBaseStraySignal);
+    ASSERT_EQ(panics_.size(), 1u);
+    EXPECT_EQ(panics_.back().id, kCBaseStraySignal);
     EXPECT_FALSE(kernel_.alive(pid_));
 }
 
@@ -458,8 +463,8 @@ TEST_F(KernelFixture, RunLLeaveDefaultErrorPanics47) {
     ao.setActive();
     scheduler.complete(ao, KErrNone);
     simulator_.runAll();
-    ASSERT_FALSE(kernel_.panicLog().empty());
-    EXPECT_EQ(kernel_.panicLog().back().id, kCBaseSchedulerError);
+    ASSERT_FALSE(panics_.empty());
+    EXPECT_EQ(panics_.back().id, kCBaseSchedulerError);
 }
 
 TEST_F(KernelFixture, ReplacedErrorHandlerSwallowsLeave) {
@@ -476,7 +481,7 @@ TEST_F(KernelFixture, ReplacedErrorHandlerSwallowsLeave) {
     scheduler.complete(ao, KErrNone);
     simulator_.runAll();
     EXPECT_EQ(handled, 1);
-    EXPECT_TRUE(kernel_.panicLog().empty());
+    EXPECT_TRUE(panics_.empty());
     EXPECT_TRUE(kernel_.alive(pid_));
 }
 
@@ -505,8 +510,8 @@ TEST_F(KernelFixture, ViewSrvWatchdogPanicsMonopolizer) {
                        ActiveScheduler::CompleteOpts{
                            {}, kViewSrvTimeout * 2});
     simulator_.runAll();
-    ASSERT_FALSE(kernel_.panicLog().empty());
-    EXPECT_EQ(kernel_.panicLog().back().id, kViewSrvEventStarvation);
+    ASSERT_FALSE(panics_.empty());
+    EXPECT_EQ(panics_.back().id, kViewSrvEventStarvation);
 }
 
 TEST_F(KernelFixture, NoViewNoWatchdog) {
@@ -517,7 +522,7 @@ TEST_F(KernelFixture, NoViewNoWatchdog) {
                        ActiveScheduler::CompleteOpts{
                            {}, kViewSrvTimeout * 2});
     simulator_.runAll();
-    EXPECT_TRUE(kernel_.panicLog().empty());
+    EXPECT_TRUE(panics_.empty());
 }
 
 // -- Timers -----------------------------------------------------------------------------
@@ -652,8 +657,8 @@ TEST_F(KernelFixture, DoubleCompletePanics70) {
         msg.complete(ctx, KErrNone);  // panics USER 70
     });
     EXPECT_EQ(server.sendReceive(1), KErrServerTerminated);
-    ASSERT_FALSE(kernel_.panicLog().empty());
-    EXPECT_EQ(kernel_.panicLog().back().id, kUserNullMessageComplete);
+    ASSERT_FALSE(panics_.empty());
+    EXPECT_EQ(panics_.back().id, kUserNullMessageComplete);
 }
 
 TEST_F(KernelFixture, PanicInHandlerKillsServerNotClient) {

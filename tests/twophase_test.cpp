@@ -1,6 +1,8 @@
 // Tests for the two-phase construction (NewLC) helper.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "symbos/err.hpp"
 #include "symbos/heap.hpp"
 #include "symbos/twophase.hpp"
@@ -43,12 +45,15 @@ class TwoPhaseFixture : public ::testing::Test {
 protected:
     TwoPhaseFixture() : kernel_{simulator_} {
         pid_ = kernel_.createProcess("TwoPhase", ProcessKind::UserApp);
+        kernel_.addPanicHook(
+            [this](const PanicEvent& event) { panics_.push_back(event); });
         Session::liveCount = 0;
         Session::destroyedConstructed = 0;
     }
     sim::Simulator simulator_;
     Kernel kernel_;
     ProcessId pid_{0};
+    std::vector<PanicEvent> panics_;  ///< Every panic the kernel delivered.
 };
 
 TEST_F(TwoPhaseFixture, SuccessfulConstruction) {
@@ -68,7 +73,8 @@ TEST_F(TwoPhaseFixture, SuccessfulConstruction) {
 
 TEST_F(TwoPhaseFixture, SecondPhaseLeaveDoesNotLeak) {
     kernel_.runInProcess(pid_, [](ExecContext& ctx) {
-        ctx.heap().failNext();  // constructL's allocation will leave
+        // constructL's allocation leaves.
+        ctx.heap().setCapacity(ctx.heap().bytesInUse());
         const int code = trap(ctx, [](ExecContext& inner) {
             auto session = newL<Session>(inner, 8);
             FAIL() << "construction should have left";
@@ -89,8 +95,8 @@ TEST_F(TwoPhaseFixture, OutsideTrapPanics69) {
         auto session = newL<Session>(ctx, 9);  // pushL with no trap: panic
     });
     EXPECT_EQ(outcome, Kernel::RunOutcome::Panicked);
-    ASSERT_FALSE(kernel_.panicLog().empty());
-    EXPECT_EQ(kernel_.panicLog().back().id, kCBaseNoTrapHandler);
+    ASSERT_FALSE(panics_.empty());
+    EXPECT_EQ(panics_.back().id, kCBaseNoTrapHandler);
 }
 
 TEST_F(TwoPhaseFixture, NestedConstructionUnwindsAll) {
@@ -100,7 +106,7 @@ TEST_F(TwoPhaseFixture, NestedConstructionUnwindsAll) {
         Composite() = default;
         void constructL(ExecContext& ctx) {
             inner_ = newL<Session>(ctx, 1);
-            ctx.heap().failNext();
+            ctx.heap().setCapacity(ctx.heap().bytesInUse());
             (void)ctx.heap().allocL(ctx, 64);  // leaves after the inner succeeded
         }
 

@@ -21,6 +21,7 @@
 #include "experiment/runner.hpp"
 #include "monitor/monitor.hpp"
 #include "osfault/validity.hpp"
+#include "obs/file.hpp"
 #include "obs/metrics.hpp"
 #include "srgm/analyze.hpp"
 #include "obs/profiler.hpp"
@@ -310,21 +311,14 @@ void writeMetricsFile(const obs::MetricsRegistry& registry, const std::string& p
     } else {
         body = registry.renderPrometheus();
     }
-    std::ofstream out{path, std::ios::binary};
-    out << body;
-    if (!out) {
-        throw std::runtime_error("cannot write metrics file: " + path);
-    }
+    obs::writeFile(path, body);
     std::printf("wrote %zu metrics to %s\n", registry.size(), path.c_str());
 }
 
+/// Writes one artifact and reports it as `wrote <what> to <path>`.
 void writeTextFile(const std::string& path, const std::string& body,
                    const char* what) {
-    std::ofstream out{path, std::ios::binary};
-    out << body;
-    if (!out) {
-        throw std::runtime_error(std::string{"cannot write "} + what + ": " + path);
-    }
+    obs::writeFile(path, body);
     std::printf("wrote %s to %s\n", what, path.c_str());
 }
 
@@ -351,7 +345,7 @@ struct ObsAttachment {
     /// .json and .csv as named, anything else Prometheus text exposition.
     void finish() const {
         if (tracePath) {
-            traceWriter->writeFile(*tracePath);
+            obs::writeFile(*tracePath, traceWriter->json());
             std::printf("wrote trace (%zu events) to %s\n",
                         traceWriter->eventCount(), tracePath->c_str());
         }
@@ -402,8 +396,7 @@ int runCampaign(const std::vector<std::string>& args) {
         std::printf("wrote %zu CSV files to %s\n", files.size(), dir->c_str());
     }
     if (const auto path = option(args, "--json")) {
-        core::exportFieldJson(results, *path);
-        std::printf("wrote JSON results to %s\n", path->c_str());
+        writeTextFile(*path, core::fieldResultsToJson(results), "JSON results");
     }
     obsFiles.finish();
     return 0;
@@ -598,8 +591,7 @@ int runSweep(const std::vector<std::string>& args) {
     std::printf("%s", experiment::renderSweepReport(summary).c_str());
 
     if (const auto path = option(args, "--json")) {
-        experiment::exportSweepJson(summary, *path);
-        std::printf("wrote sweep JSON to %s\n", path->c_str());
+        writeTextFile(*path, experiment::sweepToJson(summary), "sweep JSON");
     }
     if (const auto dir = option(args, "--csv")) {
         const auto files = experiment::exportSweepCsv(summary, *dir);
@@ -814,8 +806,7 @@ int runCrash(const std::vector<std::string>& args) {
     std::printf("\n");
 
     if (const auto path = option(args, "--json")) {
-        core::exportCrashJson(results, *path);
-        std::printf("wrote crash-family JSON to %s\n", path->c_str());
+        writeTextFile(*path, core::crashFamiliesToJson(results), "crash-family JSON");
     }
     if (const auto dir = option(args, "--csv")) {
         const auto files = core::exportCrashCsv(results, *dir);
