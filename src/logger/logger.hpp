@@ -20,16 +20,18 @@
 //     is delivered, and at boot classifies the previous shutdown from the
 //     last heartbeat event and writes a BOOT record.
 //
-// The four periodic AOs run as real RTimer-driven ticks only when an
-// OS-interface fault plane observes them (observeTicks()).  Otherwise the
-// daemon keeps each duty's cadence as data and writes every due tick at
-// the next sync: before the phone changes something a tick reads, and
-// before a tick file is read.  Both paths write the same bytes; see
-// docs/METHODOLOGY.md §1 for the same-instant rule this rests on.
+// The daemon keeps each periodic duty's cadence as data and writes every
+// due tick at the next sync: before the phone changes something a tick
+// reads, before a tick file is read, and before an OS-interface fault
+// plane acts on the flash, the clock or the daemon's heap.  The four
+// RTimer-driven AOs run only in a daemon whose heap the memory plane
+// squeezes, until it dies one heartbeat later, and under observeTicks(),
+// the reference the tests compare against.  Both paths write the same
+// bytes; docs/METHODOLOGY.md §1 and §13 give the rules this rests on.
 #pragma once
 
+#include <array>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -82,13 +84,18 @@ public:
     /// Pid of the running daemon process (0 when not running).
     [[nodiscard]] symbos::ProcessId daemonPid() const { return daemonPid_; }
 
-    /// Keeps the periodic AOs as real ticks.  An OS-interface fault plane
-    /// that reads tick-time state calls this: the flash plane (it damages
-    /// and tears heartbeat writes), the memory plane (it fails the
-    /// heartbeat's scratch allocation) and the clock plane (it counts
-    /// every clock read).  Call before the phone boots; a daemon already
-    /// running keeps its mode until it restarts.
+    /// Runs the periodic duties as real AO ticks from every daemon start:
+    /// the reference path that tests compare the derived ticks with, and
+    /// what BM_LoggerHeartbeatTick times.  No shipped run calls it.  Call
+    /// before the phone boots.
     void observeTicks() { ticksObserved_ = true; }
+
+    /// Writes the derived ticks due, then runs the running daemon's duties
+    /// as real AO ticks until it stops.  The memory plane calls this
+    /// before it squeezes the daemon's heap, so the next heartbeat's
+    /// scratch allocation fails inside a real RunL.  No-op unless the
+    /// daemon derives its ticks.
+    void switchToAoTicks();
 
     /// Restarts a dead daemon on a running phone without a device boot —
     /// the watchdog path after the daemon was OOM-killed.  The restart
@@ -137,11 +144,12 @@ public:
     }
 
 private:
-    /// One periodic duty of a daemon whose ticks are derived: the time of
-    /// the next tick not yet written, and the period.
+    /// One periodic duty: its AO's name, its period, and (while the
+    /// daemon derives its ticks) the time of the next tick not yet written.
     struct Cadence {
-        sim::TimePoint next;
+        const char* name;
         sim::Duration period;
+        sim::TimePoint next{};
     };
 
     void onBoot();
@@ -152,43 +160,53 @@ private:
     [[nodiscard]] ActivityContext currentActivityContext() const;
 
     // The writers of the periodic duties, shared by the AO bodies and the
-    // catch-up.  `at` is the tick's simulated time.
+    // catch-up.  `at` is the tick's simulated time; records are stamped
+    // with the device clock's reading at `at`.
     void writeBeat(BeatKind kind, sim::TimePoint at);
     void writeRunapp(sim::TimePoint at);
     void copyActivity();
     void writePower(sim::TimePoint at);
-    /// The device-clock stamp of a record due at `at`.
-    [[nodiscard]] sim::TimePoint stampAt(sim::TimePoint at);
+    /// Runs one tick of `duty` at `at` (an ALIVE beat for the heartbeat).
+    void writeTick(const Cadence& duty, sim::TimePoint at);
 
-    /// Writes every derived tick due (see dueTicks).  A frozen phone's
-    /// ticks stopped at the freeze, whose sync wrote the ones before it.
+    /// Writes every derived tick due by dueBy(), under a device clock in
+    /// the order their AOs would run.  A frozen phone's ticks stopped at
+    /// the freeze, whose sync wrote the ones before it.
     void catchUp();
-    /// Ticks of `cadence` due and not yet written.  Inside an event at t
-    /// a tick at t is not due yet: in the AO model it runs after the
-    /// events already queued for t, so it sees the change the sync
-    /// precedes.  Between events it has run.
+    /// The last instant whose ticks are due.  Inside an event at t a tick
+    /// at t is not due yet: in the AO model it runs after the events
+    /// already queued for t, so it sees the change the sync precedes.
+    /// Between events it has run.
+    [[nodiscard]] sim::TimePoint dueBy() const;
+    /// Ticks of `cadence` due and not yet written.
     [[nodiscard]] std::uint64_t dueTicks(const Cadence& cadence) const;
 
-    /// Creates a self-re-arming periodic AO driven by an RTimer.  The body
-    /// receives the daemon's ExecContext so it can use kernel services
-    /// (the heartbeat allocates its scratch buffer from the daemon heap).
-    void startPeriodicAo(std::string name, sim::Duration period,
-                         std::function<void(symbos::ExecContext&)> body);
+    /// Creates `duty`'s self-re-arming AO driven by an RTimer, first due
+    /// at `duty.next`.
+    void startAo(const Cadence& duty);
 
     phone::PhoneDevice* device_;
     LoggerConfig config_;
     bool enabled_{true};
     bool ticksObserved_{false};
 
-    // Per-boot daemon state: real AOs when observed, cadences otherwise.
-    symbos::ProcessId daemonPid_{0};
-    std::vector<std::unique_ptr<symbos::FunctionAo>> aos_;
-    std::vector<std::unique_ptr<symbos::RTimer>> timers_;
-    bool deriving_{false};
     Cadence heartbeat_;
     Cadence runapp_;
     Cadence logEngine_;
     Cadence power_;
+    /// The four cadences, longest period first, ties in the order above:
+    /// same-instant AO ticks dispatch in this order, because each timer
+    /// was armed one period before the instant.
+    std::array<Cadence*, 4> byPeriod_;
+
+    // Per-boot daemon state: real AOs, or cadences while deriving_.
+    symbos::ProcessId daemonPid_{0};
+    std::vector<std::unique_ptr<symbos::FunctionAo>> aos_;
+    std::vector<std::unique_ptr<symbos::RTimer>> timers_;
+    bool deriving_{false};
+    /// heartbeats_ after the daemon's boot beat: each heartbeat tick since
+    /// allocated one scratch cell from the daemon's heap.
+    std::uint64_t heartbeatsAtStart_{0};
     sim::TimePoint lastActivityCopied_{};
     /// Format buffer reused by every periodic line.
     std::string line_;

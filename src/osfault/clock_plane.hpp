@@ -8,6 +8,9 @@
 // measurement distortion, which is exactly what the validity analysis
 // needs to isolate: how much timestamp error the timestamp-matching
 // evaluation tolerates before recovered failure tables degrade.
+//
+// A jump syncs the phone's logger first, so every tick due before it is
+// stamped, and read, with the offset it had at its time.
 #pragma once
 
 #include <cstdint>
@@ -40,7 +43,10 @@ public:
     ClockPlane(sim::Simulator& simulator, phone::PhoneDevice& device,
                ClockPlaneConfig config, std::uint64_t seed);
 
+    /// Syncs the phone's logger first: the ticks due by now read the
+    /// clock, as their AOs would have.
     [[nodiscard]] ClockPlaneStats stats() const {
+        device_->syncLogger();
         return {activations(), backwardJumps_, monotonicityViolations_};
     }
 
@@ -51,6 +57,7 @@ protected:
     void activate(sim::Rng& rng) override;
 
 private:
+    phone::PhoneDevice* device_;
     double skewPpm_;
     sim::TimePoint epoch_{};
     sim::Duration offset_{};

@@ -11,11 +11,11 @@ namespace symfail::osfault {
 /// dropped write.
 constexpr std::array<double, 3> kEffectWeights{0.5, 0.3, 0.2};
 
-FlashPlane::FlashPlane(sim::Simulator& simulator, phone::FlashStore& flash,
+FlashPlane::FlashPlane(sim::Simulator& simulator, phone::PhoneDevice& device,
                        FlashPlaneConfig config, std::uint64_t seed)
     : FaultPlane{simulator, "osfault.flash", config.faultsPerKHour, seed},
-      flash_{&flash} {
-    flash_->setFaultInjector(this);
+      device_{&device} {
+    device_->flash().setFaultInjector(this);
 }
 
 // Planes outlive the device they attach to (the registry is declared
@@ -24,17 +24,19 @@ FlashPlane::FlashPlane(sim::Simulator& simulator, phone::FlashStore& flash,
 FlashPlane::~FlashPlane() = default;
 
 FlashPlaneStats FlashPlane::stats() const {
+    device_->syncLogger();
     return {activations(), bitFlips_, tornWrites_, droppedWrites_};
 }
 
 void FlashPlane::activate(sim::Rng& rng) {
+    device_->syncLogger();
     // The plane targets the logger's measurement files: the compacted
     // beats file and the consolidated Log File.
     const std::string_view target =
         rng.bernoulli(0.5) ? logger::kBeatsFile : logger::kLogFile;
     switch (rng.discrete(std::span<const double>{kEffectWeights})) {
         case 0: {  // bit rot in already-stored bytes
-            const std::size_t size = flash_->content(target).size();
+            const std::size_t size = device_->flash().content(target).size();
             if (size == 0) break;
             const auto flips = static_cast<int>(rng.uniformInt(1, 3));
             for (int i = 0; i < flips; ++i) {
@@ -42,7 +44,7 @@ void FlashPlane::activate(sim::Rng& rng) {
                     rng.uniformInt(0, static_cast<std::int64_t>(size) - 1));
                 const auto mask = static_cast<std::uint8_t>(
                     1U << static_cast<unsigned>(rng.uniformInt(0, 7)));
-                if (flash_->corruptByte(target, offset, mask)) ++bitFlips_;
+                if (device_->flash().corruptByte(target, offset, mask)) ++bitFlips_;
             }
             break;
         }

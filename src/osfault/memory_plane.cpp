@@ -44,6 +44,9 @@ void MemoryPlane::activate(sim::Rng& /*rng*/) {
     const symbos::ProcessId pid = logger_->daemonPid();
     if (pid == 0 || !device_->kernel().alive(pid)) return;
     if (watchedPid_ != 0) return;  // an episode is already in flight
+    // Only a real RunL can leave, so the daemon runs its ticks as AOs
+    // until the squeeze kills it.
+    logger_->switchToAoTicks();
     // Squeeze the daemon's heap: everything currently allocated survives,
     // but the next heartbeat scratch allocation cannot fit.
     symbos::HeapModel& heap = device_->kernel().heapOf(pid);

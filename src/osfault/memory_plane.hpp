@@ -1,9 +1,10 @@
 // Memory plane: heap-pressure episodes that OOM-kill the logger daemon.
 //
-// An activation squeezes the daemon's heap capacity down to a headroom
-// smaller than the heartbeat's scratch allocation.  The next heartbeat
-// tick leaves with KErrNoMemory inside its RunL, the active scheduler
-// escalates to E32USER-CBase 47, and the kernel terminates the daemon —
+// An activation switches the daemon from derived to real AO ticks and
+// squeezes its heap capacity down to a headroom smaller than the
+// heartbeat's scratch allocation.  The next heartbeat tick leaves with
+// KErrNoMemory inside its RunL, the active scheduler escalates to
+// E32USER-CBase 47, and the kernel terminates the daemon —
 // the logger killed through the genuine Symbian OOM path, not by fiat.
 // A watchdog restarts the daemon after a delay; the restart re-runs boot
 // classification against the stale ALIVE beat and records a *false*

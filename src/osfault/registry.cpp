@@ -19,16 +19,9 @@ PhonePlanes& PlaneRegistry::attach(sim::Simulator& simulator,
                                    transport::Channel* ackChannel,
                                    std::uint64_t seed) {
     auto planes = std::make_unique<PhonePlanes>();
-    // These planes read the logger's tick-time state: its heartbeat writes,
-    // heap and clock reads.  Idle planes and the radio plane read none, so
-    // the logger may go on deriving its ticks.
-    if (config_.flash.enabled() || config_.memory.enabled() ||
-        config_.clock.enabled()) {
-        logger.observeTicks();
-    }
     if (config_.flash.enabled() || config_.attachIdle) {
         planes->flash = std::make_unique<FlashPlane>(
-            simulator, device.flash(), config_.flash, seed ^ kFlashSalt);
+            simulator, device, config_.flash, seed ^ kFlashSalt);
         planes->flash->start();
     }
     if (config_.memory.enabled() || config_.attachIdle) {

@@ -138,12 +138,15 @@ public:
 
     /// Attaches a device clock (nullptr detaches).  Not owned.
     void setClock(DeviceClock* clock) { clock_ = clock; }
-    /// What the device's RTC currently reports; identical to the simulation
-    /// clock unless a DeviceClock is attached.
-    [[nodiscard]] sim::TimePoint clockNow() {
-        const sim::TimePoint now = simulator_->now();
-        return clock_ != nullptr ? clock_->read(now) : now;
+    [[nodiscard]] bool clockAttached() const { return clock_ != nullptr; }
+    /// What the device's RTC reports at `at`; identical to the simulation
+    /// clock unless a DeviceClock is attached.  The logger stamps a tick it
+    /// writes after its time with this.
+    [[nodiscard]] sim::TimePoint clockAt(sim::TimePoint at) {
+        return clock_ != nullptr ? clock_->read(at) : at;
     }
+    /// What the device's RTC currently reports.
+    [[nodiscard]] sim::TimePoint clockNow() { return clockAt(simulator_->now()); }
 
     // -- Power ---------------------------------------------------------------
 
@@ -225,6 +228,12 @@ public:
     /// and the power state.  A logger that derives its ticks instead of
     /// scheduling them writes the ones due here.
     void setLoggerSyncHook(LoggerSyncHook hook) { loggerSync_ = std::move(hook); }
+    /// Runs the logger sync hook.  The fault planes call it before they
+    /// act on state a tick reads or writes: the flash store, the clock and
+    /// the logger daemon's heap.
+    void syncLogger() {
+        if (loggerSync_) loggerSync_();
+    }
     /// Invoked by the user model for MAOFF events; no-op without a hook.
     void toggleLogger(bool enabled);
 
@@ -242,9 +251,6 @@ private:
     friend class UserModel;
 
     void createResidentProcesses();
-    void syncLogger() {
-        if (loggerSync_) loggerSync_();
-    }
     void tearDown(bool graceful, ShutdownKind kind);
     void batteryTick();
     void startBatteryChain();

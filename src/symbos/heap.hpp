@@ -35,6 +35,14 @@ public:
     [[nodiscard]] std::size_t bytesInUse() const { return bytesInUse_; }
     [[nodiscard]] std::uint64_t totalAllocs() const { return totalAllocs_; }
 
+    /// Counts `count` allocations made and freed where the model did not
+    /// see them: the heartbeat scratch cells of a logger daemon whose
+    /// ticks were derived rather than run.
+    void countFreedAllocs(std::uint64_t count) {
+        next_ += count;
+        totalAllocs_ += count;
+    }
+
     /// Caps total bytes; further allocations leave with KErrNoMemory.
     /// `setCapacity(bytesInUse())` fails every further non-empty allocation.
     void setCapacity(std::size_t bytes) { capacity_ = bytes; }

@@ -177,10 +177,13 @@ TEST(ClockPlaneUnit, JumpsCanStepBackwardsButReadsClampMonotonicityCount) {
 
 TEST(FlashPlaneUnit, ArmedFaultsConsumeOnNextWrite) {
     sim::Simulator simulator;
-    phone::FlashStore flash;
+    phone::PhoneDevice::Config deviceConfig;
+    deviceConfig.name = "flash-phone";
+    phone::PhoneDevice device{simulator, deviceConfig};
+    phone::FlashStore& flash = device.flash();
     FlashPlaneConfig config;
     config.faultsPerKHour = 500.0;  // roughly one activation per two hours
-    FlashPlane plane{simulator, flash, config, 3};
+    FlashPlane plane{simulator, device, config, 3};
     plane.start();
 
     // Interleave writes with the arrival process: one beat-sized line per
