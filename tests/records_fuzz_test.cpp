@@ -448,6 +448,9 @@ public:
         next = {};
         return verdict;
     }
+    [[nodiscard]] bool armed(std::string_view /*file*/) const override {
+        return next.kind != Kind::None;
+    }
 };
 
 TEST(FlashShapedFuzz, TornWritesAtEveryByteOffsetAreDetectedExactly) {
