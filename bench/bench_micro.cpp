@@ -140,7 +140,7 @@ phone::PhoneDevice::Config idlePhone() {
 }
 
 // One heartbeat period of a booted phone running the failure logger with
-// real AO ticks (as under a fault plane that observes them): the RTimer
+// real AO ticks (as in a daemon the memory plane has squeezed): the RTimer
 // expiry, the AO completion, the heartbeat RunL (its scratch heap cell and
 // the beats-file write) and the re-arm.  The logger's other AOs are parked
 // past the run and the user stays idle, so an iteration is one tick plus,
