@@ -168,9 +168,9 @@ void BM_LoggerHeartbeatTick(benchmark::State& state) {
 BENCHMARK(BM_LoggerHeartbeatTick);
 
 // One 30-minute battery tick of a booted phone whose logger derives its
-// ticks: the battery event syncs the logger, which writes the period's
-// due ticks in one catch-up (one beats line for 30 heartbeats, 15 runapp
-// snapshots, 6 log-engine copies and 3 power lines).
+// ticks: the battery event syncs the logger, whose catch-up counts the
+// period's 30 heartbeats and 15 runapp, 6 log-engine and 3 power ticks
+// and writes one beats line.
 void BM_LoggerCatchUp(benchmark::State& state) {
     sim::Simulator simulator;
     std::unique_ptr<logger::FailureLogger> failureLogger;

@@ -335,7 +335,7 @@ FleetResult runCampaign(const FleetConfig& config) {
     std::uint64_t heartbeatsWritten = 0;
     std::uint64_t panicsLogged = 0;
     std::uint64_t bootsLogged = 0;
-    std::uint64_t snapshotsWritten = 0;
+    std::uint64_t snapshotsTaken = 0;
     for (auto& unit : units) {
         // End of campaign: collect the Log File and the ground truth, then
         // drop the simulation objects.
@@ -353,7 +353,7 @@ FleetResult runCampaign(const FleetConfig& config) {
         heartbeatsWritten += unit.logger->heartbeatsWritten();
         panicsLogged += unit.logger->panicsLogged();
         bootsLogged += unit.logger->bootsLogged();
-        snapshotsWritten += unit.logger->snapshotsWritten();
+        snapshotsTaken += unit.logger->snapshotsTaken();
         result.loggerRecordAnomalies += unit.logger->recordAnomalies();
         result.loggerDaemonDeaths += unit.logger->daemonDeaths();
     }
@@ -466,7 +466,7 @@ FleetResult runCampaign(const FleetConfig& config) {
         registry
             ->counter("logger", "runapp_snapshots",
                       "Running-applications snapshots written")
-            .inc(snapshotsWritten);
+            .inc(snapshotsTaken);
         registry
             ->counter("logger", "record_anomalies",
                       "Torn or malformed beats-file tails seen at boot")

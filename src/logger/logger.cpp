@@ -30,10 +30,7 @@ FailureLogger::FailureLogger(PhoneDevice& device, LoggerConfig config)
     device_->setLoggerToggleHook([this](bool on) { setEnabled(on); });
     device_->setLoggerSyncHook([this]() { catchUp(); });
     device_->flash().setReadHook([this](std::string_view file) {
-        if (file == kBeatsFile || file == kRunappFile || file == kActivityFile ||
-            file == kPowerFile) {
-            catchUp();
-        }
+        if (file == kBeatsFile) catchUp();
     });
     device_->kernel().addPanicHook(
         [this](const symbos::PanicEvent& event) { onPanic(event); });
@@ -96,41 +93,12 @@ void FailureLogger::writeBeat(BeatKind kind, sim::TimePoint at) {
     device_->flash().replaceWithLine(kBeatsFile, line_);
 }
 
-void FailureLogger::writeRunapp(sim::TimePoint at) {
-    line_.clear();
-    appendRunapp(line_, device_->clockAt(at), device_->appArch().running());
-    device_->flash().appendLine(kRunappFile, line_);
-    ++snapshots_;
-}
-
-void FailureLogger::copyActivity() {
-    for (const auto& row : device_->dbLog().eventsSince(lastActivityCopied_)) {
-        device_->flash().appendLine(
-            kActivityFile, serializeActivity(row.time, symbos::toString(row.kind),
-                                             row.incoming, row.isStart));
-        if (row.time + sim::Duration::micros(1) > lastActivityCopied_) {
-            lastActivityCopied_ = row.time + sim::Duration::micros(1);
-        }
-    }
-}
-
-void FailureLogger::writePower(sim::TimePoint at) {
-    const auto& agent = device_->systemAgent();
-    line_.clear();
-    appendPower(line_, device_->clockAt(at), agent.batteryPercent(), agent.charging());
-    device_->flash().appendLine(kPowerFile, line_);
-}
-
-void FailureLogger::writeTick(const Cadence& duty, sim::TimePoint at) {
+void FailureLogger::runTick(const Cadence& duty, sim::TimePoint at) {
     if (&duty == &heartbeat_) {
         writeBeat(BeatKind::Alive, at);
         ++heartbeats_;
     } else if (&duty == &runapp_) {
-        writeRunapp(at);
-    } else if (&duty == &logEngine_) {
-        copyActivity();
-    } else {
-        writePower(at);
+        ++snapshots_;
     }
 }
 
@@ -155,47 +123,27 @@ void FailureLogger::catchUp() {
         deriving_ = false;
         return;
     }
+    // The three duties that write nothing only count their due ticks.
+    snapshots_ += dueTicks(runapp_);
+    for (Cadence* duty : {&runapp_, &logEngine_, &power_}) {
+        duty->next += duty->period * static_cast<std::int64_t>(dueTicks(*duty));
+    }
+    std::uint64_t beats = dueTicks(heartbeat_);
+    if (beats == 0) return;
     // The beats file keeps only its last line, so of several due beats the
     // ones before the last are only counted, except the first where a
     // plane sees it: a write fault armed against the beats file takes it,
     // and a device clock counts its read.
-    const bool firstBeatWatched =
-        device_->clockAttached() || device_->flash().writeFaultArmed(kBeatsFile);
-    const sim::TimePoint firstBeat = heartbeat_.next;
-    const auto runTick = [&](Cadence& duty) {
-        if (&duty == &heartbeat_) {
-            const auto later = static_cast<std::int64_t>(dueTicks(heartbeat_) - 1);
-            if (later != 0 && !(firstBeatWatched && duty.next == firstBeat)) {
-                heartbeats_ += static_cast<std::uint64_t>(later);
-                heartbeat_.next += heartbeat_.period * later;
-                return;
-            }
-        }
-        writeTick(duty, duty.next);
-        duty.next += duty.period;
-    };
-    const sim::TimePoint last = dueBy();
-    if (!device_->clockAttached()) {
-        // Only a device clock sees the order of ticks across duties;
-        // without one, each duty's due ticks are written in one run.
-        for (Cadence* duty : {&heartbeat_, &runapp_, &logEngine_, &power_}) {
-            while (duty->next <= last) runTick(*duty);
-        }
-        return;
+    if (beats > 1 &&
+        (device_->clockAttached() || device_->flash().writeFaultArmed(kBeatsFile))) {
+        runTick(heartbeat_, heartbeat_.next);
+        heartbeat_.next += heartbeat_.period;
+        --beats;
     }
-    // A device clock counts every read earlier than the one before it, so
-    // the ticks run in time order, same-instant ones in byPeriod_ order, as
-    // their AOs would.
-    for (;;) {
-        Cadence* tick = nullptr;
-        for (Cadence* duty : byPeriod_) {
-            if (duty->next <= last && (tick == nullptr || duty->next < tick->next)) {
-                tick = duty;
-            }
-        }
-        if (tick == nullptr) return;
-        runTick(*tick);
-    }
+    heartbeats_ += beats - 1;
+    heartbeat_.next += heartbeat_.period * static_cast<std::int64_t>(beats - 1);
+    runTick(heartbeat_, heartbeat_.next);
+    heartbeat_.next += heartbeat_.period;
 }
 
 ActivityContext FailureLogger::currentActivityContext() const {
@@ -214,7 +162,7 @@ ActivityContext FailureLogger::currentActivityContext() const {
 void FailureLogger::onPanic(const symbos::PanicEvent& event) {
     if (!enabled_ || daemonPid_ == 0) return;
     if (device_->state() != PhoneDevice::PowerState::On) return;
-    // A device clock counts reads that go back in time: the ticks due
+    // A device clock counts reads that go back in time: the beats due
     // read it before the panic record does.
     if (device_->clockAttached()) catchUp();
     PanicRecord record;
@@ -354,10 +302,10 @@ void FailureLogger::startAo(const Cadence& duty) {
                 // the re-arm, moot since the daemon dies.
                 const symbos::HeapCell scratch =
                     ctx.heap().allocL(ctx, kHeartbeatScratchBytes);
-                writeTick(duty, now);
+                runTick(duty, now);
                 ctx.heap().free(scratch);
             } else {
-                writeTick(duty, now);
+                runTick(duty, now);
             }
             if (*timerSlot != nullptr) (*timerSlot)->after(ctx, duty.period);
         });

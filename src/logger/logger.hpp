@@ -8,26 +8,29 @@
 //     MAOFF when the user turns the logger off).  Because a frozen phone
 //     stops scheduling, a freeze leaves ALIVE as the final event — which
 //     is how freezes are detected at the next boot.
-//   * Running Applications Detector — periodically snapshots the running
-//     application list from the Application Architecture Server.
-//   * Log Engine — copies phone activity (calls, messages) from the
-//     Database Log Server.
-//   * Power Manager — records battery status from the System Agent, so
-//     low-battery shutdowns are separable from failures.
+//   * Running Applications Detector, Log Engine and Power Manager — in the
+//     paper they snapshot the running applications, copy phone activity
+//     from the Database Log Server and record battery status, each to its
+//     own file.  No analysis reads those files: Tables 3 and 4 read the
+//     running applications and activity context of the PANIC record.
+//     Here the three keep their cadences and only count their ticks (the
+//     runapp snapshots); they write nothing.
 //   * Panic Detector — subscribes to kernel panic notifications (the
 //     RDebug stand-in), writes a consolidated PANIC record (panic id,
 //     running applications, activity context, battery) the moment a panic
 //     is delivered, and at boot classifies the previous shutdown from the
 //     last heartbeat event and writes a BOOT record.
 //
-// The daemon keeps each periodic duty's cadence as data and writes every
-// due tick at the next sync: before the phone changes something a tick
-// reads, before a tick file is read, and before an OS-interface fault
-// plane acts on the flash, the clock or the daemon's heap.  The four
-// RTimer-driven AOs run only in a daemon whose heap the memory plane
-// squeezes, until it dies one heartbeat later, and under observeTicks(),
-// the reference the tests compare against.  Both paths write the same
-// bytes; docs/METHODOLOGY.md §1 and §13 give the rules this rests on.
+// So the heartbeat is the one periodic duty that writes, and the only one
+// that reads the device clock.  The daemon keeps each duty's cadence as
+// data and writes the due beats at the next sync: before the phone changes
+// its applications, activities, battery or power state, before the beats
+// file is read, and before an OS-interface fault plane acts on the flash,
+// the clock or the daemon's heap.  The four RTimer-driven AOs run only in
+// a daemon whose heap the memory plane squeezes, until it dies one
+// heartbeat later, and under observeTicks(), the reference the tests
+// compare against.  Both paths write the same bytes; docs/METHODOLOGY.md
+// §1 and §13 give the rules this rests on.
 #pragma once
 
 #include <array>
@@ -112,7 +115,9 @@ public:
     }
     [[nodiscard]] std::uint64_t panicsLogged() const { return panicsLogged_; }
     [[nodiscard]] std::uint64_t bootsLogged() const { return bootsLogged_; }
-    [[nodiscard]] std::uint64_t snapshotsWritten() const {
+    /// Ticks of the Running Applications Detector, which counts them and
+    /// writes nothing.
+    [[nodiscard]] std::uint64_t snapshotsTaken() const {
         return snapshots_ + dueTicks(runapp_);
     }
     /// Beats files found ending in a torn (newline-less) tail at boot.
@@ -145,7 +150,7 @@ public:
 
 private:
     /// One periodic duty: its AO's name, its period, and (while the
-    /// daemon derives its ticks) the time of the next tick not yet written.
+    /// daemon derives its ticks) the time of the next tick not yet run.
     struct Cadence {
         const char* name;
         sim::Duration period;
@@ -159,19 +164,17 @@ private:
     void teardownDaemon();
     [[nodiscard]] ActivityContext currentActivityContext() const;
 
-    // The writers of the periodic duties, shared by the AO bodies and the
-    // catch-up.  `at` is the tick's simulated time; records are stamped
-    // with the device clock's reading at `at`.
+    /// The heartbeat's writer, shared by its AO body and the catch-up.
+    /// `at` is the beat's simulated time; it is stamped with the device
+    /// clock's reading at `at`.
     void writeBeat(BeatKind kind, sim::TimePoint at);
-    void writeRunapp(sim::TimePoint at);
-    void copyActivity();
-    void writePower(sim::TimePoint at);
-    /// Runs one tick of `duty` at `at` (an ALIVE beat for the heartbeat).
-    void writeTick(const Cadence& duty, sim::TimePoint at);
+    /// Runs one AO tick of `duty` at `at`: an ALIVE beat for the
+    /// heartbeat, a count for the runapp detector, nothing for the others.
+    void runTick(const Cadence& duty, sim::TimePoint at);
 
-    /// Writes every derived tick due by dueBy(), under a device clock in
-    /// the order their AOs would run.  A frozen phone's ticks stopped at
-    /// the freeze, whose sync wrote the ones before it.
+    /// Counts every derived tick due by dueBy() and writes the last due
+    /// beat, and the first too where a plane sees it.  A frozen phone's
+    /// ticks stopped at the freeze, whose sync wrote the ones before it.
     void catchUp();
     /// The last instant whose ticks are due.  Inside an event at t a tick
     /// at t is not due yet: in the AO model it runs after the events
@@ -195,8 +198,8 @@ private:
     Cadence logEngine_;
     Cadence power_;
     /// The four cadences, longest period first, ties in the order above:
-    /// same-instant AO ticks dispatch in this order, because each timer
-    /// was armed one period before the instant.
+    /// the AOs are armed in this order, so same-instant AO ticks dispatch
+    /// in it, because each timer was armed one period before the instant.
     std::array<Cadence*, 4> byPeriod_;
 
     // Per-boot daemon state: real AOs, or cadences while deriving_.
@@ -207,8 +210,7 @@ private:
     /// heartbeats_ after the daemon's boot beat: each heartbeat tick since
     /// allocated one scratch cell from the daemon's heap.
     std::uint64_t heartbeatsAtStart_{0};
-    sim::TimePoint lastActivityCopied_{};
-    /// Format buffer reused by every periodic line.
+    /// Format buffer reused by every beat.
     std::string line_;
 
     std::uint64_t heartbeats_{0};

@@ -98,31 +98,6 @@ std::string serialize(const MetaRecord& r) {
     return "META|" + std::to_string(r.time.micros()) + "|" + clean;
 }
 
-void appendRunapp(std::string& out, sim::TimePoint t,
-                  const std::vector<std::string>& apps) {
-    out += "RUNAPP|";
-    appendInt(out, t.micros());
-    out += '|';
-    for (std::size_t i = 0; i < apps.size(); ++i) {
-        if (i != 0) out += ',';
-        out += apps[i];
-    }
-}
-
-void appendPower(std::string& out, sim::TimePoint t, int percent, bool charging) {
-    out += "POWER|";
-    appendInt(out, t.micros());
-    out += '|';
-    appendInt(out, percent);
-    out += charging ? "|1" : "|0";
-}
-
-std::string serializeActivity(sim::TimePoint t, std::string_view kind, bool incoming,
-                              bool isStart) {
-    return "ACT|" + std::to_string(t.micros()) + "|" + std::string{kind} + "|" +
-           (incoming ? "in" : "out") + "|" + (isStart ? "start" : "end");
-}
-
 std::optional<BeatRecord> parseBeat(std::string_view line) {
     const auto fields = splitFields(line, '|');
     if (fields.size() != 3 || fields[0] != "BEAT") return std::nullopt;

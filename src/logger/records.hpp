@@ -8,9 +8,6 @@
 //
 // Files:
 //   beats     — heartbeat events: ALIVE / REBOOT / MAOFF / LOWBT
-//   runapp    — periodic running-application snapshots
-//   activity  — phone activity rows copied from the Database Log Server
-//   power     — periodic battery status
 //   logfile   — the consolidated Log File written by the Panic Detector:
 //               PANIC records (with running apps, activity context and
 //               battery), DUMP records (the structured crash dump captured
@@ -33,9 +30,6 @@
 namespace symfail::logger {
 
 inline constexpr std::string_view kBeatsFile = "beats";
-inline constexpr std::string_view kRunappFile = "runapp";
-inline constexpr std::string_view kActivityFile = "activity";
-inline constexpr std::string_view kPowerFile = "power";
 inline constexpr std::string_view kLogFile = "logfile";
 
 /// Heartbeat event kinds (Section 5.2 of the paper).
@@ -119,16 +113,9 @@ struct LogFileEntry {
 
 // -- Serialization ------------------------------------------------------------
 
-// The periodic lines (beats, runapp, power) are appended to a caller's
-// buffer: the logger formats millions of them into one reused string.
-
-/// Appends a beats line.
+/// Appends a beats line to a caller's buffer: the heartbeat formats every
+/// beat into one reused string.
 void appendBeat(std::string& out, const BeatRecord& r);
-/// Appends a runapp snapshot line.
-void appendRunapp(std::string& out, sim::TimePoint t,
-                  const std::vector<std::string>& apps);
-/// Appends a power status line.
-void appendPower(std::string& out, sim::TimePoint t, int percent, bool charging);
 
 [[nodiscard]] inline std::string serialize(const BeatRecord& r) {
     std::string out;
@@ -139,9 +126,6 @@ void appendPower(std::string& out, sim::TimePoint t, int percent, bool charging)
 [[nodiscard]] std::string serialize(const BootRecord& r);
 [[nodiscard]] std::string serialize(const UserReportRecord& r);
 [[nodiscard]] std::string serialize(const MetaRecord& r);
-/// Activity row line.
-[[nodiscard]] std::string serializeActivity(sim::TimePoint t, std::string_view kind,
-                                            bool incoming, bool isStart);
 
 // -- Parsing --------------------------------------------------------------------
 

@@ -261,11 +261,10 @@ void PhoneDevice::outputFailureOccurred(std::string symptom) {
     for (const auto& hook : outputFailureHooks_) hook(symptom);
 }
 
-void PhoneDevice::activityBegin(symbos::ActivityKind kind, bool incoming) {
+void PhoneDevice::activityBegin(symbos::ActivityKind kind) {
     if (!isOn()) return;
     syncLogger();
     ++activeActivities_[kind];
-    dbLog_.record(symbos::ActivityEvent{simulator_->now(), kind, incoming, true});
     // The core app handling the activity may surface in the running list:
     // the Messages UI opens for every text, while the Telephone app only
     // occasionally registers a foreground session (see UserProfile).
@@ -279,13 +278,12 @@ void PhoneDevice::activityBegin(symbos::ActivityKind kind, bool incoming) {
     for (const auto& hook : activityHooks_) hook(kind, true);
 }
 
-void PhoneDevice::activityEnd(symbos::ActivityKind kind, bool incoming) {
+void PhoneDevice::activityEnd(symbos::ActivityKind kind) {
     if (!isOn()) return;
     auto it = activeActivities_.find(kind);
     if (it == activeActivities_.end() || it->second == 0) return;
     syncLogger();
     if (--it->second == 0) activeActivities_.erase(it);
-    dbLog_.record(symbos::ActivityEvent{simulator_->now(), kind, incoming, false});
     if (!activityActive(kind)) {
         if (kind == symbos::ActivityKind::VoiceCall) {
             appArch_.appStopped(std::string{kAppTelephone});

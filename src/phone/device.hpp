@@ -126,7 +126,6 @@ public:
     [[nodiscard]] sim::Simulator& simulator() { return *simulator_; }
     [[nodiscard]] symbos::Kernel& kernel() { return *kernel_; }
     [[nodiscard]] symbos::AppArchServer& appArch() { return appArch_; }
-    [[nodiscard]] symbos::DbLogServer& dbLog() { return dbLog_; }
     [[nodiscard]] symbos::SystemAgentServer& systemAgent() { return systemAgent_; }
     [[nodiscard]] FlashStore& flash() { return flash_; }
     [[nodiscard]] RadioModem& radio() { return radio_; }
@@ -196,8 +195,8 @@ public:
 
     /// Marks an activity window; used by the user model.  Registered
     /// activity hooks (the fault injector's trigger source) fire on start.
-    void activityBegin(symbos::ActivityKind kind, bool incoming);
-    void activityEnd(symbos::ActivityKind kind, bool incoming);
+    void activityBegin(symbos::ActivityKind kind);
+    void activityEnd(symbos::ActivityKind kind);
     [[nodiscard]] bool activityActive(symbos::ActivityKind kind) const;
 
     // -- Hooks -------------------------------------------------------------------
@@ -260,7 +259,6 @@ private:
     sim::Rng rng_;
     std::unique_ptr<symbos::Kernel> kernel_;
     symbos::AppArchServer appArch_;
-    symbos::DbLogServer dbLog_;
     symbos::SystemAgentServer systemAgent_;
     FlashStore flash_;
     RadioModem radio_;

@@ -1,10 +1,10 @@
 // Persistent flash filesystem model.
 //
-// The logger's files (beats, runapp, activity, power, the consolidated Log
-// File) live here and survive reboots and battery pulls, as flash storage
-// does.  Files are line-oriented append streams; the model supports the
-// logger's one fragile spot — a battery pull can tear the final,
-// in-flight line (exercised by the logger's failure-injection tests).
+// The logger's two files (the beats file and the consolidated Log File)
+// live here and survive reboots and battery pulls, as flash storage does.
+// Files are line-oriented append streams; the model supports the logger's
+// one fragile spot — a battery pull can tear the final, in-flight line
+// (exercised by the logger's failure-injection tests).
 #pragma once
 
 #include <cstdint>

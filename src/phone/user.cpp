@@ -119,13 +119,15 @@ void UserModel::scheduleNextCall() {
 }
 
 void UserModel::fireCall() {
-    const bool incoming = rng_.bernoulli(0.5);
-    device_->activityBegin(symbos::ActivityKind::VoiceCall, incoming);
+    // The direction of a call or message is drawn and then unused: no
+    // analysis reads it.  The draw keeps every later draw where it was.
+    (void)rng_.bernoulli(0.5);
+    device_->activityBegin(symbos::ActivityKind::VoiceCall);
     const auto duration = rng_.lognormalDuration(kCallMedian, kCallSigma);
     const auto epoch = device_->bootEpoch_;
-    device_->simulator().scheduleAfter(duration, "phone.user", [this, epoch, incoming]() {
+    device_->simulator().scheduleAfter(duration, "phone.user", [this, epoch]() {
         if (epoch != device_->bootEpoch_) return;
-        device_->activityEnd(symbos::ActivityKind::VoiceCall, incoming);
+        device_->activityEnd(symbos::ActivityKind::VoiceCall);
     });
     scheduleNextCall();
 }
@@ -140,13 +142,13 @@ void UserModel::scheduleNextMessage() {
 }
 
 void UserModel::fireMessage() {
-    const bool incoming = rng_.bernoulli(0.45);
-    device_->activityBegin(symbos::ActivityKind::TextMessage, incoming);
+    (void)rng_.bernoulli(0.45);  // the direction, as in fireCall
+    device_->activityBegin(symbos::ActivityKind::TextMessage);
     const auto handling = rng_.lognormalDuration(kSmsHandlingMedian, 0.5);
     const auto epoch = device_->bootEpoch_;
-    device_->simulator().scheduleAfter(handling, "phone.user", [this, epoch, incoming]() {
+    device_->simulator().scheduleAfter(handling, "phone.user", [this, epoch]() {
         if (epoch != device_->bootEpoch_) return;
-        device_->activityEnd(symbos::ActivityKind::TextMessage, incoming);
+        device_->activityEnd(symbos::ActivityKind::TextMessage);
     });
     scheduleNextMessage();
 }
@@ -172,12 +174,12 @@ void UserModel::scheduleNextMediaSession() {
         }
         const auto duration =
             rng_.lognormalDuration(appInfo(app).sessionMedian, 0.6);
-        device_->activityBegin(kind, false);
+        device_->activityBegin(kind);
         device_->startAppSession(app, duration);
         const auto epoch = device_->bootEpoch_;
         device_->simulator().scheduleAfter(duration, "phone.user", [this, epoch, kind]() {
             if (epoch != device_->bootEpoch_) return;
-            device_->activityEnd(kind, false);
+            device_->activityEnd(kind);
         });
         scheduleNextMediaSession();
     });

@@ -1,44 +1,33 @@
-// The Symbian system servers the failure logger reads from:
+// The Symbian system servers the failure logger's Panic Detector reads
+// at panic time:
 //
 //   * Application Architecture Server — the registry of running
-//     applications (the logger's Running Applications Detector polls it);
-//   * Database Log Server — the phone activity database: voice calls and
-//     text messages, the only activities Symbian's log database registers
-//     (the logger's Log Engine reads it);
-//   * System Agent Server — battery status (the logger's Power Manager
-//     reads it to tell low-battery shutdowns from failures).
+//     applications;
+//   * System Agent Server — battery status, which also tells low-battery
+//     shutdowns from failures.
+//
+// The paper's logger also copies phone activity from the Database Log
+// Server.  No analysis reads that copy (a PANIC record reads the device's
+// open activities), so the simulated phone has no activity database.
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <string>
 #include <string_view>
 #include <vector>
 
-#include "simkernel/time.hpp"
-
 namespace symfail::symbos {
 
-/// Phone activity categories.  Only VoiceCall and TextMessage are recorded
-/// by the Database Log Server (matching the real phone's log database);
-/// the others exist on the device but are invisible to the logger.
+/// Phone activity categories.  A PANIC record's activity context (Table 3)
+/// reads only VoiceCall and TextMessage, the activities the real phone's
+/// log database registers.
 enum class ActivityKind : std::uint8_t {
     VoiceCall,
     TextMessage,
     Bluetooth,
     Camera,
     WebBrowsing,
-};
-
-[[nodiscard]] std::string_view toString(ActivityKind k);
-
-/// One row in the activity database.
-struct ActivityEvent {
-    sim::TimePoint time;
-    ActivityKind kind{ActivityKind::VoiceCall};
-    bool incoming{false};
-    bool isStart{true};  ///< start-of-activity vs end-of-activity row
 };
 
 /// Application Architecture Server: running-application registry.
@@ -53,30 +42,6 @@ public:
 
 private:
     std::vector<std::string> running_;
-};
-
-/// Database Log Server: persistent phone activity log (survives reboots,
-/// like the real phone's log database).
-class DbLogServer {
-public:
-    /// Records an activity row; rows for kinds the real database does not
-    /// register (Bluetooth, Camera, WebBrowsing) are ignored, mirroring
-    /// the logger's limited visibility.  Precondition: rows arrive in
-    /// time order (no row earlier than the last one recorded).  Devices
-    /// stamp rows with the simulator clock, which never runs backwards,
-    /// so this holds even under an osfault clock plane.
-    void record(const ActivityEvent& event);
-
-    [[nodiscard]] const std::deque<ActivityEvent>& events() const { return events_; }
-    /// Rows at or after `since`, for incremental collection.  A binary
-    /// search, by record()'s time-order precondition.
-    [[nodiscard]] std::vector<ActivityEvent> eventsSince(sim::TimePoint since) const;
-    /// Bounds memory like the phone's rolling log database.
-    void setCapacity(std::size_t maxRows) { capacity_ = maxRows; }
-
-private:
-    std::deque<ActivityEvent> events_;
-    std::size_t capacity_{4096};
 };
 
 /// System Agent Server: battery and charger status.

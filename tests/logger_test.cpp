@@ -3,8 +3,10 @@
 // failure injection against the logger itself (torn writes).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <functional>
+#include <map>
 #include <utility>
 
 #include "faults/injector.hpp"
@@ -138,13 +140,6 @@ protected:
         return device_->flash().lastLine(kBeatsFile);
     }
 
-    /// The complete lines of a flash file.
-    [[nodiscard]] std::vector<std::string_view> flashLines(std::string_view file) {
-        auto lines = splitFields(device_->flash().content(file), '\n');
-        lines.pop_back();  // the text after the final newline
-        return lines;
-    }
-
     sim::Simulator simulator_;
     // Declared before the device so it is destroyed after it: the device's
     // teardown runs the logger's kernel termination hook.
@@ -265,7 +260,7 @@ TEST_F(LoggerFixture, PanicRecordCapturesContext) {
     device_->powerOn();
     runFor(sim::Duration::minutes(5));
     device_->startAppSession(phone::kAppCamera, sim::Duration::minutes(10));
-    device_->activityBegin(symbos::ActivityKind::VoiceCall, true);
+    device_->activityBegin(symbos::ActivityKind::VoiceCall);
 
     const auto victim =
         device_->kernel().createProcess("Buggy", symbos::ProcessKind::UserApp);
@@ -293,7 +288,7 @@ TEST_F(LoggerFixture, PanicRecordCapturesContext) {
 TEST_F(LoggerFixture, MessageContextWinsWhenNoCall) {
     device_->powerOn();
     runFor(sim::Duration::minutes(1));
-    device_->activityBegin(symbos::ActivityKind::TextMessage, true);
+    device_->activityBegin(symbos::ActivityKind::TextMessage);
     const auto victim =
         device_->kernel().createProcess("Buggy", symbos::ProcessKind::UserApp);
     device_->kernel().runInProcess(victim, [](symbos::ExecContext& ctx) {
@@ -361,48 +356,19 @@ TEST_F(LoggerFixture, CleanRunsCountNoRecordAnomalies) {
 }
 
 TEST_F(LoggerFixture, RunappSnapshotsAccumulate) {
+    // The Running Applications Detector counts one snapshot per period
+    // and writes no file; a reboot restarts its cadence.
+    const auto period = logger_->config().runappPeriod;
     device_->powerOn();
     device_->startAppSession(phone::kAppClock, sim::Duration::hours(2));
-    runFor(sim::Duration::minutes(30));
-    EXPECT_GT(logger_->snapshotsWritten(), 10u);
-    const auto lines = flashLines(kRunappFile);
-    ASSERT_FALSE(lines.empty());
-    EXPECT_NE(lines.back().find("Clock"), std::string::npos);
-}
-
-TEST_F(LoggerFixture, ActivityRowsCopiedFromDbLog) {
-    device_->powerOn();
-    device_->activityBegin(symbos::ActivityKind::VoiceCall, false);
-    runFor(sim::Duration::minutes(2));
-    device_->activityEnd(symbos::ActivityKind::VoiceCall, false);
-    runFor(sim::Duration::minutes(10));
-    const auto lines = flashLines(kActivityFile);
-    ASSERT_GE(lines.size(), 2u);
-    EXPECT_NE(lines[0].find("voice-call"), std::string::npos);
-    EXPECT_NE(lines[0].find("start"), std::string::npos);
-    EXPECT_NE(lines[1].find("end"), std::string::npos);
-}
-
-TEST_F(LoggerFixture, ActivityRowsNotRecopiedAfterReboot) {
-    // The DB log survives reboots, so the log engine's copy cursor must
-    // too: a restarted daemon copies only rows it has not copied yet.
-    device_->powerOn();
-    device_->activityBegin(symbos::ActivityKind::VoiceCall, false);
-    runFor(sim::Duration::minutes(2));
-    device_->activityEnd(symbos::ActivityKind::VoiceCall, false);
-    runFor(sim::Duration::minutes(10));
+    runFor(period * 15);
+    EXPECT_EQ(logger_->snapshotsTaken(), 15u);
+    runFor(period / 2);
     device_->requestShutdown(phone::ShutdownKind::UserOff);
     device_->powerOn();
-    runFor(sim::Duration::minutes(10));
-    EXPECT_EQ(flashLines(kActivityFile).size(), 2u);
-}
-
-TEST_F(LoggerFixture, PowerRowsWritten) {
-    device_->powerOn();
-    runFor(sim::Duration::hours(1));
-    const auto lines = flashLines(kPowerFile);
-    EXPECT_GE(lines.size(), 5u);
-    EXPECT_EQ(lines[0].rfind("POWER|", 0), 0u);
+    runFor(period * 3);
+    EXPECT_EQ(logger_->snapshotsTaken(), 18u);
+    EXPECT_EQ(device_->flash().fileCount(), 2u);  // the beats file and the Log File
 }
 
 TEST_F(LoggerFixture, DisabledLoggerWritesNothingAtBoot) {
@@ -422,15 +388,14 @@ TEST_F(LoggerFixture, DisabledLoggerWritesNothingAtBoot) {
 //
 // A logger derives its periodic ticks at the next sync instead of running
 // RTimer-driven AOs; observeTicks() keeps the AOs.  Both must leave the
-// same bytes in every tick file and the Log File, under every fault plane
+// same bytes in the beats file and the Log File, under every fault plane
 // that acts on the logger.
 
-constexpr std::array<std::string_view, 5> kPrintedFiles = {
-    kBeatsFile, kRunappFile, kActivityFile, kPowerFile, kLogFile};
+constexpr std::array<std::string_view, 2> kPrintedFiles = {kBeatsFile, kLogFile};
 
-/// Sizes and hashes of the four tick files and the Log File: enough to
-/// tell two runs apart without keeping megabytes of runapp lines per boot.
-using FlashPrint = std::array<std::pair<std::size_t, std::size_t>, 5>;
+/// Sizes and hashes of the beats file and the Log File: enough to tell
+/// two runs apart without keeping a Log File per boot.
+using FlashPrint = std::array<std::pair<std::size_t, std::size_t>, 2>;
 
 FlashPrint flashPrint(const phone::FlashStore& flash) {
     FlashPrint print{};
@@ -463,14 +428,18 @@ struct TickRun {
 /// rates, run for 60 days under `planes`, attached as the fleet attaches
 /// them; the files are printed at every boot, by a boot hook that runs
 /// before the logger's.
-TickRun runFaultedPhone(std::uint64_t seed, bool observed,
-                        const osfault::PlaneConfig& planes) {
+/// The fleet's fault rates, eight times over.
+faults::FaultRates eightfoldRates() {
     fleet::FleetConfig fleetConfig;
     fleetConfig.panicsPerHour *= 8.0;
     fleetConfig.freezesPerHour *= 8.0;
     fleetConfig.selfShutdownsPerHour *= 8.0;
-    const auto rates = faults::deriveRates(fleet::derivePlan(fleetConfig));
+    return faults::deriveRates(fleet::derivePlan(fleetConfig));
+}
 
+TickRun runFaultedPhone(std::uint64_t seed, bool observed,
+                        const osfault::PlaneConfig& planes) {
+    const auto rates = eightfoldRates();
     sim::Simulator simulator;
     phone::PhoneDevice::Config config;
     config.name = "ticks";
@@ -495,7 +464,7 @@ TickRun runFaultedPhone(std::uint64_t seed, bool observed,
     run.planes = registry.stats();
     run.atEnd = flashPrint(device->flash());
     run.heartbeats = logger->heartbeatsWritten();
-    run.snapshots = logger->snapshotsWritten();
+    run.snapshots = logger->snapshotsTaken();
     run.daemonDeaths = logger->daemonDeaths();
     return run;
 }
@@ -547,7 +516,7 @@ TEST(DerivedTicks, TickFilesMatchAoTicksAtEveryBoot) {
 }
 
 struct QuietOutcome {
-    std::array<std::string, 4> tickFiles;
+    std::string beats;
     std::string logFile;
     std::uint64_t heartbeats{0};
     std::uint64_t snapshots{0};
@@ -579,12 +548,10 @@ QuietOutcome runQuietPhone(bool observed, const Scenario& scenario) {
     device->powerOn();
     scenario(simulator, *device, *logger);
     QuietOutcome outcome;
-    for (std::size_t i = 0; i < outcome.tickFiles.size(); ++i) {
-        outcome.tickFiles[i] = device->flash().content(kPrintedFiles[i]);
-    }
+    outcome.beats = device->flash().content(kBeatsFile);
     outcome.logFile = logger->logFileContent();
     outcome.heartbeats = logger->heartbeatsWritten();
-    outcome.snapshots = logger->snapshotsWritten();
+    outcome.snapshots = logger->snapshotsTaken();
     return outcome;
 }
 
@@ -593,7 +560,7 @@ QuietOutcome runQuietPhone(bool observed, const Scenario& scenario) {
 QuietOutcome expectSameInBothModes(const Scenario& scenario) {
     const QuietOutcome derived = runQuietPhone(false, scenario);
     const QuietOutcome ao = runQuietPhone(true, scenario);
-    EXPECT_EQ(derived.tickFiles, ao.tickFiles);
+    EXPECT_EQ(derived.beats, ao.beats);
     EXPECT_EQ(derived.logFile, ao.logFile);
     EXPECT_EQ(derived.heartbeats, ao.heartbeats);
     EXPECT_EQ(derived.snapshots, ao.snapshots);
@@ -626,18 +593,6 @@ TEST(DerivedTicks, FreezeQueuedAtAHeartbeatsInstantSuppressesIt) {
     EXPECT_EQ(boots[1].lastBeatAt, sim::TimePoint::origin());
 }
 
-TEST(DerivedTicks, SessionClosedAtARunappTickIsNotInItsSnapshot) {
-    const auto runapp = LoggerConfig{}.runappPeriod;
-    const QuietOutcome outcome =
-        expectSameInBothModes([&](sim::Simulator& simulator, phone::PhoneDevice& device, FailureLogger&) {
-            device.startAppSession(phone::kAppClock, runapp);
-            simulator.runUntil(sim::TimePoint::origin() + sim::Duration::minutes(10));
-        });
-    const auto lines = splitFields(outcome.tickFiles[1], '\n');
-    ASSERT_GE(lines.size(), 2u);
-    EXPECT_EQ(lines[0], "RUNAPP|" + std::to_string(runapp.totalMicros()) + "|");
-}
-
 TEST(DerivedTicks, BatteryPullBetweenRunsKeepsTheHeartbeatAtThatInstant) {
     const auto heartbeat = LoggerConfig{}.heartbeatPeriod;
     const QuietOutcome outcome =
@@ -661,12 +616,14 @@ void squeezeDaemonHeap(phone::PhoneDevice& device, FailureLogger& logger) {
     heap.setCapacity(heap.bytesInUse());
 }
 
-TEST(DerivedTicks, OomKillOnAPowerTicksInstantRunsThePowerTickFirst) {
+TEST(DerivedTicks, OomKillWhereAllFourTicksCoincideDumpsFourAos) {
     // The squeeze lands before the tenth heartbeat, which shares its
     // instant with the first power tick (and a runapp and a log-engine
-    // tick).  Same-instant AO ticks run longest period first, so the power
-    // line is written before the heartbeat's allocation kills the daemon.
+    // tick).  The heartbeat's scratch allocation kills the daemon there:
+    // one PANIC and one DUMP, which counts the four AOs, and the ninth
+    // beat stays the last.
     const auto power = LoggerConfig{}.powerPeriod;
+    const auto heartbeat = LoggerConfig{}.heartbeatPeriod;
     const QuietOutcome outcome = expectSameInBothModes(
         [&](sim::Simulator& simulator, phone::PhoneDevice& device, FailureLogger& logger) {
             simulator.scheduleAt(sim::TimePoint::origin() + power - sim::Duration::seconds(30),
@@ -674,11 +631,18 @@ TEST(DerivedTicks, OomKillOnAPowerTicksInstantRunsThePowerTickFirst) {
                                  [&device, &logger]() { squeezeDaemonHeap(device, logger); });
             simulator.runUntil(sim::TimePoint::origin() + sim::Duration::hours(1));
         });
-    EXPECT_EQ(splitFields(outcome.tickFiles[3], '\n').size(), 2u);  // one line
+    EXPECT_EQ(outcome.beats,
+              serialize(BeatRecord{sim::TimePoint::origin() + heartbeat * 9, BeatKind::Alive}) +
+                  "\n");
+    std::vector<PanicRecord> panics;
     std::vector<crash::CrashDump> dumps;
     for (const auto& entry : parseLogFile(outcome.logFile)) {
+        if (entry.type == LogFileEntry::Type::Panic) panics.push_back(entry.panic);
         if (entry.type == LogFileEntry::Type::Dump) dumps.push_back(entry.dump);
     }
+    ASSERT_EQ(panics.size(), 1u);
+    EXPECT_EQ(panics[0].panic, symbos::kCBaseSchedulerError);
+    EXPECT_EQ(panics[0].time, sim::TimePoint::origin() + power);
     ASSERT_EQ(dumps.size(), 1u);
     EXPECT_EQ(dumps[0].panic, symbos::kCBaseSchedulerError);
     EXPECT_EQ(dumps[0].time, sim::TimePoint::origin() + power);
@@ -724,9 +688,157 @@ TEST(DerivedTicks, TornBeatArmedBeforeSeveralDueBeatsTearsTheFirst) {
             simulator.runUntil(sim::TimePoint::origin() + heartbeat * 20);
         });
     EXPECT_FALSE(fault.armed(kBeatsFile));
-    EXPECT_EQ(outcome.tickFiles[0],
+    EXPECT_EQ(outcome.beats,
               serialize(BeatRecord{sim::TimePoint::origin() + heartbeat * 20, BeatKind::Alive}) +
                   "\n");
+}
+
+// -- Beats reference ---------------------------------------------------------------
+//
+// The BOOT records checked against what the phone did, not against a second
+// run of the same writers: the ground-truth journal says when each daemon
+// run started and how it ended, and the heartbeat's cadence says which
+// beat was the last one written.
+
+/// The journal entries that start or end a daemon run, in time order.
+std::vector<phone::TruthEvent> daemonJournal(const phone::GroundTruth& truth) {
+    using phone::TruthKind;
+    std::vector<phone::TruthEvent> journal;
+    for (const TruthKind kind :
+         {TruthKind::Boot, TruthKind::Freeze, TruthKind::SelfShutdown, TruthKind::UserShutdown,
+          TruthKind::NightShutdown, TruthKind::LowBatteryShutdown, TruthKind::LoggerManualOff,
+          TruthKind::LoggerManualOn}) {
+        const auto events = truth.eventsOf(kind);
+        journal.insert(journal.end(), events.begin(), events.end());
+    }
+    std::stable_sort(journal.begin(), journal.end(),
+                     [](const phone::TruthEvent& a, const phone::TruthEvent& b) {
+                         return a.time < b.time;
+                     });
+    return journal;
+}
+
+using ClockFn = std::function<sim::TimePoint(sim::TimePoint)>;
+
+/// The BOOT records Section 5.2's rules give for `journal`.  A daemon run
+/// starts at a boot or when the user turns the logger back on, and beats
+/// every heartbeat period from its start.  A graceful shutdown or MAOFF
+/// writes its marker at its instant; a freeze leaves the last beat before
+/// it (a beat due at the freeze's instant loses to the freeze, METHODOLOGY
+/// §1).  Stamps go through `clock`.
+std::vector<BootRecord> referenceBoots(const std::vector<phone::TruthEvent>& journal,
+                                       const ClockFn& clock) {
+    using phone::TruthKind;
+    const sim::Duration period = LoggerConfig{}.heartbeatPeriod;
+    std::vector<BootRecord> boots;
+    bool enabled = true;
+    bool running = false;
+    sim::TimePoint started;
+    // What the beats file's last line says, in simulation time.
+    PriorShutdown prior = PriorShutdown::None;
+    sim::TimePoint lastBeat = sim::TimePoint::origin();
+    const auto start = [&](sim::TimePoint at) {
+        boots.push_back(BootRecord{
+            clock(at), prior,
+            prior == PriorShutdown::None ? sim::TimePoint::origin() : clock(lastBeat)});
+        running = true;
+        started = at;
+        prior = PriorShutdown::Freeze;  // an ALIVE beat
+        lastBeat = at;
+    };
+    const auto stop = [&](PriorShutdown marker, sim::TimePoint at) {
+        if (!running) return;
+        running = false;
+        prior = marker;
+        lastBeat = at;
+    };
+    for (const phone::TruthEvent& event : journal) {
+        switch (event.kind) {
+            case TruthKind::Boot:
+                if (enabled) start(event.time);
+                break;
+            case TruthKind::LoggerManualOn:
+                if (!enabled) {
+                    enabled = true;
+                    start(event.time);
+                }
+                break;
+            case TruthKind::LoggerManualOff:
+                if (enabled) {
+                    enabled = false;
+                    stop(PriorShutdown::ManualOff, event.time);
+                }
+                break;
+            case TruthKind::Freeze: {
+                const std::int64_t beats =
+                    ((event.time - started).totalMicros() - 1) / period.totalMicros();
+                stop(PriorShutdown::Freeze, started + period * beats);
+                break;
+            }
+            case TruthKind::LowBatteryShutdown:
+                stop(PriorShutdown::LowBattery, event.time);
+                break;
+            default:  // the self, user and night shutdowns
+                stop(PriorShutdown::Reboot, event.time);
+                break;
+        }
+    }
+    return boots;
+}
+
+TEST(BeatsReference, BootRecordsMatchTheGroundTruthJournal) {
+    // Without a clock plane the stamps are simulation time; with a
+    // skew-only one (no jumps) the clock is a pure function of it.
+    constexpr double kSkewPpm = 200.0;
+    const ClockFn trueTime = [](sim::TimePoint t) { return t; };
+    const ClockFn skewed = [](sim::TimePoint t) {
+        const double elapsed = (t - sim::TimePoint::origin()).asSecondsF();
+        return t + sim::Duration::fromSecondsF(elapsed * kSkewPpm / 1e6);
+    };
+    osfault::PlaneConfig skew;
+    skew.clock.skewPpm = kSkewPpm;
+    std::map<PriorShutdown, std::size_t> priors;
+    for (const bool clocked : {false, true}) {
+        for (const std::uint64_t seed : {1u, 2u, 3u, 4u, 5u}) {
+            SCOPED_TRACE(testing::Message() << "clock plane " << clocked << " seed " << seed);
+            sim::Simulator simulator;
+            phone::PhoneDevice::Config config;
+            config.name = "reference";
+            config.seed = seed;
+            config.profile.loggerTogglesPerMonth = 3.0;
+            // Declared before the device so they outlive it.
+            osfault::PlaneRegistry registry{clocked ? skew : osfault::PlaneConfig{}};
+            std::unique_ptr<FailureLogger> logger;
+            std::unique_ptr<faults::FaultInjector> injector;
+            auto device = std::make_unique<phone::PhoneDevice>(simulator, config);
+            logger = std::make_unique<FailureLogger>(*device);
+            injector = std::make_unique<faults::FaultInjector>(*device, eightfoldRates(),
+                                                               seed * 31 + 7);
+            if (clocked) {
+                registry.attach(simulator, *device, *logger, nullptr, nullptr, seed * 17 + 3);
+            }
+            device->powerOn();
+            simulator.runUntil(sim::TimePoint::origin() + sim::Duration::days(60));
+
+            const std::vector<BootRecord> expected = referenceBoots(
+                daemonJournal(device->groundTruth()), clocked ? skewed : trueTime);
+            const std::vector<BootRecord> boots = bootRecords(logger->logFileContent());
+            EXPECT_GT(boots.size(), 5u);
+            ASSERT_EQ(boots.size(), expected.size());
+            for (std::size_t i = 0; i < boots.size(); ++i) {
+                SCOPED_TRACE(testing::Message() << "boot " << i);
+                EXPECT_EQ(boots[i].time, expected[i].time);
+                EXPECT_EQ(boots[i].prior, expected[i].prior);
+                EXPECT_EQ(boots[i].lastBeatAt, expected[i].lastBeatAt);
+                ++priors[boots[i].prior];
+            }
+        }
+    }
+    // Freezes, graceful shutdowns and MAOFF all ended daemon runs (these
+    // phones never ran their battery flat).
+    EXPECT_GT(priors[PriorShutdown::Freeze], 10u);
+    EXPECT_GT(priors[PriorShutdown::Reboot], 10u);
+    EXPECT_GT(priors[PriorShutdown::ManualOff], 0u);
 }
 
 }  // namespace

@@ -262,23 +262,22 @@ TEST_F(DeviceFixture, ActivitiesTrackedAndLogged) {
     device_->addActivityHook([&](symbos::ActivityKind kind, bool started) {
         if (kind == symbos::ActivityKind::VoiceCall && started) ++hookStarts;
     });
-    device_->activityBegin(symbos::ActivityKind::VoiceCall, true);
+    device_->activityBegin(symbos::ActivityKind::VoiceCall);
     EXPECT_TRUE(device_->activityActive(symbos::ActivityKind::VoiceCall));
     EXPECT_TRUE(device_->appArch().isRunning(kAppTelephone));
-    device_->activityEnd(symbos::ActivityKind::VoiceCall, true);
+    device_->activityEnd(symbos::ActivityKind::VoiceCall);
     EXPECT_FALSE(device_->activityActive(symbos::ActivityKind::VoiceCall));
     EXPECT_FALSE(device_->appArch().isRunning(kAppTelephone));
     EXPECT_EQ(hookStarts, 1);
-    EXPECT_EQ(device_->dbLog().events().size(), 2u);
 }
 
 TEST_F(DeviceFixture, OverlappingCallsRefcount) {
     device_->powerOn();
-    device_->activityBegin(symbos::ActivityKind::VoiceCall, true);
-    device_->activityBegin(symbos::ActivityKind::VoiceCall, false);  // waiting call
-    device_->activityEnd(symbos::ActivityKind::VoiceCall, true);
+    device_->activityBegin(symbos::ActivityKind::VoiceCall);
+    device_->activityBegin(symbos::ActivityKind::VoiceCall);  // waiting call
+    device_->activityEnd(symbos::ActivityKind::VoiceCall);
     EXPECT_TRUE(device_->activityActive(symbos::ActivityKind::VoiceCall));
-    device_->activityEnd(symbos::ActivityKind::VoiceCall, false);
+    device_->activityEnd(symbos::ActivityKind::VoiceCall);
     EXPECT_FALSE(device_->activityActive(symbos::ActivityKind::VoiceCall));
 }
 
@@ -331,20 +330,19 @@ TEST(UserModel, GeneratesDiurnalActivity) {
     config.profile.daytimeOffPerDay = 0.0;
     config.profile.quickCyclesPerDay = 0.0;
     PhoneDevice device{simulator, config};
+    std::size_t callStarts = 0;
+    device.addActivityHook([&](symbos::ActivityKind kind, bool started) {
+        if (kind != symbos::ActivityKind::VoiceCall || !started) return;
+        ++callStarts;
+        // Diurnal: calls only between wake and sleep hours.
+        const auto hour = simulator.now().timeOfDay().totalSeconds() / 3'600;
+        EXPECT_GE(hour, kWakeHour);
+        EXPECT_LT(hour, kSleepHour);
+    });
     device.powerOn();
     simulator.runUntil(sim::TimePoint::origin() + sim::Duration::days(14));
 
     // ~6 calls/day over 14 days, Poisson: expect the right order.
-    std::size_t callStarts = 0;
-    for (const auto& e : device.dbLog().events()) {
-        if (e.kind == symbos::ActivityKind::VoiceCall && e.isStart) {
-            ++callStarts;
-            // Diurnal: calls only between wake and sleep hours.
-            const auto hour = e.time.timeOfDay().totalSeconds() / 3'600;
-            EXPECT_GE(hour, kWakeHour);
-            EXPECT_LT(hour, kSleepHour);
-        }
-    }
     EXPECT_GT(callStarts, 40u);
     EXPECT_LT(callStarts, 160u);
 }

@@ -746,75 +746,6 @@ TEST(SysServers, AppArchTracksRunning) {
     EXPECT_TRUE(appArch.running().empty());
 }
 
-TEST(SysServers, DbLogOnlyRegistersCallsAndMessages) {
-    DbLogServer dbLog;
-    dbLog.record(ActivityEvent{sim::TimePoint::fromMicros(1),
-                               ActivityKind::VoiceCall, true, true});
-    dbLog.record(ActivityEvent{sim::TimePoint::fromMicros(2),
-                               ActivityKind::Bluetooth, false, true});
-    dbLog.record(ActivityEvent{sim::TimePoint::fromMicros(3),
-                               ActivityKind::TextMessage, false, true});
-    EXPECT_EQ(dbLog.events().size(), 2u);
-}
-
-TEST(SysServers, DbLogEventsSince) {
-    const auto at = [](std::int64_t us) { return sim::TimePoint::fromMicros(us); };
-    DbLogServer dbLog;
-    // Every answer must equal a scan of the rows still held.
-    const auto expectMatchesScan = [&]() {
-        for (std::int64_t since = -1; since <= 701; ++since) {
-            std::vector<ActivityEvent> scan;
-            for (const auto& e : dbLog.events()) {
-                if (e.time >= at(since)) scan.push_back(e);
-            }
-            const auto rows = dbLog.eventsSince(at(since));
-            ASSERT_EQ(rows.size(), scan.size()) << "since " << since;
-            for (std::size_t i = 0; i < rows.size(); ++i) {
-                EXPECT_EQ(rows[i].time, scan[i].time);
-                EXPECT_EQ(rows[i].incoming, scan[i].incoming);
-            }
-        }
-    };
-    for (int i = 0; i < 5; ++i) {
-        dbLog.record(ActivityEvent{at(i * 100), ActivityKind::VoiceCall, false, true});
-    }
-    EXPECT_EQ(dbLog.eventsSince(at(200)).size(), 3u);
-    EXPECT_EQ(dbLog.eventsSince(at(-1)).size(), 5u);  // before the first row
-    EXPECT_TRUE(dbLog.eventsSince(at(401)).empty());  // after the last row
-
-    // Several rows in one microsecond: `since` at that microsecond returns
-    // all of them, in recording order.
-    for (int i = 0; i < 3; ++i) {
-        dbLog.record(ActivityEvent{at(500), ActivityKind::TextMessage, i == 1, true});
-    }
-    const auto same = dbLog.eventsSince(at(500));
-    ASSERT_EQ(same.size(), 3u);
-    EXPECT_FALSE(same[0].incoming);
-    EXPECT_TRUE(same[1].incoming);
-    EXPECT_FALSE(same[2].incoming);
-    expectMatchesScan();
-
-    // Past its capacity the log has evicted its oldest rows: 500, 500, 500
-    // and 600 remain.
-    dbLog.setCapacity(4);
-    dbLog.record(ActivityEvent{at(600), ActivityKind::VoiceCall, false, false});
-    ASSERT_EQ(dbLog.events().size(), 4u);
-    EXPECT_EQ(dbLog.eventsSince(at(0)).size(), 4u);
-    EXPECT_EQ(dbLog.eventsSince(at(501)).size(), 1u);
-    expectMatchesScan();
-}
-
-TEST(SysServers, DbLogCapacityRolls) {
-    DbLogServer dbLog;
-    dbLog.setCapacity(3);
-    for (int i = 0; i < 10; ++i) {
-        dbLog.record(ActivityEvent{sim::TimePoint::fromMicros(i),
-                                   ActivityKind::VoiceCall, false, true});
-    }
-    EXPECT_EQ(dbLog.events().size(), 3u);
-    EXPECT_EQ(dbLog.events().front().time.micros(), 7);
-}
-
 TEST(SysServers, SystemAgentLowBatteryHookFiresOnce) {
     SystemAgentServer agent;
     int fired = 0;
