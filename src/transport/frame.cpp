@@ -156,36 +156,36 @@ std::optional<Ack> decodeAck(std::string_view bytes) {
     return ack;
 }
 
-std::vector<Frame> chunkLogContent(const std::string& phone, std::string_view content,
-                                   std::size_t payloadBytes) {
+std::vector<SegmentSpan> segmentSpans(std::string_view content,
+                                      std::size_t payloadBytes) {
     if (payloadBytes == 0) payloadBytes = 1;
-    std::vector<Frame> frames;
-    std::string current;
-    std::size_t start = 0;
-    const auto flush = [&]() {
-        if (current.empty()) return;
-        Frame frame;
-        frame.phone = phone;
-        frame.seq = static_cast<std::uint32_t>(frames.size());
-        frame.payload = std::move(current);
-        frames.push_back(std::move(frame));
-        current.clear();
+    std::vector<SegmentSpan> spans;
+    std::size_t open = 0;  ///< Start of the open segment.
+    const auto close = [&](std::size_t end) {
+        spans.push_back({open, end - open});
+        open = end;
     };
-    while (start < content.size()) {
-        auto lineEnd = content.find('\n', start);
-        // A torn final line (no trailing '\n') still ships; the parser
-        // already treats it as a torn write.
+    for (std::size_t start = 0; start < content.size();) {
+        const std::size_t lineEnd = content.find('\n', start);
         const std::size_t stop =
             lineEnd == std::string_view::npos ? content.size() : lineEnd + 1;
-        const std::string_view line = content.substr(start, stop - start);
-        if (!current.empty() && current.size() + line.size() > payloadBytes) flush();
-        current += line;
-        if (current.size() >= payloadBytes) flush();
+        if (start != open && stop - open > payloadBytes) close(start);
+        if (stop - open >= payloadBytes) close(stop);
         start = stop;
     }
-    flush();
-    for (auto& frame : frames) {
-        frame.segCount = static_cast<std::uint32_t>(frames.size());
+    if (open != content.size()) close(content.size());
+    return spans;
+}
+
+std::vector<Frame> chunkLogContent(const std::string& phone, std::string_view content,
+                                   std::size_t payloadBytes) {
+    const std::vector<SegmentSpan> spans = segmentSpans(content, payloadBytes);
+    std::vector<Frame> frames(spans.size());
+    for (std::size_t seq = 0; seq < spans.size(); ++seq) {
+        frames[seq].phone = phone;
+        frames[seq].seq = static_cast<std::uint32_t>(seq);
+        frames[seq].segCount = static_cast<std::uint32_t>(spans.size());
+        frames[seq].payload = content.substr(spans[seq].offset, spans[seq].length);
     }
     return frames;
 }

@@ -62,10 +62,24 @@ struct FrameHeader {
 /// header (acks included).
 [[nodiscard]] std::optional<FrameHeader> parseFrameHeader(std::string_view bytes);
 
+/// Where one segment's payload lies in the Log File content.
+struct SegmentSpan {
+    std::size_t offset{0};
+    std::size_t length{0};
+};
+
 /// Splits Log File content into line-aligned segments of at most
-/// `payloadBytes` each (a single oversized line gets its own segment).
-/// Greedy from the start: for append-only content, every segment except
-/// the last is stable across calls.
+/// `payloadBytes` each (0 counts as 1).  Greedy from the start: a line
+/// joins the open segment if it fits, else starts the next one; a line
+/// longer than `payloadBytes` gets a segment of its own, and a segment is
+/// closed as soon as it is full.  A torn final line (no trailing '\n')
+/// still ships.  For append-only content, every segment except the last
+/// is stable across calls.
+[[nodiscard]] std::vector<SegmentSpan> segmentSpans(std::string_view content,
+                                                    std::size_t payloadBytes);
+
+/// The segments of segmentSpans() as frames carrying a copy of their
+/// payload, numbered from 0, each with the segment count.
 [[nodiscard]] std::vector<Frame> chunkLogContent(const std::string& phone,
                                                  std::string_view content,
                                                  std::size_t payloadBytes);

@@ -1,6 +1,7 @@
 #include "transport/upload_agent.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "obs/provenance.hpp"
 #include "symbos/err.hpp"
@@ -113,38 +114,41 @@ sim::Duration UploadAgent::nextDelay(bool pendingRemain) {
 void UploadAgent::runRound(const symbos::ExecContext& ctx) {
     ++stats_.rounds;
     const std::string& content = logger_->logFileContent();
-    const auto frames =
-        chunkLogContent(device_->name(), content, kChunkPayloadBytes);
+    const auto spans = segmentSpans(content, kChunkPayloadBytes);
     if (provenance_ != nullptr) {
         provenance_->snapshotEnqueued(device_->name(), content.size(),
                                       device_->simulator().now());
     }
 
+    // One frame, refilled for each segment put on the wire: a round copies
+    // only the payloads it sends.
+    Frame frame;
+    frame.phone = device_->name();
+    frame.segCount = static_cast<std::uint32_t>(spans.size());
     std::size_t sentThisRound = 0;
     std::size_t pending = 0;
-    std::uint64_t frameOffset = 0;  ///< Log offset of the current frame.
-    for (const auto& frame : frames) {
-        const std::uint64_t offset = frameOffset;
-        frameOffset += frame.payload.size();
-        const auto ackedIt = ackedBytes_.find(frame.seq);
+    for (std::uint32_t seq = 0; seq < frame.segCount; ++seq) {
+        const SegmentSpan& span = spans[seq];
+        const auto ackedIt = ackedBytes_.find(seq);
         const bool satisfied =
-            ackedIt != ackedBytes_.end() && ackedIt->second >= frame.payload.size();
+            ackedIt != ackedBytes_.end() && ackedIt->second >= span.length;
         if (satisfied) continue;
         ++pending;
         if (sentThisRound >= kMaxBatchFrames) continue;
         ++sentThisRound;
 
-        auto& sent = sentBytes_[frame.seq];
-        const bool retransmit = sent >= frame.payload.size();
+        auto& sent = sentBytes_[seq];
+        const bool retransmit = sent >= span.length;
         if (retransmit) ++stats_.retransmits;
-        sent = std::max(sent, static_cast<std::uint32_t>(frame.payload.size()));
+        sent = std::max(sent, static_cast<std::uint32_t>(span.length));
         if (provenance_ != nullptr) {
-            provenance_->segmentSent(device_->name(), frame.seq, offset,
-                                     frame.payload.size(), retransmit,
-                                     device_->simulator().now());
+            provenance_->segmentSent(device_->name(), seq, span.offset, span.length,
+                                     retransmit, device_->simulator().now());
         }
 
-        const std::string bytes = encodeFrame(frame);
+        frame.seq = seq;
+        frame.payload.assign(content, span.offset, span.length);
+        std::string bytes = encodeFrame(frame);
         ++stats_.framesSent;
         stats_.bytesSent += bytes.size();
         if (auto* trace = device_->simulator().traceSink()) {
@@ -154,7 +158,7 @@ void UploadAgent::runRound(const symbos::ExecContext& ctx) {
             trace->instant(device_->traceTrack(), "transport", "segment-send",
                            device_->simulator().now(), args);
         }
-        dataChannel_->send(bytes);
+        dataChannel_->send(std::move(bytes));
     }
 
     // Acks for this batch are still in flight; re-check at the next firing.

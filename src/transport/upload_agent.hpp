@@ -5,9 +5,10 @@
 // logger's detectors) that carries the Log File to the collection server
 // over an unreliable channel:
 //
-//   * each round it snapshots the Log File, chunks it into CRC-framed,
-//     sequence-numbered segments (transport/frame.hpp) and sends every
-//     segment the server has not yet acknowledged, up to a batch limit;
+//   * each round it splits the Log File into line-aligned segments
+//     (transport/frame.hpp) and sends every segment the server has not
+//     yet acknowledged, up to a batch limit, as a CRC-framed,
+//     sequence-numbered frame;
 //   * unacknowledged segments are retransmitted with exponential backoff
 //     plus jitter, up to a per-round retry budget; when the budget runs
 //     out the agent gives up until the next regular round (old segments

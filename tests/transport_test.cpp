@@ -4,8 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <memory>
 #include <set>
+#include <string>
+#include <string_view>
+#include <vector>
 
 #include "analysis/dataset.hpp"
 #include "fleet/collection.hpp"
@@ -13,6 +17,7 @@
 #include "logger/logger.hpp"
 #include "logger/records.hpp"
 #include "phone/device.hpp"
+#include "simkernel/rng.hpp"
 #include "simkernel/simulator.hpp"
 #include "transport/channel.hpp"
 #include "transport/frame.hpp"
@@ -113,6 +118,104 @@ TEST(Frame, OversizedLineGetsItsOwnSegment) {
         if (frame.payload.find(big) != std::string::npos) found = true;
     }
     EXPECT_TRUE(found);
+}
+
+/// The packer as first written, string by string: the reference for
+/// segmentSpans and chunkLogContent.
+std::vector<std::string> referenceChunks(std::string_view content, std::size_t payloadBytes) {
+    if (payloadBytes == 0) payloadBytes = 1;
+    std::vector<std::string> chunks;
+    std::string current;
+    const auto flush = [&]() {
+        if (current.empty()) return;
+        chunks.push_back(current);
+        current.clear();
+    };
+    std::size_t start = 0;
+    while (start < content.size()) {
+        const auto lineEnd = content.find('\n', start);
+        const std::size_t stop =
+            lineEnd == std::string_view::npos ? content.size() : lineEnd + 1;
+        const std::string_view line = content.substr(start, stop - start);
+        if (!current.empty() && current.size() + line.size() > payloadBytes) flush();
+        current += line;
+        if (current.size() >= payloadBytes) flush();
+        start = stop;
+    }
+    flush();
+    return chunks;
+}
+
+/// A line length from 0 to 3x `payloadBytes`: half the time uniform, half
+/// the time one whose line, with its '\n', fills a segment exactly: on its
+/// own, after a one-byte line, or as one of two halves.
+std::size_t randomLineLength(sim::Rng& rng, std::size_t payloadBytes) {
+    if (rng.bernoulli(0.5)) {
+        return static_cast<std::size_t>(
+            rng.uniformInt(0, static_cast<std::int64_t>(3 * payloadBytes)));
+    }
+    const std::array<std::size_t, 4> filling{0, payloadBytes / 2 - 1, payloadBytes - 2,
+                                             payloadBytes - 1};
+    const std::size_t length = filling[static_cast<std::size_t>(rng.uniformInt(0, 3))];
+    return length > 3 * payloadBytes ? 0 : length;  // the small payloads wrap
+}
+
+/// Appends `lines` random lines, and maybe a torn tail without its '\n'.
+void appendRandomLines(sim::Rng& rng, std::string& content, std::size_t payloadBytes,
+                       int lines) {
+    const auto text = [&](std::size_t length) {
+        for (std::size_t i = 0; i < length; ++i) {
+            content += static_cast<char>('a' + rng.uniformInt(0, 25));
+        }
+    };
+    for (int i = 0; i < lines; ++i) {
+        text(randomLineLength(rng, payloadBytes));
+        content += '\n';
+    }
+    if (rng.bernoulli(0.5)) text(std::max<std::size_t>(1, randomLineLength(rng, payloadBytes)));
+}
+
+void expectSameSegments(const std::string& content, std::size_t payloadBytes) {
+    const std::vector<std::string> expected = referenceChunks(content, payloadBytes);
+    const std::vector<SegmentSpan> spans = segmentSpans(content, payloadBytes);
+    const std::vector<Frame> frames = chunkLogContent("p", content, payloadBytes);
+    ASSERT_EQ(spans.size(), expected.size());
+    ASSERT_EQ(frames.size(), expected.size());
+    std::size_t offset = 0;
+    for (std::size_t i = 0; i < expected.size(); ++i) {
+        EXPECT_EQ(spans[i].offset, offset) << "segment " << i;
+        EXPECT_EQ(spans[i].length, expected[i].size()) << "segment " << i;
+        EXPECT_EQ(content.substr(spans[i].offset, spans[i].length), expected[i]);
+        EXPECT_EQ(frames[i].payload, expected[i]) << "segment " << i;
+        EXPECT_EQ(frames[i].seq, i);
+        EXPECT_EQ(frames[i].segCount, expected.size());
+        offset += expected[i].size();
+    }
+    EXPECT_EQ(offset, content.size());
+}
+
+TEST(Frame, SegmentSpansMatchTheReferenceChunker) {
+    sim::Rng rng{2026};
+    for (const std::size_t payloadBytes : {std::size_t{1}, std::size_t{64}, std::size_t{2048}}) {
+        for (int file = 0; file < 25; ++file) {
+            SCOPED_TRACE(testing::Message() << "payload " << payloadBytes << " file " << file);
+            std::string content;
+            // The Log File grows, gets torn, and grows on from the tear.
+            for (int step = 0; step < 6; ++step) {
+                if (step % 3 == 2) {
+                    content.resize(static_cast<std::size_t>(
+                        rng.uniformInt(0, static_cast<std::int64_t>(content.size()))));
+                } else {
+                    appendRandomLines(rng, content, payloadBytes,
+                                      static_cast<int>(rng.uniformInt(0, 12)));
+                }
+                expectSameSegments(content, payloadBytes);
+            }
+        }
+    }
+    expectSameSegments("", 64);
+    expectSameSegments("\n\n\n", 1);
+    expectSameSegments("no newline at all", 0);
 }
 
 // -- Channel -------------------------------------------------------------------
