@@ -23,9 +23,11 @@ Anything else is informational only (including the host capacity columns
 peak_rss_mb / heap_allocs / heap_alloc_mb every bench now emits).
 
 Special case: the overheads in OVERHEAD_CAPS_PCT (provenance, idle
-fault planes, monitor, srgm, accounting) also carry an absolute
-acceptance bar of 5 points, the bar each bench prints: they must stay
-cheap no matter what the baseline machine measured.
+fault planes, monitor, accounting) also carry an absolute acceptance bar
+of 5 points, the bar each bench prints: they must stay cheap no matter
+what the baseline machine measured.  The SRGM analysis is priced per
+phone-year of data instead (srgm_seconds_per_phone_year): its share of
+the campaign's time moves whenever the simulator gets faster.
 
 Baselines are machine-specific by nature; regenerate with
     ./build/bench/bench_transport_ingest --json ... (etc.)
@@ -41,7 +43,6 @@ OVERHEAD_CAPS_PCT = {
     "provenance_overhead_pct": 5.0,
     "idle_overhead_pct": 5.0,
     "monitor_overhead_pct": 5.0,
-    "srgm_overhead_pct": 5.0,
     "accounting_overhead_pct": 5.0,
 }
 
