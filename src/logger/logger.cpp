@@ -29,6 +29,11 @@ FailureLogger::FailureLogger(PhoneDevice& device, LoggerConfig config)
     device_->addPowerDownHook([this]() { teardownDaemon(); });
     device_->setLoggerToggleHook([this](bool on) { setEnabled(on); });
     device_->setLoggerSyncHook([this]() { catchUp(); });
+    device_->setBatteryTickHook([this](sim::TimePoint at) {
+        // The next sync's beat overwrites the ones a battery tick would
+        // have written, unless a plane sees them.
+        if (planeSeesBeats()) writeDueTicks(at - sim::Duration::micros(1));
+    });
     device_->flash().setReadHook([this](std::string_view file) {
         if (file == kBeatsFile) catchUp();
     });
@@ -108,34 +113,41 @@ sim::TimePoint FailureLogger::dueBy() const {
                                    : simulator.now();
 }
 
-std::uint64_t FailureLogger::dueTicks(const Cadence& cadence) const {
+std::uint64_t FailureLogger::dueTicks(const Cadence& cadence, sim::TimePoint last) const {
     if (!deriving_ || !device_->isOn()) return 0;
-    const sim::TimePoint last = dueBy();
     if (cadence.next > last) return 0;
     return static_cast<std::uint64_t>((last - cadence.next).totalMicros() /
                                       cadence.period.totalMicros()) +
            1;
 }
 
+bool FailureLogger::planeSeesBeats() const {
+    return device_->clockAttached() || device_->flash().writeFaultArmed(kBeatsFile);
+}
+
 void FailureLogger::catchUp() {
+    device_->syncBattery();
+    writeDueTicks(dueBy());
+}
+
+void FailureLogger::writeDueTicks(sim::TimePoint last) {
     if (!deriving_) return;
     if (!device_->isOn()) {
         deriving_ = false;
         return;
     }
     // The three duties that write nothing only count their due ticks.
-    snapshots_ += dueTicks(runapp_);
+    snapshots_ += dueTicks(runapp_, last);
     for (Cadence* duty : {&runapp_, &logEngine_, &power_}) {
-        duty->next += duty->period * static_cast<std::int64_t>(dueTicks(*duty));
+        duty->next += duty->period * static_cast<std::int64_t>(dueTicks(*duty, last));
     }
-    std::uint64_t beats = dueTicks(heartbeat_);
+    std::uint64_t beats = dueTicks(heartbeat_, last);
     if (beats == 0) return;
     // The beats file keeps only its last line, so of several due beats the
     // ones before the last are only counted, except the first where a
     // plane sees it: a write fault armed against the beats file takes it,
     // and a device clock counts its read.
-    if (beats > 1 &&
-        (device_->clockAttached() || device_->flash().writeFaultArmed(kBeatsFile))) {
+    if (beats > 1 && planeSeesBeats()) {
         runTick(heartbeat_, heartbeat_.next);
         heartbeat_.next += heartbeat_.period;
         --beats;
@@ -162,8 +174,10 @@ ActivityContext FailureLogger::currentActivityContext() const {
 void FailureLogger::onPanic(const symbos::PanicEvent& event) {
     if (!enabled_ || daemonPid_ == 0) return;
     if (device_->state() != PhoneDevice::PowerState::On) return;
-    // A device clock counts reads that go back in time: the beats due
-    // read it before the panic record does.
+    // The record reads the battery, so its due ticks run first.  A device
+    // clock counts reads that go back in time: the beats due read it
+    // before the panic record does.
+    device_->syncBattery();
     if (device_->clockAttached()) catchUp();
     PanicRecord record;
     record.time = device_->clockNow();

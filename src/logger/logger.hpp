@@ -24,9 +24,12 @@
 // So the heartbeat is the one periodic duty that writes, and the only one
 // that reads the device clock.  The daemon keeps each duty's cadence as
 // data and writes the due beats at the next sync: before the phone changes
-// its applications, activities, battery or power state, before the beats
-// file is read, and before an OS-interface fault plane acts on the flash,
-// the clock or the daemon's heap.  The four RTimer-driven AOs run only in
+// its applications, activities or power state, before the beats file is
+// read, and before an OS-interface fault plane acts on the flash, the
+// clock or the daemon's heap.  Each sync first runs the device's due
+// battery ticks, which are derived too; a battery tick writes the beats
+// due before it only where a plane sees them, since the next sync's beat
+// overwrites the rest.  The four RTimer-driven AOs run only in
 // a daemon whose heap the memory plane squeezes, until it dies one
 // heartbeat later, and under observeTicks(), the reference the tests
 // compare against.  Both paths write the same bytes; docs/METHODOLOGY.md
@@ -111,14 +114,14 @@ public:
     // Statistics (used by tests and the overhead ablation).  The tick
     // counts include ticks due but not yet written.
     [[nodiscard]] std::uint64_t heartbeatsWritten() const {
-        return heartbeats_ + dueTicks(heartbeat_);
+        return heartbeats_ + dueTicks(heartbeat_, dueBy());
     }
     [[nodiscard]] std::uint64_t panicsLogged() const { return panicsLogged_; }
     [[nodiscard]] std::uint64_t bootsLogged() const { return bootsLogged_; }
     /// Ticks of the Running Applications Detector, which counts them and
     /// writes nothing.
     [[nodiscard]] std::uint64_t snapshotsTaken() const {
-        return snapshots_ + dueTicks(runapp_);
+        return snapshots_ + dueTicks(runapp_, dueBy());
     }
     /// Beats files found ending in a torn (newline-less) tail at boot.
     [[nodiscard]] std::uint64_t tornBeatTails() const { return tornBeatTails_; }
@@ -172,17 +175,25 @@ private:
     /// heartbeat, a count for the runapp detector, nothing for the others.
     void runTick(const Cadence& duty, sim::TimePoint at);
 
-    /// Counts every derived tick due by dueBy() and writes the last due
+    /// Runs the device's due battery ticks, then writes the derived ticks
+    /// due by dueBy().
+    void catchUp();
+    /// Counts every derived tick due by `last` and writes the last due
     /// beat, and the first too where a plane sees it.  A frozen phone's
     /// ticks stopped at the freeze, whose sync wrote the ones before it.
-    void catchUp();
+    void writeDueTicks(sim::TimePoint last);
+    /// True where a beat written now and overwritten before the next read
+    /// still shows: a device clock counts its read, or a write fault is
+    /// armed against the beats file.
+    [[nodiscard]] bool planeSeesBeats() const;
     /// The last instant whose ticks are due.  Inside an event at t a tick
     /// at t is not due yet: in the AO model it runs after the events
     /// already queued for t, so it sees the change the sync precedes.
     /// Between events it has run.
     [[nodiscard]] sim::TimePoint dueBy() const;
-    /// Ticks of `cadence` due and not yet written.
-    [[nodiscard]] std::uint64_t dueTicks(const Cadence& cadence) const;
+    /// Ticks of `cadence` due by `last` and not yet written.
+    [[nodiscard]] std::uint64_t dueTicks(const Cadence& cadence,
+                                         sim::TimePoint last) const;
 
     /// Creates `duty`'s self-re-arming AO driven by an RTimer, first due
     /// at `duty.next`.

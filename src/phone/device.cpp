@@ -1,5 +1,6 @@
 #include "phone/device.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <utility>
 
@@ -11,6 +12,14 @@ namespace symfail::phone {
 /// ~80 s (the lognormal's histogram mode is median * exp(-sigma^2)).
 constexpr sim::Duration kSelfRebootMedian = sim::Duration::seconds(90);
 constexpr double kSelfRebootSigma = 0.35;
+
+/// The battery ticks every 30 minutes while the phone is on.
+constexpr sim::Duration kBatteryTick = sim::Duration::minutes(30);
+/// The most one tick drains: idle, a voice call and an open application.
+constexpr double kMaxTickDrain = 0.9 + 2.0 + 0.4;
+/// The level below which the System Agent, which truncates to a whole
+/// percent, reports the battery low.
+constexpr double kLowLevel = symbos::SystemAgentServer::kLowBatteryPercent + 1.0;
 
 std::string_view toString(ShutdownKind k) {
     switch (k) {
@@ -84,7 +93,10 @@ PhoneDevice::~PhoneDevice() {
     outputFailureHooks_.clear();
     loggerToggle_ = nullptr;
     loggerSync_ = nullptr;
+    batteryTickHook_ = nullptr;
     flash_.setReadHook(nullptr);
+    // The battery stops with the simulation: no tick runs in the teardown.
+    nextBatteryTick_.reset();
     if (state_ != PowerState::Off) {
         tearDown(false, ShutdownKind::UserOff);
     }
@@ -116,6 +128,7 @@ void PhoneDevice::powerOn() {
     ++bootEpoch_;
     ++bootCount_;
     lastBootAt_ = simulator_->now();
+    nextBatteryTick_ = lastBootAt_ + kBatteryTick;
     createResidentProcesses();
     systemAgent_.setBattery(static_cast<int>(batteryPercent_), charging_);
     if (auto* trace = simulator_->traceSink()) {
@@ -125,7 +138,7 @@ void PhoneDevice::powerOn() {
     truth_.record(simulator_->now(), TruthKind::Boot);
     for (const auto& hook : bootHooks_) hook();
     user_->deviceBooted();
-    startBatteryChain();
+    armBatteryGuard();
 }
 
 void PhoneDevice::requestShutdown(ShutdownKind kind, std::string detail) {
@@ -158,6 +171,7 @@ void PhoneDevice::freeze(std::string cause) {
         trace->instant(traceTrack_, "phone", "freeze", simulator_->now(), args);
     }
     truth_.record(simulator_->now(), TruthKind::Freeze);
+    nextBatteryTick_.reset();
     state_ = PowerState::Frozen;
     ++bootEpoch_;  // invalidates all in-flight behaviour
     kernel_->setSuspended(true);
@@ -174,6 +188,7 @@ void PhoneDevice::selfReboot(std::string cause) {
 void PhoneDevice::tearDown(bool graceful, ShutdownKind kind) {
     assert(state_ != PowerState::Off);
     syncLogger();
+    nextBatteryTick_.reset();
     if (graceful) {
         // Symbian lets applications complete their tasks before the power
         // goes: the logger's heartbeat uses this window to write its
@@ -305,18 +320,41 @@ void PhoneDevice::toggleLogger(bool enabled) {
     if (loggerToggle_) loggerToggle_(enabled);
 }
 
-void PhoneDevice::startBatteryChain() {
+void PhoneDevice::syncBattery() {
+    // A tick that crosses the low mark shuts the phone down, which syncs
+    // again and ends the run; the cadence has moved past it by then.
+    while (nextBatteryTick_ && *nextBatteryTick_ <= simulator_->now()) {
+        const sim::TimePoint at = *nextBatteryTick_;
+        *nextBatteryTick_ += kBatteryTick;
+        batteryTick(at);
+    }
+}
+
+void PhoneDevice::armBatteryGuard() {
+    if (!nextBatteryTick_) return;  // a boot hook shut the phone down again
+    // The level falls by at most kMaxTickDrain a tick (charging only adds),
+    // so the first `safe` ticks cannot cross the low mark; the margin
+    // covers the rounding of the level's running sum.
+    constexpr double kRounding = 1e-6;
+    const double headroom = batteryPercent_ - kLowLevel - kRounding;
+    const auto safe =
+        headroom > 0.0 ? static_cast<std::int64_t>(headroom / kMaxTickDrain) : 0;
+    // The guard runs the last safe tick and arms the next one from there:
+    // the tick that can cross is armed 30 minutes before its instant, as
+    // the scheduled chain armed every tick, so it runs after the events at
+    // its instant armed earlier and before those armed later.
+    const sim::TimePoint at =
+        *nextBatteryTick_ + kBatteryTick * std::max<std::int64_t>(safe - 1, 0);
     const auto epoch = bootEpoch_;
-    constexpr auto kTick = sim::Duration::minutes(30);
-    simulator_->scheduleAfter(kTick, "phone.battery", [this, epoch]() {
+    simulator_->scheduleAt(at, "phone.battery", [this, epoch]() {
         if (epoch != bootEpoch_ || !isOn()) return;
-        batteryTick();
-        startBatteryChain();
+        syncBattery();
+        if (epoch == bootEpoch_ && isOn()) armBatteryGuard();
     });
 }
 
-void PhoneDevice::batteryTick() {
-    syncLogger();
+void PhoneDevice::batteryTick(sim::TimePoint at) {
+    if (batteryTickHook_) batteryTickHook_(at);
     // Idle drain empties a full battery in about two days; calls and media
     // use cost extra.
     double drain = 0.9;
@@ -333,7 +371,7 @@ void PhoneDevice::batteryTick() {
         batteryPercent_ -= drain;
         if (batteryPercent_ < 0.0) batteryPercent_ = 0.0;
         // Charging habits: plug in when low, or overnight.
-        const auto hour = simulator_->now().timeOfDay().totalSeconds() / 3600;
+        const auto hour = at.timeOfDay().totalSeconds() / 3600;
         const bool nightWindow = hour >= kSleepHour - 1 || hour < kWakeHour;
         if (batteryPercent_ < 25.0 && rng_.bernoulli(0.5)) {
             charging_ = true;
@@ -341,9 +379,12 @@ void PhoneDevice::batteryTick() {
             charging_ = true;
         }
     }
+    [[maybe_unused]] const bool wasLow = systemAgent_.batteryLow();
     systemAgent_.setBattery(static_cast<int>(batteryPercent_), charging_);
+    // Only the guard's tick, run at its own instant, may take the level low.
+    assert(wasLow || !systemAgent_.batteryLow() || at == simulator_->now());
     if (auto* trace = simulator_->traceSink()) {
-        trace->counter(traceTrack_, "battery", simulator_->now(), batteryPercent_);
+        trace->counter(traceTrack_, "battery", at, batteryPercent_);
     }
 }
 

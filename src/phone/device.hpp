@@ -17,12 +17,22 @@
 //     them from self-shutdowns, which is exactly the discrimination
 //     problem the paper's Figure 2 addresses;
 //   * low-battery shutdowns — record LOWBT.
+//
+// The battery drains in a tick every 30 minutes while the phone is on.
+// The device keeps the next tick's time as data and runs the due ticks at
+// the next sync (syncBattery), the way the logger derives its heartbeat:
+// before anything reads the battery or changes what a tick reads.  One
+// real `phone.battery` event guards the tick that could take the level
+// low, so the low-battery shutdown happens inside the tick that crosses,
+// at the instant and in the same-instant order of a scheduled 30-minute
+// chain.  docs/METHODOLOGY.md §1 gives the rules.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -208,6 +218,7 @@ public:
     using OutputFailureHook = std::function<void(const std::string& symptom)>;
     using LoggerToggleHook = std::function<void(bool enabled)>;
     using LoggerSyncHook = std::function<void()>;
+    using BatteryTickHook = std::function<void(sim::TimePoint at)>;
 
     void addBootHook(BootHook hook) { bootHooks_.push_back(std::move(hook)); }
     void addShutdownHook(ShutdownHook hook) { shutdownHooks_.push_back(std::move(hook)); }
@@ -223,16 +234,27 @@ public:
     }
     void setLoggerToggleHook(LoggerToggleHook hook) { loggerToggle_ = std::move(hook); }
     /// Runs before every change the logger's periodic ticks read: the
-    /// running-application registry, the activity database, the battery
-    /// and the power state.  A logger that derives its ticks instead of
-    /// scheduling them writes the ones due here.
+    /// running-application registry, the activities and the power state.
+    /// A logger that derives its ticks instead of scheduling them writes
+    /// the ones due here.
     void setLoggerSyncHook(LoggerSyncHook hook) { loggerSync_ = std::move(hook); }
-    /// Runs the logger sync hook.  The fault planes call it before they
-    /// act on state a tick reads or writes: the flash store, the clock and
-    /// the logger daemon's heap.
+    /// Runs inside each battery tick, with the tick's own time, before the
+    /// tick reads anything: where a scheduled tick would have synced the
+    /// logger.  The logger writes the ticks due before `at` that something
+    /// sees before its next sync.
+    void setBatteryTickHook(BatteryTickHook hook) { batteryTickHook_ = std::move(hook); }
+    /// Runs the battery's due ticks, then the logger sync hook.  The fault
+    /// planes call it before they act on state a tick reads or writes: the
+    /// flash store, the clock and the logger daemon's heap.
     void syncLogger() {
+        syncBattery();
         if (loggerSync_) loggerSync_();
     }
+    /// Runs every battery tick due: those up to and including now.  Inside
+    /// an event at t the tick at t has run, as a scheduled tick armed 30
+    /// minutes earlier would have.  A tick that could cross the low mark
+    /// runs in its own guard event, never here after its instant.
+    void syncBattery();
     /// Invoked by the user model for MAOFF events; no-op without a hook.
     void toggleLogger(bool enabled);
 
@@ -251,8 +273,11 @@ private:
 
     void createResidentProcesses();
     void tearDown(bool graceful, ShutdownKind kind);
-    void batteryTick();
-    void startBatteryChain();
+    /// One battery tick at `at`: drain or charge, then report the level.
+    void batteryTick(sim::TimePoint at);
+    /// Schedules the real battery event at the last tick that cannot take
+    /// the level low, or at the next tick if that one can.
+    void armBatteryGuard();
 
     sim::Simulator* simulator_;
     Config config_;
@@ -287,9 +312,12 @@ private:
     std::vector<OutputFailureHook> outputFailureHooks_;
     LoggerToggleHook loggerToggle_;
     LoggerSyncHook loggerSync_;
+    BatteryTickHook batteryTickHook_;
 
     double batteryPercent_{100.0};
     bool charging_{false};
+    /// The next battery tick not yet run; empty while the phone is not on.
+    std::optional<sim::TimePoint> nextBatteryTick_;
 };
 
 }  // namespace symfail::phone

@@ -49,6 +49,9 @@ class SystemAgentServer {
 public:
     using LowBatteryHook = std::function<void()>;
 
+    /// The level, in whole percent, at and below which the battery is low.
+    static constexpr int kLowBatteryPercent = 3;
+
     void setBattery(int percent, bool charging);
     [[nodiscard]] int batteryPercent() const { return percent_; }
     [[nodiscard]] bool charging() const { return charging_; }
@@ -58,8 +61,6 @@ public:
     void addLowBatteryHook(LowBatteryHook hook) { hooks_.push_back(std::move(hook)); }
 
 private:
-    static constexpr int kLowBatteryPercent = 3;
-
     int percent_{100};
     bool charging_{false};
     std::vector<LowBatteryHook> hooks_;

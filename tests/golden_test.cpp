@@ -3,10 +3,11 @@
 // Run-vs-run checks such as Integration.CampaignIsDeterministic cannot see
 // a change that shifts every run the same way.  These tests pin a 64-bit
 // FNV-1a digest of core::fieldResultsToJson for three short fixed-seed
-// campaigns, plus one of what the collection server holds at campaign
-// end, so any drift in what the pipeline computes fails tier-1.  The JSON
-// digest equals the FNV-1a of the file `symfail campaign ... --json`
-// writes for the command quoted on each test.  The high-rate plane
+// campaigns and perfbench's lossy cell, plus one of what the collection
+// server holds at campaign end, so any drift in what the pipeline
+// computes fails tier-1.  The JSON digest equals the FNV-1a of the file
+// `symfail campaign ... --json` writes for the command quoted on each
+// test.  The high-rate plane
 // campaign also pins the osfault validity report, which alone carries
 // the plane statistics.  The monitor and provenance
 // pins do the same for the files `symfail monitor` and `symfail trace`
@@ -121,6 +122,30 @@ TEST(GoldenDigest, CampaignWithLossyTransportAndAllFaultPlanes) {
     planes.clock.skewPpm = 200.0;
     planes.radio.faultsPerKHour = 10.0;
     expectDigests(config, 0x9d1e74e9bb68a609ULL, 0xf1f01e76ed1d7ac0ULL);
+}
+
+TEST(GoldenDigest, PerfbenchLossyCell) {
+    // perfbench's lossy_monitored cell, operation 0 (seed 2007):
+    // symfail campaign --phones 25 --days 120 --seed 2007 --loss 20 --dup 5
+    //     --reorder 10 --outage-day 40 --outage-days 5 --flash-fault 20
+    //     --mem-pressure 4 --clock-skew 200 --radio-fault 10 --json FILE
+    // writes the file perfbench/pinned.json pins by its sha256
+    // (d22779c3...).  Long enough for a squeezed daemon's heartbeat to meet
+    // a battery tick at the same instant, which the short campaigns never
+    // show.
+    experiment::Cell cell;
+    cell.phones = 25;
+    cell.days = 120;
+    cell.lossPct = 20.0;
+    cell.dupPct = 5.0;
+    cell.reorderPct = 10.0;
+    cell.outageDay = 40;
+    cell.outageDays = 5;
+    cell.flashFaultPerKHour = 20.0;
+    cell.memPressurePerKHour = 4.0;
+    cell.clockSkewPpm = 200.0;
+    cell.radioFaultPerKHour = 10.0;
+    expectDigests(cell.toStudyConfig(2007), 0x4a103df2025ffff7ULL, 0xda75383505ebd2f3ULL);
 }
 
 /// A pinned list of (what, computed, expected) digests: skips off the
@@ -255,7 +280,7 @@ TEST(GoldenDigest, ProvenanceTrace) {
     expectPinned({{"json", fnv1a64(provenance.renderJson())},
                   {"report", fnv1a64(provenance.renderReport())},
                   {"trace", fnv1a64(trace.json())}},
-                 {0x7c8ad2ba83e477fbULL, 0x6e2eeeea11d619e2ULL, 0x33c333e4da26ad88ULL});
+                 {0x7c8ad2ba83e477fbULL, 0x6e2eeeea11d619e2ULL, 0x2ec26738f4f1dc10ULL});
 }
 
 }  // namespace

@@ -2,6 +2,12 @@
 // store, activities, battery, user model behaviour, ground truth.
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <optional>
+#include <vector>
+
+#include "logger/logger.hpp"
+#include "obs/fnv.hpp"
 #include "phone/apps.hpp"
 #include "phone/device.hpp"
 #include "phone/flash.hpp"
@@ -319,6 +325,56 @@ TEST_F(DeviceFixture, BatteryDrainsWhileOn) {
     EXPECT_LE(now, 100);
     EXPECT_TRUE(device_->isOn());
     (void)start;
+}
+
+// A phone whose user is in a call whenever awake and never switches it
+// off drains about 3 points a tick all day; on some evenings it runs flat
+// before the charger comes out.  The battery's ticks are derived, so this
+// pins what the scheduled 30-minute chain did (the instants and Log File
+// below were taken from it): the low-battery shutdown happens inside the
+// tick that crosses, and that tick runs after the events at its instant
+// armed more than 30 minutes before it and before those armed later.
+TEST(Battery, LowBatteryShutdownsLandOnTheCrossingTick) {
+    sim::Simulator simulator;
+    PhoneDevice::Config config;
+    config.name = "heavy";
+    config.seed = 4;
+    config.profile.callsPerDay = 2'000.0;
+    config.profile.nightOffProb = 0.0;
+    config.profile.daytimeOffPerDay = 0.0;
+    config.profile.quickCyclesPerDay = 0.0;
+    // Declared first so it outlives the device, whose teardown runs the
+    // logger's kernel hooks.
+    std::unique_ptr<logger::FailureLogger> failureLogger;
+    auto device = std::make_unique<PhoneDevice>(simulator, config);
+    failureLogger = std::make_unique<logger::FailureLogger>(*device);
+
+    // Two probes at the first shutdown's instant, armed 31 and 29 minutes
+    // before it.
+    const auto crossing = sim::TimePoint::fromMicros(9'325'800'000'000);
+    std::optional<bool> onForEarlierProbe;
+    std::optional<bool> onForLaterProbe;
+    for (auto [lead, seen] : {std::pair{sim::Duration::minutes(31), &onForEarlierProbe},
+                              std::pair{sim::Duration::minutes(29), &onForLaterProbe}}) {
+        simulator.scheduleAt(
+            crossing - lead, "test.probe", [&simulator, &device, &crossing, seen]() {
+                simulator.scheduleAt(crossing, "test.probe",
+                                     [&device, seen]() { *seen = device->isOn(); });
+            });
+    }
+    device->powerOn();
+    simulator.runUntil(sim::TimePoint::origin() + sim::Duration::days(120));
+
+    std::vector<std::int64_t> shutdowns;
+    for (const TruthEvent& event :
+         device->groundTruth().eventsOf(TruthKind::LowBatteryShutdown)) {
+        shutdowns.push_back(event.time.micros());
+    }
+    EXPECT_EQ(shutdowns,
+              (std::vector<std::int64_t>{9'325'800'000'000, 9'842'292'828'594}));
+    EXPECT_EQ(obs::fnv1a64(failureLogger->logFileContent()), 0x196778a9aa0522a6ULL);
+    EXPECT_EQ(onForEarlierProbe, std::optional{true});
+    EXPECT_EQ(onForLaterProbe, std::optional{false});
 }
 
 TEST(UserModel, GeneratesDiurnalActivity) {
