@@ -1,7 +1,7 @@
 // M1: google-benchmark microbenchmarks of the substrates: event queue,
 // active-object dispatch, one logger heartbeat tick, one derived-tick
-// catch-up, log serialization/parsing, and the coalescence algorithm's
-// scaling.
+// catch-up, one upload round and the frame codec, log
+// serialization/parsing, and the coalescence algorithm's scaling.
 #include <benchmark/benchmark.h>
 
 #include <functional>
@@ -18,6 +18,10 @@
 #include "simkernel/simulator.hpp"
 #include "symbos/function_ao.hpp"
 #include "symbos/kernel.hpp"
+#include "transport/channel.hpp"
+#include "transport/frame.hpp"
+#include "transport/reassembly.hpp"
+#include "transport/upload_agent.hpp"
 
 namespace {
 
@@ -121,7 +125,7 @@ void BM_ActiveObjectDispatch(benchmark::State& state) {
 }
 BENCHMARK(BM_ActiveObjectDispatch);
 
-/// A phone whose user does nothing, so the logger and the battery chain
+/// A phone whose user does nothing, so the logger and the battery guard
 /// are its only events.
 phone::PhoneDevice::Config idlePhone() {
     phone::PhoneDevice::Config config;
@@ -144,7 +148,7 @@ phone::PhoneDevice::Config idlePhone() {
 // expiry, the AO completion, the heartbeat RunL (its scratch heap cell and
 // the beats-file write) and the re-arm.  The logger's other AOs are parked
 // past the run and the user stays idle, so an iteration is one tick plus,
-// every 30th, the device's battery tick.
+// now and then, the device's battery guard.
 void BM_LoggerHeartbeatTick(benchmark::State& state) {
     sim::Simulator simulator;
     logger::LoggerConfig loggerConfig;
@@ -167,10 +171,10 @@ void BM_LoggerHeartbeatTick(benchmark::State& state) {
 }
 BENCHMARK(BM_LoggerHeartbeatTick);
 
-// One 30-minute battery tick of a booted phone whose logger derives its
-// ticks: the battery event syncs the logger, whose catch-up counts the
-// period's 30 heartbeats and 15 runapp, 6 log-engine and 3 power ticks
-// and writes one beats line.
+// One sync 30 minutes after the last on a booted phone whose logger
+// derives its ticks: the sync runs the battery tick due, then the
+// logger's catch-up counts the period's 30 heartbeats and 15 runapp, 6
+// log-engine and 3 power ticks and writes one beats line.
 void BM_LoggerCatchUp(benchmark::State& state) {
     sim::Simulator simulator;
     std::unique_ptr<logger::FailureLogger> failureLogger;
@@ -179,11 +183,106 @@ void BM_LoggerCatchUp(benchmark::State& state) {
     device->powerOn();
     for (auto _ : state) {
         simulator.runUntil(simulator.now() + sim::Duration::minutes(30));
+        device->syncLogger();
     }
     benchmark::DoNotOptimize(failureLogger->heartbeatsWritten());
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_LoggerCatchUp);
+
+/// An idle phone uploading its Log File over lossless channels to a
+/// server that reassembles and acks every segment.
+struct UploadRig {
+    sim::Simulator simulator;
+    transport::Reassembler server;
+    // The device (declared last, destroyed first) runs its power-down
+    // hooks while the logger and the agent are still alive.
+    std::unique_ptr<logger::FailureLogger> failureLogger;
+    std::unique_ptr<transport::Channel> data;
+    std::unique_ptr<transport::Channel> acks;
+    std::unique_ptr<transport::UploadAgent> agent;
+    std::unique_ptr<phone::PhoneDevice> device;
+
+    UploadRig() {
+        device = std::make_unique<phone::PhoneDevice>(simulator, idlePhone());
+        failureLogger = std::make_unique<logger::FailureLogger>(*device);
+        transport::ChannelConfig lossless;
+        lossless.lossProb = 0.0;
+        lossless.dupProb = 0.0;
+        lossless.reorderProb = 0.0;
+        data = std::make_unique<transport::Channel>(simulator, lossless, 1);
+        acks = std::make_unique<transport::Channel>(simulator, lossless, 2);
+        agent = std::make_unique<transport::UploadAgent>(
+            *device, *failureLogger, *data, *acks, transport::UploadPolicy{}, 3);
+        data->setReceiver([this](const std::string& bytes) {
+            if (const auto ack = server.ingest(bytes).ack) {
+                acks->send(transport::encodeAck(*ack));
+            }
+        });
+        device->powerOn();
+    }
+
+    /// Appends one PANIC record, as a panic during the period would.
+    void appendRecord() {
+        logger::PanicRecord record;
+        record.time = simulator.now();
+        record.panic = symbos::kKernExecAccessViolation;
+        record.runningApps = {"Messages", "Camera", "Clock"};
+        record.activity = logger::ActivityContext::VoiceCall;
+        record.batteryPercent = 73;
+        device->flash().appendLine(logger::kLogFile, logger::serialize(record));
+    }
+};
+
+/// The upload agent's round period (upload_agent.cpp).
+constexpr auto kUploadPeriod = sim::Duration::hours(6);
+
+// One upload period of a phone whose Log File holds 16 KB and grows by one
+// record a period: the round re-splits the segment the append moved,
+// frames and sends it, the server reassembles and acks it, and the retry
+// firing 45 s later finds it acked.  A fresh rig every 128 periods keeps
+// the file between 16 and 30 KB.
+void BM_UploadRound(benchmark::State& state) {
+    std::unique_ptr<UploadRig> rig;
+    std::int64_t period = 0;
+    for (auto _ : state) {
+        if (period++ % 128 == 0) {
+            state.PauseTiming();
+            rig.reset();
+            rig = std::make_unique<UploadRig>();
+            while (rig->failureLogger->logFileContent().size() < 16 * 1024) {
+                rig->appendRecord();
+            }
+            rig->simulator.runUntil(rig->simulator.now() + kUploadPeriod);
+            state.ResumeTiming();
+        }
+        rig->appendRecord();
+        rig->simulator.runUntil(rig->simulator.now() + kUploadPeriod);
+    }
+    benchmark::DoNotOptimize(rig->agent->stats().framesSent);
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_UploadRound);
+
+// Encodes one full 2 KB segment and decodes it again: a round's send and
+// the server's ingest.
+void BM_FrameCodec(benchmark::State& state) {
+    transport::Frame frame;
+    frame.phone = "phone-12";
+    frame.seq = 7;
+    frame.segCount = 9;
+    while (frame.payload.size() < 2048) {
+        frame.payload += "PANIC|1234567890|KERN-EXEC|3|Messages,Camera|VoiceCall|73\n";
+    }
+    frame.payload.resize(2048);
+    for (auto _ : state) {
+        const std::string wire = transport::encodeFrame(frame);
+        benchmark::DoNotOptimize(transport::decodeFrame(wire));
+    }
+    state.SetBytesProcessed(state.iterations() *
+                            static_cast<std::int64_t>(frame.payload.size()));
+}
+BENCHMARK(BM_FrameCodec);
 
 void BM_PanicRecordSerialize(benchmark::State& state) {
     logger::PanicRecord record;

@@ -18,12 +18,13 @@ void FlashStore::write(std::string_view file, std::string_view line, bool replac
     if (verdict.kind == FlashFaultInjector::Kind::Drop) return;
     auto it = files_.find(file);
     if (it == files_.end()) {
-        it = files_.emplace(std::string{file}, std::string{}).first;
+        it = files_.emplace(std::string{file}, File{}).first;
     }
-    std::string& text = it->second;
+    std::string& text = it->second.text;
     const std::uint64_t oldSize = text.size();
     if (replace) {
         text.assign(line);
+        ++it->second.rewrites;
     } else {
         text.append(line);
     }
@@ -37,6 +38,7 @@ void FlashStore::write(std::string_view file, std::string_view line, bool replac
         std::size_t cut = text.find('\n', text.size() / 2);
         cut = cut == std::string::npos ? text.size() : cut + 1;
         text.erase(0, cut);
+        ++it->second.rewrites;
         if (observer_ != nullptr) observer_->onRotate(file, cut);
     }
     if (verdict.kind == FlashFaultInjector::Kind::Torn) {
@@ -52,6 +54,11 @@ bool FlashStore::exists(std::string_view file) const {
     return files_.find(file) != files_.end();
 }
 
+std::uint64_t FlashStore::rewrites(std::string_view file) const {
+    const auto it = files_.find(file);
+    return it == files_.end() ? 0 : it->second.rewrites;
+}
+
 const std::string& FlashStore::content(std::string_view file) const {
     if (readHook_) readHook_(file);
     const auto it = files_.find(file);
@@ -59,7 +66,7 @@ const std::string& FlashStore::content(std::string_view file) const {
         static const std::string kEmpty;
         return kEmpty;
     }
-    return it->second;
+    return it->second.text;
 }
 
 std::string FlashStore::lastLine(std::string_view file) const {
@@ -97,7 +104,7 @@ bool FlashStore::corruptByte(std::string_view file, std::size_t offset,
                              std::uint8_t mask) {
     const auto it = files_.find(file);
     if (it == files_.end()) return false;
-    std::string& text = it->second;
+    std::string& text = it->second.text;
     if (offset >= text.size()) return false;
     if (mask == 0) return false;
     char& byte = text[offset];
@@ -112,16 +119,17 @@ bool FlashStore::corruptByte(std::string_view file, std::size_t offset,
 void FlashStore::tearTail(std::string_view file, std::size_t bytes) {
     const auto it = files_.find(file);
     if (it == files_.end()) return;
-    std::string& text = it->second;
+    std::string& text = it->second.text;
     text.resize(text.size() >= bytes ? text.size() - bytes : 0);
+    ++it->second.rewrites;
     if (observer_ != nullptr) observer_->onTear(file, text.size());
 }
 
 std::size_t FlashStore::approxMemoryBytes() const {
     constexpr std::size_t mapNode = 3 * sizeof(void*);
     std::size_t total = sizeof *this;
-    for (const auto& [name, content] : files_) {
-        total += name.size() + content.size() + 2 * sizeof(std::string) + mapNode;
+    for (const auto& [name, stored] : files_) {
+        total += name.size() + stored.text.size() + 2 * sizeof(std::string) + mapNode;
     }
     return total;
 }

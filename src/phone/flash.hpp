@@ -79,6 +79,12 @@ public:
     void replaceWithLine(std::string_view file, std::string_view line);
 
     [[nodiscard]] bool exists(std::string_view file) const;
+    /// How many writes changed `file`'s stored bytes other than by
+    /// appending to them: replaceWithLine, rotation and tearTail.  Bit rot
+    /// (corruptByte) is not counted: it never moves a line break.  While
+    /// the count holds and the file only grew, every byte read before is
+    /// still there, at the same offset.
+    [[nodiscard]] std::uint64_t rewrites(std::string_view file) const;
     /// A file's content.  Runs the read hook first, so a writer that
     /// defers its lines can write them before anyone reads.
     [[nodiscard]] const std::string& content(std::string_view file) const;
@@ -93,6 +99,7 @@ public:
     /// tail; empty if the file holds no complete line.
     [[nodiscard]] std::string lastCompleteLine(std::string_view file) const;
 
+    /// Forgets every file.  Their rewrite counts start again at 0.
     void clear() { files_.clear(); }
 
     /// Per-file size cap: when an append pushes a file past it, the oldest
@@ -138,7 +145,11 @@ private:
     /// replacing the file's content.
     void write(std::string_view file, std::string_view line, bool replace);
 
-    std::map<std::string, std::string, std::less<>> files_;
+    struct File {
+        std::string text;
+        std::uint64_t rewrites{0};
+    };
+    std::map<std::string, File, std::less<>> files_;
     FlashWriteObserver* observer_{nullptr};
     FlashFaultInjector* injector_{nullptr};
     ReadHook readHook_;

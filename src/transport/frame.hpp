@@ -24,8 +24,11 @@
 
 namespace symfail::transport {
 
-/// CRC-32 (IEEE 802.3 polynomial, reflected) over arbitrary bytes.
-[[nodiscard]] std::uint32_t crc32(std::string_view data);
+/// CRC-32/ISO-HDLC (the IEEE 802.3 polynomial, reflected) of `data`,
+/// continuing from `crc`, the CRC of the bytes before it (0 for none):
+/// crc32(b, crc32(a)) is the CRC of a followed by b.  Computed by
+/// slicing-by-8.
+[[nodiscard]] std::uint32_t crc32(std::string_view data, std::uint32_t crc = 0);
 
 /// One Log File segment in flight.
 struct Frame {
@@ -77,6 +80,32 @@ struct SegmentSpan {
 /// is stable across calls.
 [[nodiscard]] std::vector<SegmentSpan> segmentSpans(std::string_view content,
                                                     std::size_t payloadBytes);
+
+/// segmentSpans() of a file kept across calls, for a reader that splits
+/// the same file again and again as it grows.  An append can only grow
+/// the last segment or add segments after it, so update() re-splits from
+/// the last span's offset while the file's flash rewrite count holds and
+/// the file has grown, and from 0 when the count moved or the file shrank.
+class SegmentSpanCache {
+public:
+    explicit SegmentSpanCache(std::size_t payloadBytes) : payloadBytes_{payloadBytes} {}
+
+    /// segmentSpans(content, payloadBytes) for the file's current
+    /// `content` and rewrite count (phone::FlashStore::rewrites).
+    const std::vector<SegmentSpan>& update(std::string_view content,
+                                           std::uint64_t rewrites);
+
+    /// Bytes the cached spans hold on the heap.
+    [[nodiscard]] std::size_t heapBytes() const {
+        return spans_.capacity() * sizeof(SegmentSpan);
+    }
+
+private:
+    std::size_t payloadBytes_;
+    std::vector<SegmentSpan> spans_;
+    std::size_t size_{0};        ///< Content size the spans were split from.
+    std::uint64_t rewrites_{0};  ///< Rewrite count at that split.
+};
 
 /// The segments of segmentSpans() as frames carrying a copy of their
 /// payload, numbered from 0, each with the segment count.

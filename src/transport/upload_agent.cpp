@@ -28,7 +28,8 @@ UploadAgent::UploadAgent(phone::PhoneDevice& device, logger::FailureLogger& logg
       dataChannel_{&dataChannel},
       ackChannel_{&ackChannel},
       policy_{policy},
-      rng_{seed} {
+      rng_{seed},
+      spans_{kChunkPayloadBytes} {
     device_->addBootHook([this]() { onBoot(); });
     device_->addPowerDownHook([this]() { teardown(); });
     ackChannel_->setReceiver(
@@ -114,7 +115,8 @@ sim::Duration UploadAgent::nextDelay(bool pendingRemain) {
 void UploadAgent::runRound(const symbos::ExecContext& ctx) {
     ++stats_.rounds;
     const std::string& content = logger_->logFileContent();
-    const auto spans = segmentSpans(content, kChunkPayloadBytes);
+    const std::vector<SegmentSpan>& spans =
+        spans_.update(content, device_->flash().rewrites(logger::kLogFile));
     if (provenance_ != nullptr) {
         provenance_->snapshotEnqueued(device_->name(), content.size(),
                                       device_->simulator().now());

@@ -8,7 +8,9 @@
 //   * each round it splits the Log File into line-aligned segments
 //     (transport/frame.hpp) and sends every segment the server has not
 //     yet acknowledged, up to a batch limit, as a CRC-framed,
-//     sequence-numbered frame;
+//     sequence-numbered frame.  The split is kept between rounds: a round
+//     re-splits only the segments an append can move, the last one and
+//     any after it;
 //   * unacknowledged segments are retransmitted with exponential backoff
 //     plus jitter, up to a per-round retry budget; when the budget runs
 //     out the agent gives up until the next regular round (old segments
@@ -78,11 +80,12 @@ public:
     void setProvenance(obs::ProvenanceTracker* tracker) { provenance_ = tracker; }
 
     /// Approximate heap footprint of the agent: the per-segment ack/sent
-    /// maps plus the per-boot AO machinery.
+    /// maps and spans plus the per-boot AO machinery.
     [[nodiscard]] std::size_t approxMemoryBytes() const {
         constexpr std::size_t node =
             sizeof(std::pair<std::uint32_t, std::uint32_t>) + 3 * sizeof(void*);
         return sizeof *this + (ackedBytes_.size() + sentBytes_.size()) * node +
+               spans_.heapBytes() +
                (ao_ != nullptr ? sizeof(symbos::FunctionAo) : 0) +
                (timer_ != nullptr ? sizeof(symbos::RTimer) : 0);
     }
@@ -107,6 +110,8 @@ private:
     std::unique_ptr<symbos::FunctionAo> ao_;
     std::unique_ptr<symbos::RTimer> timer_;
 
+    /// The Log File's segments as of the last round.
+    SegmentSpanCache spans_;
     /// Bytes acknowledged per segment index (the open tail segment is
     /// re-sent whenever it outgrows its acked length).
     std::map<std::uint32_t, std::uint32_t> ackedBytes_;

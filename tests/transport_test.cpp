@@ -9,6 +9,7 @@
 #include <set>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "analysis/dataset.hpp"
@@ -17,6 +18,7 @@
 #include "logger/logger.hpp"
 #include "logger/records.hpp"
 #include "phone/device.hpp"
+#include "phone/flash.hpp"
 #include "simkernel/rng.hpp"
 #include "simkernel/simulator.hpp"
 #include "transport/channel.hpp"
@@ -216,6 +218,150 @@ TEST(Frame, SegmentSpansMatchTheReferenceChunker) {
     expectSameSegments("", 64);
     expectSameSegments("\n\n\n", 1);
     expectSameSegments("no newline at all", 0);
+}
+
+/// Tears the next write after keeping `keep` of its bytes, as the flash
+/// plane's torn-write verdict does.
+class TearNextWrite final : public phone::FlashFaultInjector {
+public:
+    void arm(std::size_t keep) {
+        armed_ = true;
+        keep_ = keep;
+    }
+    Verdict onWrite(std::string_view /*file*/, std::string_view /*line*/) override {
+        if (!std::exchange(armed_, false)) return {};
+        return {Kind::Torn, keep_};
+    }
+    [[nodiscard]] bool armed(std::string_view /*file*/) const override { return armed_; }
+
+private:
+    bool armed_{false};
+    std::size_t keep_{0};
+};
+
+// The upload agent keeps the Log File's spans between rounds and re-splits
+// only where an append can move them; it must always agree with a split of
+// the whole file.  A round comes after one to four changes of the file:
+// appends (short lines, lines longer than a payload, lines that fill one
+// exactly), torn writes that leave a tail without its newline, tears that
+// cut back into earlier lines, bit flips, and finally appends of 1 MiB
+// lines until the file rotates.
+TEST(Frame, SegmentSpanCacheMatchesAFreshSplit) {
+    constexpr std::string_view kFile = "logfile";
+    for (const std::size_t payloadBytes : {std::size_t{64}, std::size_t{2048}}) {
+        for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+            SCOPED_TRACE(testing::Message()
+                         << "payload " << payloadBytes << " seed " << seed);
+            sim::Rng rng{seed};
+            phone::FlashStore flash;
+            TearNextWrite tear;
+            flash.setFaultInjector(&tear);
+            SegmentSpanCache cache{payloadBytes};
+            const auto line = [&](std::size_t length) {
+                std::string text(length, ' ');
+                for (char& c : text) c = static_cast<char>('a' + rng.uniformInt(0, 25));
+                return text;
+            };
+            const auto expectFreshSplit = [&](int round) {
+                const std::string& content = flash.content(kFile);
+                const std::vector<SegmentSpan>& cached =
+                    cache.update(content, flash.rewrites(kFile));
+                const std::vector<SegmentSpan> fresh =
+                    segmentSpans(content, payloadBytes);
+                ASSERT_EQ(cached.size(), fresh.size()) << "round " << round;
+                for (std::size_t i = 0; i < fresh.size(); ++i) {
+                    ASSERT_EQ(cached[i].offset, fresh[i].offset) << "round " << round;
+                    ASSERT_EQ(cached[i].length, fresh[i].length) << "round " << round;
+                }
+            };
+            const auto below = [&](std::size_t limit) {
+                return static_cast<std::size_t>(
+                    rng.uniformInt(0, static_cast<std::int64_t>(limit) - 1));
+            };
+            int round = 0;
+            for (; round < 150; ++round) {
+                for (auto step = rng.uniformInt(1, 4); step > 0; --step) {
+                    const std::size_t size = flash.content(kFile).size();
+                    switch (rng.uniformInt(0, 9)) {
+                        case 0:  // a torn write: the line lands without its '\n'
+                            tear.arm(below(41));
+                            flash.appendLine(kFile, line(40));
+                            break;
+                        case 1: {  // a tear back into the lines before
+                            const std::size_t most = std::min(size + 1, 3 * payloadBytes);
+                            flash.tearTail(kFile, 1 + below(most));
+                            break;
+                        }
+                        case 2:  // bit rot
+                            if (size > 0) {
+                                const std::size_t at = below(size);
+                                const std::size_t bit = below(8);
+                                const auto mask = static_cast<std::uint8_t>(1U << bit);
+                                (void)flash.corruptByte(kFile, at, mask);
+                            }
+                            break;
+                        default:
+                            flash.appendLine(kFile,
+                                             line(randomLineLength(rng, payloadBytes)));
+                            break;
+                    }
+                }
+                expectFreshSplit(round);
+            }
+            // One rotation: it drops the older half of the file.
+            const std::uint64_t rewritesBefore = flash.rewrites(kFile);
+            std::uint64_t rotations = 0;
+            for (; rotations == 0; ++round) {
+                const std::size_t size = flash.content(kFile).size();
+                flash.appendLine(kFile, std::string(std::size_t{1} << 20, 'r'));
+                flash.appendLine(kFile, line(randomLineLength(rng, payloadBytes)));
+                rotations = flash.rewrites(kFile) - rewritesBefore;
+                EXPECT_TRUE(rotations == 0 ||
+                            flash.content(kFile).size() < size + (std::size_t{1} << 20));
+                expectFreshSplit(round);
+            }
+            for (const int grow : {1, 3, 7}) {
+                for (int i = 0; i < grow; ++i) {
+                    flash.appendLine(kFile, line(randomLineLength(rng, payloadBytes)));
+                }
+                expectFreshSplit(round++);
+            }
+        }
+    }
+}
+
+/// CRC-32/ISO-HDLC one bit at a time: the register after each byte.
+std::uint32_t bitwiseCrcStep(std::uint32_t reg, unsigned char byte) {
+    reg ^= byte;
+    for (int bit = 0; bit < 8; ++bit) {
+        reg = (reg & 1u) ? (0xEDB88320u ^ (reg >> 1)) : (reg >> 1);
+    }
+    return reg;
+}
+
+TEST(Frame, Crc32MatchesTheCheckValueAndABitwiseReference) {
+    EXPECT_EQ(crc32("123456789"), 0xCBF43926u);  // the catalogued check value
+    EXPECT_EQ(crc32(""), 0u);
+    // Every length from 0 to 4096 bytes at each of the 8 alignments of a
+    // word, against the reference run over the same bytes.
+    sim::Rng rng{29};
+    std::vector<unsigned char> buffer(4096 + 8);
+    for (auto& byte : buffer) byte = static_cast<unsigned char>(rng.uniformInt(0, 255));
+    for (std::size_t align = 0; align < 8; ++align) {
+        const std::string_view bytes{reinterpret_cast<const char*>(buffer.data()) + align,
+                                     4096};
+        std::uint32_t reg = 0xFFFFFFFFu;
+        for (std::size_t length = 0; length <= bytes.size(); ++length) {
+            ASSERT_EQ(crc32(bytes.substr(0, length)), ~reg)
+                << "length " << length << " alignment " << align;
+            if (length < bytes.size()) reg = bitwiseCrcStep(reg, buffer[align + length]);
+        }
+    }
+    // Resumable: the CRC of a split input continues across the split.
+    const std::string_view text = "SEGv1|phone-7|3|9\nBOOT|1000|Freeze|900\n";
+    for (std::size_t cut = 0; cut <= text.size(); ++cut) {
+        EXPECT_EQ(crc32(text.substr(cut), crc32(text.substr(0, cut))), crc32(text));
+    }
 }
 
 // -- Channel -------------------------------------------------------------------
