@@ -146,16 +146,11 @@ phone::PhoneDevice::Config idlePhone() {
 // One heartbeat period of a booted phone running the failure logger with
 // real AO ticks (as in a daemon the memory plane has squeezed): the RTimer
 // expiry, the AO completion, the heartbeat RunL (its scratch heap cell and
-// the beats-file write) and the re-arm.  The logger's other AOs are parked
-// past the run and the user stays idle, so an iteration is one tick plus,
-// now and then, the device's battery guard.
+// the beats-file write) and the re-arm.  The user stays idle, so an
+// iteration is one tick plus, now and then, the device's battery guard.
 void BM_LoggerHeartbeatTick(benchmark::State& state) {
     sim::Simulator simulator;
-    logger::LoggerConfig loggerConfig;
-    const auto parked = sim::Duration::days(100'000);
-    loggerConfig.runappPeriod = parked;
-    loggerConfig.activityPeriod = parked;
-    loggerConfig.powerPeriod = parked;
+    const logger::LoggerConfig loggerConfig;
     // Declared first so it outlives the device, whose teardown runs the
     // logger's kernel hooks.
     std::unique_ptr<logger::FailureLogger> failureLogger;
@@ -173,8 +168,8 @@ BENCHMARK(BM_LoggerHeartbeatTick);
 
 // One sync 30 minutes after the last on a booted phone whose logger
 // derives its ticks: the sync runs the battery tick due, then the
-// logger's catch-up counts the period's 30 heartbeats and 15 runapp, 6
-// log-engine and 3 power ticks and writes one beats line.
+// logger's catch-up counts the period's 30 heartbeats and writes one
+// beats line.
 void BM_LoggerCatchUp(benchmark::State& state) {
     sim::Simulator simulator;
     std::unique_ptr<logger::FailureLogger> failureLogger;

@@ -335,7 +335,6 @@ FleetResult runCampaign(const FleetConfig& config) {
     std::uint64_t heartbeatsWritten = 0;
     std::uint64_t panicsLogged = 0;
     std::uint64_t bootsLogged = 0;
-    std::uint64_t snapshotsTaken = 0;
     for (auto& unit : units) {
         // End of campaign: collect the Log File and the ground truth, then
         // drop the simulation objects.
@@ -353,7 +352,6 @@ FleetResult runCampaign(const FleetConfig& config) {
         heartbeatsWritten += unit.logger->heartbeatsWritten();
         panicsLogged += unit.logger->panicsLogged();
         bootsLogged += unit.logger->bootsLogged();
-        snapshotsTaken += unit.logger->snapshotsTaken();
         result.loggerRecordAnomalies += unit.logger->recordAnomalies();
         result.loggerDaemonDeaths += unit.logger->daemonDeaths();
     }
@@ -463,10 +461,6 @@ FleetResult runCampaign(const FleetConfig& config) {
             .inc(panicsLogged);
         registry->counter("logger", "boots_recorded", "Boot records written")
             .inc(bootsLogged);
-        registry
-            ->counter("logger", "runapp_snapshots",
-                      "Running-applications snapshots written")
-            .inc(snapshotsTaken);
         registry
             ->counter("logger", "record_anomalies",
                       "Torn or malformed beats-file tails seen at boot")

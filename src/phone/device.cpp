@@ -59,7 +59,7 @@ PhoneDevice::PhoneDevice(sim::Simulator& simulator, Config config)
         (void)reason;
         const auto it = sessions_.find(name);
         if (it != sessions_.end() && it->second.pid == pid) {
-            syncLogger();
+            syncBattery();
             if (it->second.closeEvent.valid()) simulator_->cancel(it->second.closeEvent);
             sessions_.erase(it);
             appArch_.appStopped(name);
@@ -93,7 +93,6 @@ PhoneDevice::~PhoneDevice() {
     outputFailureHooks_.clear();
     loggerToggle_ = nullptr;
     loggerSync_ = nullptr;
-    batteryTickHook_ = nullptr;
     flash_.setReadHook(nullptr);
     // The battery stops with the simulation: no tick runs in the teardown.
     nextBatteryTick_.reset();
@@ -219,7 +218,7 @@ symbos::ProcessId PhoneDevice::startAppSession(std::string_view app,
                                                sim::Duration duration) {
     if (!isOn()) return 0;
     if (sessions_.find(app) != sessions_.end()) return 0;
-    syncLogger();
+    syncBattery();
     const AppInfo& info = appInfo(app);
     const auto pid = kernel_->createProcess(std::string{app}, info.kind);
     AppSession session;
@@ -244,7 +243,7 @@ symbos::ProcessId PhoneDevice::startAppSession(std::string_view app,
 void PhoneDevice::closeAppSession(std::string_view app) {
     const auto it = sessions_.find(app);
     if (it == sessions_.end()) return;
-    syncLogger();
+    syncBattery();
     const auto pid = it->second.pid;
     if (it->second.closeEvent.valid()) simulator_->cancel(it->second.closeEvent);
     sessions_.erase(it);
@@ -278,7 +277,7 @@ void PhoneDevice::outputFailureOccurred(std::string symptom) {
 
 void PhoneDevice::activityBegin(symbos::ActivityKind kind) {
     if (!isOn()) return;
-    syncLogger();
+    syncBattery();
     ++activeActivities_[kind];
     // The core app handling the activity may surface in the running list:
     // the Messages UI opens for every text, while the Telephone app only
@@ -297,7 +296,7 @@ void PhoneDevice::activityEnd(symbos::ActivityKind kind) {
     if (!isOn()) return;
     auto it = activeActivities_.find(kind);
     if (it == activeActivities_.end() || it->second == 0) return;
-    syncLogger();
+    syncBattery();
     if (--it->second == 0) activeActivities_.erase(it);
     if (!activityActive(kind)) {
         if (kind == symbos::ActivityKind::VoiceCall) {
@@ -354,7 +353,6 @@ void PhoneDevice::armBatteryGuard() {
 }
 
 void PhoneDevice::batteryTick(sim::TimePoint at) {
-    if (batteryTickHook_) batteryTickHook_(at);
     // Idle drain empties a full battery in about two days; calls and media
     // use cost extra.
     double drain = 0.9;

@@ -25,7 +25,10 @@
 // real `phone.battery` event guards the tick that could take the level
 // low, so the low-battery shutdown happens inside the tick that crosses,
 // at the instant and in the same-instant order of a scheduled 30-minute
-// chain.  docs/METHODOLOGY.md §1 gives the rules.
+// chain.  The device brings the logger's derived heartbeat up to date
+// (syncLogger) only where the phone stops: at a freeze and at every power
+// loss; the fault planes and the beats file's read hook sync it where a
+// beat can be read.  docs/METHODOLOGY.md §1 gives the rules.
 #pragma once
 
 #include <cstdint>
@@ -191,8 +194,8 @@ public:
     void closeAppSession(std::string_view app);
     /// Pid of a running application or resident process; 0 if absent.
     [[nodiscard]] symbos::ProcessId pidOf(std::string_view processName) const;
-    /// Names of running *user* applications (what the paper's Running
-    /// Applications Detector reports).
+    /// Names of running *user* applications, as a PANIC record lists them
+    /// (what the paper's Running Applications Detector gathered).
     [[nodiscard]] std::vector<std::string> runningUserApps() const;
 
     // -- Activities ------------------------------------------------------------
@@ -218,7 +221,6 @@ public:
     using OutputFailureHook = std::function<void(const std::string& symptom)>;
     using LoggerToggleHook = std::function<void(bool enabled)>;
     using LoggerSyncHook = std::function<void()>;
-    using BatteryTickHook = std::function<void(sim::TimePoint at)>;
 
     void addBootHook(BootHook hook) { bootHooks_.push_back(std::move(hook)); }
     void addShutdownHook(ShutdownHook hook) { shutdownHooks_.push_back(std::move(hook)); }
@@ -233,19 +235,14 @@ public:
         outputFailureHooks_.push_back(std::move(hook));
     }
     void setLoggerToggleHook(LoggerToggleHook hook) { loggerToggle_ = std::move(hook); }
-    /// Runs before every change the logger's periodic ticks read: the
-    /// running-application registry, the activities and the power state.
-    /// A logger that derives its ticks instead of scheduling them writes
-    /// the ones due here.
+    /// Runs before the power state changes, the one change the logger's
+    /// heartbeat reads.  A logger that derives its ticks instead of
+    /// scheduling them writes the ones due here.
     void setLoggerSyncHook(LoggerSyncHook hook) { loggerSync_ = std::move(hook); }
-    /// Runs inside each battery tick, with the tick's own time, before the
-    /// tick reads anything: where a scheduled tick would have synced the
-    /// logger.  The logger writes the ticks due before `at` that something
-    /// sees before its next sync.
-    void setBatteryTickHook(BatteryTickHook hook) { batteryTickHook_ = std::move(hook); }
-    /// Runs the battery's due ticks, then the logger sync hook.  The fault
-    /// planes call it before they act on state a tick reads or writes: the
-    /// flash store, the clock and the logger daemon's heap.
+    /// Runs the battery's due ticks, then the logger sync hook.  The device
+    /// calls it before a freeze and every power loss; the fault planes
+    /// call it before they act on state a tick reads or writes: the flash
+    /// store, the clock and the logger daemon's heap.
     void syncLogger() {
         syncBattery();
         if (loggerSync_) loggerSync_();
@@ -312,7 +309,6 @@ private:
     std::vector<OutputFailureHook> outputFailureHooks_;
     LoggerToggleHook loggerToggle_;
     LoggerSyncHook loggerSync_;
-    BatteryTickHook batteryTickHook_;
 
     double batteryPercent_{100.0};
     bool charging_{false};
