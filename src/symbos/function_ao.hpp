@@ -1,6 +1,6 @@
 // Convenience active object dispatching to a std::function.
 //
-// Used by the logger's detector AOs and the fault drivers; real Symbian
+// Used by the logger's heartbeat and the fault drivers; real Symbian
 // code subclasses CActive the same way, this just removes the boilerplate.
 #pragma once
 

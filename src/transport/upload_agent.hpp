@@ -2,7 +2,7 @@
 //
 // A Symbian-style active object (one background process per phone, a
 // FunctionAo re-arming an RTimer — the same periodic-service idiom as the
-// logger's detectors) that carries the Log File to the collection server
+// logger's heartbeat) that carries the Log File to the collection server
 // over an unreliable channel:
 //
 //   * each round it splits the Log File into line-aligned segments
