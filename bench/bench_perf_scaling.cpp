@@ -8,12 +8,15 @@
 //      (accounting-off vs. accounting-on wall time over repeated runs)
 //   2. How does throughput and footprint scale with fleet size?
 //      (phone-hours/sec and bytes/phone at a small and a mid-size fleet)
+//   3. What do the phones gain from running on every hardware thread?
+//      (phone-hours/sec inline and on all threads, 1k and 10k phones)
 #include <cstdio>
 
 #include "bench_common.hpp"
 #include "core/perf.hpp"
 #include "fleet/fleet.hpp"
 #include "obs/accountant.hpp"
+#include "simkernel/pool.hpp"
 
 namespace {
 
@@ -27,6 +30,23 @@ void runCampaignWith(bool accounting) {
         config.obs.accountingInterval = sim::Duration::hours(6);
     }
     (void)fleet::runCampaign(config);
+}
+
+/// Phone-hours per wall second of a default `phones` x 1-day campaign with
+/// no profiler, run on every hardware thread or inside a pool task, where
+/// its phones run inline on one thread.
+double phoneHoursPerSecond(int phones, bool inlinePhones) {
+    fleet::FleetConfig config;
+    config.phoneCount = phones;
+    config.seed = 2026;
+    fleet::setCampaignDays(config, 1);
+    const auto start = bench::Clock::now();
+    if (inlinePhones) {
+        sim::runWorkStealing(1, 1, [&](std::size_t) { (void)fleet::runCampaign(config); });
+    } else {
+        (void)fleet::runCampaign(config);
+    }
+    return fleet::expectedObservedHours(config) / bench::secondsSince(start);
 }
 
 }  // namespace
@@ -74,6 +94,22 @@ int main(int argc, char** argv) {
     if (!report.cells.empty()) {
         json.add("scaling_phone_hours_per_sec",
                  report.cells.back().phoneHoursPerSec);
+    }
+
+    // ROADMAP item 5: one simulator per phone.  No baseline entry, so the
+    // compare step reports these without gating them.
+    std::printf("\n-- Phones on all threads vs inline (1 day, no profiler)\n");
+    std::printf("%8s  %16s  %16s  %8s\n", "phones", "inline ph/sec", "threads ph/sec",
+                "ratio");
+    for (const int phones : {1000, 10000}) {
+        const double inlineRate = phoneHoursPerSecond(phones, true);
+        const double threadsRate = phoneHoursPerSecond(phones, false);
+        const double ratio = threadsRate / inlineRate;
+        std::printf("%8d  %16.0f  %16.0f  %7.2fx\n", phones, inlineRate, threadsRate, ratio);
+        const std::string prefix = "phones_" + std::to_string(phones);
+        json.add(prefix + ".inline_phone_hours_per_sec", inlineRate);
+        json.add(prefix + ".threads_phone_hours_per_sec", threadsRate);
+        json.add(prefix + ".threads_speedup", ratio);
     }
     json.write();
     return 0;

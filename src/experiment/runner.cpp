@@ -3,9 +3,9 @@
 #include <stdexcept>
 
 #include "analysis/panic_stats.hpp"
-#include "experiment/pool.hpp"
 #include "experiment/seed.hpp"
 #include "monitor/monitor.hpp"
+#include "simkernel/pool.hpp"
 #include "srgm/analyze.hpp"
 
 namespace symfail::experiment {
@@ -165,7 +165,8 @@ Summary Runner::run(const Grid& grid) const {
     // Each task writes exclusively to its own pre-sized slot; the task
     // body depends only on (master seed, cell, trial), so any worker
     // count yields the same slots — see pool.hpp's determinism contract.
-    runWorkStealing(taskCount, options_.jobs, [&](std::size_t index) {
+    // Each trial's campaign runs its phones on the trial's own thread.
+    sim::runWorkStealing(taskCount, options_.jobs, [&](std::size_t index) {
         const std::size_t cellIndex = index / trials;
         const std::size_t trialIndex = index % trials;
         TrialResult& slot = summary.trials[index];

@@ -3,11 +3,7 @@
 namespace symfail::fleet {
 
 transport::IngestResult CollectionServer::ingestFrame(std::string_view bytes) {
-    auto result = reassembler_.ingest(bytes);
-    if (result.ack && observer_ != nullptr) {
-        observer_->onFrameAccepted(result);
-    }
-    return result;
+    return reassembler_.ingest(bytes);
 }
 
 std::vector<analysis::PhoneLog> CollectionServer::collectedLogs() const {

@@ -10,7 +10,9 @@
 // `collectedLogs` reconstructs every phone's copy from the chunk maps, so
 // analysis can run on uploaded data even for phones that died before
 // campaign end, and on partial data for phones whose segments were
-// permanently lost.
+// permanently lost.  A campaign gives each phone a server of its own (a
+// shard: the chunk maps are keyed by phone and phones never share one),
+// so a phone files and acks its frames on its own worker thread.
 #pragma once
 
 #include <cstdint>
@@ -22,17 +24,6 @@
 #include "transport/reassembly.hpp"
 
 namespace symfail::fleet {
-
-/// Streaming tap on the server's ingest path.  Implementations (the
-/// fleet-health monitor) observe every accepted frame as it arrives, in
-/// simulated time, without perturbing storage or acking.
-class IngestObserver {
-public:
-    virtual ~IngestObserver() = default;
-    /// A chunked frame decoded cleanly and was filed (duplicates included;
-    /// see transport::IngestResult::duplicate).
-    virtual void onFrameAccepted(const transport::IngestResult& frame) = 0;
-};
 
 /// Collection store: one reassembled copy per phone.
 class CollectionServer {
@@ -64,11 +55,6 @@ public:
         return reassembler_;
     }
 
-    /// Attaches a streaming ingest tap (non-owning; nullptr detaches).
-    /// Purely observational: attaching one never changes what the server
-    /// stores or acks.
-    void setIngestObserver(IngestObserver* observer) { observer_ = observer; }
-
     /// Approximate heap footprint of the server (the reassembler's chunk
     /// maps); deterministic for identical upload sequences.
     [[nodiscard]] std::size_t approxMemoryBytes() const {
@@ -77,7 +63,6 @@ public:
 
 private:
     transport::Reassembler reassembler_;
-    IngestObserver* observer_{nullptr};
 };
 
 }  // namespace symfail::fleet

@@ -3,13 +3,20 @@
 #include <algorithm>
 #include <array>
 #include <functional>
-#include <map>
 #include <memory>
+#include <optional>
+#include <thread>
+
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
 
 #include "faults/injector.hpp"
 #include "fleet/collection.hpp"
 #include "fleet/observer.hpp"
 #include "logger/records.hpp"
+#include "obs/journal.hpp"
+#include "simkernel/pool.hpp"
 #include "simkernel/simulator.hpp"
 #include "transport/frame.hpp"
 
@@ -27,35 +34,175 @@ constexpr double kOutputFailuresPerHour = 2.0 / 313.0;
 /// through the logs, not through this estimate).
 constexpr double kAssumedOnFraction = 0.85;
 
-/// Adapts one phone's flash mutations onto the provenance tracker: only
+/// Simulated time the phones run between two deliveries of their
+/// journals.  A week keeps the workers' barrier (tens of microseconds) out
+/// of sight next to a window's work, and keeps a window's journals small:
+/// with an observer attached they hold a copy of every accepted frame.
+constexpr sim::Duration kWindow = sim::Duration::days(7);
+
+/// Bytes one phone's subsystems hold, as an accounting sweep reads them.
+struct PhoneBytes {
+    std::uint64_t simkernel{0};
+    std::uint64_t phone{0};
+    std::uint64_t logger{0};
+    std::uint64_t transport{0};
+    std::uint64_t server{0};
+
+    PhoneBytes& operator+=(const PhoneBytes& other) {
+        simkernel += other.simkernel;
+        phone += other.phone;
+        logger += other.logger;
+        transport += other.transport;
+        server += other.server;
+        return *this;
+    }
+};
+
+/// Adapts one phone's flash mutations onto its provenance journal: only
 /// the consolidated Log File feeds lineage, and every event is stamped
 /// with the simulated clock the flash write happened under.
 class ProvenanceFlashAdapter final : public phone::FlashWriteObserver {
 public:
-    ProvenanceFlashAdapter(obs::ProvenanceTracker& tracker,
-                           sim::Simulator& simulator, std::string phone)
-        : tracker_{&tracker}, simulator_{&simulator}, phone_{std::move(phone)} {}
+    ProvenanceFlashAdapter(obs::ProvenanceJournal& journal, sim::Simulator& simulator)
+        : journal_{&journal}, simulator_{&simulator} {}
 
     void onAppend(std::string_view file, std::uint64_t offset,
                   std::uint32_t length, std::string_view line) override {
         if (file != logger::kLogFile) return;
-        tracker_->recordCreated(phone_, offset, length, logger::recordTag(line),
-                                simulator_->now());
+        journal_->recordCreated(offset, length, logger::recordTag(line), simulator_->now());
     }
     void onTear(std::string_view file, std::uint64_t newSize) override {
         if (file != logger::kLogFile) return;
-        tracker_->tailTorn(phone_, newSize, simulator_->now());
+        journal_->tailTorn(newSize, simulator_->now());
     }
     void onRotate(std::string_view file, std::uint64_t cutBytes) override {
         if (file != logger::kLogFile) return;
-        tracker_->prefixRotated(phone_, cutBytes, simulator_->now());
+        journal_->prefixRotated(cutBytes, simulator_->now());
     }
 
 private:
-    obs::ProvenanceTracker* tracker_;
+    obs::ProvenanceJournal* journal_;
     sim::Simulator* simulator_;
-    std::string phone_;
 };
+
+/// One phone and everything that runs with it: its own simulator, its own
+/// server shard and the journal of what it hands to the campaign-wide
+/// sinks, so that a worker thread can run it alone.
+struct PhoneUnit {
+    PhoneUnit() = default;
+    PhoneUnit(const PhoneUnit&) = delete;
+    PhoneUnit& operator=(const PhoneUnit&) = delete;
+
+    sim::Simulator* simulator{nullptr};
+    obs::Journal journal;
+    std::unique_ptr<obs::ProvenanceJournal> provenance;
+    CollectionServer server;
+    // Destruction order matters: the device's destructor may run
+    // power-down hooks that call back into the logger, injector and
+    // upload agent, so the device (declared last) must be destroyed
+    // first.
+    std::unique_ptr<logger::FailureLogger> logger;
+    std::unique_ptr<logger::UserReportChannel> userReports;
+    std::unique_ptr<faults::FaultInjector> injector;
+    std::unique_ptr<transport::Channel> dataChannel;
+    std::unique_ptr<transport::Channel> ackChannel;
+    std::unique_ptr<transport::UploadAgent> uploadAgent;
+    std::unique_ptr<ProvenanceFlashAdapter> flashAdapter;
+    std::unique_ptr<phone::PhoneDevice> device;
+    /// The phone's accounting samples that the fleet's sweeps have yet to
+    /// record, oldest first.
+    std::vector<PhoneBytes> samples;
+
+    [[nodiscard]] PhoneBytes bytes() const {
+        PhoneBytes bytes;
+        bytes.simkernel = simulator->queueApproxBytes();
+        bytes.phone = device->approxMemoryBytes();
+        bytes.logger = logger->approxMemoryBytes();
+        for (const transport::Channel* channel : {dataChannel.get(), ackChannel.get()}) {
+            if (channel != nullptr) bytes.transport += channel->approxMemoryBytes();
+        }
+        if (uploadAgent != nullptr) bytes.transport += uploadAgent->approxMemoryBytes();
+        bytes.server = server.approxMemoryBytes();
+        return bytes;
+    }
+};
+
+/// What the harvest takes off one phone after its last window.
+struct Harvest {
+    std::optional<analysis::PhoneLog> collected;  ///< The shard's copy, if heard from.
+    std::size_t recordsInjected{0};
+    std::size_t recordsDelivered{0};
+};
+
+/// Schedules the phone's accounting samples, one at every sweep instant.
+/// The phone runs a window before the fleet does, so the fleet's sweep at
+/// the same instant finds the sample waiting.
+void armAccounting(PhoneUnit& unit, sim::Duration interval) {
+    unit.simulator->scheduleAfter(interval, "obs.account", [&unit, interval]() {
+        unit.samples.push_back(unit.bytes());
+        armAccounting(unit, interval);
+    });
+}
+
+/// The phones' worker count: every hardware thread up to the phone count,
+/// or one (the calling thread) inside a pool task, whose pool already
+/// fills the cores (a sweep's trials), and with a trace sink or a profiler
+/// attached: trace sinks are not thread-safe, and the profiler's
+/// categories must add up to the simulate span on one clock.
+int phoneWorkers(const FleetConfig& config) {
+    if (sim::inPoolTask() || config.obs.trace != nullptr ||
+        config.obs.profiler != nullptr) {
+        return 1;
+    }
+    const auto threads = static_cast<int>(std::thread::hardware_concurrency());
+    return std::max(1, std::min(threads, config.phoneCount));
+}
+
+/// Delivers one window's journals on the calling thread in (time, phone
+/// index, journal order), running the fleet simulator's own events between
+/// the items: a fleet event runs after every phone item at its instant.
+/// Then runs the fleet to `to` (its events at `to` too when `last`) and
+/// clears the journals.  Returns false when an observer stopped the
+/// campaign.
+bool deliverWindow(std::vector<PhoneUnit>& units, sim::Simulator& fleet,
+                   sim::TimePoint to, bool last) {
+    struct Ref {
+        sim::TimePoint at;
+        std::uint32_t phone;
+        std::uint32_t item;
+    };
+    std::vector<Ref> order;
+    for (std::size_t p = 0; p < units.size(); ++p) {
+        const obs::Journal& items = units[p].journal;
+        for (std::size_t k = 0; k < items.size(); ++k) {
+            order.push_back(Ref{items[k].at, static_cast<std::uint32_t>(p),
+                                static_cast<std::uint32_t>(k)});
+        }
+    }
+    std::sort(order.begin(), order.end(), [](const Ref& a, const Ref& b) {
+        if (a.at != b.at) return a.at < b.at;
+        return a.phone != b.phone ? a.phone < b.phone : a.item < b.item;
+    });
+    bool running = true;
+    for (const Ref& ref : order) {
+        fleet.runBefore(ref.at);
+        if (fleet.stopRequested()) {
+            running = false;
+            break;
+        }
+        units[ref.phone].journal[ref.item].deliver();
+    }
+    if (running) {
+        if (last) {
+            fleet.runUntil(to);
+        } else {
+            fleet.runBefore(to);
+        }
+        running = !fleet.stopRequested();
+    }
+    for (auto& unit : units) unit.journal.clear();
+    return running;
+}
 
 }  // namespace
 
@@ -103,9 +250,13 @@ faults::StudyPlan derivePlan(const FleetConfig& config) {
 }
 
 FleetResult runCampaign(const FleetConfig& config) {
-    sim::Simulator simulator;
-    simulator.setTraceSink(config.obs.trace);
-    simulator.setProfiler(config.obs.profiler);
+    const auto phoneCount = static_cast<std::size_t>(std::max(config.phoneCount, 0));
+    // The observers' simulator: the monitor's ticks, the accountant's
+    // sweeps and whatever else an observer schedules.  Each phone runs in
+    // a simulator of its own.
+    sim::Simulator fleet;
+    fleet.setTraceSink(config.obs.trace);
+    fleet.setProfiler(config.obs.profiler);
     const std::uint32_t fleetTrack =
         config.obs.trace != nullptr ? config.obs.trace->registerTrack("fleet") : 0;
     sim::Rng fleetRng{config.seed};
@@ -119,51 +270,47 @@ FleetResult runCampaign(const FleetConfig& config) {
 
     const auto rates = faults::deriveRates(derivePlan(config));
 
+    // Declared before the plane registry: its planes cancel their pending
+    // events when it destroys them.
+    std::vector<std::unique_ptr<sim::Simulator>> simulators;
+    simulators.reserve(phoneCount);
     // Declared before the phones: planes keep raw pointers into devices,
     // loggers and channels and must outlive them (see registry.hpp).
     std::unique_ptr<osfault::PlaneRegistry> planeRegistry;
     if (config.osfault.shouldAttach()) {
         planeRegistry = std::make_unique<osfault::PlaneRegistry>(config.osfault);
     }
+    // Sized once: the phones' closures hold their unit's address.
+    std::vector<PhoneUnit> units(phoneCount);
 
-    struct PhoneUnit {
-        // Destruction order matters: the device's destructor may run
-        // power-down hooks that call back into the logger, injector and
-        // upload agent, so the device (declared last) must be destroyed
-        // first.
-        std::unique_ptr<logger::FailureLogger> logger;
-        std::unique_ptr<logger::UserReportChannel> userReports;
-        std::unique_ptr<faults::FaultInjector> injector;
-        std::unique_ptr<transport::Channel> dataChannel;
-        std::unique_ptr<transport::Channel> ackChannel;
-        std::unique_ptr<transport::UploadAgent> uploadAgent;
-        std::unique_ptr<ProvenanceFlashAdapter> flashAdapter;
-        std::unique_ptr<phone::PhoneDevice> device;
-    };
-    std::vector<PhoneUnit> units;
-    units.reserve(static_cast<std::size_t>(config.phoneCount));
-
-    CollectionServer server;
-
-    // The monitor taps the ingest stream and learns the campaign shape
-    // before any event fires, so its own periodic work rides the same
-    // simulated clock as everything else.
+    // The monitor learns the campaign shape before any event fires, so its
+    // own periodic work rides the same simulated clock as everything else.
     CampaignObserver* monitor = config.obs.monitor;
     obs::ProvenanceTracker* provenance = config.obs.provenance;
     if (provenance != nullptr) provenance->attachTrace(config.obs.trace);
     if (monitor != nullptr) {
-        server.setIngestObserver(monitor);
         if (provenance != nullptr) monitor->onProvenanceAttached(provenance);
-        monitor->onCampaignBegin(simulator, config);
+        monitor->onCampaignBegin(fleet, config);
     }
 
-    FleetResult result;
+    // Accounting: each phone samples its own bytes at the sweep instants,
+    // and the fleet's sweep records the sums.  The samples touch no RNG
+    // stream and mutate nothing, so — like the monitor — attaching the
+    // accountant leaves every campaign table bit-identical (the extra
+    // events only shift queue sequence numbers, which order only the
+    // samples themselves).
+    obs::ResourceAccountant* accountant = config.obs.accountant;
 
-    for (int i = 0; i < config.phoneCount; ++i) {
+    for (std::size_t i = 0; i < phoneCount; ++i) {
+        PhoneUnit& unit = units[i];
+        sim::Simulator& simulator = *simulators.emplace_back(std::make_unique<sim::Simulator>());
+        simulator.setTraceSink(config.obs.trace);
+        simulator.setProfiler(config.obs.profiler);
+        unit.simulator = &simulator;
+
         phone::PhoneDevice::Config deviceConfig;
         deviceConfig.name = "phone-" + std::to_string(i);
-        deviceConfig.symbianVersion =
-            kVersionPool[static_cast<std::size_t>(i) % kVersionPool.size()];
+        deviceConfig.symbianVersion = kVersionPool[i % kVersionPool.size()];
         deviceConfig.seed = fleetRng.nextU64();
 
         // Per-user variation around the typical profile.
@@ -178,68 +325,76 @@ FleetResult runCampaign(const FleetConfig& config) {
         profile.freezeNoticeMedian =
             sim::Duration::fromSecondsF(fleetRng.lognormalMedian(12.0 * 60.0, 0.4));
 
-        auto device = std::make_unique<phone::PhoneDevice>(simulator, deviceConfig);
-        auto loggerApp =
-            std::make_unique<logger::FailureLogger>(*device, config.loggerConfig);
-        auto userReports = std::make_unique<logger::UserReportChannel>(
-            *device, config.userReportConfig, fleetRng.nextU64());
-        auto injector = std::make_unique<faults::FaultInjector>(*device, rates,
-                                                                fleetRng.nextU64());
+        unit.device = std::make_unique<phone::PhoneDevice>(simulator, deviceConfig);
+        phone::PhoneDevice& device = *unit.device;
+        unit.logger = std::make_unique<logger::FailureLogger>(device, config.loggerConfig);
+        unit.userReports = std::make_unique<logger::UserReportChannel>(
+            device, config.userReportConfig, fleetRng.nextU64());
+        unit.injector =
+            std::make_unique<faults::FaultInjector>(device, rates, fleetRng.nextU64());
+        if (provenance != nullptr) {
+            unit.provenance = std::make_unique<obs::ProvenanceJournal>(
+                *provenance, deviceConfig.name, unit.journal);
+        }
 
-        // The collection path: one lossy channel pair and one upload agent
-        // per phone, all seeded off the independent transport stream.
-        std::unique_ptr<transport::Channel> dataChannel;
-        std::unique_ptr<transport::Channel> ackChannel;
-        std::unique_ptr<transport::UploadAgent> uploadAgent;
+        // The collection path: one lossy channel pair, one upload agent and
+        // one server shard per phone, seeded off the independent transport
+        // stream.
         if (config.transport.enabled) {
-            dataChannel = std::make_unique<transport::Channel>(
+            unit.dataChannel = std::make_unique<transport::Channel>(
                 simulator, config.transport.dataChannel, transportRng.nextU64());
-            ackChannel = std::make_unique<transport::Channel>(
+            unit.ackChannel = std::make_unique<transport::Channel>(
                 simulator, config.transport.ackChannel, transportRng.nextU64());
-            uploadAgent = std::make_unique<transport::UploadAgent>(
-                *device, *loggerApp, *dataChannel, *ackChannel,
+            unit.uploadAgent = std::make_unique<transport::UploadAgent>(
+                device, *unit.logger, *unit.dataChannel, *unit.ackChannel,
                 config.transport.policy, transportRng.nextU64());
-            dataChannel->setTraceTrack(device->traceTrack());
-            ackChannel->setTraceTrack(device->traceTrack());
-            if (provenance != nullptr) {
-                uploadAgent->setProvenance(provenance);
-                dataChannel->setProvenance(provenance);
+            unit.dataChannel->setTraceTrack(device.traceTrack());
+            unit.ackChannel->setTraceTrack(device.traceTrack());
+            if (unit.provenance != nullptr) {
+                unit.uploadAgent->setProvenance(unit.provenance.get());
+                unit.dataChannel->setProvenance(unit.provenance.get());
             }
-            // Server edge: file the frame, stamp what the reassembler stored
-            // (or count the rejected copy) for provenance, then ship the ack.
-            transport::Channel* ackPtr = ackChannel.get();
-            dataChannel->setReceiver([&server, &simulator, ackPtr,
-                                      provenance](const std::string& bytes) {
-                const auto ingest = server.ingestFrame(bytes);
-                if (provenance != nullptr) {
-                    if (ingest.ack) {
-                        provenance->segmentReconciled(
-                            ingest.phone, ingest.seq, ingest.payload.size(),
-                            ingest.duplicate, simulator.now());
-                    } else {
-                        provenance->frameRejected(simulator.now());
-                    }
+            // Server edge: the shard files the frame and ships the ack; the
+            // monitor's copy of the frame and its provenance stamp go to the
+            // journal, in that order.
+            unit.dataChannel->setReceiver([&unit, monitor](const std::string& bytes) {
+                const sim::TimePoint now = unit.simulator->now();
+                const transport::IngestResult ingest = unit.server.ingestFrame(bytes);
+                if (!ingest.ack) {
+                    if (unit.provenance != nullptr) unit.provenance->frameRejected(now);
+                    return;
                 }
-                if (ingest.ack) ackPtr->send(transport::encodeAck(*ingest.ack));
+                if (monitor != nullptr) {
+                    // The payload view dies with the next ingest: keep a copy.
+                    unit.journal.push_back(
+                        {now, [monitor, frame = ingest,
+                               payload = std::string{ingest.payload}]() mutable {
+                             frame.payload = payload;
+                             monitor->onFrameAccepted(frame);
+                         }});
+                }
+                if (unit.provenance != nullptr) {
+                    unit.provenance->segmentReconciled(ingest.seq, ingest.payload.size(),
+                                                       ingest.duplicate, now);
+                }
+                unit.ackChannel->send(transport::encodeAck(*ingest.ack));
             });
         }
 
         // Lineage starts at the flash write: the adapter stamps every Log
         // File append (and tear/rotation) the instant it happens.
-        std::unique_ptr<ProvenanceFlashAdapter> flashAdapter;
-        if (provenance != nullptr) {
-            flashAdapter = std::make_unique<ProvenanceFlashAdapter>(
-                *provenance, simulator, deviceConfig.name);
-            device->flash().setWriteObserver(flashAdapter.get());
+        if (unit.provenance != nullptr) {
+            unit.flashAdapter =
+                std::make_unique<ProvenanceFlashAdapter>(*unit.provenance, simulator);
+            device.flash().setWriteObserver(unit.flashAdapter.get());
         }
 
         // OS-interface fault planes: wired after the transport path so the
         // radio plane can feed the channels' outage model, before
         // enrollment so every plane sees the full campaign window.
         if (planeRegistry != nullptr) {
-            planeRegistry->attach(simulator, *device, *loggerApp,
-                                  dataChannel.get(), ackChannel.get(),
-                                  osfaultRng.nextU64());
+            planeRegistry->attach(simulator, device, *unit.logger, unit.dataChannel.get(),
+                                  unit.ackChannel.get(), osfaultRng.nextU64());
         }
 
         // Staggered enrollment: the phone powers on when its user joins
@@ -251,12 +406,12 @@ FleetResult runCampaign(const FleetConfig& config) {
             sim::TimePoint::origin() + sim::Duration::fromSecondsF(joinHours * 3'600.0);
         if (monitor != nullptr) {
             OutageProbe probe;
-            if (const transport::Channel* data = dataChannel.get()) {
+            if (const transport::Channel* data = unit.dataChannel.get()) {
                 probe = [data](sim::TimePoint t) { return data->inOutage(t); };
             }
             monitor->onPhoneEnrolled(deviceConfig.name, enrollAt, std::move(probe));
         }
-        phone::PhoneDevice* devicePtr = device.get();
+        phone::PhoneDevice* devicePtr = &device;
         simulator.scheduleAt(
             enrollAt,
             "fleet.enroll", [devicePtr, &simulator, fleetTrack]() {
@@ -267,81 +422,100 @@ FleetResult runCampaign(const FleetConfig& config) {
                 }
                 devicePtr->powerOn();
             });
-
-        units.push_back(PhoneUnit{std::move(loggerApp), std::move(userReports),
-                                  std::move(injector), std::move(dataChannel),
-                                  std::move(ackChannel), std::move(uploadAgent),
-                                  std::move(flashAdapter), std::move(device)});
+        if (accountant != nullptr) armAccounting(unit, config.obs.accountingInterval);
     }
 
-    // Capacity accounting: a read-only sweep over every subsystem's byte
-    // probe.  The sweep touches no RNG stream and mutates nothing, so —
-    // like the monitor — attaching it leaves every campaign table
-    // bit-identical (the extra events only shift queue sequence numbers,
-    // which order only the sweep itself).
-    obs::ResourceAccountant* accountant = config.obs.accountant;
-    std::function<void()> takeAccountingSample;
+    const auto recordAccounting = [&](const PhoneBytes& phones) {
+        accountant->record("simkernel", phones.simkernel + fleet.queueApproxBytes());
+        accountant->record("phone", phones.phone);
+        accountant->record("logger", phones.logger);
+        accountant->record("transport", phones.transport);
+        accountant->record("server", phones.server);
+        if (monitor != nullptr) {
+            accountant->record("monitor", monitor->approxMemoryBytes());
+        }
+    };
     std::function<void()> scheduleAccountingSweep;
     if (accountant != nullptr) {
-        takeAccountingSample = [&simulator, &units, &server, accountant,
-                                monitor]() {
-            std::uint64_t phoneBytes = 0;
-            std::uint64_t loggerBytes = 0;
-            std::uint64_t transportBytes = 0;
-            for (const auto& unit : units) {
-                phoneBytes += unit.device->approxMemoryBytes();
-                loggerBytes += unit.logger->approxMemoryBytes();
-                if (unit.dataChannel != nullptr) {
-                    transportBytes += unit.dataChannel->approxMemoryBytes();
-                }
-                if (unit.ackChannel != nullptr) {
-                    transportBytes += unit.ackChannel->approxMemoryBytes();
-                }
-                if (unit.uploadAgent != nullptr) {
-                    transportBytes += unit.uploadAgent->approxMemoryBytes();
-                }
-            }
-            accountant->record("simkernel", simulator.queueApproxBytes());
-            accountant->record("phone", phoneBytes);
-            accountant->record("logger", loggerBytes);
-            accountant->record("transport", transportBytes);
-            accountant->record("server", server.approxMemoryBytes());
-            if (monitor != nullptr) {
-                accountant->record("monitor", monitor->approxMemoryBytes());
-            }
-        };
         // Each sweep schedules its successor after it runs.
         scheduleAccountingSweep = [&]() {
-            simulator.scheduleAfter(config.obs.accountingInterval, "obs.account", [&]() {
-                takeAccountingSample();
+            fleet.scheduleAfter(config.obs.accountingInterval, "obs.account", [&]() {
+                PhoneBytes phones;
+                for (auto& unit : units) {
+                    phones += unit.samples.front();
+                    unit.samples.erase(unit.samples.begin());
+                }
+                recordAccounting(phones);
                 scheduleAccountingSweep();
             });
         };
         scheduleAccountingSweep();
     }
 
-    simulator.runUntil(sim::TimePoint::origin() + config.campaign);
-    if (accountant != nullptr) takeAccountingSample();
-    if (monitor != nullptr) {
-        monitor->onCampaignEnd(sim::TimePoint::origin() + config.campaign);
-        server.setIngestObserver(nullptr);
+    // The fleet's origin events run before any phone does, so an observer
+    // that stops the campaign there (perfbench's set-up-only runs) ends it
+    // before a worker starts.  Then the phones run window by window on the
+    // workers, and the calling thread delivers each window's journals.
+    const sim::TimePoint end = sim::TimePoint::origin() + config.campaign;
+    fleet.runUntil(sim::TimePoint::origin());
+    bool running = !fleet.stopRequested();
+    const int workers = phoneWorkers(config);
+    const bool phonesOnWorkers = running && workers > 1;
+    sim::WorkerPool pool{workers};
+    for (sim::TimePoint from = sim::TimePoint::origin(); running;) {
+        const sim::TimePoint to = std::min(from + kWindow, end);
+        const bool last = to == end;
+        pool.run(phoneCount, [&](std::size_t i) {
+            sim::Simulator& simulator = *units[i].simulator;
+            if (last) {
+                simulator.runUntil(to);
+            } else {
+                simulator.runBefore(to);
+            }
+        });
+        running = deliverWindow(units, fleet, to, last) && !last;
+        from = to;
     }
+
+    if (accountant != nullptr) {
+        PhoneBytes phones;
+        for (const auto& unit : units) phones += unit.bytes();
+        recordAccounting(phones);
+    }
+    if (monitor != nullptr) monitor->onCampaignEnd(end);
     if (provenance != nullptr) {
         // Resolve outcomes at the campaign boundary, before teardown-order
         // stragglers (destructor-time flash writes) could muddy the books.
-        provenance->finalize(sim::TimePoint::origin() + config.campaign);
+        provenance->finalize(end);
     }
+
+    // End of campaign: each worker moves its phones' Log Files and ground
+    // truth out, rebuilds the shards' copies and counts the records.
+    FleetResult result;
+    result.logs.resize(phoneCount);
+    result.phoneNames.resize(phoneCount);
+    result.truths.resize(phoneCount);
+    std::vector<Harvest> harvests(phoneCount);
+    pool.run(phoneCount, [&](std::size_t i) {
+        PhoneUnit& unit = units[i];
+        result.phoneNames[i] = unit.device->name();
+        result.logs[i] = analysis::PhoneLog{unit.device->name(), unit.logger->takeLogFile()};
+        result.truths[i] = std::move(unit.device->groundTruth());
+        if (!config.transport.enabled) return;
+        Harvest& harvest = harvests[i];
+        harvest.recordsInjected = logger::countLogRecords(result.logs[i].logFileContent);
+        auto collected = unit.server.collectedLogs();
+        if (collected.empty()) return;
+        harvest.recordsDelivered = logger::countLogRecords(collected.front().logFileContent);
+        harvest.collected = std::move(collected.front());
+    });
 
     std::uint64_t heartbeatsWritten = 0;
     std::uint64_t panicsLogged = 0;
     std::uint64_t bootsLogged = 0;
-    for (auto& unit : units) {
-        // End of campaign: collect the Log File and the ground truth, then
-        // drop the simulation objects.
-        result.logs.push_back(analysis::PhoneLog{unit.device->name(),
-                                                 unit.logger->logFileContent()});
-        result.phoneNames.push_back(unit.device->name());
-        result.truths.push_back(unit.device->groundTruth());
+    result.simulatorEvents = fleet.eventsFired();
+    result.queueDepthPeak = fleet.queueDepthPeak();
+    for (const auto& unit : units) {
         const auto& stats = unit.injector->stats();
         result.panicsInjected += stats.primaryPanics + stats.secondaryPanics;
         result.hangsInjected += stats.hangs;
@@ -354,9 +528,9 @@ FleetResult runCampaign(const FleetConfig& config) {
         bootsLogged += unit.logger->bootsLogged();
         result.loggerRecordAnomalies += unit.logger->recordAnomalies();
         result.loggerDaemonDeaths += unit.logger->daemonDeaths();
+        result.simulatorEvents += unit.simulator->eventsFired();
+        result.queueDepthPeak = std::max(result.queueDepthPeak, unit.simulator->queueDepthPeak());
     }
-    result.simulatorEvents = simulator.eventsFired();
-    result.queueDepthPeak = simulator.queueDepthPeak();
     if (planeRegistry != nullptr) result.osfault = planeRegistry->stats();
 
     // Transport accounting: what made it to the collection server, and
@@ -387,43 +561,39 @@ FleetResult runCampaign(const FleetConfig& config) {
                 report.bytesDelivered += stats.bytesDelivered;
             }
             report.deliveryLatency.merge(unit.dataChannel->stats().latency);
+            const auto& reassembly = unit.server.reassembler().stats();
+            report.framesRejected += reassembly.framesRejected;
+            report.duplicateFrames += reassembly.duplicates;
+            report.segmentsStored += reassembly.segmentsStored;
         }
-        const auto& reassembly = server.reassembler().stats();
-        report.framesRejected = reassembly.framesRejected;
-        report.duplicateFrames = reassembly.duplicates;
-        report.segmentsStored = reassembly.segmentsStored;
 
-        result.collectedLogs = server.collectedLogs();
-        std::map<std::string, std::size_t> deliveredByPhone;
-        for (const auto& log : result.collectedLogs) {
-            const auto records = logger::parseLogFile(log.logFileContent).size();
-            deliveredByPhone[log.phoneName] = records;
-            report.recordsDelivered += records;
+        // Measured coverage: records that reached the server vs records
+        // the phone wrote.  Finer than the server's own segment view —
+        // bytes lost off the growing tail segment hide inside a segment
+        // the server already holds, so `server.coverage` can read 100%
+        // while records are missing.  It is stamped onto the collected
+        // logs so the analysis dataset flags partial-log phones.
+        std::vector<std::size_t> heard;
+        for (std::size_t i = 0; i < phoneCount; ++i) {
+            const Harvest& harvest = harvests[i];
+            report.recordsInjected += harvest.recordsInjected;
+            report.coverageByPhone[result.phoneNames[i]] =
+                harvest.recordsInjected == 0
+                    ? 1.0
+                    : std::min(1.0, static_cast<double>(harvest.recordsDelivered) /
+                                        static_cast<double>(harvest.recordsInjected));
+            if (harvest.collected) heard.push_back(i);
+        }
+        // One server listed its copies in name order.
+        std::sort(heard.begin(), heard.end(), [&](std::size_t a, std::size_t b) {
+            return result.phoneNames[a] < result.phoneNames[b];
+        });
+        for (const std::size_t i : heard) {
+            analysis::PhoneLog& log = *harvests[i].collected;
+            report.recordsDelivered += harvests[i].recordsDelivered;
             report.payloadBytesDelivered += log.logFileContent.size();
-        }
-        for (const auto& log : result.logs) {
-            const auto injected = logger::parseLogFile(log.logFileContent).size();
-            report.recordsInjected += injected;
-            // Measured coverage: records that reached the server vs records
-            // the phone wrote.  Finer than the server's own segment view —
-            // bytes lost off the growing tail segment hide inside a
-            // segment the server already holds, so `server.coverage` can
-            // read 100% while records are missing.
-            const auto it = deliveredByPhone.find(log.phoneName);
-            const auto delivered = it != deliveredByPhone.end() ? it->second : 0;
-            const double coverage =
-                injected == 0 ? 1.0
-                              : std::min(1.0, static_cast<double>(delivered) /
-                                                  static_cast<double>(injected));
-            report.coverageByPhone[log.phoneName] = coverage;
-        }
-        // Stamp the measured coverage onto the collected logs so the
-        // analysis dataset flags partial-log phones.
-        for (auto& log : result.collectedLogs) {
-            const auto it = report.coverageByPhone.find(log.phoneName);
-            if (it != report.coverageByPhone.end()) {
-                log.coverage = std::min(log.coverage, it->second);
-            }
+            log.coverage = std::min(log.coverage, report.coverageByPhone[log.phoneName]);
+            result.collectedLogs.push_back(std::move(log));
         }
     }
 
@@ -517,6 +687,17 @@ FleetResult runCampaign(const FleetConfig& config) {
         if (provenance != nullptr) provenance->publishMetrics(*registry);
         if (config.obs.profiler != nullptr) config.obs.profiler->publish(*registry);
     }
+
+    // Tear the phones down, then the planes, then the simulators (see
+    // their declarations).  Memory the phones allocated while they ran on
+    // the workers sits in those threads' malloc arenas, whose free pages
+    // the caller's analysis on this thread never reuses: hand them back.
+    units.clear();
+    planeRegistry.reset();
+    simulators.clear();
+#if defined(__GLIBC__)
+    if (phonesOnWorkers) malloc_trim(0);
+#endif
     return result;
 }
 

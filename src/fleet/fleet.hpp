@@ -55,7 +55,10 @@ struct TransportOptions {
 /// any of them never perturbs the campaign: traces are keyed to simulated
 /// time, metrics are published after the run, and the profiler only reads
 /// the host clock around dispatches.  With all three null the campaign is
-/// bit-identical to a build without observability.
+/// bit-identical to a build without observability.  A trace sink or a
+/// profiler runs the phones on the calling thread alone: neither is
+/// thread-safe, and the profiler's categories must add up to the simulate
+/// span on one clock.
 struct ObsOptions {
     obs::TraceSink* trace{nullptr};
     obs::MetricsRegistry* metrics{nullptr};
@@ -74,9 +77,11 @@ struct ObsOptions {
     /// Capacity accounting: a periodic read-only sweep records each
     /// subsystem's approxMemoryBytes() into the ledger ("simkernel",
     /// "phone", "logger", "transport", "server", "monitor"), plus one
-    /// final sweep at campaign end.  Values derive from simulated state
-    /// only, so the ledger is bit-identical across runs and the campaign
-    /// tables are bit-identical with accounting on or off.
+    /// final sweep at campaign end.  Each phone samples its own bytes at
+    /// the sweep instants, in its own simulator, and the fleet's sweep
+    /// records the sums.  Values derive from simulated state only, so the
+    /// ledger is bit-identical across runs and the campaign tables are
+    /// bit-identical with accounting on or off.
     obs::ResourceAccountant* accountant{nullptr};
     /// Simulated-clock cadence of the accounting sweep.
     sim::Duration accountingInterval = sim::Duration::hours(24);
@@ -135,9 +140,11 @@ struct FleetResult {
     std::uint64_t outputFailuresInjected{0};
     std::uint64_t userReportsFiled{0};
     std::uint64_t totalBoots{0};
+    /// Events fired, summed over the phones' simulators and the fleet's.
     std::uint64_t simulatorEvents{0};
-    /// Largest pending-event count seen at any dispatch (always tracked;
-    /// deterministic).
+    /// Largest pending-event count any one simulator saw at a dispatch:
+    /// the deepest single-phone queue, or the fleet's if deeper (always
+    /// tracked; deterministic).
     std::size_t queueDepthPeak{0};
 
     /// Fault-plane activity (all zeros when no planes were enabled).
@@ -165,7 +172,14 @@ struct FleetResult {
 /// staggers its phones.
 void setCampaignDays(FleetConfig& config, long long days);
 
-/// Runs the whole campaign; deterministic for a given config.
+/// Runs the whole campaign; deterministic for a given config, whatever
+/// the worker count.  Each phone runs in a simulator of its own, with its
+/// own collection-server shard; worker threads run every phone through a
+/// window of simulated time, and the calling thread then delivers what the
+/// phones journaled to the observers (fleet/observer.hpp).  The workers
+/// are every hardware thread up to the phone count, or the calling thread
+/// alone inside a pool task (a sweep's trials) or with a trace sink or a
+/// profiler attached.
 [[nodiscard]] FleetResult runCampaign(const FleetConfig& config);
 
 }  // namespace symfail::fleet

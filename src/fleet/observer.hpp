@@ -1,7 +1,7 @@
 // Campaign observation hooks.
 //
-// A CampaignObserver extends the collection server's ingest tap with the
-// campaign lifecycle: it learns when the simulation starts (so it can
+// A CampaignObserver taps the collection server's ingest path and follows
+// the campaign lifecycle: it learns when the simulation starts (so it can
 // schedule its own periodic work on the same simulated clock), when each
 // phone enrolls (with a probe into the phone's upload-channel outage
 // schedule, so server-side silence can be attributed to transport rather
@@ -13,6 +13,19 @@
 // server state and must never draw from any campaign RNG stream — with an
 // observer attached, the collected logs and every regenerated table stay
 // bit-identical to an unobserved run.
+//
+// Threads and order.  Each phone runs in a simulator of its own, on a
+// worker thread, one window of simulated time at a time; the observer's
+// simulator (the one onCampaignBegin hands over) is the fleet's, and only
+// the calling thread runs it.  Every callback arrives on the calling
+// thread: onFrameAccepted after the phones have run the window that holds
+// the frame, in merged time order (time, then phone index, then the
+// phone's own order), interleaved with the fleet simulator's events, with
+// a phone's frames ahead of fleet events at the same instant.  During a
+// callback the fleet simulator's clock reads the frame's instant.  An
+// OutageProbe stays a pure function of time: the phone's outage windows
+// start no earlier than the instant they are added, so a probe at `t`
+// gives the same answer whether or not the phone has run past `t`.
 #pragma once
 
 #include <functional>
@@ -38,10 +51,14 @@ using OutageProbe = std::function<bool(sim::TimePoint)>;
 
 /// Lifecycle + ingest hooks for one campaign.  All default to no-ops so
 /// implementations opt into what they need.
-class CampaignObserver : public IngestObserver {
+class CampaignObserver {
 public:
-    /// The simulator exists and the fleet is configured, but no event has
-    /// fired yet.  `simulator` outlives the campaign run.
+    virtual ~CampaignObserver() = default;
+
+    /// The fleet's simulator exists and the phones are not set up yet; no
+    /// event has fired.  `simulator` outlives the campaign run.  Its events
+    /// at the origin run before any phone does, so stop() there ends the
+    /// campaign with every phone still at the origin.
     virtual void onCampaignBegin(sim::Simulator& /*simulator*/,
                                  const FleetConfig& /*config*/) {}
     /// A phone was added to the fleet; it powers on at `enrollAt`.  The
@@ -67,7 +84,10 @@ public:
     /// No caller in src/; kept only for perfbench's StartProbe override.
     virtual void onWholeFile(const std::string& /*phoneName*/,
                              std::string_view /*content*/, bool /*stored*/) {}
-    void onFrameAccepted(const transport::IngestResult& /*frame*/) override {}
+    /// A chunked frame decoded cleanly and was filed (duplicates included;
+    /// see transport::IngestResult::duplicate).  Observes, in simulated
+    /// time, without perturbing storage or acking.
+    virtual void onFrameAccepted(const transport::IngestResult& /*frame*/) {}
 };
 
 }  // namespace symfail::fleet

@@ -51,6 +51,8 @@ const std::string& FailureLogger::logFileContent() const {
     return device_->flash().content(kLogFile);
 }
 
+std::string FailureLogger::takeLogFile() { return device_->flash().take(kLogFile); }
+
 void FailureLogger::setEnabled(bool enabled) {
     if (enabled == enabled_) return;
     enabled_ = enabled;

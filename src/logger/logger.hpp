@@ -77,6 +77,9 @@ public:
     /// The consolidated Log File content (what the collection
     /// infrastructure uploads).
     [[nodiscard]] const std::string& logFileContent() const;
+    /// Moves the Log File out of flash (a fleet's harvest at campaign
+    /// end); the file reads empty afterwards.
+    [[nodiscard]] std::string takeLogFile();
 
     /// Pid of the running daemon process (0 when not running).
     [[nodiscard]] symbos::ProcessId daemonPid() const { return daemonPid_; }

@@ -167,60 +167,77 @@ std::optional<LogFileEntry> parseBootLine(const std::vector<std::string_view>& f
     return entry;
 }
 
-}  // namespace
+/// Parses one non-empty Log File line; nullopt when it is malformed.
+std::optional<LogFileEntry> parseLogLine(std::string_view line) {
+    const auto fields = splitFields(line, '|');
+    if (fields[0] == "PANIC") return parsePanicLine(fields);
+    if (fields[0] == "DUMP") {
+        auto dump = crash::parseDumpFields(fields);
+        if (!dump) return std::nullopt;
+        LogFileEntry e;
+        e.type = LogFileEntry::Type::Dump;
+        e.dump = std::move(*dump);
+        return e;
+    }
+    if (fields[0] == "BOOT") return parseBootLine(fields);
+    if (fields[0] == "UREP") {
+        if (fields.size() != 3) return std::nullopt;
+        const auto us = parseField<std::int64_t>(fields[1]);
+        if (!us) return std::nullopt;
+        LogFileEntry rep;
+        rep.type = LogFileEntry::Type::UserReport;
+        rep.userReport.time = sim::TimePoint::fromMicros(*us);
+        rep.userReport.symptom = std::string{fields[2]};
+        return rep;
+    }
+    if (fields[0] == "META") {
+        if (fields.size() != 3) return std::nullopt;
+        const auto us = parseField<std::int64_t>(fields[1]);
+        if (!us) return std::nullopt;
+        LogFileEntry meta;
+        meta.type = LogFileEntry::Type::Meta;
+        meta.meta.time = sim::TimePoint::fromMicros(*us);
+        meta.meta.symbianVersion = std::string{fields[2]};
+        return meta;
+    }
+    return std::nullopt;
+}
 
-std::vector<LogFileEntry> parseLogFile(std::string_view content, std::size_t* malformed) {
-    std::vector<LogFileEntry> out;
-    std::size_t bad = 0;
+/// Calls `visit` with each non-empty line of `content`.
+template <typename Visit>
+void forEachLine(std::string_view content, Visit&& visit) {
     std::size_t start = 0;
     while (start < content.size()) {
         std::size_t nl = content.find('\n', start);
         if (nl == std::string_view::npos) nl = content.size();
         const std::string_view line = content.substr(start, nl - start);
         start = nl + 1;
-        if (line.empty()) continue;
-        const auto fields = splitFields(line, '|');
-        std::optional<LogFileEntry> entry;
-        if (fields[0] == "PANIC") {
-            entry = parsePanicLine(fields);
-        } else if (fields[0] == "DUMP") {
-            if (auto dump = crash::parseDumpFields(fields)) {
-                LogFileEntry e;
-                e.type = LogFileEntry::Type::Dump;
-                e.dump = std::move(*dump);
-                entry = std::move(e);
-            }
-        } else if (fields[0] == "BOOT") {
-            entry = parseBootLine(fields);
-        } else if (fields[0] == "UREP") {
-            if (fields.size() == 3) {
-                if (const auto us = parseField<std::int64_t>(fields[1])) {
-                    LogFileEntry rep;
-                    rep.type = LogFileEntry::Type::UserReport;
-                    rep.userReport.time = sim::TimePoint::fromMicros(*us);
-                    rep.userReport.symptom = std::string{fields[2]};
-                    entry = std::move(rep);
-                }
-            }
-        } else if (fields[0] == "META") {
-            if (fields.size() == 3) {
-                if (const auto us = parseField<std::int64_t>(fields[1])) {
-                    LogFileEntry meta;
-                    meta.type = LogFileEntry::Type::Meta;
-                    meta.meta.time = sim::TimePoint::fromMicros(*us);
-                    meta.meta.symbianVersion = std::string{fields[2]};
-                    entry = std::move(meta);
-                }
-            }
-        }
-        if (entry) {
+        if (!line.empty()) visit(line);
+    }
+}
+
+}  // namespace
+
+std::vector<LogFileEntry> parseLogFile(std::string_view content, std::size_t* malformed) {
+    std::vector<LogFileEntry> out;
+    std::size_t bad = 0;
+    forEachLine(content, [&](std::string_view line) {
+        if (auto entry = parseLogLine(line)) {
             out.push_back(std::move(*entry));
         } else {
             ++bad;
         }
-    }
+    });
     if (malformed != nullptr) *malformed = bad;
     return out;
+}
+
+std::size_t countLogRecords(std::string_view content) {
+    std::size_t count = 0;
+    forEachLine(content, [&](std::string_view line) {
+        if (parseLogLine(line)) ++count;
+    });
+    return count;
 }
 
 std::string_view recordTag(std::string_view line) {

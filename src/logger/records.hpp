@@ -136,6 +136,8 @@ void appendBeat(std::string& out, const BeatRecord& r);
 /// counted in `malformed` when provided.
 [[nodiscard]] std::vector<LogFileEntry> parseLogFile(std::string_view content,
                                                      std::size_t* malformed = nullptr);
+/// parseLogFile(content).size(), without keeping the entries.
+[[nodiscard]] std::size_t countLogRecords(std::string_view content);
 
 using crash::splitFields;
 

@@ -341,6 +341,62 @@ void ProvenanceTracker::monitorConsumed(const std::string& phone,
 
 void ProvenanceTracker::attachTrace(TraceSink* sink) { trace_ = sink; }
 
+void ProvenanceJournal::recordCreated(std::uint64_t offset, std::uint32_t length,
+                                      std::string_view tag, sim::TimePoint at) {
+    journal_->push_back({at, [this, offset, length, tag = std::string{tag}, at]() {
+                             tracker_->recordCreated(phone_, offset, length, tag, at);
+                         }});
+}
+
+void ProvenanceJournal::tailTorn(std::uint64_t newSize, sim::TimePoint at) {
+    journal_->push_back(
+        {at, [this, newSize, at]() { tracker_->tailTorn(phone_, newSize, at); }});
+}
+
+void ProvenanceJournal::prefixRotated(std::uint64_t cutBytes, sim::TimePoint at) {
+    journal_->push_back(
+        {at, [this, cutBytes, at]() { tracker_->prefixRotated(phone_, cutBytes, at); }});
+}
+
+void ProvenanceJournal::snapshotEnqueued(std::uint64_t contentBytes, sim::TimePoint at) {
+    journal_->push_back({at, [this, contentBytes, at]() {
+                             tracker_->snapshotEnqueued(phone_, contentBytes, at);
+                         }});
+}
+
+void ProvenanceJournal::segmentSent(std::uint32_t seq, std::uint64_t offset,
+                                    std::uint64_t payloadBytes, bool retransmit,
+                                    sim::TimePoint at) {
+    journal_->push_back({at, [this, seq, offset, payloadBytes, retransmit, at]() {
+                             tracker_->segmentSent(phone_, seq, offset, payloadBytes,
+                                                   retransmit, at);
+                         }});
+}
+
+void ProvenanceJournal::frameLost(std::uint32_t seq, bool outage, sim::TimePoint at) {
+    journal_->push_back(
+        {at, [this, seq, outage, at]() { tracker_->frameLost(phone_, seq, outage, at); }});
+}
+
+void ProvenanceJournal::frameDelivered(std::uint32_t seq, std::uint64_t payloadBytes,
+                                       sim::TimePoint at) {
+    journal_->push_back({at, [this, seq, payloadBytes, at]() {
+                             tracker_->frameDelivered(phone_, seq, payloadBytes, at);
+                         }});
+}
+
+void ProvenanceJournal::segmentReconciled(std::uint32_t seq, std::uint64_t storedBytes,
+                                          bool duplicate, sim::TimePoint at) {
+    journal_->push_back({at, [this, seq, storedBytes, duplicate, at]() {
+                             tracker_->segmentReconciled(phone_, seq, storedBytes,
+                                                         duplicate, at);
+                         }});
+}
+
+void ProvenanceJournal::frameRejected(sim::TimePoint at) {
+    journal_->push_back({at, [this, at]() { tracker_->frameRejected(at); }});
+}
+
 void ProvenanceTracker::resolveOutcomes(sim::TimePoint /*at*/) {
     for (auto& [phone, state] : phones_) {
         for (RecordLineage& rec : state.live) {

@@ -48,6 +48,7 @@
 #include <string_view>
 #include <vector>
 
+#include "obs/journal.hpp"
 #include "simkernel/time.hpp"
 
 namespace symfail::obs {
@@ -115,8 +116,9 @@ struct PipelineSummary {
 /// The tracker.  One instance observes one campaign; hooks are invoked by
 /// the flash store, upload agent, channel, collection server and monitor
 /// (all behind a null-pointer test, so an unattached campaign pays one
-/// branch per hook site).  Not thread-safe; the simulator is
-/// single-threaded.
+/// branch per hook site).  Not thread-safe: the phone-side hooks reach it
+/// through each phone's ProvenanceJournal, which the fleet delivers on the
+/// calling thread.
 class ProvenanceTracker {
 public:
     ProvenanceTracker();
@@ -247,6 +249,36 @@ private:
     std::uint64_t duplicateCopiesDropped_{0};
     std::uint64_t framesRejected_{0};
     std::vector<StageLatency> stages_;  ///< Computed at finalize.
+};
+
+/// One phone's provenance hooks, as its flash adapter, upload agent, data
+/// channel and server edge call them while the phone runs on a worker.
+/// Each hook goes into the phone's journal and reaches the tracker, under
+/// the phone's name, when the fleet delivers the journal.
+class ProvenanceJournal {
+public:
+    ProvenanceJournal(ProvenanceTracker& tracker, std::string phone, Journal& journal)
+        : tracker_{&tracker}, phone_{std::move(phone)}, journal_{&journal} {}
+    ProvenanceJournal(const ProvenanceJournal&) = delete;
+    ProvenanceJournal& operator=(const ProvenanceJournal&) = delete;
+
+    void recordCreated(std::uint64_t offset, std::uint32_t length, std::string_view tag,
+                       sim::TimePoint at);
+    void tailTorn(std::uint64_t newSize, sim::TimePoint at);
+    void prefixRotated(std::uint64_t cutBytes, sim::TimePoint at);
+    void snapshotEnqueued(std::uint64_t contentBytes, sim::TimePoint at);
+    void segmentSent(std::uint32_t seq, std::uint64_t offset, std::uint64_t payloadBytes,
+                     bool retransmit, sim::TimePoint at);
+    void frameLost(std::uint32_t seq, bool outage, sim::TimePoint at);
+    void frameDelivered(std::uint32_t seq, std::uint64_t payloadBytes, sim::TimePoint at);
+    void segmentReconciled(std::uint32_t seq, std::uint64_t storedBytes, bool duplicate,
+                           sim::TimePoint at);
+    void frameRejected(sim::TimePoint at);
+
+private:
+    ProvenanceTracker* tracker_;
+    std::string phone_;
+    Journal* journal_;
 };
 
 /// Canonical record name used by the CLI: "<phone>#<id>".

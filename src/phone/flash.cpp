@@ -69,6 +69,15 @@ const std::string& FlashStore::content(std::string_view file) const {
     return it->second.text;
 }
 
+std::string FlashStore::take(std::string_view file) {
+    if (readHook_) readHook_(file);
+    const auto it = files_.find(file);
+    if (it == files_.end()) return {};
+    std::string text = std::move(it->second.text);
+    it->second.text.clear();
+    return text;
+}
+
 std::string FlashStore::lastLine(std::string_view file) const {
     const std::string& text = content(file);
     if (text.empty()) return {};

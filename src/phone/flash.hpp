@@ -88,6 +88,9 @@ public:
     /// A file's content.  Runs the read hook first, so a writer that
     /// defers its lines can write them before anyone reads.
     [[nodiscard]] const std::string& content(std::string_view file) const;
+    /// Moves a file's content out, read hook first like content(); the
+    /// file stays, empty.
+    [[nodiscard]] std::string take(std::string_view file);
     /// Last line of the file, or empty if absent/empty.
     [[nodiscard]] std::string lastLine(std::string_view file) const;
     /// Last line plus torn-tail status.  `torn` is true when the file ends

@@ -50,12 +50,16 @@ void Simulator::dispatch(EventQueue::Fired& fired) {
     ++fired_;
 }
 
-std::uint64_t Simulator::runUntil(TimePoint until) {
+std::uint64_t Simulator::runUntil(TimePoint until) { return runTo(until, true); }
+
+std::uint64_t Simulator::runBefore(TimePoint until) { return runTo(until, false); }
+
+std::uint64_t Simulator::runTo(TimePoint until, bool inclusive) {
     stopRequested_ = false;
     std::uint64_t n = 0;
     while (!stopRequested_) {
         const auto next = queue_.nextTime();
-        if (!next || *next > until) break;
+        if (!next || *next > until || (*next == until && !inclusive)) break;
         auto fired = queue_.pop();
         dispatch(fired);
         ++n;

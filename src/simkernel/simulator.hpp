@@ -3,7 +3,8 @@
 // Single-threaded and deterministic: given the same seed and configuration,
 // a campaign replays bit-identically.  Components schedule closures at
 // absolute or relative simulated times; the simulator advances the clock to
-// each event in order and runs it.
+// each event in order and runs it.  One thread drives a simulator at a
+// time; a fleet gives each phone its own and one more to its observers.
 #pragma once
 
 #include <cstdint>
@@ -45,11 +46,19 @@ public:
     /// unless an event moved it further.  Returns events fired.
     std::uint64_t runUntil(TimePoint until);
 
+    /// Runs the events strictly before `until` and leaves the clock at
+    /// `until`, with its events still pending.  A fleet runs a window this
+    /// way, so that what happens at the window's end happens in the next
+    /// one.  Returns events fired.
+    std::uint64_t runBefore(TimePoint until);
+
     /// Runs until the queue drains completely.
     std::uint64_t runAll();
 
     /// Requests that the run loop return after the current event.
     void stop() { stopRequested_ = true; }
+    /// True when the last run returned because of stop().
+    [[nodiscard]] bool stopRequested() const { return stopRequested_; }
 
     /// True while an event's action runs.  Work derived lazily uses it to
     /// tell a call from inside an event at now(), where events queued
@@ -84,6 +93,9 @@ private:
     /// Advances the clock to the fired event and runs it, with tracing and
     /// profiling when attached.
     void dispatch(EventQueue::Fired& fired);
+    /// Runs the events before `until`, and those at `until` when
+    /// `inclusive`.
+    std::uint64_t runTo(TimePoint until, bool inclusive);
 
     EventQueue queue_;
     TimePoint now_{};

@@ -69,8 +69,7 @@ void Channel::send(std::string bytes) {
         ++stats_.outageDrops;
         if (provenance_ != nullptr) {
             if (const auto header = parseFrameHeader(bytes)) {
-                provenance_->frameLost(std::string{header->phone}, header->seq,
-                                       /*outage=*/true, simulator_->now());
+                provenance_->frameLost(header->seq, /*outage=*/true, simulator_->now());
             }
         }
         if (auto* trace = simulator_->traceSink()) {
@@ -85,8 +84,7 @@ void Channel::send(std::string bytes) {
         ++stats_.framesLost;
         if (provenance_ != nullptr) {
             if (const auto header = parseFrameHeader(bytes)) {
-                provenance_->frameLost(std::string{header->phone}, header->seq,
-                                       /*outage=*/false, simulator_->now());
+                provenance_->frameLost(header->seq, /*outage=*/false, simulator_->now());
             }
         }
         if (auto* trace = simulator_->traceSink()) {
@@ -124,8 +122,7 @@ void Channel::deliverAfter(const std::string& bytes, sim::Duration delay) {
         stats_.latency.add(delay.asSecondsF());
         if (provenance_ != nullptr) {
             if (const auto header = parseFrameHeader(bytes)) {
-                provenance_->frameDelivered(std::string{header->phone},
-                                            header->seq, header->payloadBytes,
+                provenance_->frameDelivered(header->seq, header->payloadBytes,
                                             simulator_->now());
             }
         }

@@ -20,7 +20,7 @@
 #include "simkernel/simulator.hpp"
 
 namespace symfail::obs {
-class ProvenanceTracker;
+class ProvenanceJournal;
 }  // namespace symfail::obs
 
 namespace symfail::transport {
@@ -89,9 +89,9 @@ public:
     void setTraceTrack(std::uint32_t track) { traceTrack_ = track; }
 
     /// Attaches provenance tracking: SEGv1 frames report loss and delivery
-    /// per segment (acks and malformed bytes are ignored).
-    /// nullptr detaches; the tracker is not owned.
-    void setProvenance(obs::ProvenanceTracker* tracker) { provenance_ = tracker; }
+    /// per segment to the phone's journal (acks and malformed bytes are
+    /// ignored).  nullptr detaches; the journal is not owned.
+    void setProvenance(obs::ProvenanceJournal* journal) { provenance_ = journal; }
 
     /// Offers bytes to the channel: they are lost, duplicated, delayed or
     /// delivered per the model.  Safe without a receiver (bytes vanish as
@@ -125,7 +125,7 @@ private:
     Receiver receiver_;
     ChannelStats stats_;
     std::uint32_t traceTrack_{0};
-    obs::ProvenanceTracker* provenance_{nullptr};
+    obs::ProvenanceJournal* provenance_{nullptr};
 };
 
 }  // namespace symfail::transport

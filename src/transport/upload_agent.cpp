@@ -118,8 +118,7 @@ void UploadAgent::runRound(const symbos::ExecContext& ctx) {
     const std::vector<SegmentSpan>& spans =
         spans_.update(content, device_->flash().rewrites(logger::kLogFile));
     if (provenance_ != nullptr) {
-        provenance_->snapshotEnqueued(device_->name(), content.size(),
-                                      device_->simulator().now());
+        provenance_->snapshotEnqueued(content.size(), device_->simulator().now());
     }
 
     // One frame, refilled for each segment put on the wire: a round copies
@@ -144,8 +143,8 @@ void UploadAgent::runRound(const symbos::ExecContext& ctx) {
         if (retransmit) ++stats_.retransmits;
         sent = std::max(sent, static_cast<std::uint32_t>(span.length));
         if (provenance_ != nullptr) {
-            provenance_->segmentSent(device_->name(), seq, span.offset, span.length,
-                                     retransmit, device_->simulator().now());
+            provenance_->segmentSent(seq, span.offset, span.length, retransmit,
+                                     device_->simulator().now());
         }
 
         frame.seq = seq;

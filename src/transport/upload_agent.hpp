@@ -75,9 +75,9 @@ public:
     [[nodiscard]] const UploadAgentStats& stats() const { return stats_; }
 
     /// Attaches provenance tracking: each round stamps its chunking
-    /// snapshot (enqueued) and every transmitted segment (uploaded).
-    /// nullptr detaches; the tracker is not owned.
-    void setProvenance(obs::ProvenanceTracker* tracker) { provenance_ = tracker; }
+    /// snapshot (enqueued) and every transmitted segment (uploaded) in the
+    /// phone's journal.  nullptr detaches; the journal is not owned.
+    void setProvenance(obs::ProvenanceJournal* journal) { provenance_ = journal; }
 
     /// Approximate heap footprint of the agent: the per-segment ack/sent
     /// maps and spans plus the per-boot AO machinery.
@@ -121,7 +121,7 @@ private:
     int attempt_{0};  ///< Retry attempt within the current round; 0 = fresh round.
 
     UploadAgentStats stats_;
-    obs::ProvenanceTracker* provenance_{nullptr};
+    obs::ProvenanceJournal* provenance_{nullptr};
 };
 
 }  // namespace symfail::transport

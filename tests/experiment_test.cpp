@@ -9,17 +9,18 @@
 #include <filesystem>
 #include <fstream>
 #include <set>
+#include <stdexcept>
 #include <string_view>
 #include <thread>
 
 #include "experiment/export.hpp"
 #include "experiment/grid.hpp"
-#include "experiment/pool.hpp"
 #include "experiment/runner.hpp"
 #include "experiment/seed.hpp"
 #include "experiment/stats.hpp"
 #include "obs/accountant.hpp"
 #include "obs/metrics.hpp"
+#include "simkernel/pool.hpp"
 
 namespace symfail {
 namespace {
@@ -118,7 +119,7 @@ TEST(ExperimentStats, DegenerateSamples) {
 TEST(ExperimentPool, RunsEveryTaskExactlyOnce) {
     constexpr std::size_t kTasks = 257;
     std::vector<std::atomic<int>> counts(kTasks);
-    experiment::runWorkStealing(kTasks, 8, [&](std::size_t i) {
+    sim::runWorkStealing(kTasks, 8, [&](std::size_t i) {
         counts[i].fetch_add(1, std::memory_order_relaxed);
     });
     for (std::size_t i = 0; i < kTasks; ++i) {
@@ -129,7 +130,7 @@ TEST(ExperimentPool, RunsEveryTaskExactlyOnce) {
 TEST(ExperimentPool, SingleWorkerRunsInline) {
     const auto caller = std::this_thread::get_id();
     std::size_t ran = 0;
-    experiment::runWorkStealing(10, 1, [&](std::size_t) {
+    sim::runWorkStealing(10, 1, [&](std::size_t) {
         EXPECT_EQ(std::this_thread::get_id(), caller);
         ++ran;
     });
@@ -138,10 +139,41 @@ TEST(ExperimentPool, SingleWorkerRunsInline) {
 
 TEST(ExperimentPool, MoreWorkersThanTasks) {
     std::vector<std::atomic<int>> counts(3);
-    experiment::runWorkStealing(3, 16, [&](std::size_t i) {
+    sim::runWorkStealing(3, 16, [&](std::size_t i) {
         counts[i].fetch_add(1, std::memory_order_relaxed);
     });
     for (std::size_t i = 0; i < 3; ++i) EXPECT_EQ(counts[i].load(), 1);
+}
+
+// A fleet keeps one pool for a whole campaign and runs every phone once
+// per window on it.
+TEST(ExperimentPool, PersistentPoolRunsEveryTaskInEveryRun) {
+    sim::WorkerPool pool{4};
+    std::vector<int> runs(9, 0);
+    for (int window = 0; window < 5; ++window) {
+        pool.run(runs.size(), [&](std::size_t i) {
+            EXPECT_TRUE(sim::inPoolTask());
+            ++runs[i];
+        });
+    }
+    for (const int count : runs) EXPECT_EQ(count, 5);
+    EXPECT_FALSE(sim::inPoolTask());
+}
+
+TEST(ExperimentPool, TaskExceptionReachesTheCallerAfterTheRun) {
+    sim::WorkerPool pool{4};
+    std::vector<std::atomic<int>> ran(16);
+    EXPECT_THROW(pool.run(ran.size(),
+                          [&](std::size_t i) {
+                              ran[i].store(1);
+                              if (i == 5) throw std::runtime_error("task 5");
+                          }),
+                 std::runtime_error);
+    for (const auto& flag : ran) EXPECT_EQ(flag.load(), 1);
+    EXPECT_FALSE(sim::inPoolTask());
+    std::atomic<int> after{0};
+    pool.run(3, [&](std::size_t) { after.fetch_add(1); });
+    EXPECT_EQ(after.load(), 3);
 }
 
 // Updating pre-registered instruments from pool workers is the documented
@@ -153,7 +185,7 @@ TEST(ExperimentPool, SharedMetricUpdatesAreThreadSafe) {
     auto& tasks = registry.counter("pool", "tasks", "tasks run by workers");
     auto& total = registry.gauge("pool", "task_sum", "sum of task indices");
     constexpr std::size_t kTasks = 512;
-    experiment::runWorkStealing(kTasks, 8, [&](std::size_t i) {
+    sim::runWorkStealing(kTasks, 8, [&](std::size_t i) {
         tasks.inc();
         total.add(static_cast<double>(i));
     });
@@ -168,7 +200,7 @@ TEST(ExperimentPool, SharedMetricUpdatesAreThreadSafe) {
 TEST(ExperimentPool, SharedAccountantUpdatesAreThreadSafe) {
     obs::ResourceAccountant accountant;
     constexpr std::size_t kTasks = 256;
-    experiment::runWorkStealing(kTasks, 8, [&](std::size_t i) {
+    sim::runWorkStealing(kTasks, 8, [&](std::size_t i) {
         accountant.record("worker-" + std::to_string(i % 4), i + 1);
     });
     EXPECT_EQ(accountant.samplesTaken(), kTasks);

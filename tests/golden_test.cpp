@@ -305,7 +305,7 @@ TEST(GoldenDigest, ProvenanceTrace) {
     expectPinned({{"json", fnv1a64(provenance.renderJson())},
                   {"report", fnv1a64(provenance.renderReport())},
                   {"trace", fnv1a64(trace.json())}},
-                 {0x7c8ad2ba83e477fbULL, 0x6e2eeeea11d619e2ULL, 0x1bcc9be860176e9fULL});
+                 {0x7c8ad2ba83e477fbULL, 0x6e2eeeea11d619e2ULL, 0x0a46a131efed05b7ULL});
 }
 
 }  // namespace
