@@ -33,8 +33,8 @@ void runCampaignWith(bool accounting) {
 }
 
 /// Phone-hours per wall second of a default `phones` x 1-day campaign with
-/// no profiler, run on every hardware thread or inside a pool task, where
-/// its phones run inline on one thread.
+/// no profiler, run on every hardware thread or as the one task of a pool
+/// run, which grants it one thread, so its phones run inline.
 double phoneHoursPerSecond(int phones, bool inlinePhones) {
     fleet::FleetConfig config;
     config.phoneCount = phones;

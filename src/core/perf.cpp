@@ -39,25 +39,16 @@ PerfReport runPerfScaling(const PerfOptions& options) {
         config.phoneCount = phones;
         fleet::setCampaignDays(config, options.days);
         config.seed = options.seed;
-
-        obs::ResourceAccountant accountant;
-        obs::CampaignProfiler profiler;
-        profiler.setSamplingStride(options.samplingStride);
-        config.obs.accountant = &accountant;
         config.obs.accountingInterval = sim::Duration::hours(options.sampleHours);
-        config.obs.profiler = &profiler;
 
+        // The timed run carries the accountant alone, so its phones run on
+        // every hardware thread, as an unobserved campaign's do.
+        obs::ResourceAccountant accountant;
+        config.obs.accountant = &accountant;
         const double wallStart = steadySeconds();
-        fleet::FleetResult result;
-        {
-            obs::ScopedPhase bracket{&profiler, "campaign"};
-            result = fleet::runCampaign(config);
-        }
-        {
-            obs::ScopedPhase bracket{&profiler, "analysis"};
-            const auto dataset = analysis::LogDataset::build(result.logs);
-            accountant.record("analysis", dataset.approxMemoryBytes());
-        }
+        const fleet::FleetResult result = fleet::runCampaign(config);
+        accountant.record("analysis",
+                          analysis::LogDataset::build(result.logs).approxMemoryBytes());
         const double wallSeconds = steadySeconds() - wallStart;
 
         PerfCell cell;
@@ -76,6 +67,23 @@ PerfReport runPerfScaling(const PerfOptions& options) {
         cell.phoneHoursPerSec =
             wallSeconds > 0.0 ? cell.phoneHours / wallSeconds : 0.0;
         cell.peakRssBytes = obs::readPeakRssBytes();
+
+        // The profiled run repeats the campaign for the hotspot and phase
+        // tables only: a profiler runs the phones on one thread.
+        obs::ResourceAccountant profiledAccountant;
+        obs::CampaignProfiler profiler;
+        profiler.setSamplingStride(options.samplingStride);
+        config.obs.accountant = &profiledAccountant;
+        config.obs.profiler = &profiler;
+        fleet::FleetResult profiled;
+        {
+            obs::ScopedPhase bracket{&profiler, "campaign"};
+            profiled = fleet::runCampaign(config);
+        }
+        {
+            obs::ScopedPhase bracket{&profiler, "analysis"};
+            (void)analysis::LogDataset::build(profiled.logs);
+        }
         cell.hotspots = profiler.byCategory();
         if (cell.hotspots.size() > 8) cell.hotspots.resize(8);
         cell.phases = profiler.byPhase();

@@ -2,11 +2,13 @@
 //
 // ROADMAP item 1 asks how far the campaign scales beyond the paper's 25
 // phones.  This module answers with measurements instead of guesses: it
-// runs the same campaign at a ladder of fleet sizes with a
-// ResourceAccountant and a sampling CampaignProfiler attached, and
-// reports throughput (phone-hours simulated per wall-clock second),
-// footprint (bytes per phone, split per subsystem) and host peak RSS for
-// every rung.
+// runs the same campaign at a ladder of fleet sizes and reports
+// throughput (phone-hours simulated per wall-clock second), footprint
+// (bytes per phone, split per subsystem) and host peak RSS for every
+// rung.  Each rung runs twice: once with a ResourceAccountant attached,
+// timed, with its phones on every hardware thread; then once more with a
+// sampling CampaignProfiler too, which runs the phones on one thread, for
+// the hotspot and phase tables alone.
 //
 // Each cell's report is split in two:
 //   - the *accounting* section derives only from simulated state

@@ -5,7 +5,6 @@
 #include <functional>
 #include <memory>
 #include <optional>
-#include <thread>
 
 #if defined(__GLIBC__)
 #include <malloc.h>
@@ -144,18 +143,14 @@ void armAccounting(PhoneUnit& unit, sim::Duration interval) {
     });
 }
 
-/// The phones' worker count: every hardware thread up to the phone count,
-/// or one (the calling thread) inside a pool task, whose pool already
-/// fills the cores (a sweep's trials), and with a trace sink or a profiler
-/// attached: trace sinks are not thread-safe, and the profiler's
+/// The phones' worker count: the caller's thread share up to the phone
+/// count (every hardware thread outside a pool task; a sweep trial's share
+/// of them inside one), or one (the calling thread) with a trace sink or a
+/// profiler attached: trace sinks are not thread-safe, and the profiler's
 /// categories must add up to the simulate span on one clock.
 int phoneWorkers(const FleetConfig& config) {
-    if (sim::inPoolTask() || config.obs.trace != nullptr ||
-        config.obs.profiler != nullptr) {
-        return 1;
-    }
-    const auto threads = static_cast<int>(std::thread::hardware_concurrency());
-    return std::max(1, std::min(threads, config.phoneCount));
+    if (config.obs.trace != nullptr || config.obs.profiler != nullptr) return 1;
+    return std::max(1, std::min(sim::taskThreads(), config.phoneCount));
 }
 
 /// Delivers one window's journals on the calling thread in (time, phone

@@ -177,9 +177,10 @@ void setCampaignDays(FleetConfig& config, long long days);
 /// own collection-server shard; worker threads run every phone through a
 /// window of simulated time, and the calling thread then delivers what the
 /// phones journaled to the observers (fleet/observer.hpp).  The workers
-/// are every hardware thread up to the phone count, or the calling thread
-/// alone inside a pool task (a sweep's trials) or with a trace sink or a
-/// profiler attached.
+/// are the caller's thread share up to the phone count (sim::taskThreads():
+/// every hardware thread outside a pool task, the share a sweep grants
+/// each trial inside one), or the calling thread alone with a trace sink
+/// or a profiler attached.
 [[nodiscard]] FleetResult runCampaign(const FleetConfig& config);
 
 }  // namespace symfail::fleet

@@ -195,17 +195,22 @@ void UserModel::scheduleNextAppSession() {
 }
 
 void UserModel::fireAppSession() {
-    // Weighted pick over launchable catalog apps.
-    std::vector<double> weights;
-    std::vector<std::string_view> names;
-    for (const AppInfo& info : appCatalog()) {
-        if (info.launchWeight > 0.0) {
-            weights.push_back(info.launchWeight);
-            names.push_back(info.name);
+    // Weighted pick over the launchable catalog apps, in catalog order.
+    struct Launchable {
+        std::vector<double> weights;
+        std::vector<const AppInfo*> apps;
+    };
+    static const Launchable launchable = [] {
+        Launchable table;
+        for (const AppInfo& info : appCatalog()) {
+            if (info.launchWeight > 0.0) {
+                table.weights.push_back(info.launchWeight);
+                table.apps.push_back(&info);
+            }
         }
-    }
-    const auto pick = rng_.discrete(weights);
-    const AppInfo& info = appInfo(names[pick]);
+        return table;
+    }();
+    const AppInfo& info = *launchable.apps[rng_.discrete(launchable.weights)];
     auto duration = rng_.lognormalDuration(info.sessionMedian, 0.7);
     // Users leave apps open: some sessions linger long after active use.
     if (rng_.bernoulli(kAppLingerProb)) {

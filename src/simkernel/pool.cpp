@@ -7,14 +7,16 @@
 namespace symfail::sim {
 namespace {
 
-thread_local bool tInPoolTask = false;
+/// The running task's share; 0 outside any pool task.
+thread_local int tTaskThreads = 0;
 
-void runTask(const std::function<void(std::size_t)>& task, std::size_t index) {
+void runTask(const std::function<void(std::size_t)>& task, std::size_t index,
+             int share) {
     struct Scope {
-        bool outer = tInPoolTask;
-        Scope() { tInPoolTask = true; }
-        ~Scope() { tInPoolTask = outer; }
-    } scope;
+        int outer = tTaskThreads;
+        explicit Scope(int threads) { tTaskThreads = std::max(threads, 1); }
+        ~Scope() { tTaskThreads = outer; }
+    } scope{share};
     task(index);
 }
 
@@ -45,7 +47,11 @@ struct WorkerPool::Queue {
     }
 };
 
-bool inPoolTask() { return tInPoolTask; }
+int taskThreads() {
+    static const int hardware =
+        static_cast<int>(std::max(1U, std::thread::hardware_concurrency()));
+    return tTaskThreads > 0 ? tTaskThreads : hardware;
+}
 
 WorkerPool::WorkerPool(int workers) {
     const auto count = static_cast<std::size_t>(std::max(workers, 1));
@@ -74,9 +80,9 @@ void WorkerPool::stopThreads() {
 }
 
 void WorkerPool::run(std::size_t taskCount,
-                     const std::function<void(std::size_t)>& task) {
+                     const std::function<void(std::size_t)>& task, int share) {
     if (threads_.empty()) {
-        for (std::size_t i = 0; i < taskCount; ++i) runTask(task, i);
+        for (std::size_t i = 0; i < taskCount; ++i) runTask(task, i, share);
         return;
     }
     if (taskCount == 0) return;
@@ -90,6 +96,7 @@ void WorkerPool::run(std::size_t taskCount,
     {
         const std::lock_guard<std::mutex> lock{mutex_};
         task_ = &task;
+        share_ = share;
         busy_ = threads_.size();
         ++generation_;
     }
@@ -111,7 +118,7 @@ void WorkerPool::drain(std::size_t self) {
         }
         if (!found) return;
         try {
-            runTask(*task_, index);
+            runTask(*task_, index, share_);
         } catch (...) {
             const std::lock_guard<std::mutex> lock{mutex_};
             if (!error_) error_ = std::current_exception();
@@ -135,10 +142,10 @@ void WorkerPool::threadMain(std::size_t self) {
 }
 
 void runWorkStealing(std::size_t taskCount, int workers,
-                     const std::function<void(std::size_t)>& task) {
+                     const std::function<void(std::size_t)>& task, int share) {
     const auto wanted = static_cast<std::size_t>(std::max(workers, 1));
     WorkerPool pool{static_cast<int>(std::min(wanted, std::max<std::size_t>(taskCount, 1)))};
-    pool.run(taskCount, task);
+    pool.run(taskCount, task, share);
 }
 
 }  // namespace symfail::sim

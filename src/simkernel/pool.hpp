@@ -8,6 +8,14 @@
 // leave workers idle behind the biggest task, so each worker owns a deque
 // of task indices and steals from a sibling when its own runs dry.
 //
+// The two nest: a sweep trial runs a campaign, whose phones could fan out
+// again.  Every task therefore carries a thread share, which its run
+// grants (see taskThreads()): the Runner splits the machine's threads
+// between the trials it runs at once, and each trial's campaign runs its
+// phones on workers of its own, as many as its share.  The split is
+// static, so the threads of all the runs at once stay within the
+// machine's count.
+//
 // Determinism contract: the pool decides only *where* and *when* a task
 // runs, never *what* it computes — tasks must depend solely on their index
 // (the Runner derives every trial's RNG stream from its coordinates; a
@@ -29,10 +37,14 @@
 
 namespace symfail::sim {
 
-/// True while the calling thread runs a pool task, inline tasks included.
-/// A task that could itself fan out (a campaign inside a sweep trial) reads
-/// it and stays on its own thread, so the pools never nest.
-[[nodiscard]] bool inPoolTask();
+/// The threads the calling thread may keep busy.  Outside any pool run it
+/// is the machine's hardware thread count, read once per process (the
+/// standard library reads it from the system on every call); inside a
+/// task, inline tasks included, it is the share that the task's run
+/// granted: 1 unless the run's caller passed more.  A task that could
+/// itself fan out (a campaign inside a sweep trial) starts no more
+/// workers than this, so nested runs never oversubscribe the machine.
+[[nodiscard]] int taskThreads();
 
 /// Worker threads that persist across runs: a fleet starts them once per
 /// campaign and runs its phones through every window on them.
@@ -50,7 +62,9 @@ public:
     /// runs once per window keeps its thread (and its malloc arena) unless
     /// an idle sibling steals it.  A task that throws does not stop its
     /// siblings; the first exception is rethrown here once the run is over.
-    void run(std::size_t taskCount, const std::function<void(std::size_t)>& task);
+    /// Each task sees `share` (at least 1) as its taskThreads().
+    void run(std::size_t taskCount, const std::function<void(std::size_t)>& task,
+             int share = 1);
 
 private:
     struct Queue;
@@ -69,6 +83,7 @@ private:
     std::condition_variable wake_;  ///< Threads wait here for the next run.
     std::condition_variable idle_;  ///< The caller waits here for the threads.
     const std::function<void(std::size_t)>* task_{nullptr};
+    int share_{1};                 ///< The current run's share per task.
     std::uint64_t generation_{0};  ///< Bumped once per run.
     std::size_t busy_{0};          ///< Threads still draining the current run.
     bool stopping_{false};
@@ -77,8 +92,9 @@ private:
 };
 
 /// One run on a pool of `workers` started for it (no more than there are
-/// tasks): `workers <= 1` executes inline.
+/// tasks): `workers <= 1` executes inline.  Each task may keep `share`
+/// threads busy (see taskThreads()).
 void runWorkStealing(std::size_t taskCount, int workers,
-                     const std::function<void(std::size_t)>& task);
+                     const std::function<void(std::size_t)>& task, int share = 1);
 
 }  // namespace symfail::sim

@@ -1,23 +1,23 @@
 // Worker-count invariance of a campaign.
 //
-// fleet::runCampaign runs each phone in its own simulator on every
-// hardware thread, and on the calling thread alone when it runs inside a
-// pool task (a sweep's trials).  Neither choice may change what the
-// campaign computes.  Each case below is a plane and observer mix that
-// tests/golden_test.cpp pins, or a fleet shape the windows must handle (a
-// single phone; more phones than threads), and each runs twice: on all
-// threads, and inside a one-task pool run so its phones run inline.  Every
-// artifact must match byte for byte: the campaign JSON, the phones' Log
-// Files, the collected logs, the validity report, the monitor's
-// snapshots, alerts, dashboard and metrics, the campaign's metrics and
-// the provenance JSON and report.
+// fleet::runCampaign runs each phone in its own simulator on the caller's
+// thread share: every hardware thread outside a pool task, and inside one
+// the share its run granted (a sweep trial's part of the machine; one
+// thread, the calling thread, unless the run grants more).  No share may
+// change what the campaign computes.  Each case below is a plane and
+// observer mix that tests/golden_test.cpp pins, or a fleet shape the
+// windows must handle (a single phone; more phones than threads), and each
+// runs three times: on all threads, as the one task of a run that grants
+// it 2 threads, and as the one task of a run that grants 1, so its phones
+// run inline.  Every artifact must match byte for byte: the campaign JSON,
+// the phones' Log Files, the collected logs, the validity report, the
+// monitor's snapshots, alerts, dashboard and metrics, the campaign's
+// metrics and the provenance JSON and report.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <string>
-#include <thread>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -106,21 +106,32 @@ Artifacts runOnce(core::StudyConfig config, const Observers& observers) {
     return out;
 }
 
-/// Runs `config` on all threads and inline, and compares every artifact.
+/// Runs `config` as the one task of a run that grants it `threads`.
+Artifacts runAsTask(const core::StudyConfig& config, const Observers& observers,
+                    int threads) {
+    Artifacts out;
+    sim::runWorkStealing(
+        1, 1,
+        [&](std::size_t) {
+            EXPECT_EQ(sim::taskThreads(), threads);
+            out = runOnce(config, observers);
+        },
+        threads);
+    return out;
+}
+
+/// Runs `config` on all threads, on 2 and inline, and compares every
+/// artifact.
 void expectSameOnAnyWorkerCount(const core::StudyConfig& config, const Observers& observers) {
-    ASSERT_FALSE(sim::inPoolTask());
     const Artifacts parallel = runOnce(config, observers);
-    Artifacts inline_;
-    sim::runWorkStealing(1, 1, [&](std::size_t) {
-        EXPECT_TRUE(sim::inPoolTask());
-        inline_ = runOnce(config, observers);
-    });
-    EXPECT_FALSE(sim::inPoolTask());
-    ASSERT_EQ(parallel.size(), inline_.size());
-    for (std::size_t i = 0; i < parallel.size(); ++i) {
-        EXPECT_EQ(parallel[i].first, inline_[i].first);
-        EXPECT_TRUE(parallel[i].second == inline_[i].second)
-            << parallel[i].first << " differs between all threads and inline";
+    for (const auto& [threads, leg] : {std::pair{2, "2 threads"}, std::pair{1, "inline"}}) {
+        const Artifacts other = runAsTask(config, observers, threads);
+        ASSERT_EQ(parallel.size(), other.size());
+        for (std::size_t i = 0; i < parallel.size(); ++i) {
+            EXPECT_EQ(parallel[i].first, other[i].first);
+            EXPECT_TRUE(parallel[i].second == other[i].second)
+                << parallel[i].first << " differs between all threads and " << leg;
+        }
     }
 }
 
@@ -224,8 +235,7 @@ TEST(FleetParallel, OnePhone) {
 }
 
 TEST(FleetParallel, MorePhonesThanThreads) {
-    const unsigned threads = std::max(1u, std::thread::hardware_concurrency());
-    experiment::Cell cell = lossyAllPlanes(static_cast<int>(2 * threads + 1), 45);
+    experiment::Cell cell = lossyAllPlanes(2 * sim::taskThreads() + 1, 45);
     cell.outageDay = 10;
     cell.outageDays = 4;
     expectSameOnAnyWorkerCount(

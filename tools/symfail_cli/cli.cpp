@@ -85,8 +85,9 @@ void printUsage() {
         "           [--phones N] [--days D] [--bootstrap R] [--json FILE]\n"
         "           [--csv DIR] [--metrics FILE] [--flash-fault R]\n"
         "           [--mem-pressure R] [--clock-skew PPM] [--radio-fault R]\n"
-        "           run N replicated trials of every grid cell on J workers\n"
-        "           and report mean / stddev / 95%% CI per metric; output is\n"
+        "           run N replicated trials of every grid cell, J trials at\n"
+        "           a time; their phones share the hardware threads; report\n"
+        "           mean / stddev / 95%% CI per metric; output is\n"
         "           byte-identical for any --jobs value at a fixed seed;\n"
         "           grid axes flash_fault_per_khour / mem_pressure_per_khour /\n"
         "           clock_skew_ppm / radio_fault_per_khour sweep the planes\n"
