@@ -71,10 +71,15 @@ std::int64_t Rng::uniformInt(std::int64_t lo, std::int64_t hi) {
     if (span == 0) {  // full 64-bit range
         return static_cast<std::int64_t>(nextU64());
     }
-    // Rejection sampling to avoid modulo bias.
-    const std::uint64_t limit = UINT64_MAX - UINT64_MAX % span;
+    // Rejection sampling to avoid modulo bias: a draw at or above
+    // UINT64_MAX - UINT64_MAX % span is rejected.  That bound exceeds
+    // UINT64_MAX - span, so only a draw above the latter pays for the
+    // bound's 64-bit division.
     std::uint64_t v = nextU64();
-    while (v >= limit) v = nextU64();
+    if (v > UINT64_MAX - span) {
+        const std::uint64_t limit = UINT64_MAX - UINT64_MAX % span;
+        while (v >= limit) v = nextU64();
+    }
     return lo + static_cast<std::int64_t>(v % span);
 }
 

@@ -95,6 +95,38 @@ TEST(Rng, UniformIntBounds) {
     }
 }
 
+// uniformInt works out its rejection bound only for a draw that could
+// reach it.  Its draws must equal those of the rule that works the bound
+// out first, for small spans and for spans so large that draws near the
+// top of the range are common: some of them rejected, some accepted.
+TEST(Rng, UniformIntDrawsMatchTheEagerBound) {
+    const auto eager = [](Rng& rng, std::int64_t hi) {
+        const auto span = static_cast<std::uint64_t>(hi) + 1;
+        const std::uint64_t limit = UINT64_MAX - UINT64_MAX % span;
+        std::uint64_t v = rng.nextU64();
+        while (v >= limit) v = rng.nextU64();
+        return static_cast<std::int64_t>(v % span);
+    };
+    std::vector<std::int64_t> highs;
+    for (std::int64_t hi = 1; hi < 64; ++hi) highs.push_back(hi);
+    // Spans 2^62 + 1, 3 * 2^61, 10^18 and 2^63.
+    for (const std::int64_t hi : {std::int64_t{1} << 62, 3 * (std::int64_t{1} << 61) - 1,
+                                  std::int64_t{999'999'999'999'999'999}, INT64_MAX}) {
+        highs.push_back(hi);
+    }
+    for (const std::uint64_t seed : {1ULL, 2007ULL, 0x9E3779B97F4A7C15ULL}) {
+        for (const std::int64_t hi : highs) {
+            Rng lazy{seed};
+            Rng reference{seed};
+            for (int i = 0; i < 1'000; ++i) {
+                ASSERT_EQ(lazy.uniformInt(0, hi), eager(reference, hi))
+                    << "hi " << hi << ", seed " << seed << ", draw " << i;
+            }
+            EXPECT_EQ(lazy.nextU64(), reference.nextU64()) << "hi " << hi << ", seed " << seed;
+        }
+    }
+}
+
 TEST(Rng, ExponentialMean) {
     Rng rng{11};
     double sum = 0.0;
