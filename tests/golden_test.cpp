@@ -2,10 +2,10 @@
 //
 // Run-vs-run checks such as Integration.CampaignIsDeterministic cannot see
 // a change that shifts every run the same way.  These tests pin a 64-bit
-// FNV-1a digest of core::fieldResultsToJson for three short fixed-seed
-// campaigns and perfbench's lossy cell, plus one of what the collection
-// server holds at campaign end, so any drift in what the pipeline
-// computes fails tier-1.  The JSON digest equals the FNV-1a of the file
+// FNV-1a digest of core::fieldResultsToJson for the paper campaign, three
+// short fixed-seed campaigns and perfbench's lossy cell, plus one of what
+// the collection server holds at campaign end, so any drift in what the
+// pipeline computes fails tier-1.  The JSON digest equals the FNV-1a of the file
 // `symfail campaign ... --json` writes for the command quoted on each
 // test.  The high-rate plane
 // campaign also pins the osfault validity report, which alone carries
@@ -99,6 +99,13 @@ void expectDigests(const core::StudyConfig& config, std::uint64_t json,
     }
     EXPECT_EQ(hex(jsonDigest), hex(json));
     EXPECT_EQ(hex(collectedDigestValue), hex(collected));
+}
+
+TEST(GoldenDigest, PaperCampaign) {
+    // symfail campaign --json FILE (25 phones x 425 days, seed 2007): the
+    // file whose sha256 (31caf049...) ROADMAP.md and perfbench/pinned.json
+    // name as the paper artifacts' contract.
+    expectDigests(core::StudyConfig{}, 0x41b0402a6f6eff0fULL, 0x0b6533a57ce5d4ccULL);
 }
 
 TEST(GoldenDigest, CampaignWithTransport) {
