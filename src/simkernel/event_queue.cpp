@@ -17,26 +17,17 @@ EventId EventQueue::schedule(TimePoint at, Action action, const char* category) 
         free_.pop_back();
         slots_[slot] = Slot{std::move(action), category, false};
     }
-    const Key key{at, seq, slot};
-    if (at == lastPopAt_ && (laneEmpty() || lane_.back().at == at)) {
-        lane_.push_back(key);
-    } else {
-        heap_.push_back(key);
-        std::push_heap(heap_.begin(), heap_.end(), Later{});
-    }
+    heap_.push_back(Key{at, seq, slot});
+    std::push_heap(heap_.begin(), heap_.end(), Later{});
     ++live_;
     return EventId{seq};
 }
 
 bool EventQueue::cancel(EventId id) {
     if (!id.valid() || id.value >= nextSeq_) return false;
-    const auto hasSeq = [&](const Key& k) { return k.seq == id.value; };
-    const auto laneFront = lane_.begin() + static_cast<std::ptrdiff_t>(laneHead_);
-    auto it = std::find_if(laneFront, lane_.end(), hasSeq);
-    if (it == lane_.end()) {
-        it = std::find_if(heap_.begin(), heap_.end(), hasSeq);
-        if (it == heap_.end()) return false;  // fired, or cancelled and discarded
-    }
+    const auto it = std::find_if(heap_.begin(), heap_.end(),
+                                 [&](const Key& k) { return k.seq == id.value; });
+    if (it == heap_.end()) return false;  // fired, or cancelled and discarded
     Slot& slot = slots_[it->slot];
     if (slot.cancelled) return false;
     slot.cancelled = true;
@@ -48,15 +39,6 @@ bool EventQueue::cancel(EventId id) {
     return true;
 }
 
-EventQueue::Key EventQueue::popLane() const {
-    const Key key = lane_[laneHead_++];
-    if (laneEmpty()) {
-        lane_.clear();
-        laneHead_ = 0;
-    }
-    return key;
-}
-
 EventQueue::Key EventQueue::popHeap() const {
     std::pop_heap(heap_.begin(), heap_.end(), Later{});
     const Key key = heap_.back();
@@ -65,9 +47,6 @@ EventQueue::Key EventQueue::popHeap() const {
 }
 
 void EventQueue::dropCancelledHead() const {
-    while (!laneEmpty() && slots_[lane_[laneHead_].slot].cancelled) {
-        free_.push_back(popLane().slot);
-    }
     while (!heap_.empty() && slots_[heap_.front().slot].cancelled) {
         free_.push_back(popHeap().slot);
     }
@@ -75,7 +54,6 @@ void EventQueue::dropCancelledHead() const {
 
 std::optional<TimePoint> EventQueue::nextTime() const {
     dropCancelledHead();
-    if (laneFirst()) return lane_[laneHead_].at;
     if (heap_.empty()) return std::nullopt;
     return heap_.front().at;
 }
@@ -83,11 +61,10 @@ std::optional<TimePoint> EventQueue::nextTime() const {
 EventQueue::Fired EventQueue::pop() {
     dropCancelledHead();
     assert(live_ > 0);
-    const Key key = laneFirst() ? popLane() : popHeap();
+    const Key key = popHeap();
     Slot& slot = slots_[key.slot];
     Fired fired{key.at, EventId{key.seq}, std::move(slot.action), slot.category};
     free_.push_back(key.slot);
-    lastPopAt_ = key.at;
     --live_;
     return fired;
 }

@@ -2,23 +2,11 @@
 //
 // Events fire in (time, sequence number) order, so events scheduled for
 // the same instant fire in scheduling order — a requirement for
-// deterministic replay.  Two containers hold the pending keys:
-//
-//   * the same-instant lane, a FIFO of events scheduled for the instant of
-//     the last pop (zero-delay completions, the bulk of a campaign), as
-//     long as the lane holds no other instant;
-//   * a binary heap for everything else.
-//
-// pop() takes the lane's front when it precedes the heap's top in
-// (time, seq), else the heap's top.  This is exact, not an approximation:
-// the lane is sorted because its entries share one instant and arrive in
-// seq order, and any heap entry for that instant was scheduled at an
-// earlier instant, so its seq is smaller and it still fires first.
-//
-// Keys are {time, seq, slot}; the action and category live in a slot pool
-// recycled through a free list.  Cancellation marks the slot and frees
-// its action at once; the key stays where it is and is discarded when it
-// reaches the front of the lane or the heap.
+// deterministic replay.  The pending keys {time, seq, slot} sit in one
+// binary heap ordered that way; the action and category live in a slot
+// pool recycled through a free list.  Cancellation marks the slot and
+// frees its action at once; the key stays where it is and is discarded
+// when it reaches the top of the heap.
 #pragma once
 
 #include <cstdint>
@@ -56,13 +44,13 @@ public:
     [[nodiscard]] std::size_t size() const { return live_; }
 
     /// Approximate heap footprint of the pending-event set: the capacities
-    /// of the heap, the lane, the slot pool and the free list.  Derived
+    /// of the heap, the slot pool and the free list.  Derived
     /// from container sizes only (no allocator introspection), so
     /// identical schedules yield identical values within one binary.
     /// Closures that spill past std::function's inline buffer are not
     /// counted.
     [[nodiscard]] std::size_t approxBytes() const {
-        return (heap_.capacity() + lane_.capacity()) * sizeof(Key) +
+        return heap_.capacity() * sizeof(Key) +
                slots_.capacity() * sizeof(Slot) +
                free_.capacity() * sizeof(std::uint32_t);
     }
@@ -100,28 +88,16 @@ private:
         }
     };
 
-    [[nodiscard]] bool laneEmpty() const { return laneHead_ == lane_.size(); }
-    /// True when the earliest pending key is the lane's front.
-    [[nodiscard]] bool laneFirst() const {
-        return !laneEmpty() &&
-               (heap_.empty() || Later{}(heap_.front(), lane_[laneHead_]));
-    }
-    /// Removes and returns the lane's front key.
-    Key popLane() const;
     /// Removes and returns the heap's top key.
     Key popHeap() const;
 
-    /// Discards cancelled keys at the front of the lane and the heap.
-    /// Logically const (the pending-event set is unchanged), hence the
-    /// mutable containers.
+    /// Discards cancelled keys at the top of the heap.  Logically const
+    /// (the pending-event set is unchanged), hence the mutable containers.
     void dropCancelledHead() const;
 
     mutable std::vector<Key> heap_;
-    mutable std::vector<Key> lane_;
-    mutable std::size_t laneHead_{0};
     mutable std::vector<Slot> slots_;
     mutable std::vector<std::uint32_t> free_;
-    TimePoint lastPopAt_{};
     std::uint64_t nextSeq_{1};
     std::size_t live_{0};
 };

@@ -376,8 +376,7 @@ TEST(EventQueue, MatchesReferenceModel) {
 TEST(EventQueueLane, PastScheduleKeepsTimeOrder) {
     // Only a bare queue accepts a time before the last pop (the simulator
     // clamps).  Such an event must fire in time order, even when it lands
-    // on the last-popped instant while the same-instant lane still holds
-    // a later one.
+    // on the last-popped instant while a later one waits.
     EventQueue queue;
     std::vector<int> fired;
     const auto tag = [&fired](int t) { return [&fired, t]() { fired.push_back(t); }; };
