@@ -11,12 +11,12 @@
 #include <vector>
 
 #include "analysis/dataset.hpp"
-#include "fleet/collection.hpp"
 #include "logger/logger.hpp"
 #include "phone/device.hpp"
 #include "simkernel/simulator.hpp"
 #include "transport/channel.hpp"
 #include "transport/frame.hpp"
+#include "transport/reassembly.hpp"
 #include "transport/upload_agent.hpp"
 
 int main() {
@@ -31,7 +31,7 @@ int main() {
     std::printf("=== transport outage demo: 5 phones, GPRS blackout days 12-15 ===\n\n");
 
     sim::Simulator simulator;
-    fleet::CollectionServer server;
+    transport::Reassembler server;
 
     struct Unit {
         // Device declared last so it is destroyed first and its power-down
@@ -67,7 +67,7 @@ int main() {
         transport::Channel* ackBack = unit.ackChannel.get();
         unit.dataChannel->setReceiver(
             [&server, ackBack](const std::string& bytes) {
-                if (const auto ack = server.ingestFrame(bytes).ack) {
+                if (const auto ack = server.ingest(bytes).ack) {
                     ackBack->send(transport::encodeAck(*ack));
                 }
             });
@@ -87,7 +87,7 @@ int main() {
             const double onPhone = static_cast<double>(
                 units[static_cast<std::size_t>(i)].loggerApp->logFileContent().size());
             const double onServer = static_cast<double>(
-                server.reassembler().reconstruct(name).size());
+                server.reconstruct(name).size());
             const double pct = onPhone > 0.0 ? 100.0 * onServer / onPhone : 100.0;
             std::printf("  %5.1f%%", pct);
         }
@@ -128,7 +128,7 @@ int main() {
     for (int i = 0; i < kPhones; ++i) {
         const std::string name = "phone-" + std::to_string(i);
         const auto delivered = analysis::LogDataset::build(
-            {{name, server.reassembler().reconstruct(name), 1.0}});
+            {{name, server.reconstruct(name), 1.0}});
         const auto truth = analysis::LogDataset::build(
             {{name, units[static_cast<std::size_t>(i)].loggerApp->logFileContent(),
               1.0}});

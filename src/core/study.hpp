@@ -66,7 +66,7 @@ public:
     [[nodiscard]] FieldStudyResults runFieldStudy() const;
 
     /// Analysis-only entry point: runs the pipeline over already-collected
-    /// logs (e.g. from a CollectionServer), without ground truth.
+    /// logs (e.g. the collection server's copies), without ground truth.
     [[nodiscard]] FieldStudyResults analyzeLogs(std::vector<analysis::PhoneLog> logs) const;
 
 

@@ -26,7 +26,7 @@
 #include "obs/trace.hpp"
 #include "logger/logger.hpp"
 #include "logger/user_reports.hpp"
-#include "osfault/registry.hpp"
+#include "osfault/phone_planes.hpp"
 #include "phone/device.hpp"
 #include "phone/ground_truth.hpp"
 #include "transport/channel.hpp"

@@ -31,9 +31,9 @@
 #include <functional>
 #include <string>
 
-#include "fleet/collection.hpp"
 #include "simkernel/simulator.hpp"
 #include "simkernel/time.hpp"
+#include "transport/reassembly.hpp"
 
 namespace symfail::obs {
 class ProvenanceTracker;

@@ -12,7 +12,7 @@
 #include <string>
 
 #include "analysis/evaluator.hpp"
-#include "osfault/registry.hpp"
+#include "osfault/phone_planes.hpp"
 
 namespace symfail::osfault {
 

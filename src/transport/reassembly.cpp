@@ -36,13 +36,6 @@ IngestResult Reassembler::ingest(std::string_view bytes) {
     return result;
 }
 
-std::vector<std::string> Reassembler::phones() const {
-    std::vector<std::string> names;
-    names.reserve(assemblies_.size());
-    for (const auto& [name, assembly] : assemblies_) names.push_back(name);
-    return names;
-}
-
 double Reassembler::coverage(const std::string& phone) const {
     const auto it = assemblies_.find(phone);
     if (it == assemblies_.end()) return 0.0;

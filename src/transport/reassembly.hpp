@@ -14,7 +14,6 @@
 #include <optional>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "transport/frame.hpp"
 
@@ -50,7 +49,6 @@ public:
     /// retransmit usually means the original ack was lost.
     [[nodiscard]] IngestResult ingest(std::string_view bytes);
 
-    [[nodiscard]] std::vector<std::string> phones() const;
     [[nodiscard]] bool has(const std::string& phone) const {
         return assemblies_.contains(phone);
     }

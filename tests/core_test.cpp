@@ -42,7 +42,7 @@ TEST(FailureStudy, FieldStudyBundlesEverything) {
 TEST(FailureStudy, AnalyzeLogsWithoutGroundTruth) {
     const FailureStudy study{tinyConfig()};
     const auto full = study.runFieldStudy();
-    // Re-analyze from the raw logs alone (the CollectionServer path).
+    // Re-analyze from the raw logs alone (the collection server's path).
     const auto replay = study.analyzeLogs(full.fleet.logs);
     EXPECT_EQ(replay.dataset.panics().size(), full.dataset.panics().size());
     EXPECT_EQ(replay.classification.selfShutdowns.size(),

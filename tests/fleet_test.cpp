@@ -1,14 +1,15 @@
-// Tests for the fleet campaign driver and the collection server.
+// Tests for the fleet campaign driver and the collection server's
+// reassembly.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <string>
 #include <vector>
 
-#include "fleet/collection.hpp"
 #include "fleet/fleet.hpp"
 #include "logger/records.hpp"
 #include "transport/frame.hpp"
+#include "transport/reassembly.hpp"
 
 namespace symfail::fleet {
 namespace {
@@ -102,33 +103,27 @@ TEST(CollectionServer, InterleavedChunkUploadsFrom25Phones) {
         maxFrames = std::max(maxFrames, frames.back().size());
     }
 
-    CollectionServer server;
+    transport::Reassembler server;
     for (std::size_t round = 0; round < maxFrames; ++round) {
         for (int i = 0; i < phoneCountTotal; ++i) {
             const auto& list = frames[static_cast<std::size_t>(i)];
             if (round >= list.size()) continue;
             const auto& frame = list[list.size() - 1 - round];  // reverse order
-            const auto ack = server.ingestFrame(transport::encodeFrame(frame)).ack;
+            const auto ack = server.ingest(transport::encodeFrame(frame)).ack;
             ASSERT_TRUE(ack.has_value());
             EXPECT_EQ(ack->phone, frame.phone);
         }
     }
 
-    EXPECT_EQ(server.phoneCount(), 25u);
+    const auto heard = std::count_if(names.begin(), names.end(),
+                                     [&](const std::string& n) { return server.has(n); });
+    EXPECT_EQ(heard, 25);
     EXPECT_TRUE(server.has("phone-0"));
     EXPECT_FALSE(server.has("phone-25"));
-    const auto logs = server.collectedLogs();
-    ASSERT_EQ(logs.size(), 25u);
     for (int i = 0; i < phoneCountTotal; ++i) {
         const auto idx = static_cast<std::size_t>(i);
         EXPECT_DOUBLE_EQ(server.coverage(names[idx]), 1.0);
-        // collectedLogs is sorted by phone name; find by name instead.
-        const auto it = std::find_if(logs.begin(), logs.end(),
-                                     [&](const analysis::PhoneLog& log) {
-                                         return log.phoneName == names[idx];
-                                     });
-        ASSERT_NE(it, logs.end());
-        EXPECT_EQ(it->logFileContent, contents[idx]);
+        EXPECT_EQ(server.reconstruct(names[idx]), contents[idx]);
     }
 }
 

@@ -13,7 +13,7 @@
 #include "fleet/fleet.hpp"
 #include "logger/logger.hpp"
 #include "logger/records.hpp"
-#include "osfault/registry.hpp"
+#include "osfault/phone_planes.hpp"
 #include "phone/device.hpp"
 #include "simkernel/simulator.hpp"
 #include "symbos/heap.hpp"
@@ -433,7 +433,7 @@ TickRun runFaultedPhone(std::uint64_t seed, bool observed,
     config.name = "ticks";
     config.seed = seed;
     // Declared before the device so they outlive it.
-    osfault::PlaneRegistry registry{planes};
+    osfault::PhonePlanes phonePlanes;
     std::unique_ptr<FailureLogger> logger;
     std::unique_ptr<faults::FaultInjector> injector;
     auto device = std::make_unique<phone::PhoneDevice>(simulator, config);
@@ -443,13 +443,14 @@ TickRun runFaultedPhone(std::uint64_t seed, bool observed,
     if (observed) logger->observeTicks();
     injector = std::make_unique<faults::FaultInjector>(*device, rates, seed * 31 + 7);
     if (planes.anyEnabled()) {
-        registry.attach(simulator, *device, *logger, nullptr, nullptr, seed * 17 + 3);
+        phonePlanes = osfault::attachPlanes(planes, simulator, *device, *logger, nullptr,
+                                            nullptr, seed * 17 + 3);
     }
     device->powerOn();
     simulator.runUntil(sim::TimePoint::origin() + sim::Duration::days(60));
     // Read before the files: a plane's statistics must count the ticks
     // due by the end on their own, as the fleet reads them.
-    run.planes = registry.stats();
+    phonePlanes.addStats(run.planes);
     run.atEnd = flashPrint(device->flash());
     run.heartbeats = logger->heartbeatsWritten();
     run.daemonDeaths = logger->daemonDeaths();
@@ -794,7 +795,7 @@ TEST(BeatsReference, BootRecordsMatchTheGroundTruthJournal) {
             config.seed = seed;
             config.profile.loggerTogglesPerMonth = 3.0;
             // Declared before the device so they outlive it.
-            osfault::PlaneRegistry registry{clocked ? skew : osfault::PlaneConfig{}};
+            osfault::PhonePlanes planes;
             std::unique_ptr<FailureLogger> logger;
             std::unique_ptr<faults::FaultInjector> injector;
             auto device = std::make_unique<phone::PhoneDevice>(simulator, config);
@@ -802,7 +803,8 @@ TEST(BeatsReference, BootRecordsMatchTheGroundTruthJournal) {
             injector = std::make_unique<faults::FaultInjector>(*device, eightfoldRates(),
                                                                seed * 31 + 7);
             if (clocked) {
-                registry.attach(simulator, *device, *logger, nullptr, nullptr, seed * 17 + 3);
+                planes = osfault::attachPlanes(skew, simulator, *device, *logger, nullptr,
+                                               nullptr, seed * 17 + 3);
             }
             device->powerOn();
             simulator.runUntil(sim::TimePoint::origin() + sim::Duration::days(60));

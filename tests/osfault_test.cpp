@@ -13,7 +13,7 @@
 #include "logger/records.hpp"
 #include "osfault/clock_plane.hpp"
 #include "osfault/flash_plane.hpp"
-#include "osfault/registry.hpp"
+#include "osfault/phone_planes.hpp"
 #include "osfault/validity.hpp"
 #include "phone/device.hpp"
 #include "simkernel/simulator.hpp"

@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "analysis/dataset.hpp"
-#include "fleet/collection.hpp"
 #include "fleet/fleet.hpp"
 #include "logger/logger.hpp"
 #include "logger/records.hpp"
@@ -539,7 +538,7 @@ TEST(Reassembler, RejectsDamagedFramesAndStaysConsistent) {
     EXPECT_FALSE(reassembler.ingest("totally not a frame").ack.has_value());
     EXPECT_FALSE(reassembler.ingest("").ack.has_value());
     EXPECT_EQ(reassembler.stats().framesRejected, 2u);
-    EXPECT_EQ(reassembler.phones().size(), 0u);
+    EXPECT_EQ(reassembler.approxMemoryBytes(), sizeof(Reassembler));  // no phone filed
     EXPECT_DOUBLE_EQ(reassembler.coverage("ghost"), 0.0);
 }
 
