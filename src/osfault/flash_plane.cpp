@@ -18,9 +18,9 @@ FlashPlane::FlashPlane(sim::Simulator& simulator, phone::PhoneDevice& device,
     device_->flash().setFaultInjector(this);
 }
 
-// Planes outlive the device they attach to (the registry is declared
-// before the fleet's phones), so the store — and its injector pointer —
-// is gone before this runs; there is nothing to detach.
+// Planes outlive the device they attach to (see phone_planes.hpp), so
+// the store — and its injector pointer — is gone before this runs; there
+// is nothing to detach.
 FlashPlane::~FlashPlane() = default;
 
 FlashPlaneStats FlashPlane::stats() const {
